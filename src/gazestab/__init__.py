@@ -53,12 +53,9 @@ from .stabilizer import (
 )
 from .stereo import (
     CameraFrames,
-    EyeDoF,
     FixationResult,
     camera_frames,
-    eye_dof_to_joints,
     eye_jacobian,
-    eye_joints_to_dof,
     fixation_full_jacobian,
     fixation_point,
 )

@@ -221,19 +221,6 @@ def dh_matrix(link: DHLink, q: float) -> np.ndarray:
 # ------------------------------------------------------------------ kinematics
 
 
-def _frame_matrices(chain: KinematicChain, q: np.ndarray) -> list[np.ndarray]:
-    """World 4x4 of every link frame, branch-aware, one pass."""
-    mats: list[np.ndarray] = [None] * chain.n_joints  # type: ignore[list-item]
-    acc = {"trunk": chain.base_pose.matrix()}
-    for i, link in enumerate(chain.links):
-        seg = chain.segments[i]
-        key = seg if seg in EYE_TAGS else "trunk"
-        parent = acc.get(key, acc["trunk"])
-        mats[i] = parent @ dh_matrix(link, q[i])
-        acc[key] = mats[i]
-    return mats
-
-
 def forward_kinematics(chain: KinematicChain, q, link_index: int | None = None) -> Pose:
     """World pose of a link frame (default: the last link).
 

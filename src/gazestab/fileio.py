@@ -23,13 +23,13 @@ import io
 import json
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .chain import DHLink, KinematicChain, Pose
 from .errors import FileFormatError, InvalidInput
-from .models import BASE_CHANNELS, EYE_DOF_NAMES, HeadModel
+from .models import BASE_CHANNELS, EYE_DOF_NAMES, TRUNK_NAMES, HeadModel
 from .simulator import (
     CameraModel,
     CloudSpec,
@@ -467,6 +467,20 @@ def parse_run_config(path: str) -> RunConfig:
     if seq_raw not in ("true", "false"):
         raise FileFormatError(path, line_of["sequential"], "sequential must be true or false")
 
+    # Unset cloud keys keep the CloudSpec defaults.
+    cloud = {
+        "n": inum("cloud-points"),
+        "azimuth": fnum("cloud-azimuth", angle=True),
+        "elevation": fnum("cloud-elevation", angle=True),
+        "seed": inum("cloud-seed"),
+    }
+    if "cloud-radius" in pairs:
+        radii, no = pairs["cloud-radius"], line_of["cloud-radius"]
+        if len(radii) != 2:
+            raise FileFormatError(path, no, "cloud-radius takes two values: min max")
+        cloud["r_min"] = _parse_float(path, no, radii[0], "cloud-radius")
+        cloud["r_max"] = _parse_float(path, no, radii[1], "cloud-radius")
+
     try:
         control = StabilizerConfig(
             mode=one("mode", "kff"),
@@ -485,7 +499,7 @@ def parse_run_config(path: str) -> RunConfig:
                 height=inum("image-height", 240),
                 border=inum("image-border", 20),
             ),
-            cloud=_cloud_from(pairs, path, line_of, units),
+            cloud=CloudSpec(**{k: v for k, v in cloud.items() if v is not None}),
             dt=fnum("dt", 0.01),
             duration=fnum("duration", None),
             fixation_distance=fnum("fixation-distance", 6.0),
@@ -505,25 +519,6 @@ def parse_run_config(path: str) -> RunConfig:
     )
 
 
-def _cloud_from(pairs, path, line_of, units) -> CloudSpec:
-    kw = {}
-    if "cloud-points" in pairs:
-        kw["n"] = int(pairs["cloud-points"][0])
-    if "cloud-radius" in pairs:
-        vals = pairs["cloud-radius"]
-        if len(vals) != 2:
-            raise FileFormatError(path, line_of["cloud-radius"], "cloud-radius takes two values: min max")
-        kw["r_min"] = _parse_float(path, line_of["cloud-radius"], vals[0], "cloud-radius")
-        kw["r_max"] = _parse_float(path, line_of["cloud-radius"], vals[1], "cloud-radius")
-    if "cloud-azimuth" in pairs:
-        kw["azimuth"] = units.to_rad(_parse_float(path, line_of["cloud-azimuth"], pairs["cloud-azimuth"][0], "cloud-azimuth"))
-    if "cloud-elevation" in pairs:
-        kw["elevation"] = units.to_rad(_parse_float(path, line_of["cloud-elevation"], pairs["cloud-elevation"][0], "cloud-elevation"))
-    if "cloud-seed" in pairs:
-        kw["seed"] = int(pairs["cloud-seed"][0])
-    return CloudSpec(**kw)
-
-
 def config_overrides(cfg: RunConfig, *, mode=None, dof=None, seed=None, out=None) -> RunConfig:
     """Apply CLI flag overrides on top of a parsed config."""
     settings = cfg.settings
@@ -541,22 +536,40 @@ def config_overrides(cfg: RunConfig, *, mode=None, dof=None, seed=None, out=None
 
 # ----------------------------------------------------------------- CSV logs
 
+# Each TrajectoryLog array with its CSV columns, in file order (log v1).
+_TWIST_AXES = ("vx", "vy", "vz", "wx", "wy", "wz")
 LOG_COLUMNS = (
-    ("t",),
-    tuple(f"q_{n}" for n in ("torso-yaw", "torso-pitch", "torso-roll", "neck-pitch", "neck-roll", "neck-yaw") + EYE_DOF_NAMES),
-    tuple(f"qdot_{n}" for n in ("torso-yaw", "torso-pitch", "torso-roll", "neck-pitch", "neck-roll", "neck-yaw") + EYE_DOF_NAMES),
-    tuple(f"base_{c[-1]}" for c in BASE_CHANNELS),
-    tuple(f"cmd_{n}" for n in ("neck-pitch", "neck-roll", "neck-yaw") + EYE_DOF_NAMES),
-    ("est_vx", "est_vy", "est_vz", "est_wx", "est_wy", "est_wz"),
-    ("true_vx", "true_vy", "true_vz", "true_wx", "true_wy", "true_wz"),
-    ("fp_x", "fp_y", "fp_z"),
-    ("optfl", "n_valid", "saturated", "singular"),
+    ("t", ("t",)),
+    ("q", tuple(f"q_{n}" for n in TRUNK_NAMES + EYE_DOF_NAMES)),
+    ("qdot", tuple(f"qdot_{n}" for n in TRUNK_NAMES + EYE_DOF_NAMES)),
+    ("base_offset", tuple(f"base_{c[-1]}" for c in BASE_CHANNELS)),
+    ("cmd", tuple(f"cmd_{n}" for n in TRUNK_NAMES[3:] + EYE_DOF_NAMES)),
+    ("est_twist", tuple(f"est_{a}" for a in _TWIST_AXES)),
+    ("true_twist", tuple(f"true_{a}" for a in _TWIST_AXES)),
+    ("fp", ("fp_x", "fp_y", "fp_z")),
+    ("optfl", ("optfl",)),
+    ("n_valid", ("n_valid",)),
+    ("saturated", ("saturated",)),
+    ("singular", ("singular",)),
 )
-LOG_HEADER = tuple(c for group in LOG_COLUMNS for c in group)
+LOG_HEADER = tuple(c for _, cols in LOG_COLUMNS for c in cols)
+# Columns written as integers and read back with this type; all others are
+# %.17g floats.
+_LOG_INT_TYPES = {"n_valid": int, "saturated": bool, "singular": bool}
+
+
+def _fmt_int(x) -> str:
+    return str(int(x))
 
 
 def write_log_csv(log: TrajectoryLog, path: str) -> None:
     """One row per tick; metadata and script segments in leading comments."""
+    n = log.n_rows()
+    columns = []
+    for name, cols in LOG_COLUMNS:
+        values = getattr(log, name).reshape(n, len(cols))
+        fmt = _fmt_int if name in _LOG_INT_TYPES else _fmt
+        columns += [[fmt(x) for x in values[:, j]] for j in range(len(cols))]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("# gazestab-log: 1\n")
         for key in ("script", "mode", "dof_set", "model", "dt", "duration", "seed", "gyro_sigma", "fixation_distance"):
@@ -568,29 +581,13 @@ def write_log_csv(log: TrajectoryLog, path: str) -> None:
             fh.write(f"# segment: {label} {_fmt(t0)} {_fmt(t1)}\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(LOG_HEADER)
-        n = log.n_rows()
-        for i in range(n):
-            row = (
-                [_fmt(log.t[i])]
-                + [_fmt(x) for x in log.q[i]]
-                + [_fmt(x) for x in log.qdot[i]]
-                + [_fmt(x) for x in log.base_offset[i]]
-                + [_fmt(x) for x in log.cmd[i]]
-                + [_fmt(x) for x in log.est_twist[i]]
-                + [_fmt(x) for x in log.true_twist[i]]
-                + [_fmt(x) for x in log.fp[i]]
-                + [_fmt(log.optfl[i]), str(int(log.n_valid[i])), str(int(log.saturated[i])), str(int(log.singular[i]))]
-            )
-            writer.writerow(row)
+        writer.writerows(zip(*columns))
 
 
 def read_log_csv(path: str) -> TrajectoryLog:
     """Inverse of write_log_csv."""
     meta: dict = {}
     segments = []
-    rows = []
-    header = None
-    lines = []
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -608,7 +605,8 @@ def read_log_csv(path: str) -> TrajectoryLog:
                 parts = val.split()
                 if len(parts) != 3:
                     raise FileFormatError(path, no, "segment metadata needs: label t0 t1")
-                segments.append((parts[0], float(parts[1]), float(parts[2])))
+                t0, t1 = (_parse_float(path, no, p, "segment time") for p in parts[1:])
+                segments.append((parts[0], t0, t1))
             elif key == "gazestab-log":
                 if val != "1":
                     raise FileFormatError(path, no, f"unsupported log version {val!r}")
@@ -625,64 +623,38 @@ def read_log_csv(path: str) -> TrajectoryLog:
                 meta[key] = cast(meta[key])
             except ValueError:
                 raise FileFormatError(path, 0, f"bad metadata value for {key!r}") from None
-    reader = csv.reader(io.StringIO("".join(l for _, l in data_lines)))
+    header = None
+    rows = []
+    reader = csv.reader(line for _, line in data_lines)
     for rec in reader:
+        no = data_lines[reader.line_num - 1][0]
         if header is None:
             header = tuple(rec)
             if header != LOG_HEADER:
-                raise FileFormatError(path, data_lines[0][0], "unexpected CSV columns")
+                raise FileFormatError(path, no, "unexpected CSV columns")
             continue
         if len(rec) != len(LOG_HEADER):
-            raise FileFormatError(path, 0, f"row with {len(rec)} fields, expected {len(LOG_HEADER)}")
-        rows.append([float(x) for x in rec])
+            raise FileFormatError(path, no, f"row with {len(rec)} fields, expected {len(LOG_HEADER)}")
+        try:
+            rows.append([float(x) for x in rec])
+        except ValueError:  # name the offending column
+            rows.append([_parse_float(path, no, x, col) for col, x in zip(LOG_HEADER, rec)])
     if header is None or not rows:
         raise FileFormatError(path, 0, "log contains no data rows")
     arr = np.array(rows)
-    n = arr.shape[0]
     meta.pop("version", None)
-    log = TrajectoryLog(
-        meta=meta,
-        t=arr[:, 0],
-        q=arr[:, 1:10],
-        qdot=arr[:, 10:19],
-        base_offset=arr[:, 19:22],
-        cmd=arr[:, 22:28],
-        est_twist=arr[:, 28:34],
-        true_twist=arr[:, 34:40],
-        fp=arr[:, 40:43],
-        optfl=arr[:, 43],
-        n_valid=arr[:, 44].astype(int),
-        saturated=arr[:, 45].astype(bool),
-        singular=arr[:, 46].astype(bool),
-        segments=tuple(segments),
-    )
-    assert log.n_rows() == n
-    return log
-
-
-def summary_as_dict(summary) -> dict:
-    """JSON-ready view of a RunSummary."""
-    return {
-        "mode": summary.mode,
-        "dof_set": summary.dof_set,
-        "mean_optfl": summary.mean_optfl,
-        "mean_residual_speed": summary.mean_residual_speed,
-        "mean_residual_omega": summary.mean_residual_omega,
-        "reduction_pct": summary.reduction_pct,
-        "segments": [
-            {
-                "label": s.label,
-                "t_start": s.t_start,
-                "t_end": s.t_end,
-                "mean_optfl": s.mean_optfl,
-                "reduction_pct": s.reduction_pct,
-            }
-            for s in summary.segments
-        ],
-    }
+    arrays = {}
+    start = 0
+    for name, cols in LOG_COLUMNS:
+        block = arr[:, start : start + len(cols)]
+        start += len(cols)
+        if len(cols) == 1:
+            block = block[:, 0]
+        arrays[name] = block.astype(_LOG_INT_TYPES[name]) if name in _LOG_INT_TYPES else block
+    return TrajectoryLog(meta=meta, segments=tuple(segments), **arrays)
 
 
 def write_summary_json(summary, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(summary_as_dict(summary), fh, indent=2, sort_keys=False)
+        json.dump(asdict(summary), fh, indent=2, sort_keys=False)
         fh.write("\n")

@@ -16,7 +16,10 @@ import numpy as np
 
 from .chain import DHLink, KinematicChain, Pose, forward_kinematics
 from .errors import InvalidInput
+from .stereo import head_layout
 
+# Joint names of the shipped head's torso and neck, base outward.
+TRUNK_NAMES = ("torso-yaw", "torso-pitch", "torso-roll", "neck-pitch", "neck-roll", "neck-yaw")
 # Fixed names of the three coupled eye degrees of freedom.
 EYE_DOF_NAMES = ("eye-tilt", "eye-version", "eye-vergence")
 # Script channels that translate the whole chain base (prismatic stage).
@@ -38,12 +41,9 @@ class HeadModel:
     name: str = "head"
 
     def __post_init__(self):
-        segs = self.chain.segments
         if self.chain.segments[self.imu_link] != "neck":
             raise InvalidInput("IMU must be attached to a neck link")
-        topo = tuple(len(self.chain.segment_indices(t)) for t in ("torso", "neck", "left-eye", "right-eye"))
-        if topo != (3, 3, 2, 2):
-            raise InvalidInput(f"head topology must be torso:3 neck:3 eyes:2+2, got {topo}")
+        head_layout(self.chain)
         names = tuple(self.trunk_names) or tuple(f"joint-{i}" for i in range(6))
         if len(names) != 6 or len(set(names)) != 6:
             raise InvalidInput("trunk_names must be six distinct joint names")
@@ -91,6 +91,6 @@ def default_head_model() -> HeadModel:
         # head-frame axes at link 5: x=+x_w, y=-z_w, z=+y_w; this offset puts
         # the sensor at world (0.09, 0, 0.43) in the neutral posture.
         imu_offset=Pose(np.eye(3), np.array([-0.02, -0.03, 0.0])),
-        trunk_names=("torso-yaw", "torso-pitch", "torso-roll", "neck-pitch", "neck-roll", "neck-yaw"),
+        trunk_names=TRUNK_NAMES,
         name="default-head",
     )

@@ -24,10 +24,9 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
-from scipy.spatial.transform import Rotation
 
 from .chain import Pose, as_joint_array
 from .errors import (
@@ -51,6 +50,7 @@ from .stereo import camera_frames, collapse_head_q, expand_head_q, fixation_full
 
 DEFAULT_DT = 0.01
 DEFAULT_GYRO_SIGMA = 0.005  # rad/s, per axis
+MIN_FLOW_POINTS = 10  # fewer valid cloud points make the flow average meaningless
 
 
 # ------------------------------------------------------------------- plant
@@ -179,6 +179,40 @@ def step(
 # ------------------------------------------------------------ synthetic gyro
 
 
+def _so3_log(R) -> np.ndarray:
+    """Rotation vector of a rotation matrix (the SO(3) log map).
+
+    Goes through the unit quaternion as scipy's Rotation does, so that the
+    result matches `Rotation.from_matrix(R).as_rotvec()` bit for bit: the
+    largest of the trace and the diagonal picks the numerically safe branch,
+    and a short series replaces angle / sin(angle / 2) near zero.
+    """
+    m = np.asarray(R, dtype=float).tolist()
+    trace = m[0][0] + m[1][1] + m[2][2]
+    decision = [m[0][0], m[1][1], m[2][2], trace]
+    i = decision.index(max(decision))
+    if i == 3:
+        q = [m[2][1] - m[1][2], m[0][2] - m[2][0], m[1][0] - m[0][1], 1 + trace]
+    else:
+        j, k = (i + 1) % 3, (i + 2) % 3
+        q = [0.0] * 4
+        q[i] = 1 - trace + 2 * m[i][i]
+        q[j] = m[j][i] + m[i][j]
+        q[k] = m[k][i] + m[i][k]
+        q[3] = m[k][j] - m[j][k]
+    norm = math.sqrt(q[0] * q[0] + q[1] * q[1] + q[2] * q[2] + q[3] * q[3])
+    x, y, z, w = (c / norm for c in q)
+    if w < 0:
+        x, y, z, w = -x, -y, -z, -w
+    angle = 2 * math.atan2(math.sqrt(x * x + y * y + z * z), w)
+    if angle <= 1e-3:
+        a2 = angle * angle
+        scale = 2 + a2 / 12 + 7 * a2 * a2 / 2880
+    else:
+        scale = angle / math.sin(angle / 2)
+    return np.array([scale * x, scale * y, scale * z])
+
+
 def synth_gyro(
     model: HeadModel,
     state_prev: PlantState,
@@ -199,7 +233,7 @@ def synth_gyro(
     pose_prev = shifted_model(model, state_prev.base_offset).imu_pose(expand_head_q(state_prev.q))
     pose_next = shifted_model(model, state_next.base_offset).imu_pose(expand_head_q(state_next.q))
     rel = pose_prev.rot.T @ pose_next.rot
-    omega_body = Rotation.from_matrix(rel).as_rotvec() / dt
+    omega_body = _so3_log(rel) / dt
     omega = pose_prev.rot @ omega_body
     if sigma > 0.0:
         if rng is None:
@@ -245,6 +279,18 @@ def _project(cam: CameraModel, rot, origin, cloud):
     return np.column_stack([u, v]), interior
 
 
+def _flow(cam: CameraModel, frames_prev, frames_next, cloud) -> tuple[float, int]:
+    """(mean pixel displacement, number of points counted); the mean is NaN
+    when fewer than MIN_FLOW_POINTS points count."""
+    uv_a, ok_a = _project(cam, frames_prev.rot_left, frames_prev.o_left, cloud)
+    uv_b, ok_b = _project(cam, frames_next.rot_left, frames_next.o_left, cloud)
+    ok = ok_a & ok_b
+    n = int(np.count_nonzero(ok))
+    if n < MIN_FLOW_POINTS:
+        return math.nan, n
+    return float(np.mean(np.linalg.norm(uv_b[ok] - uv_a[ok], axis=1))), n
+
+
 def flow_metric(cam: CameraModel, frames_prev, frames_next, cloud) -> float:
     """Mean pixel displacement of the static cloud seen by the left camera.
 
@@ -255,13 +301,10 @@ def flow_metric(cam: CameraModel, frames_prev, frames_next, cloud) -> float:
     cloud = np.asarray(cloud, dtype=float)
     if cloud.ndim != 2 or cloud.shape[1] != 3:
         raise InvalidInput("cloud must be an (n, 3) array")
-    uv_a, ok_a = _project(cam, frames_prev.rot_left, frames_prev.o_left, cloud)
-    uv_b, ok_b = _project(cam, frames_next.rot_left, frames_next.o_left, cloud)
-    ok = ok_a & ok_b
-    n = int(np.count_nonzero(ok))
-    if n < 10:
-        raise InsufficientCoverage(f"only {n} cloud points remained valid (need >= 10)")
-    return float(np.mean(np.linalg.norm(uv_b[ok] - uv_a[ok], axis=1)))
+    mean, n = _flow(cam, frames_prev, frames_next, cloud)
+    if n < MIN_FLOW_POINTS:
+        raise InsufficientCoverage(f"only {n} cloud points remained valid (need >= {MIN_FLOW_POINTS})")
+    return mean
 
 
 @dataclass(frozen=True)
@@ -475,22 +518,12 @@ class SimSettings:
     def __post_init__(self):
         if not (self.dt > 0.0 and math.isfinite(self.dt)):
             raise InvalidInput("dt must be positive")
-        if self.duration is not None and self.duration <= 0.0:
-            raise InvalidInput("duration must be positive")
-        if self.fixation_distance <= 0.0:
-            raise InvalidInput("fixation_distance must be positive")
+        if self.duration is not None and not (self.duration > 0.0 and math.isfinite(self.duration)):
+            raise InvalidInput("duration must be positive and finite")
+        if not (self.fixation_distance > 0.0 and math.isfinite(self.fixation_distance)):
+            raise InvalidInput("fixation_distance must be positive and finite")
         if self.gyro_sigma < 0.0 or self.gyro_delay_ticks < 0:
             raise InvalidInput("gyro noise/delay must be non-negative")
-
-
-@dataclass(frozen=True)
-class FlowSample:
-    """Per-tick metric record: flow plus the true residual twist norms."""
-
-    t: float
-    optfl: float
-    residual_speed: float
-    residual_omega: float
 
 
 @dataclass
@@ -532,7 +565,8 @@ def run_experiment(model: HeadModel, script: DisturbanceScript, settings: SimSet
     commanded (non-external) disturbance rates through the fixation Jacobian
     and adds the commanded base velocity; "ifb" reconstructs the twist from
     the synthetic gyro after subtracting the neck's own contribution; "off"
-    leaves the head passive.
+    leaves the head passive.  On a parallel-gaze tick the fixation Jacobian
+    does not exist and the previous command is held.
     """
     duration = settings.duration if settings.duration is not None else script.duration() + 0.5
     n_ticks = int(round(duration / settings.dt))
@@ -543,10 +577,8 @@ def run_experiment(model: HeadModel, script: DisturbanceScript, settings: SimSet
     rng_gyro = np.random.default_rng(np.random.SeedSequence((settings.seed, 71)))
 
     state = initial_state(model, settings.fixation_distance)
-    cloud_center = 0.5 * (
-        camera_frames(model.chain, state.q).o_left + camera_frames(model.chain, state.q).o_right
-    )
-    cloud = make_cloud(settings.cloud, cloud_center)
+    frames = camera_frames(model.chain, state.q)
+    cloud = make_cloud(settings.cloud, 0.5 * (frames.o_left + frames.o_right))
 
     n_rows = n_ticks + 1
     log = TrajectoryLog(
@@ -576,9 +608,6 @@ def run_experiment(model: HeadModel, script: DisturbanceScript, settings: SimSet
         segments=tuple(script.span_list()),
     )
     log.q[0] = state.q
-
-    cur_model = shifted_model(model, state.base_offset)
-    frames = camera_frames(cur_model.chain, state.q)
     try:
         log.fp[0] = fixation_point(frames).point
     except SingularConfiguration:
@@ -587,12 +616,101 @@ def run_experiment(model: HeadModel, script: DisturbanceScript, settings: SimSet
     prev_state = state
     prev_cmd = StabilizerCommand.hold()
     gyro_buffer: list[ImuSample] = []
-
     try:
-        _run_loop(
-            model, settings, cfg, track, n_ticks, log, state, prev_state, prev_cmd,
-            gyro_buffer, rng_gyro, frames, cloud,
-        )
+        for k in range(n_ticks):
+            model_now = shifted_model(model, state.base_offset)
+            try:
+                J = fixation_full_jacobian(model_now.chain, state.q)
+                x_fp = fixation_point(frames).point
+            except SingularConfiguration:
+                J = x_fp = None
+            singular_now = J is None
+
+            # --- estimate --------------------------------------------
+            est = Twist.zero()
+            if cfg.mode == "kff" and not singular_now:
+                est = estimate_kff(J, track.commanded_qdot[k])
+                est = Twist(est.v + track.commanded_base[k], est.omega)
+            elif cfg.mode == "ifb" and not singular_now:
+                if k == 0:
+                    sample = ImuSample(np.zeros(3), model_now.imu_pose(expand_head_q(state.q)).pos)
+                else:
+                    sample = synth_gyro(
+                        model,
+                        prev_state,
+                        state,
+                        settings.dt,
+                        sigma=settings.gyro_sigma,
+                        rng=rng_gyro,
+                    )
+                    # efference copy: remove the neck's own rotation (executed
+                    # velocities over the same window the gyro integrated);
+                    # script-owned neck channels are disturbance, not self-motion
+                    self_qdot = np.where(track.active[k - 1][3:6], 0.0, state.qdot[3:6])
+                    self_omega = J[3:6, 3:6] @ self_qdot
+                    sample = ImuSample(sample.omega - self_omega, sample.position)
+                gyro_buffer.append(sample)
+                use = (
+                    gyro_buffer[-1 - settings.gyro_delay_ticks]
+                    if len(gyro_buffer) > settings.gyro_delay_ticks
+                    else ImuSample(np.zeros(3), gyro_buffer[0].position)
+                )
+                est = estimate_ifb(use, x_fp)
+
+            # --- compensate --------------------------------------------
+            if cfg.mode == "off":
+                cmd = StabilizerCommand.hold()
+            elif singular_now:
+                cmd = prev_cmd
+            else:
+                cmd = compensate(est, J, cfg)
+
+            # --- step --------------------------------------------------
+            new_state = step(
+                model,
+                state,
+                track.qdot[k],
+                cmd,
+                settings.dt,
+                settings.plant,
+                active=track.active[k],
+                base_vel=track.base_vel[k],
+            )
+
+            # --- log row k+1 --------------------------------------------
+            row = k + 1
+            if J is not None:
+                tw = J @ new_state.qdot
+                tw[:3] += track.base_vel[k]
+                log.true_twist[row] = tw
+            new_frames = camera_frames(shifted_model(model, new_state.base_offset).chain, new_state.q)
+            log.t[row] = new_state.t
+            log.q[row] = new_state.q
+            log.qdot[row] = new_state.qdot
+            log.base_offset[row] = new_state.base_offset
+            log.cmd[row] = np.concatenate([cmd.qdot_neck, cmd.qdot_eye])
+            log.est_twist[row] = est.as_array()
+            try:
+                log.fp[row] = fixation_point(new_frames).point
+            except SingularConfiguration:
+                log.singular[row] = True
+            optfl, n_valid = _flow(settings.cam, frames, new_frames, cloud)
+            if n_valid < MIN_FLOW_POINTS:
+                raise InsufficientCoverage(
+                    f"only {n_valid} cloud points remained valid at t={new_state.t:.3f}s "
+                    f"(need >= {MIN_FLOW_POINTS})"
+                )
+            log.optfl[row] = optfl
+            log.n_valid[row] = n_valid
+            log.saturated[row] = cmd.saturated
+            log.singular[row] |= singular_now
+            if not math.isfinite(optfl):
+                raise SimulationDiverged("flow metric became non-finite", t=new_state.t)
+
+            prev_state = state
+            prev_cmd = cmd
+            state = new_state
+            frames = new_frames
     except SimulationDiverged as err:
         rows = int(np.count_nonzero(log.t > 0.0)) + 1  # completed rows
         err.partial_log = _truncate_log(log, rows)
@@ -601,135 +719,8 @@ def run_experiment(model: HeadModel, script: DisturbanceScript, settings: SimSet
 
 
 def _truncate_log(log: TrajectoryLog, rows: int) -> TrajectoryLog:
-    return TrajectoryLog(
-        meta=dict(log.meta),
-        t=log.t[:rows].copy(),
-        q=log.q[:rows].copy(),
-        qdot=log.qdot[:rows].copy(),
-        base_offset=log.base_offset[:rows].copy(),
-        cmd=log.cmd[:rows].copy(),
-        est_twist=log.est_twist[:rows].copy(),
-        true_twist=log.true_twist[:rows].copy(),
-        fp=log.fp[:rows].copy(),
-        optfl=log.optfl[:rows].copy(),
-        n_valid=log.n_valid[:rows].copy(),
-        saturated=log.saturated[:rows].copy(),
-        singular=log.singular[:rows].copy(),
-        segments=log.segments,
-    )
-
-
-def _run_loop(model, settings, cfg, track, n_ticks, log, state, prev_state, prev_cmd, gyro_buffer, rng_gyro, frames, cloud):
-    for k in range(n_ticks):
-        chain_now = shifted_model(model, state.base_offset).chain
-        singular_now = False
-        try:
-            J = fixation_full_jacobian(chain_now, state.q)
-            x_fp = fixation_point(frames).point
-        except SingularConfiguration:
-            J = None
-            x_fp = None
-            singular_now = True
-
-        # --- estimate ------------------------------------------------
-        est = Twist.zero()
-        if cfg.mode == "kff" and not singular_now:
-            est = estimate_kff(
-                chain_now,
-                state.q,
-                track.commanded_qdot[k, :3],
-                track.commanded_qdot[k, 3:6],
-                track.commanded_qdot[k, 6:9],
-            )
-            est = Twist(est.v + track.commanded_base[k], est.omega)
-        elif cfg.mode == "ifb" and not singular_now:
-            if k == 0:
-                sample = ImuSample(np.zeros(3), shifted_model(model, state.base_offset).imu_pose(expand_head_q(state.q)).pos)
-            else:
-                sample = synth_gyro(
-                    model,
-                    prev_state,
-                    state,
-                    settings.dt,
-                    sigma=settings.gyro_sigma,
-                    rng=rng_gyro,
-                )
-                # efference copy: remove the neck's own rotation (executed
-                # velocities over the same window the gyro integrated);
-                # script-owned neck channels are disturbance, not self-motion
-                self_qdot = np.where(track.active[k - 1][3:6], 0.0, state.qdot[3:6])
-                self_omega = J[3:6, 3:6] @ self_qdot
-                sample = ImuSample(sample.omega - self_omega, sample.position)
-            gyro_buffer.append(sample)
-            use = (
-                gyro_buffer[-1 - settings.gyro_delay_ticks]
-                if len(gyro_buffer) > settings.gyro_delay_ticks
-                else ImuSample(np.zeros(3), gyro_buffer[0].position)
-            )
-            est = estimate_ifb(use, x_fp)
-
-        # --- compensate ------------------------------------------------
-        if cfg.mode == "off":
-            cmd = StabilizerCommand.hold()
-        elif singular_now:
-            cmd = replace(prev_cmd, singular=True)  # hold last command
-        else:
-            cmd = compensate(est, chain_now, state.q, cfg)
-            if cmd.singular:
-                cmd = replace(prev_cmd, singular=True)
-
-        # --- step ------------------------------------------------------
-        new_state = step(
-            model,
-            state,
-            track.qdot[k],
-            cmd,
-            settings.dt,
-            settings.plant,
-            active=track.active[k],
-            base_vel=track.base_vel[k],
-        )
-
-        # --- log row k+1 ------------------------------------------------
-        row = k + 1
-        if J is not None:
-            tw = J @ new_state.qdot
-            tw[:3] += track.base_vel[k]
-            log.true_twist[row] = tw
-        new_model = shifted_model(model, new_state.base_offset)
-        new_frames = camera_frames(new_model.chain, new_state.q)
-        log.t[row] = new_state.t
-        log.q[row] = new_state.q
-        log.qdot[row] = new_state.qdot
-        log.base_offset[row] = new_state.base_offset
-        log.cmd[row] = np.concatenate([cmd.qdot_neck, cmd.qdot_eye])
-        log.est_twist[row] = est.as_array()
-        try:
-            log.fp[row] = fixation_point(new_frames).point
-        except SingularConfiguration:
-            log.singular[row] = True
-        uv_a, ok_a = _project(settings.cam, frames.rot_left, frames.o_left, cloud)
-        uv_b, ok_b = _project(settings.cam, new_frames.rot_left, new_frames.o_left, cloud)
-        ok = ok_a & ok_b
-        n_ok = int(np.count_nonzero(ok))
-        if n_ok < 10:
-            raise InsufficientCoverage(
-                f"only {n_ok} cloud points remained valid at t={new_state.t:.3f}s (need >= 10)"
-            )
-        uv_flow = float(np.mean(np.linalg.norm(uv_b[ok] - uv_a[ok], axis=1)))
-        log.optfl[row] = uv_flow
-        log.n_valid[row] = n_ok
-        log.saturated[row] = cmd.saturated
-        log.singular[row] |= singular_now
-        if not math.isfinite(uv_flow):
-            raise SimulationDiverged("flow metric became non-finite", t=new_state.t)
-
-        prev_state = state
-        prev_cmd = cmd
-        state = new_state
-        frames = new_frames
-
-    return log
+    arrays = {f.name: getattr(log, f.name)[:rows].copy() for f in fields(log) if f.name not in ("meta", "segments")}
+    return replace(log, meta=dict(log.meta), **arrays)
 
 
 # ---------------------------------------------------------------- summaries

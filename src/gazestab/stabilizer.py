@@ -20,13 +20,12 @@ the fresh neck command is about to inject.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import KinematicChain, as_joint_array
-from .errors import InvalidInput, SingularConfiguration, SingularMatrix
-from .stereo import HEAD_DOF, fixation_full_jacobian
+from .chain import as_joint_array
+from .errors import InvalidInput, SingularMatrix
 
 DEFAULT_DAMPING = 1e-3
 DEFAULT_NECK_RATE_LIMIT = math.radians(40.0)
@@ -79,12 +78,11 @@ class ImuSample:
 
 @dataclass(frozen=True)
 class StabilizerCommand:
-    """Joint-rate setpoints (rad/s) plus saturation/singularity bookkeeping."""
+    """Joint-rate setpoints (rad/s) plus saturation bookkeeping."""
 
     qdot_neck: np.ndarray  # (3,)
     qdot_eye: np.ndarray  # (3,) in (tilt, version, vergence)
     saturated: bool = False
-    singular: bool = False
 
     def __post_init__(self):
         for name in ("qdot_neck", "qdot_eye"):
@@ -94,8 +92,8 @@ class StabilizerCommand:
             object.__setattr__(self, name, a)
 
     @classmethod
-    def hold(cls, *, singular: bool = False) -> "StabilizerCommand":
-        return cls(np.zeros(3), np.zeros(3), singular=singular)
+    def hold(cls) -> "StabilizerCommand":
+        return cls(np.zeros(3), np.zeros(3))
 
 
 @dataclass(frozen=True)
@@ -155,18 +153,14 @@ def pinv_damped(J, damping: float) -> np.ndarray:
 # ------------------------------------------------------------- estimators
 
 
-def estimate_kff(chain: KinematicChain, q, qdot_torso, qdot_neck=None, qdot_eye=None) -> Twist:
+def estimate_kff(J, qdot) -> Twist:
     """Fixation twist predicted from commanded joint rates (feedforward).
 
-    The disturbance estimate of the control loop passes the commanded torso
-    rates with neck/eye rates zero (their defaults): the stabilizer's own
-    outputs must not re-enter its input.
+    J is the 6x9 fixation Jacobian at the current posture and qdot the nine
+    commanded rates.  The control loop passes only the commanded disturbance
+    rates: the stabilizer's own outputs must not re-enter its input.
     """
-    qt = as_joint_array(qdot_torso, 3, name="qdot_torso")
-    qn = np.zeros(3) if qdot_neck is None else as_joint_array(qdot_neck, 3, name="qdot_neck")
-    qe = np.zeros(3) if qdot_eye is None else as_joint_array(qdot_eye, 3, name="qdot_eye")
-    J = fixation_full_jacobian(chain, q)
-    xi = J @ np.concatenate([qt, qn, qe])
+    xi = J @ as_joint_array(qdot, 9, name="qdot")
     return Twist(xi[:3], xi[3:])
 
 
@@ -187,21 +181,16 @@ def estimate_ifb(imu: ImuSample, x_fp) -> Twist:
 # ------------------------------------------------------------- compensation
 
 
-def compensate(twist: Twist, chain: KinematicChain, q, config: StabilizerConfig) -> StabilizerCommand:
+def compensate(twist: Twist, J, config: StabilizerConfig) -> StabilizerCommand:
     """Neck/eye joint rates that cancel the estimated fixation twist.
 
-    Neck joints null the rotational component, eyes null the translational
-    one; with config.sequential the eye target also includes the translation
-    the new neck command itself induces at the fixation point.  Outputs are
-    saturated componentwise.  A singular (parallel-gaze) configuration yields
-    the hold-safe zero command with the singular flag set.
+    J is the 6x9 fixation Jacobian at the current posture.  Neck joints null
+    the rotational component, eyes null the translational one; with
+    config.sequential the eye target also includes the translation the new
+    neck command itself induces at the fixation point.  Outputs are saturated
+    componentwise.  A parallel-gaze posture has no Jacobian, so the caller
+    holds its previous command instead.
     """
-    q = as_joint_array(q, HEAD_DOF)
-    try:
-        J = fixation_full_jacobian(chain, q)
-    except SingularConfiguration:
-        return StabilizerCommand.hold(singular=True)
-
     neck_trans = J[0:3, 3:6]
     neck_rot = J[3:6, 3:6]
     eye_trans = J[0:3, 6:9]

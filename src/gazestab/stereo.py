@@ -46,53 +46,7 @@ HEAD_DOF = 9  # torso 3 + neck 3 + (tilt, version, vergence)
 HEAD_MECH = 10  # torso 3 + neck 3 + (tilt, pan) per eye
 
 
-# ---------------------------------------------------------------- eye coupling
-
-
-@dataclass(frozen=True)
-class EyeDoF:
-    """Coupled eye coordinates: common tilt, version, vergence (radians)."""
-
-    tilt: float
-    version: float
-    vergence: float
-
-
-@dataclass(frozen=True)
-class EyeJointAngles:
-    """Mechanical eye joint values (radians); tilts are physically shared."""
-
-    tilt_left: float
-    pan_left: float
-    tilt_right: float
-    pan_right: float
-
-
-def eye_dof_to_joints(dof: EyeDoF) -> EyeJointAngles:
-    """Expand (tilt, version, vergence) to the four mechanical joints."""
-    return EyeJointAngles(
-        tilt_left=dof.tilt,
-        pan_left=dof.version + 0.5 * dof.vergence,
-        tilt_right=dof.tilt,
-        pan_right=dof.version - 0.5 * dof.vergence,
-    )
-
-
-def eye_joints_to_dof(joints: EyeJointAngles, *, tilt_tol: float = 1e-9) -> EyeDoF:
-    """Collapse mechanical joints back to coupled coordinates.
-
-    The tilt motors are one physical axis; a mismatch larger than tilt_tol
-    means the caller broke the coupling invariant.
-    """
-    if abs(joints.tilt_left - joints.tilt_right) > tilt_tol:
-        raise InvalidInput(
-            f"tilt coupling violated: left {joints.tilt_left} vs right {joints.tilt_right}"
-        )
-    return EyeDoF(
-        tilt=joints.tilt_left,
-        version=0.5 * (joints.pan_left + joints.pan_right),
-        vergence=joints.pan_left - joints.pan_right,
-    )
+# ------------------------------------------------- head layout, eye coupling
 
 
 @dataclass(frozen=True)
@@ -144,12 +98,16 @@ def expand_head_q(q) -> np.ndarray:
 
 
 def collapse_head_q(q_mech, *, tilt_tol: float = 1e-9) -> np.ndarray:
-    """10 mechanical joint values -> 9 control DoF (tilt coupling checked)."""
+    """10 mechanical joint values -> 9 control DoF.
+
+    The tilt motors are one physical axis; a mismatch larger than tilt_tol
+    means the caller broke the coupling invariant.
+    """
     arr = as_joint_array(q_mech, HEAD_MECH, name="q (head-mech)")
-    dof = eye_joints_to_dof(
-        EyeJointAngles(arr[6], arr[7], arr[8], arr[9]), tilt_tol=tilt_tol
-    )
-    return np.concatenate([arr[:6], [dof.tilt, dof.version, dof.vergence]])
+    tilt_left, pan_left, tilt_right, pan_right = arr[6:]
+    if abs(tilt_left - tilt_right) > tilt_tol:
+        raise InvalidInput(f"tilt coupling violated: left {tilt_left} vs right {tilt_right}")
+    return np.concatenate([arr[:6], [tilt_left, 0.5 * (pan_left + pan_right), pan_left - pan_right]])
 
 
 # ---------------------------------------------------------------- camera rays
@@ -358,13 +316,13 @@ def fixation_deriv_terms(chain: KinematicChain, q) -> FixationDerivTerms:
     d_offset = d_ol - d_or
     d_denom = 2.0 * cos_axes * d_cos
 
-    def quotient(num, d_num, s):
+    def quotient(num, d_num):
         # d[(num.offset)/denom] by the quotient rule
         d_dot = d_num.T @ offset + d_offset.T @ num
         return (d_dot * denom - float(num @ offset) * d_denom) / (denom * denom)
 
-    d_s_left = quotient(num_left, d_num_left, s_left)
-    d_s_right = quotient(num_right, d_num_right, s_right)
+    d_s_left = quotient(num_left, d_num_left)
+    d_s_right = quotient(num_right, d_num_right)
 
     d_p_left = d_ol + np.outer(zl, d_s_left) + s_left * d_zl
     d_p_right = d_or + np.outer(zr, d_s_right) + s_right * d_zr

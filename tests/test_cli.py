@@ -1,5 +1,6 @@
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -349,6 +350,51 @@ def test_cli_compare_empty_logs_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["compare", "--baseline", "x.csv"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["cloud-points abc", "cloud-seed 1.5", "fixation-distance nan", "duration inf", "duration nan"],
+)
+def test_cli_bad_config_value_exits_2_with_line(tmp_path, capsys, line):
+    p = tmp_path / "c.config"
+    p.write_text(f"config c\nmodel default_head.model\nscript exp_a.script\n{line}\n")
+    assert main(["run", "--config", str(p)]) == 2
+    assert re.search(re.escape(str(p)) + r":\d+: ", capsys.readouterr().err)
+
+
+def rewrite_log_line(tmp_path, find, new_text):
+    """Write a tiny log, replace its first line for which find(line) holds
+    by new_text(line), and return (path, 1-based number of that line)."""
+    p = tmp_path / "log.csv"
+    write_log_csv(tiny_log(), str(p))
+    lines = p.read_text().splitlines(keepends=True)
+    i = next(i for i, line in enumerate(lines) if find(line))
+    lines[i] = new_text(lines[i])
+    p.write_text("".join(lines))
+    return str(p), i + 1
+
+
+def first_data_row(line):
+    return line[:1].isdigit()
+
+
+@pytest.mark.parametrize(
+    "find,new_text,fragment",
+    [
+        (lambda line: line.startswith("# segment:"), lambda line: "# segment: base-y zero 2\n", "bad number 'zero'"),
+        (first_data_row, lambda line: "zebra" + line[line.index(","):], "bad number 'zebra' for t"),
+        (first_data_row, lambda line: line.rstrip("\n") + ",0\n", "row with 48 fields"),
+    ],
+    ids=["segment-time", "non-numeric-field", "extra-field"],
+)
+def test_csv_reader_reports_bad_line(tmp_path, capsys, find, new_text, fragment):
+    path, no = rewrite_log_line(tmp_path, find, new_text)
+    with pytest.raises(FileFormatError, match=fragment) as exc:
+        read_log_csv(path)
+    assert exc.value.line == no
+    assert main(["compare", "--baseline", path, path]) == 2
+    assert f"{path}:{no}: " in capsys.readouterr().err
 
 
 def test_cli_unknown_mode_rejected():

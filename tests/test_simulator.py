@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,8 +15,10 @@ from gazestab.errors import (
     InvalidComparison,
     InvalidInput,
 )
+from gazestab.fileio import default_data_dir, parse_model_file, parse_run_config, parse_script_file
 from gazestab.models import default_head_model
 from gazestab.simulator import (
+    _so3_log,
     CameraModel,
     CloudSpec,
     DisturbanceScript,
@@ -181,6 +187,34 @@ def test_gyro_is_translation_blind():
     b = PlantState(t=DT, q=np.zeros(9), qdot=np.zeros(9), base_offset=np.array([0.0, 0.05, 0.0]))
     sample = synth_gyro(MODEL, rest_state(), b, DT)
     assert np.allclose(sample.omega, 0.0, atol=1e-15)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**31),
+    angle=st.one_of(
+        st.floats(0.0, 1e-3),  # series branch
+        st.floats(1e-3, math.pi - 1e-3),
+        st.floats(math.pi - 1e-3, math.pi),  # diagonal quaternion branches
+    ),
+)
+def test_so3_log_matches_scipy_bit_for_bit(seed, angle):
+    from scipy.spatial.transform import Rotation
+
+    rng = np.random.default_rng(seed)
+    axis = rng.normal(size=3)
+    axis /= np.linalg.norm(axis)
+    base = Rotation.random(random_state=seed).as_matrix()
+    # a relative rotation formed the way synth_gyro forms it
+    rel = base.T @ (base @ Rotation.from_rotvec(angle * axis).as_matrix())
+    assert _so3_log(rel).tobytes() == Rotation.from_matrix(rel).as_rotvec().tobytes()
+
+
+def test_import_leaves_scipy_unloaded():
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, gazestab; sys.exit('scipy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 # ------------------------------------------------------------- flow metric
@@ -460,6 +494,20 @@ def test_summarize_rejects_mismatched_runs():
     )
     with pytest.raises(InvalidComparison):
         summarize(other, baseline=base)
+
+
+def test_singular_gaze_holds_previous_command():
+    # A 10 km fixation leaves the optical axes parallel to within the
+    # singular band (denom ~ -4.6e-11) on every tick: the loop must hold its
+    # (zero) command throughout instead of raising.
+    data = default_data_dir()
+    for name in ("exp_a_kff", "exp_a_ifb"):
+        cfg = parse_run_config(os.path.join(data, f"{name}.config"))
+        model = parse_model_file(os.path.join(data, cfg.model_path))
+        script = parse_script_file(os.path.join(data, cfg.script_path))
+        log = run_experiment(model, script, replace(cfg.settings, fixation_distance=1e4, duration=3.0))
+        assert np.all(log.singular), name
+        assert np.all(log.cmd == 0.0), name
 
 
 def test_settings_validation():

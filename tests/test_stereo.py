@@ -17,14 +17,10 @@ from gazestab import InvalidInput, SingularConfiguration, finite_difference_jaco
 from gazestab.models import default_head_model
 from gazestab.stereo import (
     CameraFrames,
-    EyeDoF,
-    EyeJointAngles,
     camera_frames,
     collapse_head_q,
     expand_head_q,
-    eye_dof_to_joints,
     eye_jacobian,
-    eye_joints_to_dof,
     fixation_deriv_terms,
     fixation_full_jacobian,
     fixation_point,
@@ -106,21 +102,31 @@ def head_q(rng, vergence_range=(0.05, 0.6)):
 # ------------------------------------------------------------- eye coupling
 
 
+def eye_q(tilt, version, vergence):
+    """9-DoF head vector with the trunk at rest."""
+    return np.array([0.0] * 6 + [tilt, version, vergence])
+
+
+def mech_q(tilt_left, pan_left, tilt_right, pan_right):
+    """10 mechanical joint values with the trunk at rest."""
+    return np.array([0.0] * 6 + [tilt_left, pan_left, tilt_right, pan_right])
+
+
 def test_dof_to_joints_frozen_example():
-    j = eye_dof_to_joints(EyeDoF(tilt=0.1, version=0.05, vergence=0.02))
-    assert j.tilt_left == 0.1 and j.tilt_right == 0.1
-    assert j.pan_left == pytest.approx(0.06, abs=1e-15)
-    assert j.pan_right == pytest.approx(0.04, abs=1e-15)
+    tilt_l, pan_l, tilt_r, pan_r = expand_head_q(eye_q(0.1, 0.05, 0.02))[6:]
+    assert tilt_l == 0.1 and tilt_r == 0.1
+    assert pan_l == pytest.approx(0.06, abs=1e-15)
+    assert pan_r == pytest.approx(0.04, abs=1e-15)
 
 
 def test_joints_to_dof_version_only():
-    d = eye_joints_to_dof(EyeJointAngles(0.0, 0.3, 0.0, 0.3))
-    assert (d.tilt, d.version, d.vergence) == (0.0, 0.3, 0.0)
+    q = collapse_head_q(mech_q(0.0, 0.3, 0.0, 0.3))
+    assert tuple(q[6:]) == (0.0, 0.3, 0.0)
 
 
 def test_tilt_coupling_violation_rejected():
-    with pytest.raises(InvalidInput):
-        eye_joints_to_dof(EyeJointAngles(0.1, 0.0, 0.2, 0.0))
+    with pytest.raises(InvalidInput, match="tilt coupling"):
+        collapse_head_q(mech_q(0.1, 0.0, 0.2, 0.0))
 
 
 @given(
@@ -129,10 +135,10 @@ def test_tilt_coupling_violation_rejected():
     g=st.floats(-0.5, 0.8),
 )
 def test_coupling_round_trip(t, v, g):
-    d = eye_joints_to_dof(eye_dof_to_joints(EyeDoF(t, v, g)))
-    assert d.tilt == t
-    assert abs(d.version - v) < 1e-12
-    assert abs(d.vergence - g) < 1e-12
+    q = collapse_head_q(expand_head_q(eye_q(t, v, g)))
+    assert q[6] == t
+    assert abs(q[7] - v) < 1e-12
+    assert abs(q[8] - g) < 1e-12
 
 
 def test_expand_collapse_head_q():
