@@ -19,7 +19,7 @@ All functions here are pure; identical inputs give bit-identical outputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -193,9 +193,6 @@ class KinematicChain:
         seg = self.segments[link_index]
         skip = {"left-eye": "right-eye", "right-eye": "left-eye"}.get(seg)
         return [i for i in range(link_index + 1) if self.segments[i] != skip]
-
-    def with_base(self, base_pose: Pose) -> "KinematicChain":
-        return replace(self, base_pose=base_pose)
 
 
 # ------------------------------------------------------------ DH elementary

@@ -7,7 +7,9 @@
 Model and script names in configs resolve relative to the config file, then
 $GAZESTAB_MODEL_DIR, then the packaged data directory, so the shipped
 examples run from anywhere.  Exit codes: 0 success, 1 runtime failure
-(diverged simulation, incomparable logs), 2 bad input files or usage.
+(diverged simulation, lost flow coverage, incomparable logs, unwritable
+output), 2 bad or unreadable input files, settings past the tick cap, or
+usage.
 """
 
 from __future__ import annotations
@@ -16,7 +18,14 @@ import argparse
 import os
 import sys
 
-from .errors import FileFormatError, GazestabError, InvalidComparison, SimulationDiverged
+from .errors import (
+    FileFormatError,
+    GazestabError,
+    InsufficientCoverage,
+    InvalidComparison,
+    InvalidInput,
+    SimulationDiverged,
+)
 from .fileio import (
     config_overrides,
     parse_model_file,
@@ -38,6 +47,10 @@ def _fail(msg: str, code: int) -> int:
 def _sidecar_path(out: str) -> str:
     root, ext = os.path.splitext(out)
     return (root if ext.lower() == ".csv" else out) + ".summary.json"
+
+
+def _write_error(err: OSError, path: str) -> str:
+    return f"cannot write {err.filename or path}: {err.strerror or err}"
 
 
 def cmd_run(args) -> int:
@@ -63,18 +76,26 @@ def cmd_run(args) -> int:
     out = cfg.out or f"{cfg.name}.csv"
     try:
         log = run_experiment(model, script, cfg.settings)
-    except SimulationDiverged as err:
+    except InvalidInput as err:
+        return _fail(f"{args.config}: {err}", 2)
+    except (SimulationDiverged, InsufficientCoverage) as err:
         partial = getattr(err, "partial_log", None)
         if partial is not None and partial.n_rows() > 0:
-            write_log_csv(partial, out)
+            try:
+                write_log_csv(partial, out)
+            except OSError as werr:
+                return _fail(f"{err}; partial log not written: {_write_error(werr, out)}", 1)
             print(f"partial log ({partial.n_rows()} rows) written to {out}", file=sys.stderr)
         return _fail(str(err), 1)
     except GazestabError as err:
         return _fail(str(err), 1)
 
-    write_log_csv(log, out)
     summary = summarize(log)
-    write_summary_json(summary, _sidecar_path(out))
+    try:
+        write_log_csv(log, out)
+        write_summary_json(summary, _sidecar_path(out))
+    except OSError as err:
+        return _fail(_write_error(err, out), 1)
     print(
         f"{cfg.name}: mode={summary.mode} dof={summary.dof_set} "
         f"ticks={log.n_rows() - 1} mean-optfl={summary.mean_optfl:.6f} px -> {out}"

@@ -54,15 +54,30 @@ def _fmt(x: float) -> str:
 # ----------------------------------------------------------------- scanning
 
 
-def _content_lines(path: str):
-    """(line_number, text) for every non-blank, non-comment line."""
+def _numbered_lines(path: str):
+    """(line_number, text) for every line of a UTF-8 text file, without its
+    line break.  An unreadable file or an undecodable line is a
+    FileFormatError, never an OSError or UnicodeDecodeError."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = fh.readlines()
+        with open(path, "rb") as fh:
+            raw = fh.read()
     except FileNotFoundError:
         raise FileFormatError(path, 0, "file not found") from None
+    except OSError as err:
+        raise FileFormatError(path, 0, err.strerror or str(err)) from None
     out = []
-    for no, line in enumerate(raw, start=1):
+    for no, line in enumerate(raw.splitlines(), start=1):
+        try:
+            out.append((no, line.decode("utf-8")))
+        except UnicodeDecodeError:
+            raise FileFormatError(path, no, "not UTF-8 text") from None
+    return out
+
+
+def _content_lines(path: str):
+    """(line_number, text) for every non-blank, non-comment line."""
+    out = []
+    for no, line in _numbered_lines(path):
         text = line.split("#", 1)[0].strip()
         if text:
             out.append((no, text))
@@ -587,14 +602,10 @@ def write_log_csv(log: TrajectoryLog, path: str) -> None:
 def read_log_csv(path: str) -> TrajectoryLog:
     """Inverse of write_log_csv."""
     meta: dict = {}
+    meta_line: dict = {}
     segments = []
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except FileNotFoundError:
-        raise FileFormatError(path, 0, "file not found") from None
     data_lines = []
-    for no, line in enumerate(lines, start=1):
+    for no, line in _numbered_lines(path):
         if line.startswith("#"):
             body = line[1:].strip()
             if ":" not in body:
@@ -613,6 +624,7 @@ def read_log_csv(path: str) -> TrajectoryLog:
                 meta["version"] = 1
             else:
                 meta[key] = val
+                meta_line[key] = no
             continue
         data_lines.append((no, line))
     if "version" not in meta:
@@ -622,7 +634,7 @@ def read_log_csv(path: str) -> TrajectoryLog:
             try:
                 meta[key] = cast(meta[key])
             except ValueError:
-                raise FileFormatError(path, 0, f"bad metadata value for {key!r}") from None
+                raise FileFormatError(path, meta_line[key], f"bad metadata value for {key!r}") from None
     header = None
     rows = []
     reader = csv.reader(line for _, line in data_lines)

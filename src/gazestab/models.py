@@ -58,11 +58,6 @@ class HeadModel:
         """World pose of the IMU given mechanical joint values."""
         return forward_kinematics(self.chain, q_mech, self.imu_link) @ self.imu_offset
 
-    def with_base(self, base_pose: Pose) -> "HeadModel":
-        from dataclasses import replace
-
-        return replace(self, chain=self.chain.with_base(base_pose))
-
 
 def default_head_model() -> HeadModel:
     """The shipped stand-in head (see module docstring; not robot-authentic)."""

@@ -51,6 +51,7 @@ from .stereo import camera_frames, collapse_head_q, expand_head_q, fixation_full
 DEFAULT_DT = 0.01
 DEFAULT_GYRO_SIGMA = 0.005  # rad/s, per axis
 MIN_FLOW_POINTS = 10  # fewer valid cloud points make the flow average meaningless
+MAX_TICKS = 200_000  # 2,000 s at the default tick; caps the (n, 9) log and track arrays
 
 
 # ------------------------------------------------------------------- plant
@@ -92,7 +93,8 @@ class PlantState:
 def shifted_model(model: HeadModel, base_offset) -> HeadModel:
     """The head model with its chain base translated by a world offset."""
     base = model.chain.base_pose
-    return model.with_base(Pose(base.rot, base.pos + np.asarray(base_offset, dtype=float)))
+    shifted = Pose(base.rot, base.pos + np.asarray(base_offset, dtype=float))
+    return replace(model, chain=replace(model.chain, base_pose=shifted))
 
 
 def _tracking_gain(dt: float, tau: float) -> float:
@@ -558,6 +560,18 @@ def initial_state(model: HeadModel, fixation_distance: float) -> PlantState:
     return PlantState(t=0.0, q=q0, qdot=np.zeros(9))
 
 
+def _head_geometry(model: HeadModel, state: PlantState):
+    """The head model shifted to the state's base offset, its camera frames
+    and its fixation point (None when the optical axes are parallel)."""
+    model_s = shifted_model(model, state.base_offset)
+    frames = camera_frames(model_s.chain, state.q)
+    try:
+        x_fp = fixation_point(frames).point
+    except SingularConfiguration:
+        x_fp = None
+    return model_s, frames, x_fp
+
+
 def run_experiment(model: HeadModel, script: DisturbanceScript, settings: SimSettings) -> TrajectoryLog:
     """Simulate the full closed loop and log every tick.
 
@@ -567,9 +581,17 @@ def run_experiment(model: HeadModel, script: DisturbanceScript, settings: SimSet
     the synthetic gyro after subtracting the neck's own contribution; "off"
     leaves the head passive.  On a parallel-gaze tick the fixation Jacobian
     does not exist and the previous command is held.
+
+    Each state's shifted model, camera frames and fixation point are built
+    once, at the end of the tick that produced it, and carried into the next.
     """
     duration = settings.duration if settings.duration is not None else script.duration() + 0.5
-    n_ticks = int(round(duration / settings.dt))
+    ticks = duration / settings.dt
+    if ticks > MAX_TICKS + 0.5:
+        raise InvalidInput(
+            f"duration {duration:g} s at dt {settings.dt:g} s is {ticks:.6g} ticks, over the cap of {MAX_TICKS}"
+        )
+    n_ticks = int(round(ticks))
     if n_ticks < 1:
         raise InvalidInput("duration shorter than one tick")
     track = script.realize(model, settings.dt, n_ticks)
@@ -577,7 +599,7 @@ def run_experiment(model: HeadModel, script: DisturbanceScript, settings: SimSet
     rng_gyro = np.random.default_rng(np.random.SeedSequence((settings.seed, 71)))
 
     state = initial_state(model, settings.fixation_distance)
-    frames = camera_frames(model.chain, state.q)
+    model_now, frames, x_fp = _head_geometry(model, state)
     cloud = make_cloud(settings.cloud, 0.5 * (frames.o_left + frames.o_right))
 
     n_rows = n_ticks + 1
@@ -608,23 +630,18 @@ def run_experiment(model: HeadModel, script: DisturbanceScript, settings: SimSet
         segments=tuple(script.span_list()),
     )
     log.q[0] = state.q
-    try:
-        log.fp[0] = fixation_point(frames).point
-    except SingularConfiguration:
+    if x_fp is None:
         log.singular[0] = True
+    else:
+        log.fp[0] = x_fp
 
     prev_state = state
     prev_cmd = StabilizerCommand.hold()
     gyro_buffer: list[ImuSample] = []
     try:
         for k in range(n_ticks):
-            model_now = shifted_model(model, state.base_offset)
-            try:
-                J = fixation_full_jacobian(model_now.chain, state.q)
-                x_fp = fixation_point(frames).point
-            except SingularConfiguration:
-                J = x_fp = None
-            singular_now = J is None
+            singular_now = x_fp is None
+            J = None if singular_now else fixation_full_jacobian(model_now.chain, state.q)
 
             # --- estimate --------------------------------------------
             est = Twist.zero()
@@ -679,39 +696,36 @@ def run_experiment(model: HeadModel, script: DisturbanceScript, settings: SimSet
 
             # --- log row k+1 --------------------------------------------
             row = k + 1
+            model_next, frames_next, fp_next = _head_geometry(model, new_state)
+            optfl, n_valid = _flow(settings.cam, frames, frames_next, cloud)
+            if n_valid < MIN_FLOW_POINTS:
+                raise InsufficientCoverage(
+                    f"only {n_valid} cloud points remained valid at t={new_state.t:.3f}s "
+                    f"(need >= {MIN_FLOW_POINTS})"
+                )
             if J is not None:
                 tw = J @ new_state.qdot
                 tw[:3] += track.base_vel[k]
                 log.true_twist[row] = tw
-            new_frames = camera_frames(shifted_model(model, new_state.base_offset).chain, new_state.q)
             log.t[row] = new_state.t
             log.q[row] = new_state.q
             log.qdot[row] = new_state.qdot
             log.base_offset[row] = new_state.base_offset
             log.cmd[row] = np.concatenate([cmd.qdot_neck, cmd.qdot_eye])
             log.est_twist[row] = est.as_array()
-            try:
-                log.fp[row] = fixation_point(new_frames).point
-            except SingularConfiguration:
-                log.singular[row] = True
-            optfl, n_valid = _flow(settings.cam, frames, new_frames, cloud)
-            if n_valid < MIN_FLOW_POINTS:
-                raise InsufficientCoverage(
-                    f"only {n_valid} cloud points remained valid at t={new_state.t:.3f}s "
-                    f"(need >= {MIN_FLOW_POINTS})"
-                )
+            if fp_next is not None:
+                log.fp[row] = fp_next
             log.optfl[row] = optfl
             log.n_valid[row] = n_valid
             log.saturated[row] = cmd.saturated
-            log.singular[row] |= singular_now
+            log.singular[row] = singular_now or fp_next is None
             if not math.isfinite(optfl):
                 raise SimulationDiverged("flow metric became non-finite", t=new_state.t)
 
             prev_state = state
             prev_cmd = cmd
-            state = new_state
-            frames = new_frames
-    except SimulationDiverged as err:
+            state, model_now, frames, x_fp = new_state, model_next, frames_next, fp_next
+    except (SimulationDiverged, InsufficientCoverage) as err:
         rows = int(np.count_nonzero(log.t > 0.0)) + 1  # completed rows
         err.partial_log = _truncate_log(log, rows)
         raise

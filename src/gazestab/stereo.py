@@ -239,47 +239,37 @@ def fixation_point(frames: CameraFrames, *, denom_tol: float = SINGULAR_DENOM_TO
 # --------------------------------------------------------- analytic Jacobian
 
 
-@dataclass(frozen=True)
-class FixationDerivTerms:
-    """Shared intermediates of the fixation derivative, with their partials.
-
-    Partial arrays have one column per mechanical eye variable, in the order
-    (common tilt, left pan, right pan).  Invariant: denom = cos_axes**2 - 1
-    and -1 <= denom <= 0.
-    """
-
-    cos_axes: float
-    num_left: np.ndarray  # (3,)
-    num_right: np.ndarray  # (3,)
-    offset: np.ndarray  # (3,)
-    denom: float
-    s_left: float
-    s_right: float
-    d_cos_axes: np.ndarray  # (3,)
-    d_num_left: np.ndarray  # (3, 3)
-    d_num_right: np.ndarray  # (3, 3)
-    d_offset: np.ndarray  # (3, 3)
-    d_denom: np.ndarray  # (3,)
-    d_s_left: np.ndarray  # (3,)
-    d_s_right: np.ndarray  # (3,)
-    d_p_left: np.ndarray  # (3, 3)
-    d_p_right: np.ndarray  # (3, 3)
+def eye_jacobian(chain: KinematicChain, q) -> np.ndarray:
+    """3x3 fixation-point Jacobian w.r.t. (tilt, version, vergence)."""
+    return fixation_full_jacobian(chain, q)[:3, 6:9]
 
 
-def fixation_deriv_terms(chain: KinematicChain, q) -> FixationDerivTerms:
-    """Evaluate the closed-form fixation derivative w.r.t. the eye mechanics.
+def fixation_full_jacobian(chain: KinematicChain, q) -> np.ndarray:
+    """6x9 fixation twist Jacobian over (torso, neck, eye DoF).
 
-    Every ray quantity is differentiated against all three mechanical eye
-    variables: the tilt column sums both camera chains' contributions, and
-    the cross partials (left point vs right pan and vice versa) are kept --
-    they enter through the shared cos/offset terms.
+    Rows 0..2 map joint rates to fixation-point translation; rows 3..5 to the
+    head's angular velocity.  Trunk columns use the rigid-point rule (the
+    whole stereo construction rides rigidly on the head); eye columns
+    contribute no rotation.
+
+    The eye columns differentiate every ray quantity against the three
+    mechanical eye variables (common tilt, left pan, right pan): the tilt
+    partial sums both camera chains' contributions, and the cross partials
+    (left point vs right pan and vice versa) are kept -- they enter through
+    the shared cos/offset terms.  The midpoint x = (p_left + p_right)/2 then
+    folds onto (tilt, version, vergence) by the chain rule:
+
+        d x/d tilt     = (dPl_t + dPr_t) / 2
+        d x/d version  = (dPl_l + dPl_r + dPr_l + dPr_r) / 2
+        d x/d vergence = (dPl_l - dPl_r + dPr_l - dPr_r) / 4
+
+    Raises SingularConfiguration when the optical axes are parallel.
     """
     lay = head_layout(chain)
     qm = expand_head_q(q)
-    pose_l = forward_kinematics(chain, qm, lay.cam_left)
-    pose_r = forward_kinematics(chain, qm, lay.cam_right)
-    ol, zl = pose_l.pos, pose_l.rot[:, 2]
-    orr, zr = pose_r.pos, pose_r.rot[:, 2]
+    fr = camera_frames(chain, q)
+    fx = fixation_point(fr)
+    ol, zl, orr, zr = fr.o_left, fr.z_left, fr.o_right, fr.z_right
 
     Jg_l = geometric_jacobian(chain, qm, ol, lay.cam_left)[:3]
     Jg_r = geometric_jacobian(chain, qm, orr, lay.cam_right)[:3]
@@ -298,17 +288,10 @@ def fixation_deriv_terms(chain: KinematicChain, q) -> FixationDerivTerms:
     d_zr = np.column_stack([sum(Ja_r[:, j] for j in cols) for cols in var_cols])
 
     cos_axes = float(zl @ zr)
-    denom = cos_axes * cos_axes - 1.0
-    if abs(denom) < SINGULAR_DENOM_TOL:
-        raise SingularConfiguration(
-            f"fixation Jacobian undefined for parallel axes (denom={denom:.3e})",
-            denom=denom,
-        )
+    denom = cos_axes * cos_axes - 1.0  # nonzero: fixation_point checked it
     num_left = zl - cos_axes * zr
     num_right = cos_axes * zl - zr
     offset = ol - orr
-    s_left = float(num_left @ offset) / denom
-    s_right = float(num_right @ offset) / denom
 
     d_cos = d_zl.T @ zr + d_zr.T @ zl  # (3,)
     d_num_left = d_zl - np.outer(zr, d_cos) - cos_axes * d_zr
@@ -321,64 +304,13 @@ def fixation_deriv_terms(chain: KinematicChain, q) -> FixationDerivTerms:
         d_dot = d_num.T @ offset + d_offset.T @ num
         return (d_dot * denom - float(num @ offset) * d_denom) / (denom * denom)
 
-    d_s_left = quotient(num_left, d_num_left)
-    d_s_right = quotient(num_right, d_num_right)
+    dPl = d_ol + np.outer(zl, quotient(num_left, d_num_left)) + fx.s_left * d_zl
+    dPr = d_or + np.outer(zr, quotient(num_right, d_num_right)) + fx.s_right * d_zr
 
-    d_p_left = d_ol + np.outer(zl, d_s_left) + s_left * d_zl
-    d_p_right = d_or + np.outer(zr, d_s_right) + s_right * d_zr
-
-    return FixationDerivTerms(
-        cos_axes=cos_axes,
-        num_left=num_left,
-        num_right=num_right,
-        offset=offset,
-        denom=denom,
-        s_left=s_left,
-        s_right=s_right,
-        d_cos_axes=d_cos,
-        d_num_left=d_num_left,
-        d_num_right=d_num_right,
-        d_offset=d_offset,
-        d_denom=d_denom,
-        d_s_left=d_s_left,
-        d_s_right=d_s_right,
-        d_p_left=d_p_left,
-        d_p_right=d_p_right,
-    )
-
-
-def eye_jacobian(chain: KinematicChain, q) -> np.ndarray:
-    """3x3 fixation-point Jacobian w.r.t. (tilt, version, vergence).
-
-    Columns fold the mechanical partials by the chain rule for the midpoint
-    x = (p_left + p_right)/2 with p_left/p_right depending on both pans:
-
-        d x/d tilt     = (dPl_t + dPr_t) / 2
-        d x/d version  = (dPl_l + dPl_r + dPr_l + dPr_r) / 2
-        d x/d vergence = (dPl_l - dPl_r + dPr_l - dPr_r) / 4
-    """
-    t = fixation_deriv_terms(chain, q)
-    dPl, dPr = t.d_p_left, t.d_p_right
-    col_tilt = 0.5 * (dPl[:, 0] + dPr[:, 0])
-    col_version = 0.5 * (dPl[:, 1] + dPl[:, 2] + dPr[:, 1] + dPr[:, 2])
-    col_vergence = 0.25 * (dPl[:, 1] - dPl[:, 2] + dPr[:, 1] - dPr[:, 2])
-    return np.column_stack([col_tilt, col_version, col_vergence])
-
-
-def fixation_full_jacobian(chain: KinematicChain, q) -> np.ndarray:
-    """6x9 fixation twist Jacobian over (torso, neck, eye DoF).
-
-    Rows 0..2 map joint rates to fixation-point translation; rows 3..5 to the
-    head's angular velocity.  Trunk columns use the rigid-point rule (the
-    whole stereo construction rides rigidly on the head), eye columns use the
-    analytic eye Jacobian and contribute no rotation.
-    """
-    lay = head_layout(chain)
-    qm = expand_head_q(q)
-    fr = camera_frames(chain, q)
-    point = fixation_point(fr).point
-    Jg = geometric_jacobian(chain, qm, point, lay.cam_left)
+    Jg = geometric_jacobian(chain, qm, fx.point, lay.cam_left)
     J = np.zeros((6, HEAD_DOF))
     J[:, :6] = Jg[:, list(lay.trunk)]
-    J[:3, 6:9] = eye_jacobian(chain, q)
+    J[:3, 6] = 0.5 * (dPl[:, 0] + dPr[:, 0])
+    J[:3, 7] = 0.5 * (dPl[:, 1] + dPl[:, 2] + dPr[:, 1] + dPr[:, 2])
+    J[:3, 8] = 0.25 * (dPl[:, 1] - dPl[:, 2] + dPr[:, 1] - dPr[:, 2])
     return J

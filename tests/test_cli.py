@@ -1,6 +1,7 @@
 import math
 import os
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -266,17 +267,21 @@ def test_csv_reader_rejects_foreign_files(tmp_path):
 # ----------------------------------------------------------------- CLI
 
 
-def write_quick_config(tmp_path, mode, duration=2.5):
+def write_quick_config(tmp_path, mode, duration=2.5, **lines):
+    """A short exp_a config; keyword arguments replace or add `key value`
+    lines (underscores in the name become dashes)."""
     p = tmp_path / f"quick_{mode}.config"
-    p.write_text(
-        f"config quick-{mode}\n"
-        "model default_head.model\n"
-        "script exp_a.script\n"
-        f"mode {mode}\n"
-        f"duration {duration}\n"
-        "gyro-noise 0\n"
-        f"out {tmp_path}/quick_{mode}.csv\n"
-    )
+    keys = {
+        "config": f"quick-{mode}",
+        "model": "default_head.model",
+        "script": "exp_a.script",
+        "mode": mode,
+        "duration": duration,
+        "gyro-noise": 0,
+        "out": f"{tmp_path}/quick_{mode}.csv",
+    }
+    keys.update({k.replace("_", "-"): v for k, v in lines.items()})
+    p.write_text("".join(f"{k} {v}\n" for k, v in keys.items()))
     return str(p)
 
 
@@ -395,6 +400,82 @@ def test_csv_reader_reports_bad_line(tmp_path, capsys, find, new_text, fragment)
     assert exc.value.line == no
     assert main(["compare", "--baseline", path, path]) == 2
     assert f"{path}:{no}: " in capsys.readouterr().err
+
+
+def test_csv_reader_cites_bad_metadata_line(tmp_path, capsys):
+    path, no = rewrite_log_line(tmp_path, lambda line: line.startswith("# dt:"), lambda line: "# dt: fast\n")
+    assert no == 6
+    with pytest.raises(FileFormatError, match="bad metadata value for 'dt'") as exc:
+        read_log_csv(path)
+    assert f"{path}:6: " in str(exc.value)
+    assert main(["compare", "--baseline", path, path]) == 2
+    assert f"{path}:6: " in capsys.readouterr().err
+
+
+def assert_clean_error(capsys, *fragments):
+    """stderr is one `gazestab: error:` line containing every fragment."""
+    err = capsys.readouterr().err
+    assert err.startswith("gazestab: error: ") and err.count("\n") == 1
+    for fragment in fragments:
+        assert fragment in err
+
+
+def test_cli_directory_as_config_exits_2(tmp_path, capsys):
+    assert main(["run", "--config", str(tmp_path)]) == 2
+    assert_clean_error(capsys, f"{tmp_path}: ")
+
+
+def test_cli_directory_as_baseline_exits_2(tmp_path, capsys):
+    assert main(["compare", "--baseline", str(tmp_path), str(tmp_path)]) == 2
+    assert_clean_error(capsys, f"{tmp_path}: ")
+
+
+def test_cli_directory_as_model_exits_2(tmp_path, capsys):
+    (tmp_path / "head.model").mkdir()
+    assert main(["run", "--config", write_quick_config(tmp_path, "off", 0.3, model="head.model")]) == 2
+    assert_clean_error(capsys, f"{tmp_path / 'head.model'}: ")
+
+
+@pytest.mark.parametrize("target", ["config", "model"])
+def test_cli_non_utf8_input_exits_2_with_line(tmp_path, capsys, target):
+    model = tmp_path / "head.model"
+    model.write_bytes(Path(MODEL_FILE).read_bytes())
+    cfg = write_quick_config(tmp_path, "off", 0.3, model="head.model")
+    path = cfg if target == "config" else str(model)
+    Path(path).write_bytes(Path(path).read_bytes() + b"# caf\xe9\n")
+    n_lines = Path(path).read_bytes().count(b"\n")
+    assert main(["run", "--config", cfg]) == 2
+    assert_clean_error(capsys, f"{path}:{n_lines}: not UTF-8 text")
+
+
+def test_cli_out_in_missing_directory_exits_1(tmp_path, capsys):
+    out = str(tmp_path / "nowhere" / "run.csv")
+    assert main(["run", "--config", write_quick_config(tmp_path, "off", 0.3), "--out", out]) == 1
+    assert_clean_error(capsys, f"cannot write {out}: ")
+
+
+@pytest.mark.parametrize(
+    "dt,fragment",
+    [("1e-300", "over the cap of 200000"), ("1", "duration shorter than one tick")],
+)
+def test_cli_tick_count_out_of_range_exits_2(tmp_path, capsys, dt, fragment):
+    cfg = write_quick_config(tmp_path, "off", 0.3, dt=dt)
+    assert main(["run", "--config", cfg]) == 2
+    assert_clean_error(capsys, f"{cfg}: ", fragment)
+
+
+def test_cli_coverage_loss_writes_partial_log(tmp_path, capsys):
+    # Lifting the head 10 m/s soon leaves too few cloud points in view.
+    script = tmp_path / "lift.script"
+    script.write_text("script lift\nunits degrees\nmove channel=base-z t=0.2,3 rate=10\n")
+    cfg = write_quick_config(tmp_path, "off", 3, script="lift.script")
+    assert main(["run", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    failed = re.search(r"gazestab: error: only \d+ cloud points remained valid at t=([\d.]+)s", err)
+    assert failed and "Traceback" not in err
+    log = read_log_csv(str(tmp_path / "quick_off.csv"))
+    assert log.n_rows() == round(float(failed.group(1)) / 0.01)  # rows before the failing tick
+    assert np.all(log.n_valid[1:] >= 10)
 
 
 def test_cli_unknown_mode_rejected():

@@ -17,7 +17,9 @@ from gazestab.errors import (
 )
 from gazestab.fileio import default_data_dir, parse_model_file, parse_run_config, parse_script_file
 from gazestab.models import default_head_model
+import gazestab.simulator as simulator
 from gazestab.simulator import (
+    MAX_TICKS,
     _so3_log,
     CameraModel,
     CloudSpec,
@@ -496,16 +498,22 @@ def test_summarize_rejects_mismatched_runs():
         summarize(other, baseline=base)
 
 
+def shipped(name):
+    """(model, script, settings) of a packaged config."""
+    data = default_data_dir()
+    cfg = parse_run_config(os.path.join(data, f"{name}.config"))
+    model = parse_model_file(os.path.join(data, cfg.model_path))
+    script = parse_script_file(os.path.join(data, cfg.script_path))
+    return model, script, cfg.settings
+
+
 def test_singular_gaze_holds_previous_command():
     # A 10 km fixation leaves the optical axes parallel to within the
     # singular band (denom ~ -4.6e-11) on every tick: the loop must hold its
     # (zero) command throughout instead of raising.
-    data = default_data_dir()
     for name in ("exp_a_kff", "exp_a_ifb"):
-        cfg = parse_run_config(os.path.join(data, f"{name}.config"))
-        model = parse_model_file(os.path.join(data, cfg.model_path))
-        script = parse_script_file(os.path.join(data, cfg.script_path))
-        log = run_experiment(model, script, replace(cfg.settings, fixation_distance=1e4, duration=3.0))
+        model, script, settings = shipped(name)
+        log = run_experiment(model, script, replace(settings, fixation_distance=1e4, duration=3.0))
         assert np.all(log.singular), name
         assert np.all(log.cmd == 0.0), name
 
@@ -519,3 +527,41 @@ def test_settings_validation():
         SimSettings(gyro_delay_ticks=-1)
     with pytest.raises(InvalidInput):
         SimSettings(fixation_distance=0.0)
+
+
+def test_loop_builds_each_state_geometry_once(monkeypatch):
+    # 50 ticks visit 51 plant states: one shifted model and one fixation
+    # point per state, one fixation Jacobian per tick.
+    counts = dict.fromkeys(("fixation_point", "fixation_full_jacobian", "shifted_model"), 0)
+    for name in counts:
+
+        def counted(*args, _name=name, _real=getattr(simulator, name), **kw):
+            counts[_name] += 1
+            return _real(*args, **kw)
+
+        monkeypatch.setattr(simulator, name, counted)
+    model, script, settings = shipped("exp_a_kff")
+    run_experiment(model, script, replace(settings, duration=0.5))
+    assert counts == {"fixation_point": 51, "fixation_full_jacobian": 50, "shifted_model": 51}
+
+
+def test_tick_cap_rejected_before_realize(monkeypatch):
+    def realize(*args, **kw):
+        raise AssertionError("the track was realized")
+
+    monkeypatch.setattr(DisturbanceScript, "realize", realize)
+    settings = SimSettings(duration=(MAX_TICKS + 1) * DT, gyro_sigma=0.0)
+    with pytest.raises(InvalidInput, match=f"{MAX_TICKS + 1} ticks, over the cap of {MAX_TICKS}"):
+        run_experiment(MODEL, small_yaw_script(), settings)
+
+
+def test_coverage_loss_carries_completed_rows():
+    # Lifting the passive head 10 m/s leaves 9 cloud points in view at
+    # t = 0.82 s: the partial log holds rows 0..81, not the failing tick's.
+    script = DisturbanceScript("lift", segments=(ScriptSegment(0.2, 3.0, "base-z", 10.0),))
+    with pytest.raises(InsufficientCoverage, match="at t=0.820s") as exc:
+        run_experiment(MODEL, script, SimSettings(control=StabilizerConfig(mode="off")))
+    log = exc.value.partial_log
+    assert log.n_rows() == 82
+    assert np.allclose(log.t, np.arange(82) * DT)
+    assert np.all(log.n_valid[1:] >= 10)
