@@ -10,6 +10,7 @@ from .chain import (
     finite_difference_jacobian,
     forward_kinematics,
     geometric_jacobian,
+    link_frames,
 )
 from .errors import (
     FileFormatError,
@@ -17,6 +18,7 @@ from .errors import (
     InsufficientCoverage,
     InvalidComparison,
     InvalidInput,
+    JointLimitWarning,
     OracleFailure,
     SimulationDiverged,
     SingularConfiguration,

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -194,6 +195,12 @@ class KinematicChain:
         skip = {"left-eye": "right-eye", "right-eye": "left-eye"}.get(seg)
         return [i for i in range(link_index + 1) if self.segments[i] != skip]
 
+    @cached_property
+    def parents(self) -> tuple[int, ...]:
+        """Path predecessor of each link, -1 for the base pose: joint i turns
+        about the z axis of link parents[i]'s frame."""
+        return tuple(([-1] + self.path_indices(i))[-2] for i in range(self.n_joints))
+
 
 # ------------------------------------------------------------ DH elementary
 
@@ -218,42 +225,49 @@ def dh_matrix(link: DHLink, q: float) -> np.ndarray:
 # ------------------------------------------------------------------ kinematics
 
 
-def forward_kinematics(chain: KinematicChain, q, link_index: int | None = None) -> Pose:
+def link_frames(chain: KinematicChain, q) -> np.ndarray:
+    """(k + 1, 4, 4) world frames of the first k = len(q) links, then the base.
+
+    Each link composes onto its path predecessor (chain.parents), so the
+    trunk is walked once for both eye branches.  This is the only place DH
+    transforms are composed.
+    """
+    arr = as_joint_array(q)
+    if arr.size > chain.n_joints:
+        raise InvalidInput(f"q has {arr.size} values for a {chain.n_joints}-link chain")
+    frames = np.empty((arr.size + 1, 4, 4))
+    frames[-1] = chain.base_pose.matrix()
+    for i in range(arr.size):
+        frames[i] = frames[chain.parents[i]] @ dh_matrix(chain.links[i], arr[i])
+    return frames
+
+
+def forward_kinematics(chain: KinematicChain, q, link_index: int | None = None, *, frames=None) -> Pose:
     """World pose of a link frame (default: the last link).
 
     q must supply one value per link index up to and including link_index;
     a full-length vector is always fine.  Entries for links off the path
-    (the other eye branch) are ignored.
+    (the other eye branch) are ignored.  A caller that already holds
+    frames = link_frames(chain, q) passes it, and the pose is read from it.
     """
     if link_index is None:
         link_index = chain.n_joints - 1
-    path = chain.path_indices(link_index)  # also range-checks link_index
+    chain.path_indices(link_index)  # range-checks link_index
     arr = as_joint_array(q)
     if arr.size < link_index + 1:
         raise InvalidInput(
             f"q must cover links 0..{link_index} ({link_index + 1} values), got {arr.size}"
         )
-    T = chain.base_pose.matrix()
-    for i in path:
-        T = T @ dh_matrix(chain.links[i], arr[i])
-    return Pose.from_matrix(T)
+    frames = link_frames(chain, arr[: link_index + 1]) if frames is None else frames
+    return Pose.from_matrix(frames[link_index])
 
 
-def _joint_axes_origins(chain, arr, path):
-    """(z_i, p_i) world axis and origin of each joint on the path."""
-    out = []
-    T = chain.base_pose.matrix()
-    for i in path:
-        out.append((T[:3, 2].copy(), T[:3, 3].copy()))
-        T = T @ dh_matrix(chain.links[i], arr[i])
-    return out, T
-
-
-def geometric_jacobian(chain: KinematicChain, q, point, link_index: int | None = None) -> np.ndarray:
+def geometric_jacobian(chain: KinematicChain, q, point, link_index: int | None = None, *, frames=None) -> np.ndarray:
     """6 x n Jacobian of a point rigidly attached to link_index's frame.
 
     Rows 0..2: d(point)/dq_i = z_i x (point - p_i); rows 3..5: z_i.  Columns
-    for joints off the path to link_index are zero.
+    for joints off the path to link_index are zero.  frames, if given, is
+    link_frames(chain, q), read in place of a new walk.
     """
     if link_index is None:
         link_index = chain.n_joints - 1
@@ -262,28 +276,28 @@ def geometric_jacobian(chain: KinematicChain, q, point, link_index: int | None =
     pt = np.asarray(point, dtype=float)
     if pt.shape != (3,) or not np.all(np.isfinite(pt)):
         raise InvalidInput("point must be a finite 3-vector")
+    frames = link_frames(chain, arr) if frames is None else frames
+    axes = frames[[chain.parents[i] for i in path], :3]
     J = np.zeros((6, chain.n_joints))
-    axes, _ = _joint_axes_origins(chain, arr, path)
-    for (z, p), i in zip(axes, path):
-        J[:3, i] = np.cross(z, pt - p)
-        J[3:, i] = z
+    J[:3, path] = np.cross(axes[:, :, 2], pt - axes[:, :, 3]).T
+    J[3:, path] = axes[:, :, 2].T
     return J
 
 
-def analytic_axis_jacobian(chain: KinematicChain, q, link_index: int) -> np.ndarray:
+def analytic_axis_jacobian(chain: KinematicChain, q, link_index: int, *, frames=None) -> np.ndarray:
     """3 x n Jacobian of link_index's z axis direction.
 
     Column i is z_i x z_link for joints on the path, zero otherwise; in
     particular every joint at or downstream of a parallel axis contributes
-    nothing, and off-branch columns vanish.
+    nothing, and off-branch columns vanish.  frames, if given, is
+    link_frames(chain, q), read in place of a new walk.
     """
     path = chain.path_indices(link_index)
     arr = as_joint_array(q, chain.n_joints)
-    axes, T_end = _joint_axes_origins(chain, arr, path)
-    z_link = T_end[:3, 2]
+    frames = link_frames(chain, arr) if frames is None else frames
     J = np.zeros((3, chain.n_joints))
-    for (z, _), i in zip(axes, path):
-        J[:, i] = np.cross(z, z_link)
+    axes = frames[[chain.parents[i] for i in path], :3, 2]
+    J[:, path] = np.cross(axes, frames[link_index, :3, 2]).T
     return J
 
 

@@ -15,8 +15,12 @@ usage.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import errno
 import os
+import stat
 import sys
+import warnings
 
 from .errors import (
     FileFormatError,
@@ -24,6 +28,7 @@ from .errors import (
     InsufficientCoverage,
     InvalidComparison,
     InvalidInput,
+    JointLimitWarning,
     SimulationDiverged,
 )
 from .fileio import (
@@ -53,6 +58,42 @@ def _write_error(err: OSError, path: str) -> str:
     return f"cannot write {err.filename or path}: {err.strerror or err}"
 
 
+def _out_dir_error(out: str) -> str | None:
+    """Why out's directory cannot take a new file (checked before the run,
+    so a bad --out fails at once), or None."""
+    where = os.path.dirname(out) or "."
+    try:
+        if not stat.S_ISDIR(os.stat(where).st_mode):
+            return os.strerror(errno.ENOTDIR)
+    except OSError as err:
+        return err.strerror
+    if not os.access(where, os.W_OK | os.X_OK):
+        return os.strerror(errno.EACCES)
+    return None
+
+
+@contextlib.contextmanager
+def _joint_limit_summary():
+    """Fold the plant's per-tick JointLimitWarnings into one stderr line,
+    printed when the run ends, failed or not; other warnings pass through."""
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", JointLimitWarning)
+            yield
+    finally:
+        hits = [w.message for w in caught if isinstance(w.message, JointLimitWarning)]
+        if hits:
+            joints = sorted(set().union(*(h.joints for h in hits)))
+            print(
+                f"gazestab: warning: joint position limits clamped {len(hits)} ticks, "
+                f"first at t={hits[0].t:.3f}s (mechanical joints {joints})",
+                file=sys.stderr,
+            )
+        for w in caught:
+            if not isinstance(w.message, JointLimitWarning):
+                warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+
+
 def cmd_run(args) -> int:
     try:
         cfg = parse_run_config(args.config)
@@ -74,8 +115,12 @@ def cmd_run(args) -> int:
         return _fail(str(err), 2)
 
     out = cfg.out or f"{cfg.name}.csv"
+    reason = _out_dir_error(out)
+    if reason:
+        return _fail(f"cannot write {out}: {reason}", 1)
     try:
-        log = run_experiment(model, script, cfg.settings)
+        with _joint_limit_summary():
+            log = run_experiment(model, script, cfg.settings)
     except InvalidInput as err:
         return _fail(f"{args.config}: {err}", 2)
     except (SimulationDiverged, InsufficientCoverage) as err:

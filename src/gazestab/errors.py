@@ -54,6 +54,16 @@ class InsufficientCoverage(GazestabError):
     """Too few cloud points remained valid for a meaningful flow average."""
 
 
+class JointLimitWarning(RuntimeWarning):
+    """A plant tick clamped joints at their position limits; carries the tick
+    time and the mechanical joint indices."""
+
+    def __init__(self, t: float, joints: list[int]):
+        super().__init__(f"joint position limit reached at t={t:.3f}s (mechanical joints {joints}); clamping")
+        self.t = t
+        self.joints = joints
+
+
 class InvalidComparison(GazestabError):
     """Log comparison across mismatched scripts, durations, or time grids."""
 

@@ -449,54 +449,53 @@ def parse_run_config(path: str) -> RunConfig:
         if key == "units":
             units = _Units(path, no, rest[0])
     line_of = dict((k, n) for n, k in order)
-
-    def one(key: str, default=None):
-        if key not in pairs:
-            return default
-        vals = pairs[key]
-        if len(vals) != 1:
-            raise FileFormatError(path, line_of[key], f"config key {key!r} takes one value")
-        return vals[0]
-
-    def fnum(key: str, default=None, angle=False):
-        raw = one(key)
-        if raw is None:
-            return default
-        v = _parse_float(path, line_of[key], raw, key)
-        return units.to_rad(v) if angle else v
-
-    def inum(key: str, default=None):
-        raw = one(key)
-        if raw is None:
-            return default
-        try:
-            return int(raw)
-        except ValueError:
-            raise FileFormatError(path, line_of[key], f"bad integer {raw!r} for {key}") from None
-
     for req in ("config", "model", "script"):
         if req not in pairs:
             raise FileFormatError(path, 0, f"missing required config key {req!r}")
 
-    seq_raw = one("sequential", "true").lower()
-    if seq_raw not in ("true", "false"):
-        raise FileFormatError(path, line_of["sequential"], "sequential must be true or false")
+    def config_from(given: dict[str, list[str]]) -> RunConfig:
+        def one(key: str, default=None):
+            if key not in given:
+                return default
+            vals = given[key]
+            if len(vals) != 1:
+                raise FileFormatError(path, line_of[key], f"config key {key!r} takes one value")
+            return vals[0]
 
-    # Unset cloud keys keep the CloudSpec defaults.
-    cloud = {
-        "n": inum("cloud-points"),
-        "azimuth": fnum("cloud-azimuth", angle=True),
-        "elevation": fnum("cloud-elevation", angle=True),
-        "seed": inum("cloud-seed"),
-    }
-    if "cloud-radius" in pairs:
-        radii, no = pairs["cloud-radius"], line_of["cloud-radius"]
-        if len(radii) != 2:
-            raise FileFormatError(path, no, "cloud-radius takes two values: min max")
-        cloud["r_min"] = _parse_float(path, no, radii[0], "cloud-radius")
-        cloud["r_max"] = _parse_float(path, no, radii[1], "cloud-radius")
+        def fnum(key: str, default=None, angle=False):
+            raw = one(key)
+            if raw is None:
+                return default
+            v = _parse_float(path, line_of[key], raw, key)
+            return units.to_rad(v) if angle else v
 
-    try:
+        def inum(key: str, default=None):
+            raw = one(key)
+            if raw is None:
+                return default
+            try:
+                return int(raw)
+            except ValueError:
+                raise FileFormatError(path, line_of[key], f"bad integer {raw!r} for {key}") from None
+
+        seq_raw = one("sequential", "true").lower()
+        if seq_raw not in ("true", "false"):
+            raise FileFormatError(path, line_of["sequential"], "sequential must be true or false")
+
+        # Unset cloud keys keep the CloudSpec defaults.
+        cloud = {
+            "n": inum("cloud-points"),
+            "azimuth": fnum("cloud-azimuth", angle=True),
+            "elevation": fnum("cloud-elevation", angle=True),
+            "seed": inum("cloud-seed"),
+        }
+        if "cloud-radius" in given:
+            radii, no = given["cloud-radius"], line_of["cloud-radius"]
+            if len(radii) != 2:
+                raise FileFormatError(path, no, "cloud-radius takes two values: min max")
+            cloud["r_min"] = _parse_float(path, no, radii[0], "cloud-radius")
+            cloud["r_max"] = _parse_float(path, no, radii[1], "cloud-radius")
+
         control = StabilizerConfig(
             mode=one("mode", "kff"),
             dof_set=one("dof", "neck-eyes"),
@@ -522,16 +521,30 @@ def parse_run_config(path: str) -> RunConfig:
             gyro_sigma=fnum("gyro-noise", 0.005),
             gyro_delay_ticks=inum("gyro-delay", 0),
         )
-    except InvalidInput as err:
-        raise FileFormatError(path, line_of.get("config", 0), str(err)) from None
+        return RunConfig(
+            name=one("config"),
+            model_path=one("model"),
+            script_path=one("script"),
+            settings=settings,
+            out=one("out", None),
+        )
 
-    return RunConfig(
-        name=one("config"),
-        model_path=one("model"),
-        script_path=one("script"),
-        settings=settings,
-        out=one("out", None),
-    )
+    try:
+        return config_from(pairs)
+    except InvalidInput as err:
+        # Cite the first line at which the config read so far is rejected
+        # with this same error: the offending key, or the later one of two
+        # keys checked together.  An earlier prefix may fail for another
+        # reason (a default that a later key replaces), which does not count.
+        given: dict[str, list[str]] = {}
+        for no, key in order:
+            given[key] = pairs[key]
+            try:
+                config_from(given)
+            except InvalidInput as prefix_err:
+                if str(prefix_err) == str(err):
+                    raise FileFormatError(path, no, str(err)) from None
+        raise AssertionError("the whole config, the last prefix, failed differently") from err
 
 
 def config_overrides(cfg: RunConfig, *, mode=None, dof=None, seed=None, out=None) -> RunConfig:

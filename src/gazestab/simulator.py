@@ -33,6 +33,7 @@ from .errors import (
     InsufficientCoverage,
     InvalidComparison,
     InvalidInput,
+    JointLimitWarning,
     SimulationDiverged,
     SingularConfiguration,
 )
@@ -52,6 +53,7 @@ DEFAULT_DT = 0.01
 DEFAULT_GYRO_SIGMA = 0.005  # rad/s, per axis
 MIN_FLOW_POINTS = 10  # fewer valid cloud points make the flow average meaningless
 MAX_TICKS = 200_000  # 2,000 s at the default tick; caps the (n, 9) log and track arrays
+MAX_CLOUD_POINTS = 100_000  # caps the (n, 3) cloud and its per-tick projections
 
 
 # ------------------------------------------------------------------- plant
@@ -155,12 +157,7 @@ def step(
     hi = np.array([l.q_max for l in model.chain.links])
     clamped = (q_mech < lo) | (q_mech > hi)
     if np.any(clamped):
-        warnings.warn(
-            f"joint position limit reached at t={state.t + dt:.3f}s "
-            f"(mechanical joints {np.nonzero(clamped)[0].tolist()}); clamping",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+        warnings.warn(JointLimitWarning(state.t + dt, np.nonzero(clamped)[0].tolist()), stacklevel=2)
         q_mech = np.clip(q_mech, lo, hi)
         qdot_mech = np.where(clamped, 0.0, qdot_mech)
 
@@ -321,8 +318,8 @@ class CloudSpec:
     seed: int = 2024
 
     def __post_init__(self):
-        if self.n < 500:
-            raise InvalidInput("cloud must contain at least 500 points")
+        if not 500 <= self.n <= MAX_CLOUD_POINTS:
+            raise InvalidInput(f"cloud must contain 500 to {MAX_CLOUD_POINTS} points, got {self.n}")
         if not (0.0 < self.r_min <= self.r_max):
             raise InvalidInput("cloud radii must satisfy 0 < r_min <= r_max")
 

@@ -36,6 +36,7 @@ from .chain import (
     as_joint_array,
     forward_kinematics,
     geometric_jacobian,
+    link_frames,
 )
 from .errors import InvalidInput, SingularConfiguration
 
@@ -175,13 +176,15 @@ class CameraFrames:
         )
 
 
-def camera_frames(chain: KinematicChain, q) -> CameraFrames:
-    """Both camera frames at the given 9-DoF head configuration."""
+def _head_pass(chain: KinematicChain, q):
+    """Layout, mechanical q, link_frames stack and camera frames of a 9-DoF
+    head state: the one DH walk camera_frames and fixation_full_jacobian read."""
     lay = head_layout(chain)
     qm = expand_head_q(q)
-    pose_l = forward_kinematics(chain, qm, lay.cam_left)
-    pose_r = forward_kinematics(chain, qm, lay.cam_right)
-    return CameraFrames(
+    frames = link_frames(chain, qm)
+    pose_l = forward_kinematics(chain, qm, lay.cam_left, frames=frames)
+    pose_r = forward_kinematics(chain, qm, lay.cam_right, frames=frames)
+    cams = CameraFrames(
         o_left=pose_l.pos,
         o_right=pose_r.pos,
         z_left=pose_l.rot[:, 2],
@@ -189,6 +192,12 @@ def camera_frames(chain: KinematicChain, q) -> CameraFrames:
         rot_left=pose_l.rot,
         rot_right=pose_r.rot,
     )
+    return lay, qm, frames, cams
+
+
+def camera_frames(chain: KinematicChain, q) -> CameraFrames:
+    """Both camera frames at the given 9-DoF head configuration."""
+    return _head_pass(chain, q)[3]
 
 
 # ------------------------------------------------------------- fixation point
@@ -265,27 +274,20 @@ def fixation_full_jacobian(chain: KinematicChain, q) -> np.ndarray:
 
     Raises SingularConfiguration when the optical axes are parallel.
     """
-    lay = head_layout(chain)
-    qm = expand_head_q(q)
-    fr = camera_frames(chain, q)
+    lay, qm, frames, fr = _head_pass(chain, q)
     fx = fixation_point(fr)
     ol, zl, orr, zr = fr.o_left, fr.z_left, fr.o_right, fr.z_right
 
-    Jg_l = geometric_jacobian(chain, qm, ol, lay.cam_left)[:3]
-    Jg_r = geometric_jacobian(chain, qm, orr, lay.cam_right)[:3]
-    Ja_l = analytic_axis_jacobian(chain, qm, lay.cam_left)
-    Ja_r = analytic_axis_jacobian(chain, qm, lay.cam_right)
-
-    # Column groups for the mechanical variables (tilt drives both chains).
-    var_cols = (
-        (lay.tilt_left, lay.tilt_right),
-        (lay.pan_left,),
-        (lay.pan_right,),
-    )
-    d_ol = np.column_stack([sum(Jg_l[:, j] for j in cols) for cols in var_cols])
-    d_or = np.column_stack([sum(Jg_r[:, j] for j in cols) for cols in var_cols])
-    d_zl = np.column_stack([sum(Ja_l[:, j] for j in cols) for cols in var_cols])
-    d_zr = np.column_stack([sum(Ja_r[:, j] for j in cols) for cols in var_cols])
+    # Each camera's origin and axis partials against (tilt, left pan, right
+    # pan), read from the one pass: tilt is the camera's own tilt joint, and
+    # the other eye's pan is off its path (a zero column).  np.take keeps the
+    # blocks C-ordered; the products below round differently on F order.
+    left_vars = [lay.tilt_left, lay.pan_left, lay.pan_right]
+    right_vars = [lay.tilt_right, lay.pan_left, lay.pan_right]
+    d_ol = np.take(geometric_jacobian(chain, qm, ol, lay.cam_left, frames=frames)[:3], left_vars, axis=1)
+    d_or = np.take(geometric_jacobian(chain, qm, orr, lay.cam_right, frames=frames)[:3], right_vars, axis=1)
+    d_zl = np.take(analytic_axis_jacobian(chain, qm, lay.cam_left, frames=frames), left_vars, axis=1)
+    d_zr = np.take(analytic_axis_jacobian(chain, qm, lay.cam_right, frames=frames), right_vars, axis=1)
 
     cos_axes = float(zl @ zr)
     denom = cos_axes * cos_axes - 1.0  # nonzero: fixation_point checked it
@@ -307,9 +309,8 @@ def fixation_full_jacobian(chain: KinematicChain, q) -> np.ndarray:
     dPl = d_ol + np.outer(zl, quotient(num_left, d_num_left)) + fx.s_left * d_zl
     dPr = d_or + np.outer(zr, quotient(num_right, d_num_right)) + fx.s_right * d_zr
 
-    Jg = geometric_jacobian(chain, qm, fx.point, lay.cam_left)
     J = np.zeros((6, HEAD_DOF))
-    J[:, :6] = Jg[:, list(lay.trunk)]
+    J[:, :6] = geometric_jacobian(chain, qm, fx.point, lay.cam_left, frames=frames)[:, list(lay.trunk)]
     J[:3, 6] = 0.5 * (dPl[:, 0] + dPr[:, 0])
     J[:3, 7] = 0.5 * (dPl[:, 1] + dPl[:, 2] + dPr[:, 1] + dPr[:, 2])
     J[:3, 8] = 0.25 * (dPl[:, 1] - dPl[:, 2] + dPr[:, 1] - dPr[:, 2])

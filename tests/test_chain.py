@@ -24,6 +24,7 @@ from gazestab import (
     finite_difference_jacobian,
     forward_kinematics,
     geometric_jacobian,
+    link_frames,
 )
 
 # ---------------------------------------------------------------- oracles
@@ -190,6 +191,36 @@ def test_branch_paths_share_trunk_and_skip_other_eye():
     q2 = q.copy()
     q2[6:8] += 1.0  # moving the right eye must not move the left
     assert np.allclose(left.matrix(), forward_kinematics(chain, q2, link_index=5).matrix())
+
+
+def test_link_frames_match_path_products():
+    chain = random_chain(np.random.default_rng(23), n=3, branch=True)
+    q = np.random.default_rng(24).uniform(-1, 1, chain.n_joints)
+    frames = link_frames(chain, q)
+    assert frames.shape == (chain.n_joints + 1, 4, 4)
+    assert np.array_equal(frames[-1], chain.base_pose.matrix())
+    assert chain.parents == (-1, 0, 1, 2, 3, 2, 5)
+    for k in range(chain.n_joints):
+        T = chain.base_pose.matrix()
+        for i in chain.path_indices(k):
+            T = T @ dh_matrix(chain.links[i], q[i])
+        assert np.array_equal(frames[k], T)
+    # a prefix of q gives the prefix of the frames
+    assert np.array_equal(link_frames(chain, q[:4])[:4], frames[:4])
+    with pytest.raises(InvalidInput):
+        link_frames(chain, np.zeros(chain.n_joints + 1))
+
+
+def test_helpers_read_a_given_link_frames_stack():
+    chain = random_chain(np.random.default_rng(25), n=3, branch=True)
+    q = np.random.default_rng(26).uniform(-1, 1, chain.n_joints)
+    frames = link_frames(chain, q)
+    pt = np.array([0.3, -0.2, 0.5])
+    for k in range(chain.n_joints):
+        fk = forward_kinematics(chain, q, k, frames=frames)
+        assert np.array_equal(fk.matrix(), forward_kinematics(chain, q, k).matrix())
+        assert np.array_equal(geometric_jacobian(chain, q, pt, k, frames=frames), geometric_jacobian(chain, q, pt, k))
+        assert np.array_equal(analytic_axis_jacobian(chain, q, k, frames=frames), analytic_axis_jacobian(chain, q, k))
 
 
 def test_trunk_after_eye_rejected():

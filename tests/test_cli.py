@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import gazestab.cli as cli
 from gazestab.cli import main
 from gazestab.errors import FileFormatError, InvalidInput
 from gazestab.fileio import (
@@ -23,6 +24,7 @@ from gazestab.fileio import (
 )
 from gazestab.models import default_head_model
 from gazestab.simulator import (
+    MAX_CLOUD_POINTS,
     DisturbanceScript,
     ScriptSegment,
     SimSettings,
@@ -359,13 +361,49 @@ def test_cli_compare_empty_logs_usage_error():
 
 @pytest.mark.parametrize(
     "line",
-    ["cloud-points abc", "cloud-seed 1.5", "fixation-distance nan", "duration inf", "duration nan"],
+    [
+        "cloud-points abc",
+        "cloud-seed 1.5",
+        "fixation-distance nan",
+        "duration inf",
+        "duration nan",
+        "dt -1",
+        "gyro-delay -2",
+        "damping -1",
+        "mode sideways",
+        "tau-eye inf",
+        "focal-length 0",
+        "image-border 200",
+        "cloud-radius 7 6",
+        "cloud-points 10",
+        f"cloud-points {MAX_CLOUD_POINTS + 1}",
+        "cloud-points 1000000000",  # rejected before any allocation
+    ],
 )
 def test_cli_bad_config_value_exits_2_with_line(tmp_path, capsys, line):
     p = tmp_path / "c.config"
-    p.write_text(f"config c\nmodel default_head.model\nscript exp_a.script\n{line}\n")
+    p.write_text(f"config c\nmodel default_head.model\nscript exp_a.script\n{line}\nseed 3\n")
     assert main(["run", "--config", str(p)]) == 2
-    assert re.search(re.escape(str(p)) + r":\d+: ", capsys.readouterr().err)
+    assert_clean_error(capsys, f"{p}:4: ")
+
+
+def test_config_pair_check_cites_either_key(tmp_path):
+    # Neither value is bad alone; together the border eats the image.
+    p = tmp_path / "c.config"
+    p.write_text("config c\nmodel m\nscript s\nimage-width 50\nimage-border 30\nseed 3\n")
+    with pytest.raises(FileFormatError, match="twice the border") as exc:
+        parse_run_config(str(p))
+    assert exc.value.line in (4, 5)
+
+
+def test_config_error_cites_the_line_of_its_own_check(tmp_path):
+    # The config read up to line 4 fails too (width 40 against the default
+    # border of 20), but the whole config's error is the dt on line 6.
+    p = tmp_path / "c.config"
+    p.write_text("config c\nmodel m\nscript s\nimage-width 40\nimage-border 10\ndt -1\n")
+    with pytest.raises(FileFormatError, match="dt must be positive") as exc:
+        parse_run_config(str(p))
+    assert exc.value.line == 6
 
 
 def rewrite_log_line(tmp_path, find, new_text):
@@ -452,6 +490,37 @@ def test_cli_out_in_missing_directory_exits_1(tmp_path, capsys):
     out = str(tmp_path / "nowhere" / "run.csv")
     assert main(["run", "--config", write_quick_config(tmp_path, "off", 0.3), "--out", out]) == 1
     assert_clean_error(capsys, f"cannot write {out}: ")
+
+
+@pytest.mark.parametrize(
+    "parent,reason", [("nowhere", "No such file or directory"), ("a-file", "Not a directory")]
+)
+def test_cli_out_directory_checked_before_the_run(tmp_path, capsys, monkeypatch, parent, reason):
+    def run_experiment(*args, **kw):
+        raise AssertionError("the simulation ran")
+
+    monkeypatch.setattr(cli, "run_experiment", run_experiment)
+    (tmp_path / "a-file").write_text("")
+    out = str(tmp_path / parent / "run.csv")
+    assert main(["run", "--config", write_quick_config(tmp_path, "kff"), "--out", out]) == 1
+    assert_clean_error(capsys, f"cannot write {out}: {reason}")
+
+
+def test_cli_joint_limit_clamps_print_one_warning(tmp_path, capsys):
+    # kff chasing a 10 m/s lift drives the eye tilts into their stops on
+    # many ticks before the cloud leaves the view.
+    script = tmp_path / "lift.script"
+    script.write_text("script lift\nunits degrees\nmove channel=base-z t=0.2,3 rate=10\n")
+    cfg = write_quick_config(tmp_path, "kff", 3, script="lift.script")
+    assert main(["run", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    warned = [line for line in err.splitlines() if "warning" in line.lower()]
+    assert len(warned) == 1 and "Traceback" not in err
+    assert re.fullmatch(
+        r"gazestab: warning: joint position limits clamped \d+ ticks, first at t=[\d.]+s \(mechanical joints \[[\d, ]+\]\)",
+        warned[0],
+    )
+    assert err.splitlines()[-1].startswith("gazestab: error: ")
 
 
 @pytest.mark.parametrize(

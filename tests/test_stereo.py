@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gazestab import InvalidInput, SingularConfiguration, finite_difference_jacobian
+from gazestab import InvalidInput, SingularConfiguration, finite_difference_jacobian, geometric_jacobian
 from gazestab.models import default_head_model
 from gazestab.stereo import (
     CameraFrames,
@@ -378,6 +378,41 @@ def test_full_jacobian_shape_and_determinism():
     a = fixation_full_jacobian(CHAIN, q)
     assert a.shape == (6, 9)
     assert a.tobytes() == fixation_full_jacobian(CHAIN, q).tobytes()
+
+
+def count_dh_calls(monkeypatch):
+    import gazestab.chain
+
+    calls = [0]
+    real = gazestab.chain.dh_matrix
+
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(gazestab.chain, "dh_matrix", counted)
+    return calls
+
+
+def test_camera_frames_walk_each_link_once(monkeypatch):
+    calls = count_dh_calls(monkeypatch)
+    camera_frames(CHAIN, head_q(np.random.default_rng(304)))
+    assert calls[0] == CHAIN.n_joints
+
+
+def test_full_jacobian_walks_each_link_once(monkeypatch):
+    calls = count_dh_calls(monkeypatch)
+    fixation_full_jacobian(CHAIN, head_q(np.random.default_rng(305)))
+    assert calls[0] == CHAIN.n_joints
+
+
+def test_full_jacobian_trunk_block_is_geometric_jacobian():
+    lay = head_layout(CHAIN)
+    for seed in range(306, 311):
+        q = head_q(np.random.default_rng(seed))
+        x_fp = fixation_point(camera_frames(CHAIN, q)).point
+        Jg = geometric_jacobian(CHAIN, expand_head_q(q), x_fp, lay.cam_left)
+        assert np.array_equal(fixation_full_jacobian(CHAIN, q)[:, :6], Jg[:, list(lay.trunk)])
 
 
 def test_head_layout_indices():
