@@ -1,0 +1,198 @@
+#!/usr/bin/env python3
+"""Check that a refactor kept gazestab's results: compare two source trees.
+
+    python scripts/refcheck.py OLD_TREE NEW_TREE
+
+Each tree is a checkout of this repository; its own `src/` and shipped
+configs are used.  The check
+
+* runs the ten shipped configs on both trees and compares each CSV log and
+  `.summary.json` sidecar byte for byte; on a mismatch it prints the largest
+  difference per file against the BUDGET (absolute, per CSV column or
+  sidecar value), and a metadata line, header or shape that differs is a
+  breach whatever the numbers;
+* compares the `gazestab compare` output of the exp_a, exp_b and translate
+  condition sets byte for byte;
+* compares SHA-256 digests of `fixation_full_jacobian` and `camera_frames`
+  over 2,000 seeded head configurations.
+
+It prints one line per check and exits 1 on any breach (a byte-identical
+result or a numeric difference within the budget is no breach).
+"""
+
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+import numpy as np
+
+BUDGET = 1e-12
+# condition sets, passive baseline first, in `gazestab compare` order
+SETS = {
+    "exp_a": ("exp_a_off", "exp_a_kff", "exp_a_ifb", "exp_a_kff_eyes", "exp_a_ifb_eyes"),
+    "exp_b": ("exp_b_off", "exp_b_ifb"),
+    "translate": ("translate_off", "translate_kff", "translate_ifb"),
+}
+CONFIGURATIONS = 2000
+
+# Runs inside a tree: prints the two digests, one per line.
+DIGEST_CODE = f"""
+import hashlib
+import numpy as np
+from gazestab.errors import SingularConfiguration
+from gazestab.models import default_head_model
+from gazestab.stereo import camera_frames, fixation_full_jacobian
+
+chain = default_head_model().chain
+rng = np.random.default_rng(20241)
+h_jac, h_cam = hashlib.sha256(), hashlib.sha256()
+for k in range({CONFIGURATIONS}):
+    q = rng.uniform(-0.9, 0.9, 9)
+    q[8] = rng.uniform(0.0, 0.3)
+    if k % 5 == 0:
+        q[rng.random(9) < 0.5] = 0.0  # exact zeros take other rounding paths
+    fr = camera_frames(chain, q)
+    for a in (fr.o_left, fr.o_right, fr.z_left, fr.z_right, fr.rot_left, fr.rot_right):
+        h_cam.update(np.ascontiguousarray(a).tobytes())
+    try:
+        h_jac.update(fixation_full_jacobian(chain, q).tobytes())
+    except SingularConfiguration:
+        h_jac.update(b"singular")
+print(h_jac.hexdigest())
+print(h_cam.hexdigest())
+"""
+
+
+def start(tree, args, cwd):
+    """Start `gazestab ARGS` on a tree's sources; stdout is captured."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(tree), "src"))
+    return subprocess.Popen(
+        [sys.executable, *args], cwd=cwd, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True
+    )
+
+
+def finish(proc, what):
+    out, err = proc.communicate()
+    if proc.returncode != 0:
+        raise SystemExit(f"refcheck: {what} exited {proc.returncode}:\n{err}")
+    return out
+
+
+def both(trees, outdirs, args_for, what):
+    """Run args_for(tree) on both trees at once; return both stdouts."""
+    procs = [start(tree, args_for(tree), cwd) for tree, cwd in zip(trees, outdirs)]
+    return [finish(p, f"{what} on {tree}") for p, tree in zip(procs, trees)]
+
+
+def read_csv(path):
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    meta = [ln for ln in lines if ln.startswith("#")]
+    rows = [ln for ln in lines if not ln.startswith("#")]
+    return meta, rows[0].split(","), np.array([[float(x) for x in r.split(",")] for r in rows[1:]])
+
+
+def csv_difference(a, b):
+    """(largest |difference|, its column), or a string naming a structural
+    mismatch that no budget covers."""
+    meta_a, head_a, data_a = read_csv(a)
+    meta_b, head_b, data_b = read_csv(b)
+    if meta_a != meta_b:
+        return "metadata lines differ"
+    if head_a != head_b or data_a.shape != data_b.shape:
+        return f"header or shape differs ({data_a.shape} vs {data_b.shape})"
+    same = (data_a == data_b) | (np.isnan(data_a) & np.isnan(data_b))
+    with np.errstate(invalid="ignore"):
+        diff = np.nan_to_num(np.where(same, 0.0, np.abs(data_a - data_b)), nan=np.inf)
+    col = int(np.argmax(diff.max(axis=0)))
+    return float(diff[:, col].max()), head_a[col]
+
+
+def json_leaves(value, prefix=""):
+    if isinstance(value, dict):
+        for k, v in value.items():
+            yield from json_leaves(v, f"{prefix}.{k}" if prefix else k)
+    elif isinstance(value, list):
+        for i, v in enumerate(value):
+            yield from json_leaves(v, f"{prefix}[{i}]")
+    else:
+        yield prefix, value
+
+
+def sidecar_difference(a, b):
+    with open(a, encoding="utf-8") as fa, open(b, encoding="utf-8") as fb:
+        la, lb = list(json_leaves(json.load(fa))), list(json_leaves(json.load(fb)))
+    if [k for k, _ in la] != [k for k, _ in lb]:
+        return "keys differ"
+    worst = (0.0, None)
+    for (key, x), (_, y) in zip(la, lb):
+        if x == y:
+            continue
+        if not (isinstance(x, float) and isinstance(y, float)):
+            return f"{key} differs ({x!r} vs {y!r})"
+        worst = max(worst, (abs(x - y), key), key=lambda w: w[0])
+    return worst
+
+
+def report(label, old, new, compare):
+    """Print one file's verdict; return True on a breach."""
+    with open(old, "rb") as fa, open(new, "rb") as fb:
+        if fa.read() == fb.read():
+            print(f"  {label:<38} identical")
+            return False
+    got = compare(old, new)
+    if isinstance(got, str):
+        print(f"  {label:<38} BREACH: {got}")
+        return True
+    worst, where = got
+    ok = worst <= BUDGET
+    print(f"  {label:<38} max |diff| {worst:.3g} ({where}) {'within' if ok else 'BREACH: over'} {BUDGET:g}")
+    return not ok
+
+
+def main(argv):
+    if len(argv) != 2 or not all(os.path.isdir(os.path.join(t, "src", "gazestab")) for t in argv):
+        raise SystemExit(__doc__.split("\n\n")[1])
+    trees = argv
+    breaches = 0
+    print(f"refcheck {trees[0]} -> {trees[1]}")
+    with tempfile.TemporaryDirectory() as work:
+        outdirs = [os.path.join(work, side) for side in ("old", "new")]
+        for d in outdirs:
+            os.mkdir(d)
+        print("logs and sidecars:")
+        for names in SETS.values():
+            for name in names:
+
+                def run_args(tree, name=name):
+                    config = os.path.join(os.path.abspath(tree), "src", "gazestab", "data", f"{name}.config")
+                    return ["-m", "gazestab.cli", "run", "--config", config, "--out", f"{name}.csv"]
+
+                both(trees, outdirs, run_args, f"run {name}")
+                old, new = (os.path.join(d, name) for d in outdirs)
+                breaches += report(f"{name}.csv", old + ".csv", new + ".csv", csv_difference)
+                breaches += report(f"{name}.summary.json", old + ".summary.json", new + ".summary.json", sidecar_difference)
+        print("gazestab compare:")
+        for set_name, names in SETS.items():
+            args = ["-m", "gazestab.cli", "compare", "--baseline", *(f"{n}.csv" for n in names)]
+            old, new = both(trees, outdirs, lambda tree: args, f"compare {set_name}")
+            same = old == new
+            print(f"  {set_name:<38} {'identical' if same else 'BREACH: output differs'}")
+            if not same:
+                print("".join(f"    old| {ln}\n" for ln in old.splitlines()), end="")
+                print("".join(f"    new| {ln}\n" for ln in new.splitlines()), end="")
+            breaches += not same
+        print(f"digests over {CONFIGURATIONS} seeded configurations:")
+        old, new = both(trees, outdirs, lambda tree: ["-c", DIGEST_CODE], "digests")
+        for label, a, b in zip(("fixation_full_jacobian", "camera_frames"), old.split(), new.split()):
+            same = a == b
+            print(f"  {label:<38} {'identical' if same else 'BREACH: differs'} {b[:16]}")
+            breaches += not same
+    print(f"refcheck: {'clean' if not breaches else f'{breaches} breach(es)'}")
+    return 1 if breaches else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -108,8 +108,8 @@ class DHLink:
         for name in ("a", "d", "alpha", "theta_offset"):
             if not math.isfinite(getattr(self, name)):
                 raise InvalidInput(f"DHLink.{name} must be finite")
-        if self.q_min > self.q_max:
-            raise InvalidInput("DHLink limits reversed: q_min > q_max")
+        if not self.q_min <= self.q_max:  # also rejects a NaN limit; +-inf means unlimited
+            raise InvalidInput("DHLink limits must be numbers with q_min <= q_max")
         if not self.v_max > 0.0:
             raise InvalidInput("DHLink.v_max must be positive")
 

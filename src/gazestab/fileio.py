@@ -397,14 +397,52 @@ class RunConfig:
     out: str | None = None
 
 
-_CONFIG_KEYS = {
-    "config", "units", "model", "script", "out",
-    "mode", "dof", "damping", "sequential", "neck-rate-limit", "eye-rate-limit",
-    "dt", "duration", "seed", "gyro-noise", "gyro-delay", "fixation-distance",
-    "tau-neck", "tau-eye",
-    "focal-length", "image-width", "image-height", "image-border",
-    "cloud-points", "cloud-radius", "cloud-azimuth", "cloud-elevation", "cloud-seed",
+# Every settings key of a run config: (part, field, kind).  The part names
+# the dataclass the value feeds (run = SimSettings itself); a key the config
+# does not give keeps that dataclass's default.  Kinds are str, int, float,
+# "angle" (a float in the config's units) and "bool" (true or false).
+_SETTING_KEYS = {
+    "mode": ("control", "mode", str),
+    "dof": ("control", "dof_set", str),
+    "damping": ("control", "damping", float),
+    "sequential": ("control", "sequential", "bool"),
+    "neck-rate-limit": ("control", "neck_rate_limit", "angle"),
+    "eye-rate-limit": ("control", "eye_rate_limit", "angle"),
+    "dt": ("run", "dt", float),
+    "duration": ("run", "duration", float),
+    "seed": ("run", "seed", int),
+    "gyro-noise": ("run", "gyro_sigma", float),
+    "gyro-delay": ("run", "gyro_delay_ticks", int),
+    "fixation-distance": ("run", "fixation_distance", float),
+    "tau-neck": ("plant", "tau_neck", float),
+    "tau-eye": ("plant", "tau_eye", float),
+    "focal-length": ("cam", "f", float),
+    "image-width": ("cam", "width", int),
+    "image-height": ("cam", "height", int),
+    "image-border": ("cam", "border", int),
+    "cloud-points": ("cloud", "n", int),
+    "cloud-azimuth": ("cloud", "azimuth", "angle"),
+    "cloud-elevation": ("cloud", "elevation", "angle"),
+    "cloud-seed": ("cloud", "seed", int),
 }
+_CONFIG_KEYS = {"config", "units", "model", "script", "out", "cloud-radius", *_SETTING_KEYS}
+
+
+def _setting_value(path: str, no: int, key: str, raw: str, kind, units: _Units):
+    """One run-config value parsed as its _SETTING_KEYS kind."""
+    if kind is str:
+        return raw
+    if kind == "bool":
+        if raw.lower() not in ("true", "false"):
+            raise FileFormatError(path, no, f"{key} must be true or false")
+        return raw.lower() == "true"
+    if kind is int:
+        try:
+            return int(raw)
+        except ValueError:
+            raise FileFormatError(path, no, f"bad integer {raw!r} for {key}") from None
+    v = _parse_float(path, no, raw, key)
+    return units.to_rad(v) if kind == "angle" else v
 
 
 def default_data_dir() -> str:
@@ -454,80 +492,32 @@ def parse_run_config(path: str) -> RunConfig:
             raise FileFormatError(path, 0, f"missing required config key {req!r}")
 
     def config_from(given: dict[str, list[str]]) -> RunConfig:
-        def one(key: str, default=None):
+        def one(key: str):
             if key not in given:
-                return default
-            vals = given[key]
-            if len(vals) != 1:
+                return None
+            if len(given[key]) != 1:
                 raise FileFormatError(path, line_of[key], f"config key {key!r} takes one value")
-            return vals[0]
+            return given[key][0]
 
-        def fnum(key: str, default=None, angle=False):
+        parts: dict[str, dict] = {"control": {}, "plant": {}, "cam": {}, "cloud": {}, "run": {}}
+        for key, (part, name, kind) in _SETTING_KEYS.items():
             raw = one(key)
-            if raw is None:
-                return default
-            v = _parse_float(path, line_of[key], raw, key)
-            return units.to_rad(v) if angle else v
-
-        def inum(key: str, default=None):
-            raw = one(key)
-            if raw is None:
-                return default
-            try:
-                return int(raw)
-            except ValueError:
-                raise FileFormatError(path, line_of[key], f"bad integer {raw!r} for {key}") from None
-
-        seq_raw = one("sequential", "true").lower()
-        if seq_raw not in ("true", "false"):
-            raise FileFormatError(path, line_of["sequential"], "sequential must be true or false")
-
-        # Unset cloud keys keep the CloudSpec defaults.
-        cloud = {
-            "n": inum("cloud-points"),
-            "azimuth": fnum("cloud-azimuth", angle=True),
-            "elevation": fnum("cloud-elevation", angle=True),
-            "seed": inum("cloud-seed"),
-        }
+            if raw is not None:
+                parts[part][name] = _setting_value(path, line_of[key], key, raw, kind, units)
         if "cloud-radius" in given:
             radii, no = given["cloud-radius"], line_of["cloud-radius"]
             if len(radii) != 2:
                 raise FileFormatError(path, no, "cloud-radius takes two values: min max")
-            cloud["r_min"] = _parse_float(path, no, radii[0], "cloud-radius")
-            cloud["r_max"] = _parse_float(path, no, radii[1], "cloud-radius")
-
-        control = StabilizerConfig(
-            mode=one("mode", "kff"),
-            dof_set=one("dof", "neck-eyes"),
-            damping=fnum("damping", 1e-3),
-            sequential=seq_raw == "true",
-            neck_rate_limit=fnum("neck-rate-limit", math.radians(40.0), angle=True),
-            eye_rate_limit=fnum("eye-rate-limit", math.radians(180.0), angle=True),
-        )
+            parts["cloud"]["r_min"] = _parse_float(path, no, radii[0], "cloud-radius")
+            parts["cloud"]["r_max"] = _parse_float(path, no, radii[1], "cloud-radius")
         settings = SimSettings(
-            control=control,
-            plant=PlantParams(tau_neck=fnum("tau-neck", 0.08), tau_eye=fnum("tau-eye", 0.02)),
-            cam=CameraModel(
-                f=fnum("focal-length", 240.0),
-                width=inum("image-width", 320),
-                height=inum("image-height", 240),
-                border=inum("image-border", 20),
-            ),
-            cloud=CloudSpec(**{k: v for k, v in cloud.items() if v is not None}),
-            dt=fnum("dt", 0.01),
-            duration=fnum("duration", None),
-            fixation_distance=fnum("fixation-distance", 6.0),
-            seed=inum("seed", 0),
-            gyro_sigma=fnum("gyro-noise", 0.005),
-            gyro_delay_ticks=inum("gyro-delay", 0),
+            control=StabilizerConfig(**parts["control"]),
+            plant=PlantParams(**parts["plant"]),
+            cam=CameraModel(**parts["cam"]),
+            cloud=CloudSpec(**parts["cloud"]),
+            **parts["run"],
         )
-        return RunConfig(
-            name=one("config"),
-            model_path=one("model"),
-            script_path=one("script"),
-            settings=settings,
-            out=one("out", None),
-        )
+        return RunConfig(one("config"), one("model"), one("script"), settings, out=one("out"))
 
     try:
         return config_from(pairs)

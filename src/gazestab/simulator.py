@@ -8,6 +8,10 @@ enforced in mechanical joint space -- the eye coupling means a pan limit
 constrains version +- vergence/2 -- by clamping position and zeroing the
 violating velocity (a warning, not an error).
 
+The prismatic base stage moves the whole head rigidly, so the loop reads the
+run's one head model and adds a state's base offset only to the world points
+it takes from it (left camera origin, fixation point, IMU position).
+
 The gyro is synthesized from the IMU link's relative rotation between two
 states (rotation log-map over one tick, mapped to the world frame), so it
 faithfully measures disturbance *plus* the stabilizer's own neck motion; the
@@ -28,7 +32,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .chain import Pose, as_joint_array
+from .chain import as_joint_array
 from .errors import (
     InsufficientCoverage,
     InvalidComparison,
@@ -90,13 +94,6 @@ class PlantState:
         if b.shape != (3,) or not np.all(np.isfinite(b)):
             raise InvalidInput("base_offset must be a finite 3-vector")
         object.__setattr__(self, "base_offset", b)
-
-
-def shifted_model(model: HeadModel, base_offset) -> HeadModel:
-    """The head model with its chain base translated by a world offset."""
-    base = model.chain.base_pose
-    shifted = Pose(base.rot, base.pos + np.asarray(base_offset, dtype=float))
-    return replace(model, chain=replace(model.chain, base_pose=shifted))
 
 
 def _tracking_gain(dt: float, tau: float) -> float:
@@ -229,8 +226,8 @@ def synth_gyro(
     """
     if not (dt > 0.0 and math.isfinite(dt)):
         raise InvalidInput("dt must be positive and finite")
-    pose_prev = shifted_model(model, state_prev.base_offset).imu_pose(expand_head_q(state_prev.q))
-    pose_next = shifted_model(model, state_next.base_offset).imu_pose(expand_head_q(state_next.q))
+    pose_prev = model.imu_pose(expand_head_q(state_prev.q))
+    pose_next = model.imu_pose(expand_head_q(state_next.q))
     rel = pose_prev.rot.T @ pose_next.rot
     omega_body = _so3_log(rel) / dt
     omega = pose_prev.rot @ omega_body
@@ -238,7 +235,7 @@ def synth_gyro(
         if rng is None:
             raise InvalidInput("gyro noise requires an rng")
         omega = omega + rng.normal(0.0, sigma, 3)
-    return ImuSample(omega=omega, position=pose_next.pos)
+    return ImuSample(omega=omega, position=pose_next.pos + state_next.base_offset)
 
 
 # ------------------------------------------------------------- flow metric
@@ -256,6 +253,8 @@ class CameraModel:
     def __post_init__(self):
         if not (self.f > 0 and math.isfinite(self.f)):
             raise InvalidInput("focal length must be positive")
+        if self.border < 0:
+            raise InvalidInput("image border must be >= 0")
         if self.width <= 2 * self.border or self.height <= 2 * self.border:
             raise InvalidInput("image must be wider than twice the border")
 
@@ -278,11 +277,12 @@ def _project(cam: CameraModel, rot, origin, cloud):
     return np.column_stack([u, v]), interior
 
 
-def _flow(cam: CameraModel, frames_prev, frames_next, cloud) -> tuple[float, int]:
-    """(mean pixel displacement, number of points counted); the mean is NaN
-    when fewer than MIN_FLOW_POINTS points count."""
-    uv_a, ok_a = _project(cam, frames_prev.rot_left, frames_prev.o_left, cloud)
-    uv_b, ok_b = _project(cam, frames_next.rot_left, frames_next.o_left, cloud)
+def _flow(cam: CameraModel, view_prev, view_next, cloud) -> tuple[float, int]:
+    """(mean pixel displacement, number of points counted) between two left
+    camera views, each (world rotation, world origin); the mean is NaN when
+    fewer than MIN_FLOW_POINTS points count."""
+    uv_a, ok_a = _project(cam, *view_prev, cloud)
+    uv_b, ok_b = _project(cam, *view_next, cloud)
     ok = ok_a & ok_b
     n = int(np.count_nonzero(ok))
     if n < MIN_FLOW_POINTS:
@@ -300,7 +300,8 @@ def flow_metric(cam: CameraModel, frames_prev, frames_next, cloud) -> float:
     cloud = np.asarray(cloud, dtype=float)
     if cloud.ndim != 2 or cloud.shape[1] != 3:
         raise InvalidInput("cloud must be an (n, 3) array")
-    mean, n = _flow(cam, frames_prev, frames_next, cloud)
+    views = [(fr.rot_left, fr.o_left) for fr in (frames_prev, frames_next)]
+    mean, n = _flow(cam, *views, cloud)
     if n < MIN_FLOW_POINTS:
         raise InsufficientCoverage(f"only {n} cloud points remained valid (need >= {MIN_FLOW_POINTS})")
     return mean
@@ -320,8 +321,10 @@ class CloudSpec:
     def __post_init__(self):
         if not 500 <= self.n <= MAX_CLOUD_POINTS:
             raise InvalidInput(f"cloud must contain 500 to {MAX_CLOUD_POINTS} points, got {self.n}")
-        if not (0.0 < self.r_min <= self.r_max):
-            raise InvalidInput("cloud radii must satisfy 0 < r_min <= r_max")
+        if not (0.0 < self.r_min <= self.r_max and math.isfinite(self.r_max)):
+            raise InvalidInput("cloud radii must be finite and satisfy 0 < r_min <= r_max")
+        if not (math.isfinite(self.azimuth) and math.isfinite(self.elevation)):
+            raise InvalidInput("cloud azimuth and elevation must be finite")
 
 
 def make_cloud(spec: CloudSpec, center) -> np.ndarray:
@@ -378,10 +381,11 @@ class NoiseSegment:
 
     def __post_init__(self):
         object.__setattr__(self, "channels", tuple(self.channels))
-        if not (0.0 <= self.t_start < self.t_end):
+        if not (0.0 <= self.t_start < self.t_end and math.isfinite(self.t_end)):
             raise InvalidInput("bad noise segment times")
-        if not (self.amplitude >= 0.0 and self.bandwidth > 0.0):
-            raise InvalidInput("noise amplitude must be >= 0 and bandwidth > 0")
+        amp, bw = self.amplitude, self.bandwidth
+        if not (amp >= 0.0 and bw > 0.0 and math.isfinite(amp) and math.isfinite(bw)):
+            raise InvalidInput("noise amplitude must be finite and >= 0, bandwidth finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -521,8 +525,8 @@ class SimSettings:
             raise InvalidInput("duration must be positive and finite")
         if not (self.fixation_distance > 0.0 and math.isfinite(self.fixation_distance)):
             raise InvalidInput("fixation_distance must be positive and finite")
-        if self.gyro_sigma < 0.0 or self.gyro_delay_ticks < 0:
-            raise InvalidInput("gyro noise/delay must be non-negative")
+        if not (self.gyro_sigma >= 0.0 and math.isfinite(self.gyro_sigma)) or self.gyro_delay_ticks < 0:
+            raise InvalidInput("gyro noise must be finite and gyro noise/delay non-negative")
 
 
 @dataclass
@@ -557,16 +561,15 @@ def initial_state(model: HeadModel, fixation_distance: float) -> PlantState:
     return PlantState(t=0.0, q=q0, qdot=np.zeros(9))
 
 
-def _head_geometry(model: HeadModel, state: PlantState):
-    """The head model shifted to the state's base offset, its camera frames
-    and its fixation point (None when the optical axes are parallel)."""
-    model_s = shifted_model(model, state.base_offset)
-    frames = camera_frames(model_s.chain, state.q)
+def _world_geometry(frames, base_offset):
+    """The left camera view (rotation, origin) that _flow projects from and
+    the fixation point (None when the optical axes are parallel), in the
+    world: the head frames moved rigidly by the base offset."""
     try:
-        x_fp = fixation_point(frames).point
+        x_fp = fixation_point(frames).point + base_offset
     except SingularConfiguration:
         x_fp = None
-    return model_s, frames, x_fp
+    return (frames.rot_left, frames.o_left + base_offset), x_fp
 
 
 def run_experiment(model: HeadModel, script: DisturbanceScript, settings: SimSettings) -> TrajectoryLog:
@@ -579,8 +582,8 @@ def run_experiment(model: HeadModel, script: DisturbanceScript, settings: SimSet
     leaves the head passive.  On a parallel-gaze tick the fixation Jacobian
     does not exist and the previous command is held.
 
-    Each state's shifted model, camera frames and fixation point are built
-    once, at the end of the tick that produced it, and carried into the next.
+    Each state's camera frames and fixation point are built once, at the
+    end of the tick that produced it, and carried into the next.
     """
     duration = settings.duration if settings.duration is not None else script.duration() + 0.5
     ticks = duration / settings.dt
@@ -596,8 +599,9 @@ def run_experiment(model: HeadModel, script: DisturbanceScript, settings: SimSet
     rng_gyro = np.random.default_rng(np.random.SeedSequence((settings.seed, 71)))
 
     state = initial_state(model, settings.fixation_distance)
-    model_now, frames, x_fp = _head_geometry(model, state)
+    frames = camera_frames(model.chain, state.q)
     cloud = make_cloud(settings.cloud, 0.5 * (frames.o_left + frames.o_right))
+    view, x_fp = _world_geometry(frames, state.base_offset)
 
     n_rows = n_ticks + 1
     log = TrajectoryLog(
@@ -638,7 +642,7 @@ def run_experiment(model: HeadModel, script: DisturbanceScript, settings: SimSet
     try:
         for k in range(n_ticks):
             singular_now = x_fp is None
-            J = None if singular_now else fixation_full_jacobian(model_now.chain, state.q)
+            J = None if singular_now else fixation_full_jacobian(model.chain, state.q)
 
             # --- estimate --------------------------------------------
             est = Twist.zero()
@@ -647,7 +651,7 @@ def run_experiment(model: HeadModel, script: DisturbanceScript, settings: SimSet
                 est = Twist(est.v + track.commanded_base[k], est.omega)
             elif cfg.mode == "ifb" and not singular_now:
                 if k == 0:
-                    sample = ImuSample(np.zeros(3), model_now.imu_pose(expand_head_q(state.q)).pos)
+                    sample = ImuSample(np.zeros(3), model.imu_pose(expand_head_q(state.q)).pos + state.base_offset)
                 else:
                     sample = synth_gyro(
                         model,
@@ -693,8 +697,8 @@ def run_experiment(model: HeadModel, script: DisturbanceScript, settings: SimSet
 
             # --- log row k+1 --------------------------------------------
             row = k + 1
-            model_next, frames_next, fp_next = _head_geometry(model, new_state)
-            optfl, n_valid = _flow(settings.cam, frames, frames_next, cloud)
+            view_next, fp_next = _world_geometry(camera_frames(model.chain, new_state.q), new_state.base_offset)
+            optfl, n_valid = _flow(settings.cam, view, view_next, cloud)
             if n_valid < MIN_FLOW_POINTS:
                 raise InsufficientCoverage(
                     f"only {n_valid} cloud points remained valid at t={new_state.t:.3f}s "
@@ -721,7 +725,7 @@ def run_experiment(model: HeadModel, script: DisturbanceScript, settings: SimSet
 
             prev_state = state
             prev_cmd = cmd
-            state, model_now, frames, x_fp = new_state, model_next, frames_next, fp_next
+            state, view, x_fp = new_state, view_next, fp_next
     except (SimulationDiverged, InsufficientCoverage) as err:
         rows = int(np.count_nonzero(log.t > 0.0)) + 1  # completed rows
         err.partial_log = _truncate_log(log, rows)

@@ -378,13 +378,37 @@ def test_cli_compare_empty_logs_usage_error():
         "cloud-points 10",
         f"cloud-points {MAX_CLOUD_POINTS + 1}",
         "cloud-points 1000000000",  # rejected before any allocation
+        "cloud-radius 5 inf",
+        "cloud-azimuth nan",
+        "gyro-noise nan",
+        "gyro-noise inf",
+        "image-border -5",
     ],
 )
-def test_cli_bad_config_value_exits_2_with_line(tmp_path, capsys, line):
+def test_cli_bad_config_value_exits_2_with_line(tmp_path, monkeypatch, capsys, line):
+    monkeypatch.chdir(tmp_path)  # a value that slips through writes its log (c.csv) here
     p = tmp_path / "c.config"
     p.write_text(f"config c\nmodel default_head.model\nscript exp_a.script\n{line}\nseed 3\n")
     assert main(["run", "--config", str(p)]) == 2
     assert_clean_error(capsys, f"{p}:4: ")
+
+
+@pytest.mark.parametrize(
+    "name,find,old,new",
+    [
+        ("default_head.model", "link neck-roll", "min=-52", "min=nan"),
+        ("exp_b.script", "noise ", "amplitude=15", "amplitude=inf"),
+    ],
+)
+def test_cli_hostile_input_file_value_exits_2_at_its_line(tmp_path, capsys, name, find, old, new):
+    lines = Path(DATA, name).read_text().splitlines(keepends=True)
+    no = next(i for i, line in enumerate(lines, start=1) if line.startswith(find))
+    lines[no - 1] = lines[no - 1].replace(old, new)
+    bad = tmp_path / f"bad_{name}"
+    bad.write_text("".join(lines))
+    kind = name.rsplit(".", 1)[1]
+    assert main(["run", "--config", write_quick_config(tmp_path, "kff", 0.3, **{kind: bad.name})]) == 2
+    assert_clean_error(capsys, f"{bad}:{no}: ")
 
 
 def test_config_pair_check_cites_either_key(tmp_path):

@@ -10,13 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gazestab.chain import KinematicChain, Pose
 from gazestab.errors import (
     InsufficientCoverage,
     InvalidComparison,
     InvalidInput,
 )
 from gazestab.fileio import default_data_dir, parse_model_file, parse_run_config, parse_script_file
-from gazestab.models import default_head_model
+from gazestab.models import HeadModel, default_head_model
 import gazestab.simulator as simulator
 from gazestab.simulator import (
     MAX_TICKS,
@@ -33,13 +34,12 @@ from gazestab.simulator import (
     initial_state,
     make_cloud,
     run_experiment,
-    shifted_model,
     step,
     summarize,
     synth_gyro,
 )
 from gazestab.stabilizer import StabilizerCommand, StabilizerConfig
-from gazestab.stereo import CameraFrames, camera_frames, fixation_point
+from gazestab.stereo import CameraFrames, camera_frames, expand_head_q, fixation_full_jacobian, fixation_point
 
 MODEL = default_head_model()
 DT = 0.01
@@ -130,12 +130,31 @@ def test_step_rejects_bad_dt():
         PlantParams(tau_neck=-0.1)
 
 
-def test_shifted_model_translates_chain():
-    m2 = shifted_model(MODEL, [1.0, 2.0, 3.0])
-    f0 = camera_frames(MODEL.chain, np.zeros(9))
-    f2 = camera_frames(m2.chain, np.zeros(9))
-    assert np.allclose(f2.o_left - f0.o_left, [1.0, 2.0, 3.0])
-    assert np.allclose(f2.z_left, f0.z_left)
+def test_base_translation_only_offsets_world_points():
+    # The loop reads one head model and adds the base offset to world points:
+    # a chain whose base pose is translated must give the same points plus
+    # the offset, the same rotations and axes, and the same Jacobian.
+    rng = np.random.default_rng(6)
+    base = MODEL.chain.base_pose
+    for _ in range(200):
+        q = rng.uniform(-0.6, 0.6, 9)
+        q[8] = rng.uniform(0.005, 0.3)  # verged, so the fixation point exists
+        b = rng.uniform(-5.0, 5.0, 3)
+        moved = replace(MODEL, chain=replace(MODEL.chain, base_pose=Pose(base.rot, base.pos + b)))
+        f0, f1 = camera_frames(MODEL.chain, q), camera_frames(moved.chain, q)
+        for o in ("o_left", "o_right"):
+            assert np.max(np.abs(getattr(f1, o) - (getattr(f0, o) + b))) <= 1e-12
+        for r in ("rot_left", "rot_right", "z_left", "z_right"):
+            assert np.array_equal(getattr(f1, r), getattr(f0, r))
+        fp0, fp1 = fixation_point(f0).point, fixation_point(f1).point
+        assert np.max(np.abs(fp1 - (fp0 + b))) <= 1e-12
+        imu0, imu1 = MODEL.imu_pose(expand_head_q(q)), moved.imu_pose(expand_head_q(q))
+        assert np.max(np.abs(imu1.pos - (imu0.pos + b))) <= 1e-12
+        assert np.array_equal(imu1.rot, imu0.rot)
+        J0, J1 = fixation_full_jacobian(MODEL.chain, q), fixation_full_jacobian(moved.chain, q)
+        # Eye columns grow without bound as the vergence closes, so the
+        # Jacobian's rounding is bounded relative to its largest entry.
+        assert np.max(np.abs(J1 - J0)) <= 1e-12 * np.max(np.abs(J0))
 
 
 # ------------------------------------------------------------------- gyro
@@ -171,7 +190,7 @@ def test_gyro_reports_world_frame_after_prerotation():
 def test_gyro_position_is_imu_world_position():
     b = PlantState(t=DT, q=np.zeros(9), qdot=np.zeros(9), base_offset=np.array([0.5, 0.0, 0.0]))
     sample = synth_gyro(MODEL, rest_state(), b, DT)
-    expected = shifted_model(MODEL, b.base_offset).imu_pose(np.zeros(10)).pos
+    expected = MODEL.imu_pose(np.zeros(10)).pos + b.base_offset
     assert np.allclose(sample.position, expected)
 
 
@@ -530,9 +549,9 @@ def test_settings_validation():
 
 
 def test_loop_builds_each_state_geometry_once(monkeypatch):
-    # 50 ticks visit 51 plant states: one shifted model and one fixation
-    # point per state, one fixation Jacobian per tick.
-    counts = dict.fromkeys(("fixation_point", "fixation_full_jacobian", "shifted_model"), 0)
+    # 50 ticks visit 51 plant states: one fixation point per state, one
+    # fixation Jacobian per tick.
+    counts = dict.fromkeys(("fixation_point", "fixation_full_jacobian"), 0)
     for name in counts:
 
         def counted(*args, _name=name, _real=getattr(simulator, name), **kw):
@@ -542,7 +561,22 @@ def test_loop_builds_each_state_geometry_once(monkeypatch):
         monkeypatch.setattr(simulator, name, counted)
     model, script, settings = shipped("exp_a_kff")
     run_experiment(model, script, replace(settings, duration=0.5))
-    assert counts == {"fixation_point": 51, "fixation_full_jacobian": 50, "shifted_model": 51}
+    assert counts == {"fixation_point": 51, "fixation_full_jacobian": 50}
+
+
+def test_loop_reads_the_one_head_model(monkeypatch):
+    # Once the inputs are built, a run constructs no chain and no head model.
+    model, script, settings = shipped("exp_a_kff")
+    built = []
+    for cls in (KinematicChain, HeadModel):
+
+        def counted(self, _real=cls.__post_init__):
+            built.append(type(self).__name__)
+            _real(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    run_experiment(model, script, replace(settings, duration=0.5))
+    assert built == []
 
 
 def test_tick_cap_rejected_before_realize(monkeypatch):
