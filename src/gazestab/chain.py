@@ -201,6 +201,21 @@ class KinematicChain:
         about the z axis of link parents[i]'s frame."""
         return tuple(([-1] + self.path_indices(i))[-2] for i in range(self.n_joints))
 
+    @cached_property
+    def q_min(self) -> np.ndarray:
+        """Read-only per-link lower position limits, link order."""
+        return _readonly([link.q_min for link in self.links])
+
+    @cached_property
+    def q_max(self) -> np.ndarray:
+        """Read-only per-link upper position limits, link order."""
+        return _readonly([link.q_max for link in self.links])
+
+    @cached_property
+    def v_max(self) -> np.ndarray:
+        """Read-only per-link velocity magnitude limits, link order."""
+        return _readonly([link.v_max for link in self.links])
+
 
 # ------------------------------------------------------------ DH elementary
 
@@ -223,6 +238,18 @@ def dh_matrix(link: DHLink, q: float) -> np.ndarray:
 
 
 # ------------------------------------------------------------------ kinematics
+
+
+def _cross_rows(a, b) -> np.ndarray:
+    """np.cross(a, b).T for a (k, 3) stack a and a (k, 3) stack or 3-vector b.
+
+    The products and differences are np.cross's own, in its operand order, so
+    the bits match; it skips np.cross's axis moves, which cost more than the
+    arithmetic on a few rows.
+    """
+    a0, a1, a2 = a.T
+    b0, b1, b2 = b.T
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
 
 
 def link_frames(chain: KinematicChain, q) -> np.ndarray:
@@ -279,7 +306,7 @@ def geometric_jacobian(chain: KinematicChain, q, point, link_index: int | None =
     frames = link_frames(chain, arr) if frames is None else frames
     axes = frames[[chain.parents[i] for i in path], :3]
     J = np.zeros((6, chain.n_joints))
-    J[:3, path] = np.cross(axes[:, :, 2], pt - axes[:, :, 3]).T
+    J[:3, path] = _cross_rows(axes[:, :, 2], pt - axes[:, :, 3])
     J[3:, path] = axes[:, :, 2].T
     return J
 
@@ -297,7 +324,7 @@ def analytic_axis_jacobian(chain: KinematicChain, q, link_index: int, *, frames=
     frames = link_frames(chain, arr) if frames is None else frames
     J = np.zeros((3, chain.n_joints))
     axes = frames[[chain.parents[i] for i in path], :3, 2]
-    J[:, path] = np.cross(axes, frames[link_index, :3, 2]).T
+    J[:, path] = _cross_rows(axes, frames[link_index, :3, 2])
     return J
 
 

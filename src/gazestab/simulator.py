@@ -126,6 +126,9 @@ def step(
     act = np.zeros(9, dtype=bool) if active is None else np.asarray(active, dtype=bool)
     if act.shape != (9,):
         raise InvalidInput("active mask must have 9 entries")
+    vel = np.zeros(3) if base_vel is None else np.asarray(base_vel, dtype=float)
+    if vel.shape != (3,) or not np.all(np.isfinite(vel)):
+        raise InvalidInput("base_vel must be a finite 3-vector")
 
     setpoint = np.zeros(9)
     if command is not None:
@@ -145,13 +148,11 @@ def step(
 
     # Velocity and position limits live on the mechanical joints (the eye
     # coupling is linear, so velocities expand the same way positions do).
-    qdot_mech = expand_head_q(qdot)
-    v_max = np.array([l.v_max for l in model.chain.links])
-    qdot_mech = np.clip(qdot_mech, -v_max, v_max)
+    chain = model.chain
+    qdot_mech = np.clip(expand_head_q(qdot), -chain.v_max, chain.v_max)
 
     q_mech = expand_head_q(state.q) + dt * qdot_mech
-    lo = np.array([l.q_min for l in model.chain.links])
-    hi = np.array([l.q_max for l in model.chain.links])
+    lo, hi = chain.q_min, chain.q_max
     clamped = (q_mech < lo) | (q_mech > hi)
     if np.any(clamped):
         warnings.warn(JointLimitWarning(state.t + dt, np.nonzero(clamped)[0].tolist()), stacklevel=2)
@@ -160,7 +161,6 @@ def step(
 
     q_new = collapse_head_q(q_mech, tilt_tol=1e-9)
     qdot_new = collapse_head_q(qdot_mech, tilt_tol=1e-9)
-    vel = np.zeros(3) if base_vel is None else np.asarray(base_vel, dtype=float)
     new = PlantState(
         t=state.t + dt,
         q=q_new,
@@ -226,6 +226,8 @@ def synth_gyro(
     """
     if not (dt > 0.0 and math.isfinite(dt)):
         raise InvalidInput("dt must be positive and finite")
+    if not (sigma >= 0.0 and math.isfinite(sigma)):
+        raise InvalidInput("gyro noise sigma must be finite and >= 0")
     pose_prev = model.imu_pose(expand_head_q(state_prev.q))
     pose_next = model.imu_pose(expand_head_q(state_next.q))
     rel = pose_prev.rot.T @ pose_next.rot
@@ -277,12 +279,11 @@ def _project(cam: CameraModel, rot, origin, cloud):
     return np.column_stack([u, v]), interior
 
 
-def _flow(cam: CameraModel, view_prev, view_next, cloud) -> tuple[float, int]:
-    """(mean pixel displacement, number of points counted) between two left
-    camera views, each (world rotation, world origin); the mean is NaN when
-    fewer than MIN_FLOW_POINTS points count."""
-    uv_a, ok_a = _project(cam, *view_prev, cloud)
-    uv_b, ok_b = _project(cam, *view_next, cloud)
+def _flow(proj_prev, proj_next) -> tuple[float, int]:
+    """(mean pixel displacement, number of points counted) between two
+    _project results of one cloud; the mean is NaN when fewer than
+    MIN_FLOW_POINTS points count."""
+    (uv_a, ok_a), (uv_b, ok_b) = proj_prev, proj_next
     ok = ok_a & ok_b
     n = int(np.count_nonzero(ok))
     if n < MIN_FLOW_POINTS:
@@ -300,8 +301,10 @@ def flow_metric(cam: CameraModel, frames_prev, frames_next, cloud) -> float:
     cloud = np.asarray(cloud, dtype=float)
     if cloud.ndim != 2 or cloud.shape[1] != 3:
         raise InvalidInput("cloud must be an (n, 3) array")
-    views = [(fr.rot_left, fr.o_left) for fr in (frames_prev, frames_next)]
-    mean, n = _flow(cam, *views, cloud)
+    mean, n = _flow(
+        _project(cam, frames_prev.rot_left, frames_prev.o_left, cloud),
+        _project(cam, frames_next.rot_left, frames_next.o_left, cloud),
+    )
     if n < MIN_FLOW_POINTS:
         raise InsufficientCoverage(f"only {n} cloud points remained valid (need >= {MIN_FLOW_POINTS})")
     return mean
@@ -561,15 +564,16 @@ def initial_state(model: HeadModel, fixation_distance: float) -> PlantState:
     return PlantState(t=0.0, q=q0, qdot=np.zeros(9))
 
 
-def _world_geometry(frames, base_offset):
-    """The left camera view (rotation, origin) that _flow projects from and
-    the fixation point (None when the optical axes are parallel), in the
-    world: the head frames moved rigidly by the base offset."""
+def _world_geometry(cam, cloud, frames, base_offset):
+    """The cloud's projection into the left camera (a _project result, what
+    _flow reads) and the fixation point (None when the optical axes are
+    parallel), in the world: the head frames moved rigidly by the base
+    offset."""
     try:
         x_fp = fixation_point(frames).point + base_offset
     except SingularConfiguration:
         x_fp = None
-    return (frames.rot_left, frames.o_left + base_offset), x_fp
+    return _project(cam, frames.rot_left, frames.o_left + base_offset, cloud), x_fp
 
 
 def run_experiment(model: HeadModel, script: DisturbanceScript, settings: SimSettings) -> TrajectoryLog:
@@ -582,8 +586,10 @@ def run_experiment(model: HeadModel, script: DisturbanceScript, settings: SimSet
     leaves the head passive.  On a parallel-gaze tick the fixation Jacobian
     does not exist and the previous command is held.
 
-    Each state's camera frames and fixation point are built once, at the
-    end of the tick that produced it, and carried into the next.
+    Each state's camera frames, fixation point and cloud projection are
+    built once, at the end of the tick that produced it, and carried into
+    the next; the next tick's fixation Jacobian reuses that state's head
+    pass (see gazestab.stereo).
     """
     duration = settings.duration if settings.duration is not None else script.duration() + 0.5
     ticks = duration / settings.dt
@@ -601,7 +607,7 @@ def run_experiment(model: HeadModel, script: DisturbanceScript, settings: SimSet
     state = initial_state(model, settings.fixation_distance)
     frames = camera_frames(model.chain, state.q)
     cloud = make_cloud(settings.cloud, 0.5 * (frames.o_left + frames.o_right))
-    view, x_fp = _world_geometry(frames, state.base_offset)
+    proj, x_fp = _world_geometry(settings.cam, cloud, frames, state.base_offset)
 
     n_rows = n_ticks + 1
     log = TrajectoryLog(
@@ -697,8 +703,9 @@ def run_experiment(model: HeadModel, script: DisturbanceScript, settings: SimSet
 
             # --- log row k+1 --------------------------------------------
             row = k + 1
-            view_next, fp_next = _world_geometry(camera_frames(model.chain, new_state.q), new_state.base_offset)
-            optfl, n_valid = _flow(settings.cam, view, view_next, cloud)
+            frames_next = camera_frames(model.chain, new_state.q)
+            proj_next, fp_next = _world_geometry(settings.cam, cloud, frames_next, new_state.base_offset)
+            optfl, n_valid = _flow(proj, proj_next)
             if n_valid < MIN_FLOW_POINTS:
                 raise InsufficientCoverage(
                     f"only {n_valid} cloud points remained valid at t={new_state.t:.3f}s "
@@ -725,7 +732,7 @@ def run_experiment(model: HeadModel, script: DisturbanceScript, settings: SimSet
 
             prev_state = state
             prev_cmd = cmd
-            state, view, x_fp = new_state, view_next, fp_next
+            state, proj, x_fp = new_state, proj_next, fp_next
     except (SimulationDiverged, InsufficientCoverage) as err:
         rows = int(np.count_nonzero(log.t > 0.0)) + 1  # completed rows
         err.partial_log = _truncate_log(log, rows)

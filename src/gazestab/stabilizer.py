@@ -153,6 +153,11 @@ def pinv_damped(J, damping: float) -> np.ndarray:
 # ------------------------------------------------------------- estimators
 
 
+def _require_fixation_jacobian(J) -> None:
+    if np.shape(J) != (6, 9):
+        raise InvalidInput(f"J must be the 6x9 fixation Jacobian, got shape {np.shape(J)}")
+
+
 def estimate_kff(J, qdot) -> Twist:
     """Fixation twist predicted from commanded joint rates (feedforward).
 
@@ -160,6 +165,7 @@ def estimate_kff(J, qdot) -> Twist:
     commanded rates.  The control loop passes only the commanded disturbance
     rates: the stabilizer's own outputs must not re-enter its input.
     """
+    _require_fixation_jacobian(J)
     xi = J @ as_joint_array(qdot, 9, name="qdot")
     return Twist(xi[:3], xi[3:])
 
@@ -191,6 +197,7 @@ def compensate(twist: Twist, J, config: StabilizerConfig) -> StabilizerCommand:
     componentwise.  A parallel-gaze posture has no Jacobian, so the caller
     holds its previous command instead.
     """
+    _require_fixation_jacobian(J)
     neck_trans = J[0:3, 3:6]
     neck_rot = J[3:6, 3:6]
     eye_trans = J[0:3, 6:9]

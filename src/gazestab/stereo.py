@@ -22,6 +22,11 @@ fixation Jacobian is done with respect to the *mechanical* variables
 (t, p_left, p_right) -- the common tilt moves both camera chains, and each
 pan reaches the other camera's ray parameter through the shared terms above
 -- then folded onto (tilt, version, vergence) by the chain rule.
+
+camera_frames and fixation_full_jacobian read one DH pass per head state.
+The last pass is kept: a repeat call on the same chain object and q reuses
+it (q is still validated), so a state's camera frames and its Jacobian cost
+one walk.  The kept arrays are read-only.
 """
 
 from __future__ import annotations
@@ -176,11 +181,23 @@ class CameraFrames:
         )
 
 
+# (chain, mechanical q bytes, result) of the latest _head_pass, swapped as
+# one tuple.  A chain is immutable and the result read-only, so a hit may
+# hand the stored result out again.
+_last_head_pass = (None, b"", None)
+
+
 def _head_pass(chain: KinematicChain, q):
     """Layout, mechanical q, link_frames stack and camera frames of a 9-DoF
-    head state: the one DH walk camera_frames and fixation_full_jacobian read."""
-    lay = head_layout(chain)
+    head state: the one DH walk camera_frames and fixation_full_jacobian read.
+    A repeat call on the same chain object and q returns the last pass."""
+    global _last_head_pass
     qm = expand_head_q(q)
+    key = qm.tobytes()
+    last_chain, last_key, last = _last_head_pass
+    if last_chain is chain and last_key == key:
+        return last
+    lay = head_layout(chain)
     frames = link_frames(chain, qm)
     pose_l = forward_kinematics(chain, qm, lay.cam_left, frames=frames)
     pose_r = forward_kinematics(chain, qm, lay.cam_right, frames=frames)
@@ -192,7 +209,11 @@ def _head_pass(chain: KinematicChain, q):
         rot_left=pose_l.rot,
         rot_right=pose_r.rot,
     )
-    return lay, qm, frames, cams
+    qm.setflags(write=False)
+    frames.setflags(write=False)
+    result = (lay, qm, frames, cams)
+    _last_head_pass = (chain, key, result)
+    return result
 
 
 def camera_frames(chain: KinematicChain, q) -> CameraFrames:

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from gazestab import (
     DHLink,
@@ -26,6 +27,7 @@ from gazestab import (
     geometric_jacobian,
     link_frames,
 )
+from gazestab.chain import _cross_rows
 
 # ---------------------------------------------------------------- oracles
 
@@ -221,6 +223,28 @@ def test_helpers_read_a_given_link_frames_stack():
         assert np.array_equal(fk.matrix(), forward_kinematics(chain, q, k).matrix())
         assert np.array_equal(geometric_jacobian(chain, q, pt, k, frames=frames), geometric_jacobian(chain, q, pt, k))
         assert np.array_equal(analytic_axis_jacobian(chain, q, k, frames=frames), analytic_axis_jacobian(chain, q, k))
+
+
+FINITE = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), k=st.integers(1, 8), broadcast=st.booleans())
+def test_cross_rows_matches_np_cross_bytes(data, k, broadcast):
+    a = data.draw(arrays(np.float64, (k, 3), elements=FINITE))
+    b = data.draw(arrays(np.float64, (3,) if broadcast else (k, 3), elements=FINITE))
+    assert _cross_rows(a, b).tobytes() == np.cross(a, b).T.tobytes()
+
+
+def test_limit_arrays_are_cached_and_read_only():
+    links = (DHLink(q_min=-1.0, q_max=0.5, v_max=2.0), DHLink())
+    chain = KinematicChain(links)
+    for name in ("q_min", "q_max", "v_max"):
+        arr = getattr(chain, name)
+        assert arr.tobytes() == np.array([getattr(link, name) for link in links]).tobytes()
+        assert getattr(chain, name) is arr
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
 
 
 def test_trunk_after_eye_rejected():

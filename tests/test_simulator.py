@@ -130,6 +130,12 @@ def test_step_rejects_bad_dt():
         PlantParams(tau_neck=-0.1)
 
 
+@pytest.mark.parametrize("base_vel", [[1.0, 2.0], [math.nan, 0.0, 0.0], [0.0, math.inf, 0.0], np.zeros((1, 3))])
+def test_step_rejects_bad_base_vel(base_vel):
+    with pytest.raises(InvalidInput, match="base_vel must be a finite 3-vector"):
+        step(MODEL, rest_state(), np.zeros(9), None, DT, base_vel=base_vel)
+
+
 def test_base_translation_only_offsets_world_points():
     # The loop reads one head model and adds the base offset to world points:
     # a chain whose base pose is translated must give the same points plus
@@ -202,6 +208,13 @@ def test_gyro_noise_seeded_and_requires_rng():
     s2 = synth_gyro(MODEL, rest_state(), b, DT, sigma=0.01, rng=np.random.default_rng(7))
     assert np.array_equal(s1.omega, s2.omega)
     assert not np.allclose(s1.omega, 0.0)
+
+
+@pytest.mark.parametrize("sigma", [math.nan, -1.0, math.inf])
+def test_gyro_rejects_bad_sigma(sigma):
+    b = PlantState(t=DT, q=np.zeros(9), qdot=np.zeros(9))
+    with pytest.raises(InvalidInput, match="sigma"):
+        synth_gyro(MODEL, rest_state(), b, DT, sigma=sigma, rng=np.random.default_rng(7))
 
 
 def test_gyro_is_translation_blind():
@@ -562,6 +575,32 @@ def test_loop_builds_each_state_geometry_once(monkeypatch):
     model, script, settings = shipped("exp_a_kff")
     run_experiment(model, script, replace(settings, duration=0.5))
     assert counts == {"fixation_point": 51, "fixation_full_jacobian": 50}
+
+
+def test_loop_walks_each_head_state_once(monkeypatch):
+    # Between two plant steps the loop walks the new state once, for its
+    # camera frames; the next tick's fixation Jacobian reuses that walk.
+    import gazestab.chain
+
+    calls = [0]
+    real_dh, real_step = gazestab.chain.dh_matrix, simulator.step
+    at_step = []
+
+    def counted_dh(*args):
+        calls[0] += 1
+        return real_dh(*args)
+
+    def counted_step(*args, **kw):
+        at_step.append(calls[0])
+        return real_step(*args, **kw)
+
+    monkeypatch.setattr(gazestab.chain, "dh_matrix", counted_dh)
+    monkeypatch.setattr(simulator, "step", counted_step)
+    script = DisturbanceScript("yaw", segments=(ScriptSegment(0.0, 0.5, "torso-yaw", 0.35),))
+    log = run_experiment(MODEL, script, SimSettings(control=StabilizerConfig(mode="kff"), duration=0.5))
+    assert np.all(np.any(np.diff(log.q, axis=0) != 0.0, axis=1))  # the head moves every tick
+    per_tick = np.diff(at_step + calls)
+    assert per_tick.size == 50 and per_tick.max() <= MODEL.chain.n_joints
 
 
 def test_loop_reads_the_one_head_model(monkeypatch):

@@ -126,6 +126,15 @@ def test_kff_translation_matches_directional_fd():
         assert np.allclose(tw.v, v_fd, atol=1e-5)
 
 
+@pytest.mark.parametrize("shape", [(6, 6), (3, 9), (9, 6)])
+def test_kff_and_compensate_reject_a_non_6x9_jacobian(shape):
+    J = np.zeros(shape)
+    with pytest.raises(InvalidInput, match="6x9 fixation Jacobian"):
+        estimate_kff(J, np.zeros(9))
+    with pytest.raises(InvalidInput, match="6x9 fixation Jacobian"):
+        compensate(Twist.zero(), J, StabilizerConfig())
+
+
 def test_ifb_translation_blind():
     # A translating but non-rotating head produces a zero twist: the gyro
     # reads nothing regardless of how fast the prismatic stage moves.

@@ -14,6 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gazestab import InvalidInput, SingularConfiguration, finite_difference_jacobian, geometric_jacobian
+from gazestab import stereo
+from gazestab.chain import KinematicChain
 from gazestab.models import default_head_model
 from gazestab.stereo import (
     CameraFrames,
@@ -374,15 +376,19 @@ def test_full_jacobian_rotation_rows():
 
 
 def test_full_jacobian_shape_and_determinism():
-    q = head_q(np.random.default_rng(303))
+    rng = np.random.default_rng(303)
+    q = head_q(rng)
     a = fixation_full_jacobian(CHAIN, q)
     assert a.shape == (6, 9)
+    fixation_full_jacobian(CHAIN, head_q(rng))  # evicts q's head pass: the next call walks again
     assert a.tobytes() == fixation_full_jacobian(CHAIN, q).tobytes()
 
 
 def count_dh_calls(monkeypatch):
+    """Counter of dh_matrix calls, starting with no head pass kept."""
     import gazestab.chain
 
+    monkeypatch.setattr(stereo, "_last_head_pass", (None, b"", None))
     calls = [0]
     real = gazestab.chain.dh_matrix
 
@@ -404,6 +410,49 @@ def test_full_jacobian_walks_each_link_once(monkeypatch):
     calls = count_dh_calls(monkeypatch)
     fixation_full_jacobian(CHAIN, head_q(np.random.default_rng(305)))
     assert calls[0] == CHAIN.n_joints
+
+
+def test_camera_frames_then_full_jacobian_share_one_walk(monkeypatch):
+    calls = count_dh_calls(monkeypatch)
+    q = head_q(np.random.default_rng(312))
+    camera_frames(CHAIN, q)
+    fixation_full_jacobian(CHAIN, q)
+    assert calls[0] == CHAIN.n_joints
+
+
+def test_head_pass_hit_returns_identical_results(monkeypatch):
+    calls = count_dh_calls(monkeypatch)
+    q = head_q(np.random.default_rng(313))
+    cold_frames = camera_frames(CHAIN, q)
+    fixation_full_jacobian(CHAIN, head_q(np.random.default_rng(314)))
+    cold_J = fixation_full_jacobian(CHAIN, q)
+    walked = calls[0]
+    hit_frames, hit_J = camera_frames(CHAIN, q), fixation_full_jacobian(CHAIN, q)
+    assert calls[0] == walked
+    assert hit_J.tobytes() == cold_J.tobytes()
+    for name in ("o_left", "o_right", "z_left", "z_right", "rot_left", "rot_right"):
+        assert getattr(hit_frames, name).tobytes() == getattr(cold_frames, name).tobytes()
+
+
+def test_head_pass_misses_on_another_chain_or_q(monkeypatch):
+    calls = count_dh_calls(monkeypatch)
+    q = head_q(np.random.default_rng(315))
+    twin = KinematicChain(CHAIN.links, CHAIN.base_pose, CHAIN.segments)
+    frames = camera_frames(CHAIN, q)
+    twin_frames = camera_frames(twin, q)  # an equal chain, but another object
+    assert calls[0] == 2 * CHAIN.n_joints
+    assert twin_frames is not frames and np.array_equal(twin_frames.rot_left, frames.rot_left)
+    q2 = q.copy()
+    q2[0] = np.nextafter(q2[0], 1.0)
+    camera_frames(twin, q2)
+    assert calls[0] == 3 * CHAIN.n_joints
+
+
+def test_head_pass_arrays_are_read_only():
+    lay, qm, frames, cams = stereo._head_pass(CHAIN, head_q(np.random.default_rng(316)))
+    for arr in (qm, frames, cams.o_left, cams.z_right, cams.rot_left):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
 
 
 def test_full_jacobian_trunk_block_is_geometric_jacobian():
