@@ -37,6 +37,16 @@ def _readonly(a):
     return a
 
 
+def _unchecked(cls, **values):
+    """A frozen value of dataclass cls holding values as given, without its
+    __post_init__ checks: for values built from already-checked ones.  Every
+    field must be given."""
+    obj = object.__new__(cls)
+    for name, value in values.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 # ---------------------------------------------------------------- value types
 
 
@@ -125,7 +135,7 @@ class JointVector:
         object.__setattr__(self, "values", _readonly(self.values))
         if self.values.ndim != 1:
             raise InvalidInput("JointVector values must be one-dimensional")
-        if not np.all(np.isfinite(self.values)):
+        if not np.isfinite(self.values).all():
             raise InvalidInput("JointVector values must be finite")
         expected = {"head-dof": 9, "head-mech": 10}.get(self.layout)
         if expected is not None and self.values.size != expected:
@@ -143,7 +153,7 @@ def as_joint_array(q, n: int | None = None, *, name: str = "q") -> np.ndarray:
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1:
         raise InvalidInput(f"{name} must be one-dimensional, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise InvalidInput(f"{name} contains non-finite entries")
     if n is not None and arr.size != n:
         raise InvalidInput(f"{name} must have length {n}, got {arr.size}")
@@ -179,6 +189,9 @@ class KinematicChain:
             if idx and idx != list(range(idx[0], idx[0] + len(idx))):
                 raise InvalidInput(f"{tag} links must be contiguous")
         object.__setattr__(self, "segments", segs)
+        rot, pos = self.base_pose.rot, self.base_pose.pos
+        if not (np.isfinite(pos).all() and np.abs(rot.T @ rot - np.eye(3)).max() <= 1e-9):
+            raise InvalidInput("base_pose must be a finite rigid transform (orthonormal rotation)")
 
     @property
     def n_joints(self) -> int:
@@ -301,7 +314,7 @@ def geometric_jacobian(chain: KinematicChain, q, point, link_index: int | None =
     path = chain.path_indices(link_index)
     arr = as_joint_array(q, chain.n_joints)
     pt = np.asarray(point, dtype=float)
-    if pt.shape != (3,) or not np.all(np.isfinite(pt)):
+    if pt.shape != (3,) or not np.isfinite(pt).all():
         raise InvalidInput("point must be a finite 3-vector")
     frames = link_frames(chain, arr) if frames is None else frames
     axes = frames[[chain.parents[i] for i in path], :3]
@@ -349,7 +362,7 @@ def finite_difference_jacobian(f, q0, step: float = 1e-6) -> np.ndarray:
         lo[i] -= step
         fp = np.asarray(f(hi), dtype=float)
         fm = np.asarray(f(lo), dtype=float)
-        if not (np.all(np.isfinite(fp)) and np.all(np.isfinite(fm))):
+        if not (np.isfinite(fp).all() and np.isfinite(fm).all()):
             raise OracleFailure(f"non-finite probe while differencing column {i}", column=i)
         J[:, i] = (fp - fm) / (2.0 * step)
     return J

@@ -44,6 +44,8 @@ class HeadModel:
         if self.chain.segments[self.imu_link] != "neck":
             raise InvalidInput("IMU must be attached to a neck link")
         head_layout(self.chain)
+        if not np.isfinite(self.imu_offset.matrix()).all():
+            raise InvalidInput("imu_offset must be finite")
         names = tuple(self.trunk_names) or tuple(f"joint-{i}" for i in range(6))
         if len(names) != 6 or len(set(names)) != 6:
             raise InvalidInput("trunk_names must be six distinct joint names")

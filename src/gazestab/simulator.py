@@ -22,17 +22,25 @@ The stabilization metric projects a static random point cloud through the
 left pinhole camera at consecutive states and averages the pixel
 displacement over points that stay inside the image interior (a fixed
 border is excluded) and in front of the camera in both frames.
+
+Checks sit at the public edge: step, synth_gyro and the value types check
+the arguments a caller passes, and run_experiment's inputs are checked when
+they are built.  Values built from checked ones are not checked again: step
+builds its new PlantState unchecked after one finiteness check of the new q,
+qdot and base offset (SimulationDiverged), and the loop builds its own
+Twist and ImuSample values unchecked.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from collections import deque
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .chain import as_joint_array
+from .chain import _unchecked, as_joint_array
 from .errors import (
     InsufficientCoverage,
     InvalidComparison,
@@ -51,13 +59,17 @@ from .stabilizer import (
     estimate_ifb,
     estimate_kff,
 )
-from .stereo import camera_frames, collapse_head_q, expand_head_q, fixation_full_jacobian, fixation_point
+from .stereo import _collapse, _expand, camera_frames, fixation_full_jacobian, fixation_point
 
 DEFAULT_DT = 0.01
 DEFAULT_GYRO_SIGMA = 0.005  # rad/s, per axis
 MIN_FLOW_POINTS = 10  # fewer valid cloud points make the flow average meaningless
 MAX_TICKS = 200_000  # 2,000 s at the default tick; caps the (n, 9) log and track arrays
 MAX_CLOUD_POINTS = 100_000  # caps the (n, 3) cloud and its per-tick projections
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 # ------------------------------------------------------------------- plant
@@ -88,10 +100,12 @@ class PlantState:
     base_offset: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
     def __post_init__(self):
+        if not math.isfinite(self.t):
+            raise InvalidInput("PlantState.t must be finite")
         object.__setattr__(self, "q", as_joint_array(self.q, 9, name="q"))
         object.__setattr__(self, "qdot", as_joint_array(self.qdot, 9, name="qdot"))
         b = np.asarray(self.base_offset, dtype=float)
-        if b.shape != (3,) or not np.all(np.isfinite(b)):
+        if b.shape != (3,) or not np.isfinite(b).all():
             raise InvalidInput("base_offset must be a finite 3-vector")
         object.__setattr__(self, "base_offset", b)
 
@@ -118,7 +132,9 @@ def step(
 
     disturbance_qdot gives script rates per DoF; `active` marks which DoF the
     script owns this tick (those follow it exactly).  All other torso DoF
-    rest; neck/eye DoF track the command setpoints through the lag.
+    rest; neck/eye DoF track the command setpoints through the lag.  state
+    and command were checked when built, so only the other arguments and
+    the new state's finiteness are checked here.
     """
     if not (dt > 0.0 and math.isfinite(dt)):
         raise InvalidInput("dt must be positive and finite")
@@ -127,7 +143,7 @@ def step(
     if act.shape != (9,):
         raise InvalidInput("active mask must have 9 entries")
     vel = np.zeros(3) if base_vel is None else np.asarray(base_vel, dtype=float)
-    if vel.shape != (3,) or not np.all(np.isfinite(vel)):
+    if vel.shape != (3,) or not np.isfinite(vel).all():
         raise InvalidInput("base_vel must be a finite 3-vector")
 
     setpoint = np.zeros(9)
@@ -149,27 +165,24 @@ def step(
     # Velocity and position limits live on the mechanical joints (the eye
     # coupling is linear, so velocities expand the same way positions do).
     chain = model.chain
-    qdot_mech = np.clip(expand_head_q(qdot), -chain.v_max, chain.v_max)
+    qdot_mech = np.clip(_expand(qdot), -chain.v_max, chain.v_max)
 
-    q_mech = expand_head_q(state.q) + dt * qdot_mech
+    t = state.t + dt
+    q_mech = _expand(state.q) + dt * qdot_mech
     lo, hi = chain.q_min, chain.q_max
     clamped = (q_mech < lo) | (q_mech > hi)
-    if np.any(clamped):
-        warnings.warn(JointLimitWarning(state.t + dt, np.nonzero(clamped)[0].tolist()), stacklevel=2)
+    if clamped.any():
+        warnings.warn(JointLimitWarning(t, np.nonzero(clamped)[0].tolist()), stacklevel=2)
         q_mech = np.clip(q_mech, lo, hi)
         qdot_mech = np.where(clamped, 0.0, qdot_mech)
 
-    q_new = collapse_head_q(q_mech, tilt_tol=1e-9)
-    qdot_new = collapse_head_q(qdot_mech, tilt_tol=1e-9)
-    new = PlantState(
-        t=state.t + dt,
-        q=q_new,
-        qdot=qdot_new,
-        base_offset=state.base_offset + dt * vel,
-    )
-    if not (np.all(np.isfinite(new.q)) and np.all(np.isfinite(new.qdot))):
-        raise SimulationDiverged("plant state became non-finite", t=new.t)
-    return new
+    q_new = _collapse(q_mech, 1e-9)
+    qdot_new = _collapse(qdot_mech, 1e-9)
+    base_offset = state.base_offset + dt * vel
+    finite = np.isfinite(q_new).all() and np.isfinite(qdot_new).all() and np.isfinite(base_offset).all()
+    if not (finite and math.isfinite(t)):
+        raise SimulationDiverged("plant state became non-finite", t=t)
+    return _unchecked(PlantState, t=t, q=q_new, qdot=qdot_new, base_offset=base_offset)
 
 
 # ------------------------------------------------------------ synthetic gyro
@@ -228,8 +241,8 @@ def synth_gyro(
         raise InvalidInput("dt must be positive and finite")
     if not (sigma >= 0.0 and math.isfinite(sigma)):
         raise InvalidInput("gyro noise sigma must be finite and >= 0")
-    pose_prev = model.imu_pose(expand_head_q(state_prev.q))
-    pose_next = model.imu_pose(expand_head_q(state_next.q))
+    pose_prev = model.imu_pose(_expand(state_prev.q))
+    pose_next = model.imu_pose(_expand(state_next.q))
     rel = pose_prev.rot.T @ pose_next.rot
     omega_body = _so3_log(rel) / dt
     omega = pose_prev.rot @ omega_body
@@ -255,6 +268,8 @@ class CameraModel:
     def __post_init__(self):
         if not (self.f > 0 and math.isfinite(self.f)):
             raise InvalidInput("focal length must be positive")
+        if not all(_is_int(getattr(self, name)) for name in ("width", "height", "border")):
+            raise InvalidInput("image width, height and border must be integers")
         if self.border < 0:
             raise InvalidInput("image border must be >= 0")
         if self.width <= 2 * self.border or self.height <= 2 * self.border:
@@ -528,6 +543,8 @@ class SimSettings:
             raise InvalidInput("duration must be positive and finite")
         if not (self.fixation_distance > 0.0 and math.isfinite(self.fixation_distance)):
             raise InvalidInput("fixation_distance must be positive and finite")
+        if not _is_int(self.gyro_delay_ticks):
+            raise InvalidInput("gyro delay must be an integer number of ticks")
         if not (self.gyro_sigma >= 0.0 and math.isfinite(self.gyro_sigma)) or self.gyro_delay_ticks < 0:
             raise InvalidInput("gyro noise must be finite and gyro noise/delay non-negative")
 
@@ -643,21 +660,24 @@ def run_experiment(model: HeadModel, script: DisturbanceScript, settings: SimSet
         log.fp[0] = x_fp
 
     prev_state = state
-    prev_cmd = StabilizerCommand.hold()
-    gyro_buffer: list[ImuSample] = []
+    zero_twist, hold = Twist.zero(), StabilizerCommand.hold()
+    prev_cmd = hold
+    # the iFB delay line: the newest sample and the gyro_delay_ticks before it
+    gyro_buffer: deque[ImuSample] = deque(maxlen=settings.gyro_delay_ticks + 1)
     try:
         for k in range(n_ticks):
             singular_now = x_fp is None
             J = None if singular_now else fixation_full_jacobian(model.chain, state.q)
 
             # --- estimate --------------------------------------------
-            est = Twist.zero()
+            est = zero_twist
             if cfg.mode == "kff" and not singular_now:
                 est = estimate_kff(J, track.commanded_qdot[k])
-                est = Twist(est.v + track.commanded_base[k], est.omega)
+                est = _unchecked(Twist, v=est.v + track.commanded_base[k], omega=est.omega)
             elif cfg.mode == "ifb" and not singular_now:
                 if k == 0:
-                    sample = ImuSample(np.zeros(3), model.imu_pose(expand_head_q(state.q)).pos + state.base_offset)
+                    position = model.imu_pose(_expand(state.q)).pos + state.base_offset
+                    sample = _unchecked(ImuSample, omega=np.zeros(3), position=position)
                 else:
                     sample = synth_gyro(
                         model,
@@ -672,18 +692,18 @@ def run_experiment(model: HeadModel, script: DisturbanceScript, settings: SimSet
                     # script-owned neck channels are disturbance, not self-motion
                     self_qdot = np.where(track.active[k - 1][3:6], 0.0, state.qdot[3:6])
                     self_omega = J[3:6, 3:6] @ self_qdot
-                    sample = ImuSample(sample.omega - self_omega, sample.position)
+                    sample = _unchecked(ImuSample, omega=sample.omega - self_omega, position=sample.position)
                 gyro_buffer.append(sample)
                 use = (
                     gyro_buffer[-1 - settings.gyro_delay_ticks]
                     if len(gyro_buffer) > settings.gyro_delay_ticks
-                    else ImuSample(np.zeros(3), gyro_buffer[0].position)
+                    else _unchecked(ImuSample, omega=np.zeros(3), position=gyro_buffer[0].position)
                 )
                 est = estimate_ifb(use, x_fp)
 
             # --- compensate --------------------------------------------
             if cfg.mode == "off":
-                cmd = StabilizerCommand.hold()
+                cmd = hold
             elif singular_now:
                 cmd = prev_cmd
             else:
@@ -770,7 +790,7 @@ class RunSummary:
 
 def _window_mean(log: TrajectoryLog, t0: float, t1: float) -> float:
     rows = (log.t > t0 + 1e-12) & (log.t <= t1 + 1e-12)
-    if not np.any(rows):
+    if not rows.any():
         return math.nan
     return float(np.mean(log.optfl[rows]))
 

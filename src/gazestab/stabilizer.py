@@ -42,7 +42,7 @@ class Twist:
     def __post_init__(self):
         for name in ("v", "omega"):
             a = np.asarray(getattr(self, name), dtype=float)
-            if a.shape != (3,) or not np.all(np.isfinite(a)):
+            if a.shape != (3,) or not np.isfinite(a).all():
                 raise InvalidInput(f"Twist.{name} must be a finite 3-vector")
             object.__setattr__(self, name, a)
 
@@ -71,7 +71,7 @@ class ImuSample:
     def __post_init__(self):
         for name in ("omega", "position"):
             a = np.asarray(getattr(self, name), dtype=float)
-            if a.shape != (3,) or not np.all(np.isfinite(a)):
+            if a.shape != (3,) or not np.isfinite(a).all():
                 raise InvalidInput(f"ImuSample.{name} must be a finite 3-vector")
             object.__setattr__(self, name, a)
 
@@ -87,7 +87,7 @@ class StabilizerCommand:
     def __post_init__(self):
         for name in ("qdot_neck", "qdot_eye"):
             a = np.asarray(getattr(self, name), dtype=float)
-            if a.shape != (3,) or not np.all(np.isfinite(a)):
+            if a.shape != (3,) or not np.isfinite(a).all():
                 raise InvalidInput(f"StabilizerCommand.{name} must be a finite 3-vector")
             object.__setattr__(self, name, a)
 
@@ -136,7 +136,7 @@ def pinv_damped(J, damping: float) -> np.ndarray:
     raises SingularMatrix instead of amplifying noise to infinity.
     """
     J = np.asarray(J, dtype=float)
-    if J.ndim != 2 or not np.all(np.isfinite(J)):
+    if J.ndim != 2 or not np.isfinite(J).all():
         raise InvalidInput("pinv_damped wants a finite 2-D matrix")
     if not (damping >= 0.0 and math.isfinite(damping)):
         raise InvalidInput("damping must be finite and >= 0")
@@ -178,7 +178,7 @@ def estimate_ifb(imu: ImuSample, x_fp) -> Twist:
     inertial route and is preserved deliberately.
     """
     x_fp = np.asarray(x_fp, dtype=float)
-    if x_fp.shape != (3,) or not np.all(np.isfinite(x_fp)):
+    if x_fp.shape != (3,) or not np.isfinite(x_fp).all():
         raise InvalidInput("x_fp must be a finite 3-vector")
     lever = x_fp - imu.position
     return Twist(np.cross(imu.omega, lever), imu.omega)
@@ -214,7 +214,5 @@ def compensate(twist: Twist, J, config: StabilizerConfig) -> StabilizerCommand:
 
     neck_clip = np.clip(qdot_neck, -config.neck_rate_limit, config.neck_rate_limit)
     eye_clip = np.clip(qdot_eye, -config.eye_rate_limit, config.eye_rate_limit)
-    saturated = bool(
-        np.any(neck_clip != qdot_neck) or np.any(eye_clip != qdot_eye)
-    )
+    saturated = bool((neck_clip != qdot_neck).any() or (eye_clip != qdot_eye).any())
     return StabilizerCommand(neck_clip, eye_clip, saturated=saturated)

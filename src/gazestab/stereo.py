@@ -27,6 +27,11 @@ camera_frames and fixation_full_jacobian read one DH pass per head state.
 The last pass is kept: a repeat call on the same chain object and q reuses
 it (q is still validated), so a state's camera frames and its Jacobian cost
 one walk.  The kept arrays are read-only.
+
+Checks sit at the public edge: each public function and constructor checks
+what its caller passes.  The camera frames of a pass are products of DH
+transforms of a checked q, orthonormal by construction, so they are built
+without CameraFrames' orthonormality checks.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ import numpy as np
 
 from .chain import (
     KinematicChain,
+    _unchecked,
     analytic_axis_jacobian,
     as_joint_array,
     forward_kinematics,
@@ -94,13 +100,21 @@ def head_layout(chain: KinematicChain) -> HeadLayout:
     )
 
 
+def _expand(arr: np.ndarray) -> np.ndarray:
+    tilt, version, vergence = arr[6], arr[7], arr[8]
+    return np.concatenate([arr[:6], [tilt, version + 0.5 * vergence, tilt, version - 0.5 * vergence]])
+
+
 def expand_head_q(q) -> np.ndarray:
     """9 control DoF -> 10 mechanical joint values (chain order)."""
-    arr = as_joint_array(q, HEAD_DOF, name="q (head-dof)")
-    tilt, version, vergence = arr[6], arr[7], arr[8]
-    return np.concatenate(
-        [arr[:6], [tilt, version + 0.5 * vergence, tilt, version - 0.5 * vergence]]
-    )
+    return _expand(as_joint_array(q, HEAD_DOF, name="q (head-dof)"))
+
+
+def _collapse(arr: np.ndarray, tilt_tol: float) -> np.ndarray:
+    tilt_left, pan_left, tilt_right, pan_right = arr[6:]
+    if abs(tilt_left - tilt_right) > tilt_tol:
+        raise InvalidInput(f"tilt coupling violated: left {tilt_left} vs right {tilt_right}")
+    return np.concatenate([arr[:6], [tilt_left, 0.5 * (pan_left + pan_right), pan_left - pan_right]])
 
 
 def collapse_head_q(q_mech, *, tilt_tol: float = 1e-9) -> np.ndarray:
@@ -109,11 +123,7 @@ def collapse_head_q(q_mech, *, tilt_tol: float = 1e-9) -> np.ndarray:
     The tilt motors are one physical axis; a mismatch larger than tilt_tol
     means the caller broke the coupling invariant.
     """
-    arr = as_joint_array(q_mech, HEAD_MECH, name="q (head-mech)")
-    tilt_left, pan_left, tilt_right, pan_right = arr[6:]
-    if abs(tilt_left - tilt_right) > tilt_tol:
-        raise InvalidInput(f"tilt coupling violated: left {tilt_left} vs right {tilt_right}")
-    return np.concatenate([arr[:6], [tilt_left, 0.5 * (pan_left + pan_right), pan_left - pan_right]])
+    return _collapse(as_joint_array(q_mech, HEAD_MECH, name="q (head-mech)"), tilt_tol)
 
 
 # ---------------------------------------------------------------- camera rays
@@ -147,7 +157,7 @@ class CameraFrames:
     def __post_init__(self):
         for name in ("o_left", "o_right", "z_left", "z_right"):
             v = np.asarray(getattr(self, name), dtype=float)
-            if v.shape != (3,) or not np.all(np.isfinite(v)):
+            if v.shape != (3,) or not np.isfinite(v).all():
                 raise InvalidInput(f"CameraFrames.{name} must be a finite 3-vector")
             object.__setattr__(self, name, v)
         for name in ("z_left", "z_right"):
@@ -158,9 +168,9 @@ class CameraFrames:
             R = np.asarray(getattr(self, rname), dtype=float)
             if R.shape != (3, 3):
                 raise InvalidInput(f"CameraFrames.{rname} must be 3x3")
-            if np.max(np.abs(R.T @ R - np.eye(3))) > 1e-9:
+            if not np.abs(R.T @ R - np.eye(3)).max() <= 1e-9:  # also rejects NaN and inf
                 raise InvalidInput(f"CameraFrames.{rname} must be orthonormal")
-            if np.max(np.abs(R[:, 2] - getattr(self, zname))) > 1e-9:
+            if not np.abs(R[:, 2] - getattr(self, zname)).max() <= 1e-9:
                 raise InvalidInput(f"CameraFrames.{rname} third column must equal {zname}")
             object.__setattr__(self, rname, R)
 
@@ -201,7 +211,8 @@ def _head_pass(chain: KinematicChain, q):
     frames = link_frames(chain, qm)
     pose_l = forward_kinematics(chain, qm, lay.cam_left, frames=frames)
     pose_r = forward_kinematics(chain, qm, lay.cam_right, frames=frames)
-    cams = CameraFrames(
+    cams = _unchecked(
+        CameraFrames,
         o_left=pose_l.pos,
         o_right=pose_r.pos,
         z_left=pose_l.rot[:, 2],

@@ -144,6 +144,23 @@ def test_fk_base_pose_composes():
     assert np.allclose(pose.pos, base.transform([0.3, 0.0, 0.0]))
 
 
+@pytest.mark.parametrize(
+    "base",
+    [
+        Pose(np.eye(3), [0.0, math.nan, 0.0]),
+        Pose(np.eye(3), [math.inf, 0.0, 0.0]),
+        Pose(np.diag([1.0, math.nan, 1.0]), np.zeros(3)),
+        Pose(2.0 * np.eye(3), np.zeros(3)),
+    ],
+    ids=["nan-position", "inf-position", "nan-rotation", "scaled-rotation"],
+)
+def test_chain_rejects_a_base_pose_that_is_not_a_finite_rigid_transform(base):
+    # Camera frames are built from the chain's own walk without re-checking,
+    # so the base pose they start from is checked once, here.
+    with pytest.raises(InvalidInput, match="base_pose"):
+        KinematicChain((DHLink(a=0.3),), base_pose=base)
+
+
 def test_fk_matches_elementary_oracle_random():
     rng = np.random.default_rng(11)
     for _ in range(50):

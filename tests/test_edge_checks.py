@@ -1,0 +1,143 @@
+"""Checks sit at the public edge.
+
+Every public constructor and entry point rejects NaN and inf in what a
+caller passes; the values the code builds for itself without those checks
+(camera frames, plant states) still satisfy the public constructors.
+"""
+
+import math
+import warnings
+from dataclasses import fields, replace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gazestab.chain import Pose, analytic_axis_jacobian, forward_kinematics, geometric_jacobian
+from gazestab.errors import InvalidInput
+from gazestab.models import default_head_model
+from gazestab.simulator import PlantState, step, synth_gyro
+from gazestab.stabilizer import (
+    ImuSample,
+    StabilizerCommand,
+    StabilizerConfig,
+    Twist,
+    compensate,
+    estimate_ifb,
+    estimate_kff,
+    pinv_damped,
+)
+from gazestab.stereo import CameraFrames, camera_frames, expand_head_q, fixation_full_jacobian
+
+MODEL = default_head_model()
+CHAIN = MODEL.chain
+DT = 0.01
+Q = np.array([0.1, -0.05, 0.02, 0.1, 0.03, -0.08, 0.02, 0.05, 0.011])
+QM = expand_head_q(Q)
+J = fixation_full_jacobian(CHAIN, Q)
+FRAMES = camera_frames(CHAIN, Q)
+STATE = PlantState(t=0.0, q=Q, qdot=np.zeros(9))
+
+
+def rebuilt(value):
+    """value passed back through its own public constructor."""
+    return type(value)(**{f.name: getattr(value, f.name) for f in fields(value)})
+
+
+def with_bad(a, bad, index=1):
+    a = np.array(a, dtype=float)
+    a.flat[index] = bad
+    return a
+
+
+# (entry point, call with one bad value); each must raise InvalidInput.
+ENTRY_POINTS = [
+    ("CameraFrames.o_left", lambda b: replace(FRAMES, o_left=with_bad(FRAMES.o_left, b))),
+    ("CameraFrames.rot_right", lambda b: replace(FRAMES, rot_right=with_bad(FRAMES.rot_right, b))),
+    ("PlantState.t", lambda b: PlantState(t=b, q=Q, qdot=np.zeros(9))),
+    ("PlantState.q", lambda b: PlantState(t=0.0, q=with_bad(Q, b), qdot=np.zeros(9))),
+    ("PlantState.base_offset", lambda b: PlantState(0.0, Q, np.zeros(9), with_bad(np.zeros(3), b))),
+    ("Twist", lambda b: Twist(with_bad(np.zeros(3), b), np.zeros(3))),
+    ("ImuSample", lambda b: ImuSample(np.zeros(3), with_bad(np.zeros(3), b))),
+    ("StabilizerCommand", lambda b: StabilizerCommand(np.zeros(3), with_bad(np.zeros(3), b))),
+    ("step.dt", lambda b: step(MODEL, STATE, np.zeros(9), None, b)),
+    ("step.disturbance_qdot", lambda b: step(MODEL, STATE, with_bad(np.zeros(9), b), None, DT)),
+    ("step.base_vel", lambda b: step(MODEL, STATE, np.zeros(9), None, DT, base_vel=with_bad(np.zeros(3), b))),
+    ("synth_gyro.dt", lambda b: synth_gyro(MODEL, STATE, STATE, b)),
+    ("synth_gyro.sigma", lambda b: synth_gyro(MODEL, STATE, STATE, DT, sigma=b, rng=np.random.default_rng(0))),
+    ("estimate_kff", lambda b: estimate_kff(J, with_bad(np.zeros(9), b))),
+    ("estimate_ifb", lambda b: estimate_ifb(ImuSample(np.zeros(3), np.zeros(3)), with_bad(np.ones(3), b))),
+    ("compensate.J_eye", lambda b: compensate(Twist.zero(), with_bad(J, b, index=7), StabilizerConfig())),
+    ("compensate.J_neck", lambda b: compensate(Twist.zero(), with_bad(J, b, index=22), StabilizerConfig())),
+    ("pinv_damped.J", lambda b: pinv_damped(with_bad(J[:3, 6:], b), 1e-3)),
+    ("pinv_damped.damping", lambda b: pinv_damped(J[:3, 6:], b)),
+    ("camera_frames", lambda b: camera_frames(CHAIN, with_bad(Q, b))),
+    ("fixation_full_jacobian", lambda b: fixation_full_jacobian(CHAIN, with_bad(Q, b))),
+    ("geometric_jacobian.q", lambda b: geometric_jacobian(CHAIN, with_bad(QM, b), np.zeros(3), 7)),
+    ("geometric_jacobian.point", lambda b: geometric_jacobian(CHAIN, QM, with_bad(np.zeros(3), b), 7)),
+    ("analytic_axis_jacobian", lambda b: analytic_axis_jacobian(CHAIN, with_bad(QM, b), 9)),
+    ("forward_kinematics", lambda b: forward_kinematics(CHAIN, with_bad(QM, b))),
+]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("call", [c for _, c in ENTRY_POINTS], ids=[n for n, _ in ENTRY_POINTS])
+def test_public_entry_point_rejects_non_finite(call, bad):
+    with pytest.raises(InvalidInput), np.errstate(all="ignore"):
+        call(bad)
+
+
+@pytest.mark.parametrize(
+    "offset",
+    [Pose(np.eye(3), [0.0, math.nan, 0.0]), Pose(np.diag([1.0, 1.0, math.inf]), np.zeros(3))],
+    ids=["nan-position", "inf-rotation"],
+)
+def test_head_model_rejects_non_finite_imu_offset(offset):
+    with pytest.raises(InvalidInput, match="imu_offset must be finite"):
+        replace(MODEL, imu_offset=offset)
+
+
+def assert_frames_valid(fr):
+    for side in ("left", "right"):
+        rot, z = getattr(fr, f"rot_{side}"), getattr(fr, f"z_{side}")
+        assert np.abs(rot.T @ rot - np.eye(3)).max() <= 1e-9
+        assert np.abs(rot[:, 2] - z).max() <= 1e-9
+        assert np.isfinite(getattr(fr, f"o_{side}")).all() and np.isfinite(rot).all()
+    again = rebuilt(fr)
+    for f in fields(fr):
+        assert np.array_equal(getattr(again, f.name), getattr(fr, f.name))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_built_frames_and_states_pass_the_public_constructors(seed):
+    # camera_frames and step build their results unchecked; over random
+    # postures and plant steps (joint-limit clamps included) each result is
+    # one the public constructor accepts unchanged.
+    rng = np.random.default_rng(seed)
+    state = PlantState(
+        t=float(rng.uniform(0.0, 20.0)),
+        q=rng.uniform(-0.9, 0.9, 9),
+        qdot=rng.uniform(-1.0, 1.0, 9),
+        base_offset=rng.uniform(-1.0, 1.0, 3),
+    )
+    assert_frames_valid(camera_frames(CHAIN, state.q))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for _ in range(5):
+            cmd = StabilizerCommand(rng.uniform(-2.0, 2.0, 3), rng.uniform(-4.0, 4.0, 3))
+            state = step(
+                MODEL,
+                state,
+                rng.uniform(-3.0, 3.0, 9),
+                cmd,
+                float(rng.uniform(0.001, 0.1)),
+                active=rng.random(9) < 0.5,
+                base_vel=rng.uniform(-1.0, 1.0, 3),
+            )
+            again = rebuilt(state)
+            assert again.t == state.t
+            for name in ("q", "qdot", "base_offset"):
+                assert np.array_equal(getattr(again, name), getattr(state, name))
+            assert_frames_valid(camera_frames(CHAIN, state.q))

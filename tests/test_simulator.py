@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import warnings
+from collections import deque
 from dataclasses import replace
 
 import numpy as np
@@ -15,6 +16,7 @@ from gazestab.errors import (
     InsufficientCoverage,
     InvalidComparison,
     InvalidInput,
+    SimulationDiverged,
 )
 from gazestab.fileio import default_data_dir, parse_model_file, parse_run_config, parse_script_file
 from gazestab.models import HeadModel, default_head_model
@@ -121,6 +123,27 @@ def test_base_stage_integrates():
     s1 = step(MODEL, rest_state(), np.zeros(9), None, DT, PlantParams(), base_vel=[0.0, 0.2, -0.1])
     assert np.allclose(s1.base_offset, [0.0, 0.002, -0.001])
     assert s1.t == pytest.approx(DT)
+
+
+def test_step_diverges_rather_than_overflowing():
+    # An unlimited joint driven at 1e300 rad/s for 1e10 s overflows: the new
+    # state's one finiteness check reports it as divergence.
+    chain = KinematicChain(
+        tuple(replace(link, q_min=-math.inf, q_max=math.inf, v_max=math.inf) for link in MODEL.chain.links),
+        segments=MODEL.chain.segments,
+    )
+    model = replace(MODEL, chain=chain)
+    active = np.zeros(9, dtype=bool)
+    active[0] = True
+    with pytest.raises(SimulationDiverged, match="non-finite") as exc, np.errstate(over="ignore"):
+        step(model, rest_state(), np.full(9, 1e300), None, 1e10, active=active)
+    assert exc.value.t == 1e10
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_plant_state_rejects_non_finite_time(t):
+    with pytest.raises(InvalidInput, match="PlantState.t must be finite"):
+        PlantState(t=t, q=np.zeros(9), qdot=np.zeros(9))
 
 
 def test_step_rejects_bad_dt():
@@ -352,6 +375,18 @@ def test_camera_model_validation():
         CameraModel(width=30, border=20)
 
 
+@pytest.mark.parametrize(
+    "kw", [dict(border=math.nan), dict(width=math.nan), dict(height=math.inf), dict(width=320.0), dict(border=True)]
+)
+def test_camera_model_rejects_non_integer_sizes(kw):
+    with pytest.raises(InvalidInput, match="must be integers"):
+        CameraModel(**kw)
+
+
+def test_camera_model_accepts_numpy_integers():
+    assert CameraModel(width=np.int64(320), border=np.int32(20)).width == 320
+
+
 def test_make_cloud_deterministic_shell():
     spec = CloudSpec(n=600, r_min=5.0, r_max=6.0, seed=3)
     c1 = make_cloud(spec, [1.0, 0.0, 0.5])
@@ -561,6 +596,27 @@ def test_settings_validation():
         SimSettings(fixation_distance=0.0)
 
 
+@pytest.mark.parametrize("delay", [1.5, math.nan, math.inf, "2", True])
+def test_settings_reject_non_integer_gyro_delay(delay):
+    with pytest.raises(InvalidInput, match="gyro delay must be an integer"):
+        SimSettings(gyro_delay_ticks=delay)
+
+
+def test_gyro_delay_line_holds_only_what_it_reads(monkeypatch):
+    # iFB reads the sample gyro_delay_ticks before the newest, so the run
+    # keeps gyro_delay_ticks + 1 samples, not one per tick.
+    lengths = []
+
+    class Recorded(deque):
+        def append(self, sample):
+            super().append(sample)
+            lengths.append(len(self))
+
+    monkeypatch.setattr(simulator, "deque", Recorded)
+    log = run("ifb", gyro_delay_ticks=4)
+    assert len(lengths) == log.n_rows() - 1 and max(lengths) == 5
+
+
 def test_loop_builds_each_state_geometry_once(monkeypatch):
     # 50 ticks visit 51 plant states: one fixation point per state, one
     # fixation Jacobian per tick.
@@ -601,6 +657,50 @@ def test_loop_walks_each_head_state_once(monkeypatch):
     assert np.all(np.any(np.diff(log.q, axis=0) != 0.0, axis=1))  # the head moves every tick
     per_tick = np.diff(at_step + calls)
     assert per_tick.size == 50 and per_tick.max() <= MODEL.chain.n_joints
+
+
+def test_loop_trusts_the_values_it_builds(monkeypatch):
+    # After the first plant step the loop builds its camera frames and plant
+    # states without their constructor checks; the finiteness and joint-array
+    # checks left per tick are the public helpers' checks of their arguments
+    # and the one finiteness check of each new state.
+    import gazestab.chain
+    import gazestab.stabilizer
+    import gazestab.stereo
+
+    counts = dict.fromkeys(("isfinite", "as_joint_array", "CameraFrames", "PlantState", "ticks"), 0)
+    at_first_step = {}
+
+    def counter(key, real):
+        def counted(*args, **kw):
+            counts[key] += 1
+            return real(*args, **kw)
+
+        return counted
+
+    monkeypatch.setattr(np, "isfinite", counter("isfinite", np.isfinite))
+    aja = counter("as_joint_array", gazestab.chain.as_joint_array)
+    for mod in (gazestab.chain, gazestab.stereo, gazestab.stabilizer, simulator):
+        monkeypatch.setattr(mod, "as_joint_array", aja)
+    for cls in (CameraFrames, PlantState):
+        monkeypatch.setattr(cls, "__post_init__", counter(cls.__name__, cls.__post_init__))
+    real_step = simulator.step
+
+    def counted_step(*args, **kw):
+        if not at_first_step:
+            at_first_step.update(counts)
+        counts["ticks"] += 1
+        return real_step(*args, **kw)
+
+    monkeypatch.setattr(simulator, "step", counted_step)
+    model, script, settings = shipped("exp_a_kff")
+    log = run_experiment(model, script, replace(settings, duration=1.5))
+    assert np.any(np.diff(log.q[-50:], axis=0) != 0.0)  # the head moves after t = 1 s
+    after = {key: counts[key] - at_first_step[key] for key in counts}
+    assert after["ticks"] == 150
+    assert after["CameraFrames"] == 0 and after["PlantState"] == 0
+    assert after["isfinite"] / after["ticks"] <= 26
+    assert after["as_joint_array"] / after["ticks"] <= 12
 
 
 def test_loop_reads_the_one_head_model(monkeypatch):
