@@ -6,15 +6,18 @@
 Each tree is a checkout of this repository; its own `src/` and shipped
 configs are used.  The check
 
-* runs the ten shipped configs on both trees and compares each CSV log and
-  `.summary.json` sidecar byte for byte; on a mismatch it prints the largest
-  difference per file against the BUDGET (absolute, per CSV column or
-  sidecar value), and a metadata line, header or shape that differs is a
-  breach whatever the numbers;
+* runs the ten shipped configs on both trees, and exp_b_ifb once more with
+  `gyro-delay 3` (no shipped config exercises the iFB delay line), and
+  compares each CSV log and `.summary.json` sidecar byte for byte; on a
+  mismatch it prints the largest difference per file against the BUDGET
+  (absolute, per CSV column or sidecar value), and a metadata line, header
+  or shape that differs is a breach whatever the numbers;
 * compares the `gazestab compare` output of the exp_a, exp_b and translate
   condition sets byte for byte;
-* compares SHA-256 digests of `fixation_full_jacobian` and `camera_frames`
-  over 2,000 seeded head configurations.
+* compares SHA-256 digests of `fixation_full_jacobian`, `camera_frames`,
+  `HeadModel.imu_pose` and `synth_gyro` (without and with noise) over 2,000
+  seeded head configurations; the gyro moves from each configuration to the
+  next.
 
 It prints one line per check and exits 1 on any breach (a byte-identical
 result or a numeric difference within the budget is no breach).
@@ -36,18 +39,25 @@ SETS = {
     "translate": ("translate_off", "translate_kff", "translate_ifb"),
 }
 CONFIGURATIONS = 2000
+# exp_b_ifb rerun with its gyro samples held back this many ticks
+GYRO_DELAY = 3
+DIGESTS = ("fixation_full_jacobian", "camera_frames", "imu_pose", "synth_gyro", "synth_gyro (noise)")
 
-# Runs inside a tree: prints the two digests, one per line.
+# Runs inside a tree: prints the digests, one per line, in DIGESTS order.
 DIGEST_CODE = f"""
 import hashlib
 import numpy as np
 from gazestab.errors import SingularConfiguration
 from gazestab.models import default_head_model
-from gazestab.stereo import camera_frames, fixation_full_jacobian
+from gazestab.simulator import PlantState, synth_gyro
+from gazestab.stereo import camera_frames, expand_head_q, fixation_full_jacobian
 
-chain = default_head_model().chain
+model = default_head_model()
+chain = model.chain
 rng = np.random.default_rng(20241)
-h_jac, h_cam = hashlib.sha256(), hashlib.sha256()
+rng_noise = np.random.default_rng(71)
+h_jac, h_cam, h_imu, h_gyro, h_noisy = (hashlib.sha256() for _ in range(5))
+prev = PlantState(t=0.0, q=np.zeros(9), qdot=np.zeros(9))
 for k in range({CONFIGURATIONS}):
     q = rng.uniform(-0.9, 0.9, 9)
     q[8] = rng.uniform(0.0, 0.3)
@@ -60,9 +70,21 @@ for k in range({CONFIGURATIONS}):
         h_jac.update(fixation_full_jacobian(chain, q).tobytes())
     except SingularConfiguration:
         h_jac.update(b"singular")
-print(h_jac.hexdigest())
-print(h_cam.hexdigest())
+    pose = model.imu_pose(expand_head_q(q))
+    h_imu.update(pose.rot.tobytes() + pose.pos.tobytes())
+    state = PlantState(t=0.01 * (k + 1), q=q, qdot=np.zeros(9), base_offset=q[:3])
+    for h, kw in ((h_gyro, {{}}), (h_noisy, dict(sigma=0.005, rng=rng_noise))):
+        sample = synth_gyro(model, prev, state, 0.01, **kw)
+        h.update(sample.omega.tobytes() + sample.position.tobytes())
+    prev = state
+for h in (h_jac, h_cam, h_imu, h_gyro, h_noisy):
+    print(h.hexdigest())
 """
+
+
+def config_path(tree, name):
+    """A shipped config of a tree."""
+    return os.path.join(os.path.abspath(tree), "src", "gazestab", "data", f"{name}.config")
 
 
 def start(tree, args, cwd):
@@ -163,17 +185,24 @@ def main(argv):
         for d in outdirs:
             os.mkdir(d)
         print("logs and sidecars:")
-        for names in SETS.values():
-            for name in names:
+        delayed = f"exp_b_ifb_delay{GYRO_DELAY}"
+        for tree, d in zip(trees, outdirs):
+            # beside each tree's outputs: its model and script resolve to that tree's packaged data
+            with open(config_path(tree, "exp_b_ifb"), encoding="utf-8") as fh:
+                text = fh.read()
+            with open(os.path.join(d, f"{delayed}.config"), "w", encoding="utf-8") as fh:
+                fh.write(f"{text}gyro-delay {GYRO_DELAY}\n")
+        runs = [name for names in SETS.values() for name in names]
+        for name in runs + [delayed]:
 
-                def run_args(tree, name=name):
-                    config = os.path.join(os.path.abspath(tree), "src", "gazestab", "data", f"{name}.config")
-                    return ["-m", "gazestab.cli", "run", "--config", config, "--out", f"{name}.csv"]
+            def run_args(tree, name=name):
+                config = f"{delayed}.config" if name == delayed else config_path(tree, name)
+                return ["-m", "gazestab.cli", "run", "--config", config, "--out", f"{name}.csv"]
 
-                both(trees, outdirs, run_args, f"run {name}")
-                old, new = (os.path.join(d, name) for d in outdirs)
-                breaches += report(f"{name}.csv", old + ".csv", new + ".csv", csv_difference)
-                breaches += report(f"{name}.summary.json", old + ".summary.json", new + ".summary.json", sidecar_difference)
+            both(trees, outdirs, run_args, f"run {name}")
+            old, new = (os.path.join(d, name) for d in outdirs)
+            breaches += report(f"{name}.csv", old + ".csv", new + ".csv", csv_difference)
+            breaches += report(f"{name}.summary.json", old + ".summary.json", new + ".summary.json", sidecar_difference)
         print("gazestab compare:")
         for set_name, names in SETS.items():
             args = ["-m", "gazestab.cli", "compare", "--baseline", *(f"{n}.csv" for n in names)]
@@ -186,7 +215,7 @@ def main(argv):
             breaches += not same
         print(f"digests over {CONFIGURATIONS} seeded configurations:")
         old, new = both(trees, outdirs, lambda tree: ["-c", DIGEST_CODE], "digests")
-        for label, a, b in zip(("fixation_full_jacobian", "camera_frames"), old.split(), new.split()):
+        for label, a, b in zip(DIGESTS, old.split(), new.split()):
             same = a == b
             print(f"  {label:<38} {'identical' if same else 'BREACH: differs'} {b[:16]}")
             breaches += not same

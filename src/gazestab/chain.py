@@ -95,6 +95,13 @@ class Pose:
         return Pose(rt, -rt @ self.pos)
 
 
+def _is_rigid(pose: Pose) -> bool:
+    """A finite translation and a finite orthonormal rotation."""
+    rot = pose.rot
+    finite = np.isfinite(rot).all() and np.isfinite(pose.pos).all()
+    return bool(finite and np.abs(rot.T @ rot - np.eye(3)).max() <= 1e-9)
+
+
 @dataclass(frozen=True)
 class DHLink:
     """One revolute link: DH parameters plus joint limits.
@@ -189,8 +196,7 @@ class KinematicChain:
             if idx and idx != list(range(idx[0], idx[0] + len(idx))):
                 raise InvalidInput(f"{tag} links must be contiguous")
         object.__setattr__(self, "segments", segs)
-        rot, pos = self.base_pose.rot, self.base_pose.pos
-        if not (np.isfinite(pos).all() and np.abs(rot.T @ rot - np.eye(3)).max() <= 1e-9):
+        if not _is_rigid(self.base_pose):
             raise InvalidInput("base_pose must be a finite rigid transform (orthonormal rotation)")
 
     @property
@@ -254,7 +260,8 @@ def dh_matrix(link: DHLink, q: float) -> np.ndarray:
 
 
 def _cross_rows(a, b) -> np.ndarray:
-    """np.cross(a, b).T for a (k, 3) stack a and a (k, 3) stack or 3-vector b.
+    """np.cross(a, b).T for a (k, 3) stack a and a (k, 3) stack or 3-vector
+    b, or np.cross(a, b) for two 3-vectors.
 
     The products and differences are np.cross's own, in its operand order, so
     the bits match; it skips np.cross's axis moves, which cost more than the

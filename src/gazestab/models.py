@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain import DHLink, KinematicChain, Pose, forward_kinematics
+from .chain import DHLink, KinematicChain, Pose, _is_rigid, forward_kinematics
 from .errors import InvalidInput
 from .stereo import head_layout
 
@@ -31,7 +31,8 @@ class HeadModel:
     """A torso-neck-eyes chain bundled with its IMU attachment.
 
     imu_link must be a neck link (the sensor rides on the head, upstream of
-    both eye branches); imu_offset is expressed in that link's frame.
+    both eye branches); imu_offset is a finite rigid transform (orthonormal
+    rotation) expressed in that link's frame.
     """
 
     chain: KinematicChain
@@ -44,8 +45,8 @@ class HeadModel:
         if self.chain.segments[self.imu_link] != "neck":
             raise InvalidInput("IMU must be attached to a neck link")
         head_layout(self.chain)
-        if not np.isfinite(self.imu_offset.matrix()).all():
-            raise InvalidInput("imu_offset must be finite")
+        if not _is_rigid(self.imu_offset):
+            raise InvalidInput("imu_offset must be finite, with an orthonormal rotation")
         names = tuple(self.trunk_names) or tuple(f"joint-{i}" for i in range(6))
         if len(names) != 6 or len(set(names)) != 6:
             raise InvalidInput("trunk_names must be six distinct joint names")
@@ -58,7 +59,15 @@ class HeadModel:
 
     def imu_pose(self, q_mech) -> Pose:
         """World pose of the IMU given mechanical joint values."""
-        return forward_kinematics(self.chain, q_mech, self.imu_link) @ self.imu_offset
+        link = forward_kinematics(self.chain, q_mech, self.imu_link)
+        return Pose(*_imu_world(self, link.rot, link.pos))
+
+
+def _imu_world(model: HeadModel, rot, pos):
+    """(rotation, position) of the IMU in the world, given its link frame's
+    world rotation and position: the link frame composed with imu_offset."""
+    off = model.imu_offset
+    return rot @ off.rot, rot @ off.pos + pos
 
 
 def default_head_model() -> HeadModel:

@@ -16,7 +16,11 @@ The gyro is synthesized from the IMU link's relative rotation between two
 states (rotation log-map over one tick, mapped to the world frame), so it
 faithfully measures disturbance *plus* the stabilizer's own neck motion; the
 control loop subtracts the latter (efference copy from executed velocities)
-before the lever-arm reconstruction.
+before the lever-arm reconstruction.  synth_gyro walks the IMU link of both
+states it is given; the loop instead reads each state's IMU pose from that
+state's one head pass (the IMU rides on a neck link, shared by both eye
+paths, so the pass holds its frame) and forms the same sample from the two
+carried poses.
 
 The stabilization metric projects a static random point cloud through the
 left pinhole camera at consecutive states and averages the pixel
@@ -28,7 +32,8 @@ the arguments a caller passes, and run_experiment's inputs are checked when
 they are built.  Values built from checked ones are not checked again: step
 builds its new PlantState unchecked after one finiteness check of the new q,
 qdot and base offset (SimulationDiverged), and the loop builds its own
-Twist and ImuSample values unchecked.
+Twist and ImuSample values unchecked (its gyro samples rest on the head
+model's imu_offset, a finite rigid transform).
 """
 
 from __future__ import annotations
@@ -47,9 +52,8 @@ from .errors import (
     InvalidInput,
     JointLimitWarning,
     SimulationDiverged,
-    SingularConfiguration,
 )
-from .models import BASE_CHANNELS, HeadModel
+from .models import BASE_CHANNELS, HeadModel, _imu_world
 from .stabilizer import (
     ImuSample,
     StabilizerCommand,
@@ -59,7 +63,7 @@ from .stabilizer import (
     estimate_ifb,
     estimate_kff,
 )
-from .stereo import _collapse, _expand, camera_frames, fixation_full_jacobian, fixation_point
+from .stereo import _collapse, _expand, _head_pass, camera_frames, fixation_full_jacobian
 
 DEFAULT_DT = 0.01
 DEFAULT_GYRO_SIGMA = 0.005  # rad/s, per axis
@@ -241,16 +245,22 @@ def synth_gyro(
         raise InvalidInput("dt must be positive and finite")
     if not (sigma >= 0.0 and math.isfinite(sigma)):
         raise InvalidInput("gyro noise sigma must be finite and >= 0")
+    if sigma > 0.0 and rng is None:
+        raise InvalidInput("gyro noise requires an rng")
     pose_prev = model.imu_pose(_expand(state_prev.q))
     pose_next = model.imu_pose(_expand(state_next.q))
-    rel = pose_prev.rot.T @ pose_next.rot
-    omega_body = _so3_log(rel) / dt
-    omega = pose_prev.rot @ omega_body
-    if sigma > 0.0:
-        if rng is None:
-            raise InvalidInput("gyro noise requires an rng")
-        omega = omega + rng.normal(0.0, sigma, 3)
+    omega = _gyro_omega(pose_prev.rot, pose_next.rot, dt, sigma, rng)
     return ImuSample(omega=omega, position=pose_next.pos + state_next.base_offset)
+
+
+def _gyro_omega(rot_prev, rot_next, dt, sigma, rng) -> np.ndarray:
+    """World-frame gyro rate between two IMU orientations: the log-map of
+    rot_prev^T rot_next over dt, rotated to the world, plus noise drawn from
+    rng only when sigma > 0.  synth_gyro and the loop both use it."""
+    omega = rot_prev @ (_so3_log(rot_prev.T @ rot_next) / dt)
+    if sigma > 0.0:
+        omega = omega + rng.normal(0.0, sigma, 3)
+    return omega
 
 
 # ------------------------------------------------------------- flow metric
@@ -581,16 +591,21 @@ def initial_state(model: HeadModel, fixation_distance: float) -> PlantState:
     return PlantState(t=0.0, q=q0, qdot=np.zeros(9))
 
 
-def _world_geometry(cam, cloud, frames, base_offset):
-    """The cloud's projection into the left camera (a _project result, what
-    _flow reads) and the fixation point (None when the optical axes are
-    parallel), in the world: the head frames moved rigidly by the base
-    offset."""
-    try:
-        x_fp = fixation_point(frames).point + base_offset
-    except SingularConfiguration:
-        x_fp = None
-    return _project(cam, frames.rot_left, frames.o_left + base_offset, cloud), x_fp
+def _world_geometry(model, cam, cloud, state, imu):
+    """What the loop reads about a plant state, from its one head pass (see
+    gazestab.stereo), in the world -- the head moved rigidly by the base
+    offset: the cloud's projection into the left camera (a _project result,
+    what _flow reads), the fixation point (None when the optical axes are
+    parallel) and, if imu, the IMU's (rotation, position)."""
+    _, _, stack, frames, fx = _head_pass(model.chain, state.q)
+    b = state.base_offset
+    proj = _project(cam, frames.rot_left, frames.o_left + b, cloud)
+    x_fp = None if fx is None else fx.point + b
+    if not imu:
+        return proj, x_fp, None
+    link = stack[model.imu_link]
+    rot, pos = _imu_world(model, link[:3, :3], link[:3, 3])
+    return proj, x_fp, (rot, pos + b)
 
 
 def run_experiment(model: HeadModel, script: DisturbanceScript, settings: SimSettings) -> TrajectoryLog:
@@ -603,10 +618,11 @@ def run_experiment(model: HeadModel, script: DisturbanceScript, settings: SimSet
     leaves the head passive.  On a parallel-gaze tick the fixation Jacobian
     does not exist and the previous command is held.
 
-    Each state's camera frames, fixation point and cloud projection are
-    built once, at the end of the tick that produced it, and carried into
-    the next; the next tick's fixation Jacobian reuses that state's head
-    pass (see gazestab.stereo).
+    Each state's camera frames, fixation point, cloud projection and (in
+    "ifb" mode) IMU pose are read from its one head pass, at the end of the
+    tick that produced it, and carried into the next; the next tick's
+    fixation Jacobian reuses that pass (see gazestab.stereo), and its gyro
+    sample is formed from the two carried IMU poses as synth_gyro forms it.
     """
     duration = settings.duration if settings.duration is not None else script.duration() + 0.5
     ticks = duration / settings.dt
@@ -624,7 +640,8 @@ def run_experiment(model: HeadModel, script: DisturbanceScript, settings: SimSet
     state = initial_state(model, settings.fixation_distance)
     frames = camera_frames(model.chain, state.q)
     cloud = make_cloud(settings.cloud, 0.5 * (frames.o_left + frames.o_right))
-    proj, x_fp = _world_geometry(settings.cam, cloud, frames, state.base_offset)
+    ifb = cfg.mode == "ifb"
+    proj, x_fp, imu = _world_geometry(model, settings.cam, cloud, state, ifb)
 
     n_rows = n_ticks + 1
     log = TrajectoryLog(
@@ -659,7 +676,6 @@ def run_experiment(model: HeadModel, script: DisturbanceScript, settings: SimSet
     else:
         log.fp[0] = x_fp
 
-    prev_state = state
     zero_twist, hold = Twist.zero(), StabilizerCommand.hold()
     prev_cmd = hold
     # the iFB delay line: the newest sample and the gyro_delay_ticks before it
@@ -674,26 +690,18 @@ def run_experiment(model: HeadModel, script: DisturbanceScript, settings: SimSet
             if cfg.mode == "kff" and not singular_now:
                 est = estimate_kff(J, track.commanded_qdot[k])
                 est = _unchecked(Twist, v=est.v + track.commanded_base[k], omega=est.omega)
-            elif cfg.mode == "ifb" and not singular_now:
+            elif ifb and not singular_now:
                 if k == 0:
-                    position = model.imu_pose(_expand(state.q)).pos + state.base_offset
-                    sample = _unchecked(ImuSample, omega=np.zeros(3), position=position)
+                    omega = np.zeros(3)
                 else:
-                    sample = synth_gyro(
-                        model,
-                        prev_state,
-                        state,
-                        settings.dt,
-                        sigma=settings.gyro_sigma,
-                        rng=rng_gyro,
-                    )
-                    # efference copy: remove the neck's own rotation (executed
+                    # synth_gyro's sample between the carried IMU poses, less
+                    # the efference copy: the neck's own rotation (executed
                     # velocities over the same window the gyro integrated);
                     # script-owned neck channels are disturbance, not self-motion
+                    omega = _gyro_omega(imu_prev[0], imu[0], settings.dt, settings.gyro_sigma, rng_gyro)
                     self_qdot = np.where(track.active[k - 1][3:6], 0.0, state.qdot[3:6])
-                    self_omega = J[3:6, 3:6] @ self_qdot
-                    sample = _unchecked(ImuSample, omega=sample.omega - self_omega, position=sample.position)
-                gyro_buffer.append(sample)
+                    omega = omega - J[3:6, 3:6] @ self_qdot
+                gyro_buffer.append(_unchecked(ImuSample, omega=omega, position=imu[1]))
                 use = (
                     gyro_buffer[-1 - settings.gyro_delay_ticks]
                     if len(gyro_buffer) > settings.gyro_delay_ticks
@@ -723,8 +731,7 @@ def run_experiment(model: HeadModel, script: DisturbanceScript, settings: SimSet
 
             # --- log row k+1 --------------------------------------------
             row = k + 1
-            frames_next = camera_frames(model.chain, new_state.q)
-            proj_next, fp_next = _world_geometry(settings.cam, cloud, frames_next, new_state.base_offset)
+            proj_next, fp_next, imu_next = _world_geometry(model, settings.cam, cloud, new_state, ifb)
             optfl, n_valid = _flow(proj, proj_next)
             if n_valid < MIN_FLOW_POINTS:
                 raise InsufficientCoverage(
@@ -750,9 +757,8 @@ def run_experiment(model: HeadModel, script: DisturbanceScript, settings: SimSet
             if not math.isfinite(optfl):
                 raise SimulationDiverged("flow metric became non-finite", t=new_state.t)
 
-            prev_state = state
-            prev_cmd = cmd
-            state, proj, x_fp = new_state, proj_next, fp_next
+            prev_cmd, imu_prev = cmd, imu
+            state, proj, x_fp, imu = new_state, proj_next, fp_next, imu_next
     except (SimulationDiverged, InsufficientCoverage) as err:
         rows = int(np.count_nonzero(log.t > 0.0)) + 1  # completed rows
         err.partial_log = _truncate_log(log, rows)

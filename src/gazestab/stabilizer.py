@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import as_joint_array
+from .chain import _cross_rows, as_joint_array
 from .errors import InvalidInput, SingularMatrix
 
 DEFAULT_DAMPING = 1e-3
@@ -156,14 +156,17 @@ def pinv_damped(J, damping: float) -> np.ndarray:
 def _require_fixation_jacobian(J) -> None:
     if np.shape(J) != (6, 9):
         raise InvalidInput(f"J must be the 6x9 fixation Jacobian, got shape {np.shape(J)}")
+    if not np.isfinite(J).all():
+        raise InvalidInput("J must be finite")
 
 
 def estimate_kff(J, qdot) -> Twist:
     """Fixation twist predicted from commanded joint rates (feedforward).
 
-    J is the 6x9 fixation Jacobian at the current posture and qdot the nine
-    commanded rates.  The control loop passes only the commanded disturbance
-    rates: the stabilizer's own outputs must not re-enter its input.
+    J is the finite 6x9 fixation Jacobian at the current posture and qdot
+    the nine commanded rates.  The control loop passes only the commanded
+    disturbance rates: the stabilizer's own outputs must not re-enter its
+    input.
     """
     _require_fixation_jacobian(J)
     xi = J @ as_joint_array(qdot, 9, name="qdot")
@@ -181,7 +184,7 @@ def estimate_ifb(imu: ImuSample, x_fp) -> Twist:
     if x_fp.shape != (3,) or not np.isfinite(x_fp).all():
         raise InvalidInput("x_fp must be a finite 3-vector")
     lever = x_fp - imu.position
-    return Twist(np.cross(imu.omega, lever), imu.omega)
+    return Twist(_cross_rows(imu.omega, lever), imu.omega)
 
 
 # ------------------------------------------------------------- compensation
@@ -190,12 +193,12 @@ def estimate_ifb(imu: ImuSample, x_fp) -> Twist:
 def compensate(twist: Twist, J, config: StabilizerConfig) -> StabilizerCommand:
     """Neck/eye joint rates that cancel the estimated fixation twist.
 
-    J is the 6x9 fixation Jacobian at the current posture.  Neck joints null
-    the rotational component, eyes null the translational one; with
-    config.sequential the eye target also includes the translation the new
-    neck command itself induces at the fixation point.  Outputs are saturated
-    componentwise.  A parallel-gaze posture has no Jacobian, so the caller
-    holds its previous command instead.
+    J is the finite 6x9 fixation Jacobian at the current posture.  Neck
+    joints null the rotational component, eyes null the translational one;
+    with config.sequential the eye target also includes the translation the
+    new neck command itself induces at the fixation point.  Outputs are
+    saturated componentwise.  A parallel-gaze posture has no Jacobian, so the
+    caller holds its previous command instead.
     """
     _require_fixation_jacobian(J)
     neck_trans = J[0:3, 3:6]

@@ -23,10 +23,13 @@ fixation Jacobian is done with respect to the *mechanical* variables
 pan reaches the other camera's ray parameter through the shared terms above
 -- then folded onto (tilt, version, vergence) by the chain rule.
 
-camera_frames and fixation_full_jacobian read one DH pass per head state.
-The last pass is kept: a repeat call on the same chain object and q reuses
-it (q is still validated), so a state's camera frames and its Jacobian cost
-one walk.  The kept arrays are read-only.
+camera_frames and fixation_full_jacobian read one DH pass per head state:
+the link frames, the camera frames and the fixation point (None when the
+optical axes are parallel).  The last pass is kept: a repeat call on the
+same chain object and q reuses it (q is still validated), so a state's
+camera frames, fixation point and Jacobian cost one walk.  The kept arrays
+are read-only.  The simulation loop reads the pass directly, for the
+camera frames, the fixation point and the IMU link's frame.
 
 Checks sit at the public edge: each public function and constructor checks
 what its caller passes.  The camera frames of a pass are products of DH
@@ -198,9 +201,11 @@ _last_head_pass = (None, b"", None)
 
 
 def _head_pass(chain: KinematicChain, q):
-    """Layout, mechanical q, link_frames stack and camera frames of a 9-DoF
-    head state: the one DH walk camera_frames and fixation_full_jacobian read.
-    A repeat call on the same chain object and q returns the last pass."""
+    """Layout, mechanical q, link_frames stack, camera frames and fixation
+    point (None when the optical axes are parallel) of a 9-DoF head state:
+    the one DH walk camera_frames, fixation_full_jacobian and the simulation
+    loop read.  A repeat call on the same chain object and q returns the
+    last pass."""
     global _last_head_pass
     qm = expand_head_q(q)
     key = qm.tobytes()
@@ -220,9 +225,14 @@ def _head_pass(chain: KinematicChain, q):
         rot_left=pose_l.rot,
         rot_right=pose_r.rot,
     )
-    qm.setflags(write=False)
-    frames.setflags(write=False)
-    result = (lay, qm, frames, cams)
+    try:
+        fx = fixation_point(cams)
+    except SingularConfiguration:
+        fx = None
+    kept = (qm, frames) if fx is None else (qm, frames, fx.point, fx.p_left, fx.p_right)
+    for a in kept:
+        a.setflags(write=False)
+    result = (lay, qm, frames, cams, fx)
     _last_head_pass = (chain, key, result)
     return result
 
@@ -306,8 +316,9 @@ def fixation_full_jacobian(chain: KinematicChain, q) -> np.ndarray:
 
     Raises SingularConfiguration when the optical axes are parallel.
     """
-    lay, qm, frames, fr = _head_pass(chain, q)
-    fx = fixation_point(fr)
+    lay, qm, frames, fr, fx = _head_pass(chain, q)
+    if fx is None:
+        fixation_point(fr)  # raises the pass's SingularConfiguration
     ol, zl, orr, zr = fr.o_left, fr.z_left, fr.o_right, fr.z_right
 
     # Each camera's origin and axis partials against (tilt, left pan, right

@@ -246,11 +246,14 @@ FINITE = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 
 
 @settings(max_examples=60, deadline=None)
-@given(data=st.data(), k=st.integers(1, 8), broadcast=st.booleans())
+@given(data=st.data(), k=st.integers(0, 8), broadcast=st.booleans())
 def test_cross_rows_matches_np_cross_bytes(data, k, broadcast):
-    a = data.draw(arrays(np.float64, (k, 3), elements=FINITE))
-    b = data.draw(arrays(np.float64, (3,) if broadcast else (k, 3), elements=FINITE))
-    assert _cross_rows(a, b).tobytes() == np.cross(a, b).T.tobytes()
+    # k = 0 draws two 3-vectors: estimate_ifb's lever-arm product
+    a = data.draw(arrays(np.float64, (k, 3) if k else (3,), elements=FINITE))
+    b = data.draw(arrays(np.float64, (3,) if broadcast or not k else (k, 3), elements=FINITE))
+    expected = np.cross(a, b).T
+    assert _cross_rows(a, b).shape == expected.shape
+    assert _cross_rows(a, b).tobytes() == expected.tobytes()
 
 
 def test_limit_arrays_are_cached_and_read_only():

@@ -67,6 +67,7 @@ ENTRY_POINTS = [
     ("synth_gyro.dt", lambda b: synth_gyro(MODEL, STATE, STATE, b)),
     ("synth_gyro.sigma", lambda b: synth_gyro(MODEL, STATE, STATE, DT, sigma=b, rng=np.random.default_rng(0))),
     ("estimate_kff", lambda b: estimate_kff(J, with_bad(np.zeros(9), b))),
+    ("estimate_kff.J", lambda b: estimate_kff(with_bad(J, b, index=22), np.ones(9))),
     ("estimate_ifb", lambda b: estimate_ifb(ImuSample(np.zeros(3), np.zeros(3)), with_bad(np.ones(3), b))),
     ("compensate.J_eye", lambda b: compensate(Twist.zero(), with_bad(J, b, index=7), StabilizerConfig())),
     ("compensate.J_neck", lambda b: compensate(Twist.zero(), with_bad(J, b, index=22), StabilizerConfig())),
@@ -81,10 +82,14 @@ ENTRY_POINTS = [
 ]
 
 
+# The message each of these rows must raise: the fault named where it enters.
+MESSAGES = {name: "J must be finite" for name in ("estimate_kff.J", "compensate.J_eye", "compensate.J_neck")}
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
-@pytest.mark.parametrize("call", [c for _, c in ENTRY_POINTS], ids=[n for n, _ in ENTRY_POINTS])
-def test_public_entry_point_rejects_non_finite(call, bad):
-    with pytest.raises(InvalidInput), np.errstate(all="ignore"):
+@pytest.mark.parametrize(("name", "call"), ENTRY_POINTS, ids=[n for n, _ in ENTRY_POINTS])
+def test_public_entry_point_rejects_non_finite(name, call, bad):
+    with pytest.raises(InvalidInput, match=MESSAGES.get(name)), np.errstate(all="ignore"):
         call(bad)
 
 
@@ -96,6 +101,23 @@ def test_public_entry_point_rejects_non_finite(call, bad):
 def test_head_model_rejects_non_finite_imu_offset(offset):
     with pytest.raises(InvalidInput, match="imu_offset must be finite"):
         replace(MODEL, imu_offset=offset)
+
+
+@pytest.mark.parametrize(
+    "rot",
+    [2.0 * np.eye(3), np.array([[1.0, 1e-6, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])],
+    ids=["scaled", "sheared"],
+)
+def test_head_model_rejects_non_rigid_imu_offset(rot):
+    # the loop forms gyro samples unchecked from this rotation
+    with pytest.raises(InvalidInput, match="orthonormal rotation"):
+        replace(MODEL, imu_offset=Pose(rot, np.zeros(3)))
+
+
+def test_head_model_accepts_a_rotated_imu_mount():
+    c, s = math.cos(0.3), math.sin(0.3)
+    rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    assert np.array_equal(replace(MODEL, imu_offset=Pose(rot, np.zeros(3))).imu_offset.rot, rot)
 
 
 def assert_frames_valid(fr):

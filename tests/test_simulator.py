@@ -40,7 +40,7 @@ from gazestab.simulator import (
     summarize,
     synth_gyro,
 )
-from gazestab.stabilizer import StabilizerCommand, StabilizerConfig
+from gazestab.stabilizer import ImuSample, StabilizerCommand, StabilizerConfig, estimate_ifb
 from gazestab.stereo import CameraFrames, camera_frames, expand_head_q, fixation_full_jacobian, fixation_point
 
 MODEL = default_head_model()
@@ -618,24 +618,29 @@ def test_gyro_delay_line_holds_only_what_it_reads(monkeypatch):
 
 
 def test_loop_builds_each_state_geometry_once(monkeypatch):
-    # 50 ticks visit 51 plant states: one fixation point per state, one
-    # fixation Jacobian per tick.
-    counts = dict.fromkeys(("fixation_point", "fixation_full_jacobian"), 0)
-    for name in counts:
+    # 50 ticks: one fixation Jacobian per tick, and one fixation point per
+    # head pass (each pass walks the links once), never more.
+    import gazestab.stereo
 
-        def counted(*args, _name=name, _real=getattr(simulator, name), **kw):
+    counts = dict.fromkeys(("fixation_point", "link_frames", "fixation_full_jacobian"), 0)
+    for name in counts:
+        mod = simulator if name == "fixation_full_jacobian" else gazestab.stereo
+
+        def counted(*args, _name=name, _real=getattr(mod, name), **kw):
             counts[_name] += 1
             return _real(*args, **kw)
 
-        monkeypatch.setattr(simulator, name, counted)
+        monkeypatch.setattr(mod, name, counted)
+    monkeypatch.setattr(gazestab.stereo, "_last_head_pass", (None, b"", None))
     model, script, settings = shipped("exp_a_kff")
     run_experiment(model, script, replace(settings, duration=0.5))
-    assert counts == {"fixation_point": 51, "fixation_full_jacobian": 50}
+    assert counts["fixation_full_jacobian"] == 50
+    assert counts["fixation_point"] == counts["link_frames"] <= 52
 
 
-def test_loop_walks_each_head_state_once(monkeypatch):
-    # Between two plant steps the loop walks the new state once, for its
-    # camera frames; the next tick's fixation Jacobian reuses that walk.
+def dh_calls_between_steps(monkeypatch, mode):
+    """dh_matrix calls between consecutive plant steps of a 0.5 s run whose
+    head moves every tick."""
     import gazestab.chain
 
     calls = [0]
@@ -653,10 +658,55 @@ def test_loop_walks_each_head_state_once(monkeypatch):
     monkeypatch.setattr(gazestab.chain, "dh_matrix", counted_dh)
     monkeypatch.setattr(simulator, "step", counted_step)
     script = DisturbanceScript("yaw", segments=(ScriptSegment(0.0, 0.5, "torso-yaw", 0.35),))
-    log = run_experiment(MODEL, script, SimSettings(control=StabilizerConfig(mode="kff"), duration=0.5))
+    log = run_experiment(MODEL, script, SimSettings(control=StabilizerConfig(mode=mode), duration=0.5))
     assert np.all(np.any(np.diff(log.q, axis=0) != 0.0, axis=1))  # the head moves every tick
-    per_tick = np.diff(at_step + calls)
+    assert not log.singular.any()
+    return np.diff(at_step + calls)
+
+
+def test_loop_walks_each_head_state_once(monkeypatch):
+    # Between two plant steps the loop walks the new state once, for its
+    # camera frames; the next tick's fixation Jacobian reuses that walk.
+    per_tick = dh_calls_between_steps(monkeypatch, "kff")
     assert per_tick.size == 50 and per_tick.max() <= MODEL.chain.n_joints
+
+
+def test_ifb_loop_walks_each_head_state_once(monkeypatch):
+    # The gyro reads the IMU pose from each state's head pass, with no IMU
+    # walk of its own, so an iFB tick also walks only the new state.
+    per_tick = dh_calls_between_steps(monkeypatch, "ifb")
+    assert per_tick.size == 50 and per_tick.max() <= MODEL.chain.n_joints
+
+
+@pytest.mark.parametrize("delay", [0, 3])
+def test_ifb_estimates_match_the_public_gyro_route(delay):
+    # Each logged iFB estimate equals, bit for bit, the one built through the
+    # public functions from the logged states: synth_gyro on the run's gyro
+    # rng, less the efference copy of the neck's own executed rates, delayed
+    # by gyro_delay_ticks, then estimate_ifb at the state's fixation point.
+    model, script, settings = shipped("exp_b_ifb")
+    settings = replace(settings, duration=1.0, gyro_delay_ticks=delay)
+    assert settings.gyro_sigma > 0.0
+    log = run_experiment(model, script, settings)
+    assert not log.singular.any()
+    n = log.n_rows() - 1
+    track = script.realize(model, settings.dt, n)
+    rng = np.random.default_rng(np.random.SeedSequence((settings.seed, 71)))
+    states = [PlantState(log.t[k], log.q[k], log.qdot[k], log.base_offset[k]) for k in range(n + 1)]
+    samples = []
+    for k in range(n):
+        state = states[k]
+        J = fixation_full_jacobian(model.chain, state.q)
+        if k == 0:
+            sample = ImuSample(np.zeros(3), model.imu_pose(expand_head_q(state.q)).pos + state.base_offset)
+        else:
+            gyro = synth_gyro(model, states[k - 1], state, settings.dt, sigma=settings.gyro_sigma, rng=rng)
+            self_qdot = np.where(track.active[k - 1][3:6], 0.0, state.qdot[3:6])
+            sample = ImuSample(gyro.omega - J[3:6, 3:6] @ self_qdot, gyro.position)
+        samples.append(sample)
+        use = samples[k - delay] if k >= delay else ImuSample(np.zeros(3), samples[0].position)
+        x_fp = fixation_point(camera_frames(model.chain, state.q)).point + state.base_offset
+        assert estimate_ifb(use, x_fp).as_array().tobytes() == log.est_twist[k + 1].tobytes(), k
 
 
 def test_loop_trusts_the_values_it_builds(monkeypatch):

@@ -449,8 +449,9 @@ def test_head_pass_misses_on_another_chain_or_q(monkeypatch):
 
 
 def test_head_pass_arrays_are_read_only():
-    lay, qm, frames, cams = stereo._head_pass(CHAIN, head_q(np.random.default_rng(316)))
-    for arr in (qm, frames, cams.o_left, cams.z_right, cams.rot_left):
+    lay, qm, frames, cams, fx = stereo._head_pass(CHAIN, head_q(np.random.default_rng(316)))
+    assert fx is not None
+    for arr in (qm, frames, cams.o_left, cams.z_right, cams.rot_left, fx.point, fx.p_left, fx.p_right):
         with pytest.raises(ValueError):
             arr[0] = 0.0
 
