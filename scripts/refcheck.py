@@ -15,9 +15,11 @@ configs are used.  The check
 * compares the `gazestab compare` output of the exp_a, exp_b and translate
   condition sets byte for byte;
 * compares SHA-256 digests of `fixation_full_jacobian`, `camera_frames`,
-  `HeadModel.imu_pose` and `synth_gyro` (without and with noise) over 2,000
-  seeded head configurations; the gyro moves from each configuration to the
-  next.
+  `HeadModel.imu_pose`, `synth_gyro` (without and with noise) and
+  `compensate` over 2,000 seeded head configurations; the gyro moves from
+  each configuration to the next, and `compensate` cancels the
+  `estimate_kff` twist of seeded rates under the default `neck-eyes` joint
+  set and under `eyes`.
 
 It prints one line per check and exits 1 on any breach (a byte-identical
 result or a numeric difference within the budget is no breach).
@@ -41,7 +43,7 @@ SETS = {
 CONFIGURATIONS = 2000
 # exp_b_ifb rerun with its gyro samples held back this many ticks
 GYRO_DELAY = 3
-DIGESTS = ("fixation_full_jacobian", "camera_frames", "imu_pose", "synth_gyro", "synth_gyro (noise)")
+DIGESTS = ("fixation_full_jacobian", "camera_frames", "imu_pose", "synth_gyro", "synth_gyro (noise)", "compensate")
 
 # Runs inside a tree: prints the digests, one per line, in DIGESTS order.
 DIGEST_CODE = f"""
@@ -50,13 +52,16 @@ import numpy as np
 from gazestab.errors import SingularConfiguration
 from gazestab.models import default_head_model
 from gazestab.simulator import PlantState, synth_gyro
+from gazestab.stabilizer import StabilizerConfig, compensate, estimate_kff
 from gazestab.stereo import camera_frames, expand_head_q, fixation_full_jacobian
 
 model = default_head_model()
 chain = model.chain
 rng = np.random.default_rng(20241)
 rng_noise = np.random.default_rng(71)
-h_jac, h_cam, h_imu, h_gyro, h_noisy = (hashlib.sha256() for _ in range(5))
+rng_rates = np.random.default_rng(72)  # its own stream: the configurations stay as they were
+controls = (StabilizerConfig(), StabilizerConfig(dof_set="eyes"))
+h_jac, h_cam, h_imu, h_gyro, h_noisy, h_comp = (hashlib.sha256() for _ in range(6))
 prev = PlantState(t=0.0, q=np.zeros(9), qdot=np.zeros(9))
 for k in range({CONFIGURATIONS}):
     q = rng.uniform(-0.9, 0.9, 9)
@@ -66,10 +71,17 @@ for k in range({CONFIGURATIONS}):
     fr = camera_frames(chain, q)
     for a in (fr.o_left, fr.o_right, fr.z_left, fr.z_right, fr.rot_left, fr.rot_right):
         h_cam.update(np.ascontiguousarray(a).tobytes())
+    rates = rng_rates.uniform(-2.0, 2.0, 9)
     try:
-        h_jac.update(fixation_full_jacobian(chain, q).tobytes())
+        J = fixation_full_jacobian(chain, q)
     except SingularConfiguration:
         h_jac.update(b"singular")
+    else:
+        h_jac.update(J.tobytes())
+        twist = estimate_kff(J, rates)
+        for control in controls:
+            cmd = compensate(twist, J, control)
+            h_comp.update(cmd.qdot_neck.tobytes() + cmd.qdot_eye.tobytes() + bytes([cmd.saturated]))
     pose = model.imu_pose(expand_head_q(q))
     h_imu.update(pose.rot.tobytes() + pose.pos.tobytes())
     state = PlantState(t=0.01 * (k + 1), q=q, qdot=np.zeros(9), base_offset=q[:3])
@@ -77,7 +89,7 @@ for k in range({CONFIGURATIONS}):
         sample = synth_gyro(model, prev, state, 0.01, **kw)
         h.update(sample.omega.tobytes() + sample.position.tobytes())
     prev = state
-for h in (h_jac, h_cam, h_imu, h_gyro, h_noisy):
+for h in (h_jac, h_cam, h_imu, h_gyro, h_noisy, h_comp):
     print(h.hexdigest())
 """
 

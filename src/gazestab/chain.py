@@ -31,8 +31,8 @@ TRUNK_TAGS = ("link", "torso", "neck")
 EYE_TAGS = ("left-eye", "right-eye")
 
 
-def _readonly(a):
-    a = np.array(a, dtype=float)
+def _readonly(a, dtype=float):
+    a = np.array(a, dtype=dtype)
     a.setflags(write=False)
     return a
 
@@ -208,17 +208,33 @@ class KinematicChain:
 
     def path_indices(self, link_index: int) -> list[int]:
         """Links contributing to link_index's pose, base outward."""
+        return self._path(link_index)[0].tolist()
+
+    def _path(self, link_index: int) -> tuple[np.ndarray, np.ndarray]:
+        """link_index's row of the path table, range-checked."""
         if not 0 <= link_index < self.n_joints:
             raise IndexError(f"link_index {link_index} out of range [0, {self.n_joints})")
-        seg = self.segments[link_index]
-        skip = {"left-eye": "right-eye", "right-eye": "left-eye"}.get(seg)
-        return [i for i in range(link_index + 1) if self.segments[i] != skip]
+        return self._paths[link_index]
+
+    @cached_property
+    def _paths(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Per link, two read-only index arrays: its path (the joints on it,
+        base outward) and the link_frames rows those joints turn about, each
+        joint's path predecessor (-1, the last row, for the base pose).  A
+        path is a prefix of the paths of the links after it on its branch,
+        so the predecessors are the path shifted by one."""
+        table = []
+        for link_index, seg in enumerate(self.segments):
+            skip = {"left-eye": "right-eye", "right-eye": "left-eye"}.get(seg)
+            path = [i for i in range(link_index + 1) if self.segments[i] != skip]
+            table.append((_readonly(path, np.intp), _readonly([-1] + path[:-1], np.intp)))
+        return tuple(table)
 
     @cached_property
     def parents(self) -> tuple[int, ...]:
         """Path predecessor of each link, -1 for the base pose: joint i turns
         about the z axis of link parents[i]'s frame."""
-        return tuple(([-1] + self.path_indices(i))[-2] for i in range(self.n_joints))
+        return tuple(int(rows[-1]) for _, rows in self._paths)
 
     @cached_property
     def q_min(self) -> np.ndarray:
@@ -299,7 +315,7 @@ def forward_kinematics(chain: KinematicChain, q, link_index: int | None = None, 
     """
     if link_index is None:
         link_index = chain.n_joints - 1
-    chain.path_indices(link_index)  # range-checks link_index
+    chain._path(link_index)  # range-checks link_index
     arr = as_joint_array(q)
     if arr.size < link_index + 1:
         raise InvalidInput(
@@ -318,13 +334,13 @@ def geometric_jacobian(chain: KinematicChain, q, point, link_index: int | None =
     """
     if link_index is None:
         link_index = chain.n_joints - 1
-    path = chain.path_indices(link_index)
+    path, rows = chain._path(link_index)
     arr = as_joint_array(q, chain.n_joints)
     pt = np.asarray(point, dtype=float)
     if pt.shape != (3,) or not np.isfinite(pt).all():
         raise InvalidInput("point must be a finite 3-vector")
     frames = link_frames(chain, arr) if frames is None else frames
-    axes = frames[[chain.parents[i] for i in path], :3]
+    axes = frames[rows, :3]
     J = np.zeros((6, chain.n_joints))
     J[:3, path] = _cross_rows(axes[:, :, 2], pt - axes[:, :, 3])
     J[3:, path] = axes[:, :, 2].T
@@ -339,11 +355,11 @@ def analytic_axis_jacobian(chain: KinematicChain, q, link_index: int, *, frames=
     nothing, and off-branch columns vanish.  frames, if given, is
     link_frames(chain, q), read in place of a new walk.
     """
-    path = chain.path_indices(link_index)
+    path, rows = chain._path(link_index)
     arr = as_joint_array(q, chain.n_joints)
     frames = link_frames(chain, arr) if frames is None else frames
     J = np.zeros((3, chain.n_joints))
-    axes = frames[[chain.parents[i] for i in path], :3, 2]
+    axes = frames[rows, :3, 2]
     J[:, path] = _cross_rows(axes, frames[link_index, :3, 2])
     return J
 

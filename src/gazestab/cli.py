@@ -99,7 +99,10 @@ def cmd_run(args) -> int:
         cfg = parse_run_config(args.config)
     except FileFormatError as err:
         return _fail(str(err), 2)
-    cfg = config_overrides(cfg, mode=args.mode, dof=args.dof, seed=args.seed, out=args.out)
+    try:
+        cfg = config_overrides(cfg, mode=args.mode, dof=args.dof, seed=args.seed, out=args.out)
+    except InvalidInput as err:
+        return _fail(f"--seed: {err}", 2)
 
     config_dir = os.path.dirname(os.path.abspath(args.config))
     model_path = resolve_input_path(cfg.model_path, config_dir)

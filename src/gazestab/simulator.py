@@ -76,6 +76,12 @@ def _is_int(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
+def _check_seed(seed, what: str) -> None:
+    # numpy's generators take only non-negative integer seeds
+    if not (_is_int(seed) and seed >= 0):
+        raise InvalidInput(f"{what} must be a non-negative integer, got {seed!r}")
+
+
 # ------------------------------------------------------------------- plant
 
 
@@ -155,16 +161,12 @@ def step(
         setpoint[3:6] = command.qdot_neck
         setpoint[6:9] = command.qdot_eye
 
-    qdot = np.where(act, dist, 0.0)
-    gain = np.concatenate(
-        [
-            np.zeros(3),
-            np.full(3, _tracking_gain(dt, params.tau_neck)),
-            np.full(3, _tracking_gain(dt, params.tau_eye)),
-        ]
-    )
+    g_neck = _tracking_gain(dt, params.tau_neck)
+    g_eye = _tracking_gain(dt, params.tau_eye)
+    gain = np.array([0.0, 0.0, 0.0, g_neck, g_neck, g_neck, g_eye, g_eye, g_eye])
     tracked = state.qdot + gain * (setpoint - state.qdot)
-    qdot = np.where(act, qdot, np.where(np.arange(9) >= 3, tracked, 0.0))
+    tracked[:3] = 0.0  # torso DoF the script does not own rest
+    qdot = np.where(act, dist, tracked)
 
     # Velocity and position limits live on the mechanical joints (the eye
     # coupling is linear, so velocities expand the same way positions do).
@@ -287,7 +289,8 @@ class CameraModel:
 
 
 def _project(cam: CameraModel, rot, origin, cloud):
-    """Pixel coordinates and interior-validity mask for a point cloud."""
+    """Pixel coordinates u and v and the interior-validity mask of a point
+    cloud, as three (n,) arrays."""
     local = (cloud - origin) @ rot  # = rot.T applied to rows
     z = local[:, 2]
     in_front = z > 1e-9
@@ -301,19 +304,22 @@ def _project(cam: CameraModel, rot, origin, cloud):
         & (v >= cam.border)
         & (v <= cam.height - cam.border)
     )
-    return np.column_stack([u, v]), interior
+    return u, v, interior
 
 
 def _flow(proj_prev, proj_next) -> tuple[float, int]:
     """(mean pixel displacement, number of points counted) between two
     _project results of one cloud; the mean is NaN when fewer than
     MIN_FLOW_POINTS points count."""
-    (uv_a, ok_a), (uv_b, ok_b) = proj_prev, proj_next
+    (u_a, v_a, ok_a), (u_b, v_b, ok_b) = proj_prev, proj_next
     ok = ok_a & ok_b
     n = int(np.count_nonzero(ok))
     if n < MIN_FLOW_POINTS:
         return math.nan, n
-    return float(np.mean(np.linalg.norm(uv_b[ok] - uv_a[ok], axis=1))), n
+    du = u_b[ok] - u_a[ok]
+    dv = v_b[ok] - v_a[ok]
+    # the sum np.linalg.norm(axis=1) forms over (du, dv) rows, so the bits match
+    return float(np.mean(np.sqrt(du * du + dv * dv))), n
 
 
 def flow_metric(cam: CameraModel, frames_prev, frames_next, cloud) -> float:
@@ -353,6 +359,7 @@ class CloudSpec:
             raise InvalidInput("cloud radii must be finite and satisfy 0 < r_min <= r_max")
         if not (math.isfinite(self.azimuth) and math.isfinite(self.elevation)):
             raise InvalidInput("cloud azimuth and elevation must be finite")
+        _check_seed(self.seed, "cloud seed")
 
 
 def make_cloud(spec: CloudSpec, center) -> np.ndarray:
@@ -414,6 +421,7 @@ class NoiseSegment:
         amp, bw = self.amplitude, self.bandwidth
         if not (amp >= 0.0 and bw > 0.0 and math.isfinite(amp) and math.isfinite(bw)):
             raise InvalidInput("noise amplitude must be finite and >= 0, bandwidth finite and > 0")
+        _check_seed(self.seed, "noise seed")
 
 
 @dataclass(frozen=True)
@@ -557,6 +565,7 @@ class SimSettings:
             raise InvalidInput("gyro delay must be an integer number of ticks")
         if not (self.gyro_sigma >= 0.0 and math.isfinite(self.gyro_sigma)) or self.gyro_delay_ticks < 0:
             raise InvalidInput("gyro noise must be finite and gyro noise/delay non-negative")
+        _check_seed(self.seed, "seed")
 
 
 @dataclass

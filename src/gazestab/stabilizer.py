@@ -132,22 +132,24 @@ class StabilizerConfig:
 def pinv_damped(J, damping: float) -> np.ndarray:
     """Damped pseudo-inverse J^T (J J^T + damping^2 I)^-1, via SVD.
 
-    For damping = 0 this is the exact (pseudo-)inverse and a rank-deficient J
-    raises SingularMatrix instead of amplifying noise to infinity.
+    J is one matrix (m, n) or a stack (..., m, n); a stack is inverted slice
+    by slice in one SVD call, each slice bit-identical to its own call.  For
+    damping = 0 this is the exact (pseudo-)inverse and a rank-deficient J
+    (any slice) raises SingularMatrix instead of amplifying noise to infinity.
     """
     J = np.asarray(J, dtype=float)
-    if J.ndim != 2 or not np.isfinite(J).all():
-        raise InvalidInput("pinv_damped wants a finite 2-D matrix")
+    if J.ndim < 2 or not np.isfinite(J).all():
+        raise InvalidInput("pinv_damped wants a finite 2-D matrix or a stack of them")
     if not (damping >= 0.0 and math.isfinite(damping)):
         raise InvalidInput("damping must be finite and >= 0")
     u, s, vt = np.linalg.svd(J, full_matrices=False)
     if damping == 0.0:
-        if s.size == 0 or s[0] == 0.0 or s[-1] / s[0] < 1e-12:
+        if s.shape[-1] == 0 or not (s[..., 0] > 0.0).all() or (s[..., -1] / s[..., 0] < 1e-12).any():
             raise SingularMatrix("undamped pseudo-inverse of a singular matrix")
         gains = 1.0 / s
     else:
         gains = s / (s * s + damping * damping)
-    return (vt.T * gains) @ u.T
+    return (vt.swapaxes(-1, -2) * gains[..., None, :]) @ u.swapaxes(-1, -2)
 
 
 # ------------------------------------------------------------- estimators
@@ -202,18 +204,21 @@ def compensate(twist: Twist, J, config: StabilizerConfig) -> StabilizerCommand:
     """
     _require_fixation_jacobian(J)
     neck_trans = J[0:3, 3:6]
-    neck_rot = J[3:6, 3:6]
     eye_trans = J[0:3, 6:9]
 
     if config.dof_set == "neck-eyes":
-        qdot_neck = -pinv_damped(neck_rot, config.damping) @ twist.omega
+        # neck rotation and eye translation blocks in one SVD call
+        neck_pinv, eye_pinv = pinv_damped(np.array((J[3:6, 3:6], eye_trans)), config.damping)
+        qdot_neck = -neck_pinv @ twist.omega
     else:
+        # the neck block goes uninverted: a singular one must not raise
+        eye_pinv = pinv_damped(eye_trans, config.damping)
         qdot_neck = np.zeros(3)
 
     v_target = twist.v.copy()
     if config.sequential:
         v_target += neck_trans @ qdot_neck
-    qdot_eye = -pinv_damped(eye_trans, config.damping) @ v_target
+    qdot_eye = -eye_pinv @ v_target
 
     neck_clip = np.clip(qdot_neck, -config.neck_rate_limit, config.neck_rate_limit)
     eye_clip = np.clip(qdot_eye, -config.eye_rate_limit, config.eye_rate_limit)

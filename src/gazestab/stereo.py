@@ -27,9 +27,12 @@ camera_frames and fixation_full_jacobian read one DH pass per head state:
 the link frames, the camera frames and the fixation point (None when the
 optical axes are parallel).  The last pass is kept: a repeat call on the
 same chain object and q reuses it (q is still validated), so a state's
-camera frames, fixation point and Jacobian cost one walk.  The kept arrays
-are read-only.  The simulation loop reads the pass directly, for the
-camera frames, the fixation point and the IMU link's frame.
+camera frames, fixation point and Jacobian cost one walk.  The pass is
+keyed on the checked 9-DoF q, so a hit expands nothing, and a new state on
+the same chain reuses the kept HeadLayout: head_layout runs once per chain,
+not once per state.  The kept arrays are read-only.  The simulation loop
+reads the pass directly, for the camera frames, the fixation point and the
+IMU link's frame.
 
 Checks sit at the public edge: each public function and constructor checks
 what its caller passes.  The camera frames of a pass are products of DH
@@ -194,9 +197,9 @@ class CameraFrames:
         )
 
 
-# (chain, mechanical q bytes, result) of the latest _head_pass, swapped as
-# one tuple.  A chain is immutable and the result read-only, so a hit may
-# hand the stored result out again.
+# (chain, 9-DoF q bytes, result) of the latest _head_pass, swapped as one
+# tuple.  A chain is immutable and the result read-only, so a hit may hand
+# the stored result out again, and a miss on the same chain its layout.
 _last_head_pass = (None, b"", None)
 
 
@@ -207,12 +210,16 @@ def _head_pass(chain: KinematicChain, q):
     loop read.  A repeat call on the same chain object and q returns the
     last pass."""
     global _last_head_pass
-    qm = expand_head_q(q)
-    key = qm.tobytes()
+    arr = as_joint_array(q, HEAD_DOF, name="q (head-dof)")
+    key = arr.tobytes()
     last_chain, last_key, last = _last_head_pass
-    if last_chain is chain and last_key == key:
-        return last
-    lay = head_layout(chain)
+    if last_chain is chain:
+        if last_key == key:
+            return last
+        lay = last[0]
+    else:
+        lay = head_layout(chain)
+    qm = _expand(arr)
     frames = link_frames(chain, qm)
     pose_l = forward_kinematics(chain, qm, lay.cam_left, frames=frames)
     pose_r = forward_kinematics(chain, qm, lay.cam_right, frames=frames)

@@ -364,6 +364,7 @@ def test_cli_compare_empty_logs_usage_error():
     [
         "cloud-points abc",
         "cloud-seed 1.5",
+        "cloud-seed -1",
         "fixation-distance nan",
         "duration inf",
         "duration nan",
@@ -398,6 +399,7 @@ def test_cli_bad_config_value_exits_2_with_line(tmp_path, monkeypatch, capsys, l
     [
         ("default_head.model", "link neck-roll", "min=-52", "min=nan"),
         ("exp_b.script", "noise ", "amplitude=15", "amplitude=inf"),
+        ("exp_b.script", "noise ", "seed=101", "seed=-1"),
     ],
 )
 def test_cli_hostile_input_file_value_exits_2_at_its_line(tmp_path, capsys, name, find, old, new):
@@ -409,6 +411,20 @@ def test_cli_hostile_input_file_value_exits_2_at_its_line(tmp_path, capsys, name
     kind = name.rsplit(".", 1)[1]
     assert main(["run", "--config", write_quick_config(tmp_path, "kff", 0.3, **{kind: bad.name})]) == 2
     assert_clean_error(capsys, f"{bad}:{no}: ")
+
+
+def test_cli_negative_config_seed_exits_2_at_its_line(tmp_path, capsys):
+    config = write_quick_config(tmp_path, "ifb", 0.3, seed=-5)
+    no = Path(config).read_text().splitlines().index("seed -5") + 1
+    assert main(["run", "--config", config]) == 2
+    assert_clean_error(capsys, f"{config}:{no}: ", "non-negative integer")
+
+
+def test_cli_negative_seed_flag_exits_2(tmp_path, capsys):
+    config = write_quick_config(tmp_path, "ifb", 0.3)
+    assert main(["run", "--config", config, "--seed", "-3"]) == 2
+    assert_clean_error(capsys, "--seed: ", "non-negative integer")
+    assert not (tmp_path / "quick_ifb.csv").exists()
 
 
 def test_config_pair_check_cites_either_key(tmp_path):

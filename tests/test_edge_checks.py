@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from gazestab.chain import Pose, analytic_axis_jacobian, forward_kinematics, geometric_jacobian
 from gazestab.errors import InvalidInput
 from gazestab.models import default_head_model
-from gazestab.simulator import PlantState, step, synth_gyro
+from gazestab.simulator import CloudSpec, NoiseSegment, PlantState, SimSettings, step, synth_gyro
 from gazestab.stabilizer import (
     ImuSample,
     StabilizerCommand,
@@ -91,6 +91,27 @@ MESSAGES = {name: "J must be finite" for name in ("estimate_kff.J", "compensate.
 def test_public_entry_point_rejects_non_finite(name, call, bad):
     with pytest.raises(InvalidInput, match=MESSAGES.get(name)), np.errstate(all="ignore"):
         call(bad)
+
+
+# Each seed feeds a numpy generator, which takes only non-negative integers.
+SEEDED = [
+    ("SimSettings", lambda seed: SimSettings(seed=seed)),
+    ("CloudSpec", lambda seed: CloudSpec(seed=seed)),
+    ("NoiseSegment", lambda seed: NoiseSegment(0.0, 1.0, ("torso-yaw",), 0.1, 1.0, seed)),
+]
+
+
+@pytest.mark.parametrize("seed", [-1, -(2**40), 1.5, 3.0, True, "7"], ids=repr)
+@pytest.mark.parametrize(("name", "build"), SEEDED, ids=[n for n, _ in SEEDED])
+def test_seed_must_be_a_non_negative_integer(name, build, seed):
+    with pytest.raises(InvalidInput, match="must be a non-negative integer"):
+        build(seed)
+
+
+@pytest.mark.parametrize(("name", "build"), SEEDED, ids=[n for n, _ in SEEDED])
+def test_seed_accepts_zero_and_numpy_integers(name, build):
+    for seed in (0, np.int64(2**40)):
+        assert build(seed).seed == seed
 
 
 @pytest.mark.parametrize(

@@ -749,8 +749,37 @@ def test_loop_trusts_the_values_it_builds(monkeypatch):
     after = {key: counts[key] - at_first_step[key] for key in counts}
     assert after["ticks"] == 150
     assert after["CameraFrames"] == 0 and after["PlantState"] == 0
-    assert after["isfinite"] / after["ticks"] <= 26
-    assert after["as_joint_array"] / after["ticks"] <= 12
+    assert after["isfinite"] / after["ticks"] <= 24
+    assert after["as_joint_array"] / after["ticks"] <= 10
+
+
+def test_loop_builds_per_chain_structure_once(monkeypatch):
+    # The head layout and the chain's path table are built per chain, not
+    # per tick, and compensate inverts both of its blocks in one call.
+    import gazestab.stabilizer
+    import gazestab.stereo
+
+    counts = dict.fromkeys(("head_layout", "path_indices", "compensate", "pinv_damped"), 0)
+
+    def counter(owner, name):
+        real = getattr(owner, name)
+
+        def counted(*args, **kw):
+            counts[name] += 1
+            return real(*args, **kw)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    counter(gazestab.stereo, "head_layout")
+    counter(KinematicChain, "path_indices")
+    counter(simulator, "compensate")
+    counter(gazestab.stabilizer, "pinv_damped")
+    model, script, settings = shipped("exp_a_kff")
+    log = run_experiment(model, script, replace(settings, duration=0.5))
+    assert counts["head_layout"] <= 1
+    assert counts["path_indices"] == 0
+    assert counts["compensate"] == log.n_rows() - 1
+    assert counts["pinv_damped"] == counts["compensate"]
 
 
 def test_loop_reads_the_one_head_model(monkeypatch):

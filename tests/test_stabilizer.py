@@ -95,6 +95,33 @@ def test_pinv_damped_rejects_bad_inputs():
         pinv_damped(np.array([1.0, 2.0]), 0.1)
 
 
+@pytest.mark.parametrize("damping", [0.0, 1e-3, 0.5])
+def test_pinv_damped_stack_matches_each_slice(damping):
+    rng = np.random.default_rng(11)
+    stack = rng.uniform(-2.0, 2.0, (7, 3, 3)) + 2.0 * np.eye(3)
+    P = pinv_damped(stack, damping)
+    assert P.shape == stack.shape
+    for k in range(stack.shape[0]):
+        assert np.array_equal(P[k], pinv_damped(stack[k], damping))
+
+
+def test_pinv_damped_stack_raises_if_any_slice_is_singular():
+    stack = np.array([np.eye(3), np.diag([1.0, 1.0, 0.0]), 2.0 * np.eye(3)])
+    with pytest.raises(SingularMatrix):
+        pinv_damped(stack, 0.0)
+    assert np.isfinite(pinv_damped(stack, 0.1)).all()
+
+
+def test_compensate_eyes_mode_leaves_a_singular_neck_block_uninverted():
+    J = fixation_full_jacobian(CHAIN, head_q(np.random.default_rng(3)))
+    J[3:6, 3:6] = 0.0  # no neck rotation at all
+    cfg = StabilizerConfig(dof_set="eyes", damping=0.0)
+    cmd = compensate(Twist(np.array([0.01, -0.02, 0.0]), np.array([0.1, 0.0, 0.0])), J, cfg)
+    assert np.array_equal(cmd.qdot_neck, np.zeros(3)) and np.isfinite(cmd.qdot_eye).all()
+    with pytest.raises(SingularMatrix):
+        compensate(Twist.zero(), J, StabilizerConfig(damping=0.0))
+
+
 # ----------------------------------------------------------------- estimators
 
 
