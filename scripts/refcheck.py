@@ -14,6 +14,10 @@ configs are used.  The check
   or shape that differs is a breach whatever the numbers;
 * compares the `gazestab compare` output of the exp_a, exp_b and translate
   condition sets byte for byte;
+* cross-reads the logs: each tree's `read_log_csv` reads every log of both
+  trees, and the two readers must return equal arrays, metadata and
+  segments for each (so a rewritten reader is checked against the old one
+  on the same bytes);
 * compares SHA-256 digests of `fixation_full_jacobian`, `camera_frames`,
   `HeadModel.imu_pose`, `synth_gyro` (without and with noise) and
   `compensate` over 2,000 seeded head configurations; the gyro moves from
@@ -44,6 +48,26 @@ CONFIGURATIONS = 2000
 # exp_b_ifb rerun with its gyro samples held back this many ticks
 GYRO_DELAY = 3
 DIGESTS = ("fixation_full_jacobian", "camera_frames", "imu_pose", "synth_gyro", "synth_gyro (noise)", "compensate")
+
+# Runs inside a tree on log paths: prints a digest of each log as read_log_csv
+# returns it (every array's dtype, shape and bytes, the metadata, the segments).
+READ_CODE = """
+import hashlib, sys
+import numpy as np
+from dataclasses import fields
+from gazestab.fileio import read_log_csv
+
+for path in sys.argv[1:]:
+    log = read_log_csv(path)
+    h = hashlib.sha256()
+    for f in fields(log):
+        value = getattr(log, f.name)
+        if isinstance(value, np.ndarray):
+            h.update(f"{f.name} {value.dtype.str} {value.shape}".encode() + np.ascontiguousarray(value).tobytes())
+        else:
+            h.update(f"{f.name} {value!r}".encode())
+    print(h.hexdigest())
+"""
 
 # Runs inside a tree: prints the digests, one per line, in DIGESTS order.
 DIGEST_CODE = f"""
@@ -215,6 +239,18 @@ def main(argv):
             old, new = (os.path.join(d, name) for d in outdirs)
             breaches += report(f"{name}.csv", old + ".csv", new + ".csv", csv_difference)
             breaches += report(f"{name}.summary.json", old + ".summary.json", new + ".summary.json", sidecar_difference)
+        print("cross-read, each tree's read_log_csv on both trees' logs:")
+        logs = [os.path.join(d, f"{name}.csv") for d in outdirs for name in runs + [delayed]]
+        old, new = both(trees, outdirs, lambda tree: ["-c", READ_CODE, *logs], "cross-read")
+        for side, d in zip(("old", "new"), outdirs):
+            differ = [
+                os.path.basename(log)
+                for log, a, b in zip(logs, old.split(), new.split())
+                if os.path.dirname(log) == d and a != b
+            ]
+            label = f"{side} tree's {len(logs) // 2} logs"
+            print(f"  {label:<38} {'identical' if not differ else 'BREACH: read differently: ' + ', '.join(differ)}")
+            breaches += bool(differ)
         print("gazestab compare:")
         for set_name, names in SETS.items():
             args = ["-m", "gazestab.cli", "compare", "--baseline", *(f"{n}.csv" for n in names)]

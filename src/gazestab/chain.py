@@ -167,6 +167,14 @@ def as_joint_array(q, n: int | None = None, *, name: str = "q") -> np.ndarray:
     return arr
 
 
+def _finite3(value, name: str) -> np.ndarray:
+    """value as a float array of shape (3,); InvalidInput unless finite."""
+    arr = np.asarray(value, dtype=float)
+    if arr.shape != (3,) or not np.isfinite(arr).all():
+        raise InvalidInput(f"{name} must be a finite 3-vector")
+    return arr
+
+
 @dataclass(frozen=True)
 class KinematicChain:
     """Ordered DH links under a common base pose, with segment tags."""
@@ -336,9 +344,7 @@ def geometric_jacobian(chain: KinematicChain, q, point, link_index: int | None =
         link_index = chain.n_joints - 1
     path, rows = chain._path(link_index)
     arr = as_joint_array(q, chain.n_joints)
-    pt = np.asarray(point, dtype=float)
-    if pt.shape != (3,) or not np.isfinite(pt).all():
-        raise InvalidInput("point must be a finite 3-vector")
+    pt = _finite3(point, "point")
     frames = link_frames(chain, arr) if frames is None else frames
     axes = frames[rows, :3]
     J = np.zeros((6, chain.n_joints))

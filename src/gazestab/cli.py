@@ -74,24 +74,33 @@ def _out_dir_error(out: str) -> str | None:
 
 @contextlib.contextmanager
 def _joint_limit_summary():
-    """Fold the plant's per-tick JointLimitWarnings into one stderr line,
-    printed when the run ends, failed or not; other warnings pass through."""
-    try:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", JointLimitWarning)
+    """Fold the plant's per-tick JointLimitWarnings as they arrive (a count,
+    the first t, the union of joints) into one stderr line, printed when the
+    run ends, failed or not; other warnings pass through."""
+    count, first_t, joints = 0, None, set()
+    with warnings.catch_warnings():
+        warnings.simplefilter("always", JointLimitWarning)
+        show = warnings.showwarning
+
+        def fold(message, *where):
+            nonlocal count, first_t
+            if not isinstance(message, JointLimitWarning):
+                return show(message, *where)
+            if not count:
+                first_t = message.t
+            count += 1
+            joints.update(message.joints)
+
+        warnings.showwarning = fold
+        try:
             yield
-    finally:
-        hits = [w.message for w in caught if isinstance(w.message, JointLimitWarning)]
-        if hits:
-            joints = sorted(set().union(*(h.joints for h in hits)))
-            print(
-                f"gazestab: warning: joint position limits clamped {len(hits)} ticks, "
-                f"first at t={hits[0].t:.3f}s (mechanical joints {joints})",
-                file=sys.stderr,
-            )
-        for w in caught:
-            if not isinstance(w.message, JointLimitWarning):
-                warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+        finally:
+            if count:
+                print(
+                    f"gazestab: warning: joint position limits clamped {count} ticks, "
+                    f"first at t={first_t:.3f}s (mechanical joints {sorted(joints)})",
+                    file=sys.stderr,
+                )
 
 
 def cmd_run(args) -> int:

@@ -11,9 +11,12 @@ are flat `key value` pairs.  Parse and validation problems raise
 FileFormatError carrying the file path and 1-based line number.
 
 Trajectory logs are CSV with a frozen column set (documented in the README
-and in LOG_COLUMNS below), floats serialized with repr-faithful %.17g, and
-run metadata in `# key: value` comment lines before the header -- byte
+and in LOG_COLUMNS below), every cell serialized with repr-faithful %.17g,
+and run metadata in `# key: value` comment lines before the header -- byte
 identical across reruns of the same config.
+
+Files are read a line at a time and logs written a block of rows at a time,
+so log I/O streams in bounded memory per row (about the log's own arrays).
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import io
 import json
 import math
 import os
+from array import array
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -55,33 +59,32 @@ def _fmt(x: float) -> str:
 
 
 def _numbered_lines(path: str):
-    """(line_number, text) for every line of a UTF-8 text file, without its
-    line break.  An unreadable file or an undecodable line is a
-    FileFormatError, never an OSError or UnicodeDecodeError."""
+    """(line_number, text) for each line of a UTF-8 text file, read one line
+    at a time, without its line break (LF, CRLF or CR).  An unreadable file
+    or an undecodable line is a FileFormatError, never an OSError or
+    UnicodeDecodeError."""
     try:
         with open(path, "rb") as fh:
-            raw = fh.read()
+            # a binary file yields chunks ending at LF; splitlines also ends lines at CR
+            lines = (line for chunk in fh for line in chunk.splitlines())
+            for no, line in enumerate(lines, start=1):
+                try:
+                    text = line.decode("utf-8")
+                except UnicodeDecodeError:
+                    raise FileFormatError(path, no, "not UTF-8 text") from None
+                yield no, text
     except FileNotFoundError:
         raise FileFormatError(path, 0, "file not found") from None
     except OSError as err:
         raise FileFormatError(path, 0, err.strerror or str(err)) from None
-    out = []
-    for no, line in enumerate(raw.splitlines(), start=1):
-        try:
-            out.append((no, line.decode("utf-8")))
-        except UnicodeDecodeError:
-            raise FileFormatError(path, no, "not UTF-8 text") from None
-    return out
 
 
 def _content_lines(path: str):
     """(line_number, text) for every non-blank, non-comment line."""
-    out = []
     for no, line in _numbered_lines(path):
         text = line.split("#", 1)[0].strip()
         if text:
-            out.append((no, text))
-    return out
+            yield no, text
 
 
 def _parse_float(path: str, no: int, token: str, what: str) -> float:
@@ -571,23 +574,16 @@ LOG_COLUMNS = (
     ("singular", ("singular",)),
 )
 LOG_HEADER = tuple(c for _, cols in LOG_COLUMNS for c in cols)
-# Columns written as integers and read back with this type; all others are
-# %.17g floats.
+# Columns read back with these types; all 47 columns are written as %.17g,
+# which prints an integer-valued float as the integer does (1.0 -> "1").
 _LOG_INT_TYPES = {"n_valid": int, "saturated": bool, "singular": bool}
-
-
-def _fmt_int(x) -> str:
-    return str(int(x))
+_LOG_ROW = ",".join([FLOAT_FMT] * len(LOG_HEADER)) + "\n"
+_LOG_BLOCK = 64  # rows per write: the writer holds one block, not the log
 
 
 def write_log_csv(log: TrajectoryLog, path: str) -> None:
     """One row per tick; metadata and script segments in leading comments."""
-    n = log.n_rows()
-    columns = []
-    for name, cols in LOG_COLUMNS:
-        values = getattr(log, name).reshape(n, len(cols))
-        fmt = _fmt_int if name in _LOG_INT_TYPES else _fmt
-        columns += [[fmt(x) for x in values[:, j]] for j in range(len(cols))]
+    arrays = [getattr(log, name) for name, _ in LOG_COLUMNS]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("# gazestab-log: 1\n")
         for key in ("script", "mode", "dof_set", "model", "dt", "duration", "seed", "gyro_sigma", "fixation_distance"):
@@ -597,9 +593,10 @@ def write_log_csv(log: TrajectoryLog, path: str) -> None:
             fh.write(f"# {key}: {val}\n")
         for label, t0, t1 in log.segments:
             fh.write(f"# segment: {label} {_fmt(t0)} {_fmt(t1)}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(LOG_HEADER)
-        writer.writerows(zip(*columns))
+        fh.write(",".join(LOG_HEADER) + "\n")
+        for start in range(0, log.n_rows(), _LOG_BLOCK):
+            block = np.column_stack([a[start : start + _LOG_BLOCK] for a in arrays])
+            fh.write((_LOG_ROW * len(block)) % tuple(block.ravel().tolist()))
 
 
 def read_log_csv(path: str) -> TrajectoryLog:
@@ -607,9 +604,15 @@ def read_log_csv(path: str) -> TrajectoryLog:
     meta: dict = {}
     meta_line: dict = {}
     segments = []
-    data_lines = []
-    for no, line in _numbered_lines(path):
-        if line.startswith("#"):
+    data_no = 0  # the file line number of the last data line handed to csv
+
+    def data_lines():
+        nonlocal data_no
+        for no, line in _numbered_lines(path):
+            if not line.startswith("#"):
+                data_no = no
+                yield line
+                continue
             body = line[1:].strip()
             if ":" not in body:
                 raise FileFormatError(path, no, "malformed metadata comment")
@@ -628,43 +631,38 @@ def read_log_csv(path: str) -> TrajectoryLog:
             else:
                 meta[key] = val
                 meta_line[key] = no
-            continue
-        data_lines.append((no, line))
-    if "version" not in meta:
-        raise FileFormatError(path, 1, "not a gazestab log (missing '# gazestab-log: 1')")
+
+    values = array("d")
+    reader = csv.reader(data_lines())
+    try:
+        header = next(reader, None)  # the metadata before it is read by now
+        if "version" not in meta:
+            raise FileFormatError(path, 1, "not a gazestab log (missing '# gazestab-log: 1')")
+        if header is not None and tuple(header) != LOG_HEADER:
+            raise FileFormatError(path, data_no, "unexpected CSV columns")
+        for rec in reader:
+            if len(rec) != len(LOG_HEADER):
+                raise FileFormatError(path, data_no, f"row with {len(rec)} fields, expected {len(LOG_HEADER)}")
+            try:
+                values.extend([float(x) for x in rec])
+            except ValueError:  # name the offending column
+                values.extend([_parse_float(path, data_no, x, col) for col, x in zip(LOG_HEADER, rec)])
+    except csv.Error as err:
+        raise FileFormatError(path, data_no, f"bad CSV row: {err}") from None
     for cast, key in ((float, "dt"), (float, "duration"), (float, "gyro_sigma"), (float, "fixation_distance"), (int, "seed")):
         if key in meta:
             try:
                 meta[key] = cast(meta[key])
             except ValueError:
                 raise FileFormatError(path, meta_line[key], f"bad metadata value for {key!r}") from None
-    header = None
-    rows = []
-    reader = csv.reader(line for _, line in data_lines)
-    for rec in reader:
-        no = data_lines[reader.line_num - 1][0]
-        if header is None:
-            header = tuple(rec)
-            if header != LOG_HEADER:
-                raise FileFormatError(path, no, "unexpected CSV columns")
-            continue
-        if len(rec) != len(LOG_HEADER):
-            raise FileFormatError(path, no, f"row with {len(rec)} fields, expected {len(LOG_HEADER)}")
-        try:
-            rows.append([float(x) for x in rec])
-        except ValueError:  # name the offending column
-            rows.append([_parse_float(path, no, x, col) for col, x in zip(LOG_HEADER, rec)])
-    if header is None or not rows:
+    if not values:
         raise FileFormatError(path, 0, "log contains no data rows")
-    arr = np.array(rows)
+    table = np.frombuffer(values).reshape(-1, len(LOG_HEADER))
+    blocks = np.split(table, np.cumsum([len(cols) for _, cols in LOG_COLUMNS])[:-1], axis=1)
     meta.pop("version", None)
     arrays = {}
-    start = 0
-    for name, cols in LOG_COLUMNS:
-        block = arr[:, start : start + len(cols)]
-        start += len(cols)
-        if len(cols) == 1:
-            block = block[:, 0]
+    for (name, cols), block in zip(LOG_COLUMNS, blocks):
+        block = block[:, 0] if len(cols) == 1 else block
         arrays[name] = block.astype(_LOG_INT_TYPES[name]) if name in _LOG_INT_TYPES else block
     return TrajectoryLog(meta=meta, segments=tuple(segments), **arrays)
 

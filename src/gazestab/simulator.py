@@ -45,7 +45,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .chain import _unchecked, as_joint_array
+from .chain import _finite3, _unchecked, as_joint_array
 from .errors import (
     InsufficientCoverage,
     InvalidComparison,
@@ -114,10 +114,7 @@ class PlantState:
             raise InvalidInput("PlantState.t must be finite")
         object.__setattr__(self, "q", as_joint_array(self.q, 9, name="q"))
         object.__setattr__(self, "qdot", as_joint_array(self.qdot, 9, name="qdot"))
-        b = np.asarray(self.base_offset, dtype=float)
-        if b.shape != (3,) or not np.isfinite(b).all():
-            raise InvalidInput("base_offset must be a finite 3-vector")
-        object.__setattr__(self, "base_offset", b)
+        object.__setattr__(self, "base_offset", _finite3(self.base_offset, "base_offset"))
 
 
 def _tracking_gain(dt: float, tau: float) -> float:
@@ -152,9 +149,7 @@ def step(
     act = np.zeros(9, dtype=bool) if active is None else np.asarray(active, dtype=bool)
     if act.shape != (9,):
         raise InvalidInput("active mask must have 9 entries")
-    vel = np.zeros(3) if base_vel is None else np.asarray(base_vel, dtype=float)
-    if vel.shape != (3,) or not np.isfinite(vel).all():
-        raise InvalidInput("base_vel must be a finite 3-vector")
+    vel = np.zeros(3) if base_vel is None else _finite3(base_vel, "base_vel")
 
     setpoint = np.zeros(9)
     if command is not None:
@@ -357,8 +352,11 @@ class CloudSpec:
             raise InvalidInput(f"cloud must contain 500 to {MAX_CLOUD_POINTS} points, got {self.n}")
         if not (0.0 < self.r_min <= self.r_max and math.isfinite(self.r_max)):
             raise InvalidInput("cloud radii must be finite and satisfy 0 < r_min <= r_max")
-        if not (math.isfinite(self.azimuth) and math.isfinite(self.elevation)):
-            raise InvalidInput("cloud azimuth and elevation must be finite")
+        # half-widths of make_cloud's angle ranges: all the way round and up
+        if not 0.0 <= self.azimuth <= math.pi:
+            raise InvalidInput(f"cloud azimuth must lie in [0, pi] rad (0 to 180 degrees), got {self.azimuth!r}")
+        if not 0.0 <= self.elevation <= math.pi / 2:
+            raise InvalidInput(f"cloud elevation must lie in [0, pi/2] rad (0 to 90 degrees), got {self.elevation!r}")
         _check_seed(self.seed, "cloud seed")
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import _cross_rows, as_joint_array
+from .chain import _cross_rows, _finite3, as_joint_array
 from .errors import InvalidInput, SingularMatrix
 
 DEFAULT_DAMPING = 1e-3
@@ -41,10 +41,7 @@ class Twist:
 
     def __post_init__(self):
         for name in ("v", "omega"):
-            a = np.asarray(getattr(self, name), dtype=float)
-            if a.shape != (3,) or not np.isfinite(a).all():
-                raise InvalidInput(f"Twist.{name} must be a finite 3-vector")
-            object.__setattr__(self, name, a)
+            object.__setattr__(self, name, _finite3(getattr(self, name), f"Twist.{name}"))
 
     @classmethod
     def zero(cls) -> "Twist":
@@ -70,10 +67,7 @@ class ImuSample:
 
     def __post_init__(self):
         for name in ("omega", "position"):
-            a = np.asarray(getattr(self, name), dtype=float)
-            if a.shape != (3,) or not np.isfinite(a).all():
-                raise InvalidInput(f"ImuSample.{name} must be a finite 3-vector")
-            object.__setattr__(self, name, a)
+            object.__setattr__(self, name, _finite3(getattr(self, name), f"ImuSample.{name}"))
 
 
 @dataclass(frozen=True)
@@ -86,10 +80,7 @@ class StabilizerCommand:
 
     def __post_init__(self):
         for name in ("qdot_neck", "qdot_eye"):
-            a = np.asarray(getattr(self, name), dtype=float)
-            if a.shape != (3,) or not np.isfinite(a).all():
-                raise InvalidInput(f"StabilizerCommand.{name} must be a finite 3-vector")
-            object.__setattr__(self, name, a)
+            object.__setattr__(self, name, _finite3(getattr(self, name), f"StabilizerCommand.{name}"))
 
     @classmethod
     def hold(cls) -> "StabilizerCommand":
@@ -182,10 +173,7 @@ def estimate_ifb(imu: ImuSample, x_fp) -> Twist:
     invisible here -- that blindness is the central limitation of the
     inertial route and is preserved deliberately.
     """
-    x_fp = np.asarray(x_fp, dtype=float)
-    if x_fp.shape != (3,) or not np.isfinite(x_fp).all():
-        raise InvalidInput("x_fp must be a finite 3-vector")
-    lever = x_fp - imu.position
+    lever = _finite3(x_fp, "x_fp") - imu.position
     return Twist(_cross_rows(imu.omega, lever), imu.omega)
 
 

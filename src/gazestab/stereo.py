@@ -48,6 +48,7 @@ import numpy as np
 
 from .chain import (
     KinematicChain,
+    _finite3,
     _unchecked,
     analytic_axis_jacobian,
     as_joint_array,
@@ -162,10 +163,7 @@ class CameraFrames:
 
     def __post_init__(self):
         for name in ("o_left", "o_right", "z_left", "z_right"):
-            v = np.asarray(getattr(self, name), dtype=float)
-            if v.shape != (3,) or not np.isfinite(v).all():
-                raise InvalidInput(f"CameraFrames.{name} must be a finite 3-vector")
-            object.__setattr__(self, name, v)
+            object.__setattr__(self, name, _finite3(getattr(self, name), f"CameraFrames.{name}"))
         for name in ("z_left", "z_right"):
             n = np.linalg.norm(getattr(self, name))
             if abs(n - 1.0) > 1e-9:

@@ -1,6 +1,8 @@
 import math
 import os
 import re
+import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +10,7 @@ import pytest
 
 import gazestab.cli as cli
 from gazestab.cli import main
-from gazestab.errors import FileFormatError, InvalidInput
+from gazestab.errors import FileFormatError, InvalidInput, JointLimitWarning
 from gazestab.fileio import (
     RunConfig,
     config_overrides,
@@ -28,6 +30,7 @@ from gazestab.simulator import (
     DisturbanceScript,
     ScriptSegment,
     SimSettings,
+    TrajectoryLog,
     run_experiment,
 )
 from gazestab.stabilizer import StabilizerConfig
@@ -257,6 +260,68 @@ def test_csv_round_trip_exact(tmp_path):
     assert back.meta["seed"] == 0
 
 
+LOG_ARRAYS = ("t", "q", "qdot", "base_offset", "cmd", "est_twist", "true_twist", "fp", "optfl", "n_valid", "saturated", "singular")
+
+
+def assert_logs_equal(a, b):
+    for f in LOG_ARRAYS:
+        x, y = getattr(a, f), getattr(b, f)
+        assert x.dtype == y.dtype and np.array_equal(x, y), f
+    assert a.meta == b.meta and a.segments == b.segments
+
+
+def synthetic_log(n, seed=0):
+    """An n-row log of seeded values; no simulation behind it."""
+    rng = np.random.default_rng(seed)
+    meta = {"script": "s", "mode": "kff", "dof_set": "neck-eyes", "model": "m", "dt": 0.01, "duration": 0.01 * (n - 1),
+            "seed": seed, "gyro_sigma": 0.0, "fixation_distance": 1.0}
+    cols = {name: rng.standard_normal((n, w)) for name, w in (("q", 9), ("qdot", 9), ("base_offset", 3), ("cmd", 6),
+                                                             ("est_twist", 6), ("true_twist", 6), ("fp", 3))}
+    return TrajectoryLog(meta=meta, t=np.arange(n) * 0.01, optfl=rng.exponential(size=n),
+                         n_valid=rng.integers(0, 1600, n), saturated=rng.random(n) < 0.3,
+                         singular=rng.random(n) < 0.1, segments=(("torso-yaw", 0.0, 1.0),), **cols)
+
+
+def test_log_io_memory_is_bounded_per_row(tmp_path):
+    # Both directions stream: their peaks stay near the 376 bytes of arrays
+    # per row, not the kilobytes a table of per-cell strings or Python floats
+    # would take.
+    n = 10_000
+    log, p = synthetic_log(n), str(tmp_path / "big.csv")
+    tracemalloc.start()
+    try:
+        write_log_csv(log, p)
+        write_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        back = read_log_csv(p)
+        read_peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert write_peak < 1024 * n and read_peak < 1024 * n, (write_peak / n, read_peak / n)
+    assert_logs_equal(back, log)
+    with open(p, encoding="utf-8") as fh:
+        row = next(line for line in fh if line[:1].isdigit())
+    # the integer columns print as integers, through the same %.17g as the rest
+    assert row.endswith(f",{log.n_valid[0]},{int(log.saturated[0])},{int(log.singular[0])}\n")
+
+
+@pytest.mark.parametrize("ending", [b"\r\n", b"\r"], ids=["crlf", "cr"])
+def test_csv_reader_takes_any_line_ending(tmp_path, ending):
+    log = tiny_log()
+    p = tmp_path / "log.csv"
+    write_log_csv(log, str(p))
+    lines = p.read_bytes().split(b"\n")[:-1]
+    p.write_bytes(ending.join(lines) + ending)
+    assert_logs_equal(read_log_csv(str(p)), log)
+    no = next(i for i, line in enumerate(lines, start=1) if line[:1].isdigit()) + 5
+    lines[no - 1] = b"zebra" + lines[no - 1][lines[no - 1].index(b","):]
+    p.write_bytes(ending.join(lines) + ending)
+    with pytest.raises(FileFormatError, match="bad number 'zebra' for t") as exc:
+        read_log_csv(str(p))
+    assert exc.value.line == no
+
+
 def test_csv_reader_rejects_foreign_files(tmp_path):
     p = tmp_path / "x.csv"
     p.write_text("a,b,c\n1,2,3\n")
@@ -381,6 +446,10 @@ def test_cli_compare_empty_logs_usage_error():
         "cloud-points 1000000000",  # rejected before any allocation
         "cloud-radius 5 inf",
         "cloud-azimuth nan",
+        "cloud-azimuth -5",  # a negative half-width once reached numpy as a traceback
+        "cloud-azimuth 181",
+        "cloud-elevation -1",
+        "cloud-elevation 720",
         "gyro-noise nan",
         "gyro-noise inf",
         "image-border -5",
@@ -468,8 +537,9 @@ def first_data_row(line):
         (lambda line: line.startswith("# segment:"), lambda line: "# segment: base-y zero 2\n", "bad number 'zero'"),
         (first_data_row, lambda line: "zebra" + line[line.index(","):], "bad number 'zebra' for t"),
         (first_data_row, lambda line: line.rstrip("\n") + ",0\n", "row with 48 fields"),
+        (first_data_row, lambda line: "1" * 200_000 + line[line.index(","):], "field larger than field limit"),
     ],
-    ids=["segment-time", "non-numeric-field", "extra-field"],
+    ids=["segment-time", "non-numeric-field", "extra-field", "huge-field"],
 )
 def test_csv_reader_reports_bad_line(tmp_path, capsys, find, new_text, fragment):
     path, no = rewrite_log_line(tmp_path, find, new_text)
@@ -561,6 +631,25 @@ def test_cli_joint_limit_clamps_print_one_warning(tmp_path, capsys):
         warned[0],
     )
     assert err.splitlines()[-1].startswith("gazestab: error: ")
+
+
+def test_joint_limit_summary_folds_warnings_as_they_arrive(capsys):
+    # A run clamping every tick keeps a count, not one record per tick;
+    # other warnings pass through.
+    ticks = 5_000
+    tracemalloc.start()
+    try:
+        with pytest.warns(UserWarning, match="unrelated"), cli._joint_limit_summary():
+            for k in range(ticks):
+                warnings.warn(JointLimitWarning(0.01 * (k + 1), [k % 3, 7]))
+            warnings.warn("unrelated")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * ticks, peak / ticks
+    assert capsys.readouterr().err == (
+        f"gazestab: warning: joint position limits clamped {ticks} ticks, first at t=0.010s (mechanical joints [0, 1, 2, 7])\n"
+    )
 
 
 @pytest.mark.parametrize(

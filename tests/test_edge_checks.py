@@ -55,6 +55,8 @@ def with_bad(a, bad, index=1):
 ENTRY_POINTS = [
     ("CameraFrames.o_left", lambda b: replace(FRAMES, o_left=with_bad(FRAMES.o_left, b))),
     ("CameraFrames.rot_right", lambda b: replace(FRAMES, rot_right=with_bad(FRAMES.rot_right, b))),
+    ("CloudSpec.azimuth", lambda b: CloudSpec(azimuth=b)),
+    ("CloudSpec.elevation", lambda b: CloudSpec(elevation=b)),
     ("PlantState.t", lambda b: PlantState(t=b, q=Q, qdot=np.zeros(9))),
     ("PlantState.q", lambda b: PlantState(t=0.0, q=with_bad(Q, b), qdot=np.zeros(9))),
     ("PlantState.base_offset", lambda b: PlantState(0.0, Q, np.zeros(9), with_bad(np.zeros(3), b))),
@@ -84,6 +86,19 @@ ENTRY_POINTS = [
 
 # The message each of these rows must raise: the fault named where it enters.
 MESSAGES = {name: "J must be finite" for name in ("estimate_kff.J", "compensate.J_eye", "compensate.J_neck")}
+MESSAGES.update(
+    (row, f"^{vector} must be a finite 3-vector$")
+    for row, vector in (
+        ("CameraFrames.o_left", "CameraFrames.o_left"),
+        ("PlantState.base_offset", "base_offset"),
+        ("Twist", "Twist.v"),
+        ("ImuSample", "ImuSample.position"),
+        ("StabilizerCommand", "StabilizerCommand.qdot_eye"),
+        ("step.base_vel", "base_vel"),
+        ("estimate_ifb", "x_fp"),
+        ("geometric_jacobian.point", "point"),
+    )
+)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
@@ -112,6 +127,22 @@ def test_seed_must_be_a_non_negative_integer(name, build, seed):
 def test_seed_accepts_zero_and_numpy_integers(name, build):
     for seed in (0, np.int64(2**40)):
         assert build(seed).seed == seed
+
+
+@pytest.mark.parametrize(
+    ("field", "value"),
+    [("azimuth", -5.0), ("azimuth", -1e-12), ("azimuth", math.pi + 1e-12), ("azimuth", 720.0),
+     ("elevation", -1.0), ("elevation", math.pi / 2 + 1e-12), ("elevation", 4 * math.pi)],
+)
+def test_cloud_angles_out_of_range_rejected(field, value):
+    # make_cloud samples [-angle, angle]: past pi (pi/2) the shell overlaps itself
+    with pytest.raises(InvalidInput, match=f"cloud {field} must lie in"):
+        CloudSpec(**{field: value})
+
+
+def test_cloud_angles_accept_their_bounds():
+    for azimuth, elevation in ((0.0, 0.0), (math.pi, math.pi / 2)):
+        assert CloudSpec(azimuth=azimuth, elevation=elevation).azimuth == azimuth
 
 
 @pytest.mark.parametrize(
