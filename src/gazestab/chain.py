@@ -211,9 +211,6 @@ class KinematicChain:
     def n_joints(self) -> int:
         return len(self.links)
 
-    def segment_indices(self, tag: str) -> list[int]:
-        return [i for i, s in enumerate(self.segments) if s == tag]
-
     def path_indices(self, link_index: int) -> list[int]:
         """Links contributing to link_index's pose, base outward."""
         return self._path(link_index)[0].tolist()

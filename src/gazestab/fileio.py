@@ -45,9 +45,11 @@ from .simulator import (
     TrajectoryLog,
 )
 from .stabilizer import StabilizerConfig
+from .stereo import HEAD_SEGMENTS
 
 MODEL_DIR_ENV = "GAZESTAB_MODEL_DIR"
-SEGMENT_ORDER = ("torso", "neck", "left-eye", "right-eye")
+# The segments a model file declares, in the order they must come.
+SEGMENT_ORDER = tuple(dict.fromkeys(HEAD_SEGMENTS))
 FLOAT_FMT = "%.17g"
 
 
@@ -182,6 +184,9 @@ def parse_model_file(path: str) -> HeadModel:
         elif head == "segment":
             if len(rest) != 1 or rest[0] not in SEGMENT_ORDER:
                 raise FileFormatError(path, no, f"segment must be one of {SEGMENT_ORDER}")
+            if segment is not None and SEGMENT_ORDER.index(rest[0]) < SEGMENT_ORDER.index(segment):
+                order = " -> ".join(SEGMENT_ORDER)
+                raise FileFormatError(path, no, f"segment {rest[0]} after {segment}: segments go {order}")
             segment = rest[0]
         elif head == "link":
             if segment is None:

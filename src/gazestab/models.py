@@ -16,7 +16,7 @@ import numpy as np
 
 from .chain import DHLink, KinematicChain, Pose, _is_rigid, forward_kinematics
 from .errors import InvalidInput
-from .stereo import head_layout
+from .stereo import HEAD_SEGMENTS, head_layout
 
 # Joint names of the shipped head's torso and neck, base outward.
 TRUNK_NAMES = ("torso-yaw", "torso-pitch", "torso-roll", "neck-pitch", "neck-roll", "neck-yaw")
@@ -89,8 +89,7 @@ def default_head_model() -> HeadModel:
         DHLink(0.0, -0.034, -pi2, 0.0, **tilt_lim),    # right tilt
         DHLink(0.0, 0.0, pi2, pi2, **pan_lim),         # right pan
     )
-    segments = ("torso",) * 3 + ("neck",) * 3 + ("left-eye",) * 2 + ("right-eye",) * 2
-    chain = KinematicChain(links, segments=segments)
+    chain = KinematicChain(links, segments=HEAD_SEGMENTS)
     return HeadModel(
         chain=chain,
         imu_link=5,

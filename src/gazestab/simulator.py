@@ -177,8 +177,8 @@ def step(
         q_mech = np.clip(q_mech, lo, hi)
         qdot_mech = np.where(clamped, 0.0, qdot_mech)
 
-    q_new = _collapse(q_mech, 1e-9)
-    qdot_new = _collapse(qdot_mech, 1e-9)
+    q_new = _collapse(q_mech)
+    qdot_new = _collapse(qdot_mech)
     base_offset = state.base_offset + dt * vel
     finite = np.isfinite(q_new).all() and np.isfinite(qdot_new).all() and np.isfinite(base_offset).all()
     if not (finite and math.isfinite(t)):
@@ -604,7 +604,7 @@ def _world_geometry(model, cam, cloud, state, imu):
     offset: the cloud's projection into the left camera (a _project result,
     what _flow reads), the fixation point (None when the optical axes are
     parallel) and, if imu, the IMU's (rotation, position)."""
-    _, _, stack, frames, fx = _head_pass(model.chain, state.q)
+    _, stack, frames, fx = _head_pass(model.chain, state.q)
     b = state.base_offset
     proj = _project(cam, frames.rot_left, frames.o_left + b, cloud)
     x_fp = None if fx is None else fx.point + b

@@ -23,16 +23,18 @@ fixation Jacobian is done with respect to the *mechanical* variables
 pan reaches the other camera's ray parameter through the shared terms above
 -- then folded onto (tilt, version, vergence) by the chain rule.
 
+The head has one shape, HEAD_SEGMENTS: 3 torso links, 3 neck links, then
+tilt and pan per eye, left first.  Its joints sit at fixed indices (one
+HeadLayout), and a head pass rejects a chain of any other shape.
+
 camera_frames and fixation_full_jacobian read one DH pass per head state:
 the link frames, the camera frames and the fixation point (None when the
 optical axes are parallel).  The last pass is kept: a repeat call on the
 same chain object and q reuses it (q is still validated), so a state's
 camera frames, fixation point and Jacobian cost one walk.  The pass is
-keyed on the checked 9-DoF q, so a hit expands nothing, and a new state on
-the same chain reuses the kept HeadLayout: head_layout runs once per chain,
-not once per state.  The kept arrays are read-only.  The simulation loop
-reads the pass directly, for the camera frames, the fixation point and the
-IMU link's frame.
+keyed on the checked 9-DoF q, so a hit expands nothing.  The kept arrays
+are read-only.  The simulation loop reads the pass directly, for the
+camera frames, the fixation point and the IMU link's frame.
 
 Checks sit at the public edge: each public function and constructor checks
 what its caller passes.  The camera frames of a pass are products of DH
@@ -43,6 +45,7 @@ without CameraFrames' orthonormality checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -60,9 +63,13 @@ from .errors import InvalidInput, SingularConfiguration
 
 # Rays whose |denom| falls below this are reported as singular.
 SINGULAR_DENOM_TOL = 1e-9
+# Largest left/right tilt mismatch collapse_head_q accepts.
+TILT_TOL = 1e-9
 
+# Segment tag of each head joint, in chain order.
+HEAD_SEGMENTS = ("torso",) * 3 + ("neck",) * 3 + ("left-eye",) * 2 + ("right-eye",) * 2
 HEAD_DOF = 9  # torso 3 + neck 3 + (tilt, version, vergence)
-HEAD_MECH = 10  # torso 3 + neck 3 + (tilt, pan) per eye
+HEAD_MECH = len(HEAD_SEGMENTS)  # torso 3 + neck 3 + (tilt, pan) per eye
 
 
 # ------------------------------------------------- head layout, eye coupling
@@ -87,24 +94,15 @@ class HeadLayout:
         return self.pan_right
 
 
+_LAYOUT = HeadLayout(trunk=tuple(range(6)), tilt_left=6, pan_left=7, tilt_right=8, pan_right=9)
+
+
 def head_layout(chain: KinematicChain) -> HeadLayout:
-    """Validate torso:3 + neck:3 + 2+2 eye topology and locate the joints."""
-    torso = chain.segment_indices("torso")
-    neck = chain.segment_indices("neck")
-    left = chain.segment_indices("left-eye")
-    right = chain.segment_indices("right-eye")
-    if (len(torso), len(neck), len(left), len(right)) != (3, 3, 2, 2):
-        raise InvalidInput(
-            "camera/fixation operations need a torso:3 neck:3 eyes:2+2 chain, got "
-            f"torso:{len(torso)} neck:{len(neck)} left:{len(left)} right:{len(right)}"
-        )
-    return HeadLayout(
-        trunk=tuple(torso + neck),
-        tilt_left=left[0],
-        pan_left=left[1],
-        tilt_right=right[0],
-        pan_right=right[1],
-    )
+    """The head's joint indices; InvalidInput unless chain has HEAD_SEGMENTS."""
+    if chain.segments != HEAD_SEGMENTS:
+        got = " ".join(f"{seg}:{len(list(run))}" for seg, run in groupby(chain.segments))
+        raise InvalidInput(f"camera/fixation operations need a torso:3 neck:3 left-eye:2 right-eye:2 chain, got {got}")
+    return _LAYOUT
 
 
 def _expand(arr: np.ndarray) -> np.ndarray:
@@ -117,20 +115,20 @@ def expand_head_q(q) -> np.ndarray:
     return _expand(as_joint_array(q, HEAD_DOF, name="q (head-dof)"))
 
 
-def _collapse(arr: np.ndarray, tilt_tol: float) -> np.ndarray:
+def _collapse(arr: np.ndarray) -> np.ndarray:
     tilt_left, pan_left, tilt_right, pan_right = arr[6:]
-    if abs(tilt_left - tilt_right) > tilt_tol:
+    if abs(tilt_left - tilt_right) > TILT_TOL:
         raise InvalidInput(f"tilt coupling violated: left {tilt_left} vs right {tilt_right}")
     return np.concatenate([arr[:6], [tilt_left, 0.5 * (pan_left + pan_right), pan_left - pan_right]])
 
 
-def collapse_head_q(q_mech, *, tilt_tol: float = 1e-9) -> np.ndarray:
+def collapse_head_q(q_mech) -> np.ndarray:
     """10 mechanical joint values -> 9 control DoF.
 
-    The tilt motors are one physical axis; a mismatch larger than tilt_tol
+    The tilt motors are one physical axis; a mismatch larger than TILT_TOL
     means the caller broke the coupling invariant.
     """
-    return _collapse(as_joint_array(q_mech, HEAD_MECH, name="q (head-mech)"), tilt_tol)
+    return _collapse(as_joint_array(q_mech, HEAD_MECH, name="q (head-mech)"))
 
 
 # ---------------------------------------------------------------- camera rays
@@ -197,30 +195,28 @@ class CameraFrames:
 
 # (chain, 9-DoF q bytes, result) of the latest _head_pass, swapped as one
 # tuple.  A chain is immutable and the result read-only, so a hit may hand
-# the stored result out again, and a miss on the same chain its layout.
+# the stored result out again.
 _last_head_pass = (None, b"", None)
 
 
 def _head_pass(chain: KinematicChain, q):
-    """Layout, mechanical q, link_frames stack, camera frames and fixation
-    point (None when the optical axes are parallel) of a 9-DoF head state:
-    the one DH walk camera_frames, fixation_full_jacobian and the simulation
-    loop read.  A repeat call on the same chain object and q returns the
-    last pass."""
+    """Mechanical q, link_frames stack, camera frames and fixation point
+    (None when the optical axes are parallel) of a 9-DoF head state: the one
+    DH walk camera_frames, fixation_full_jacobian and the simulation loop
+    read.  A repeat call on the same chain object and q returns the last
+    pass."""
     global _last_head_pass
     arr = as_joint_array(q, HEAD_DOF, name="q (head-dof)")
     key = arr.tobytes()
     last_chain, last_key, last = _last_head_pass
-    if last_chain is chain:
-        if last_key == key:
-            return last
-        lay = last[0]
-    else:
-        lay = head_layout(chain)
+    if last_chain is chain and last_key == key:
+        return last
+    if chain.segments != HEAD_SEGMENTS:
+        head_layout(chain)  # raises the shape's InvalidInput
     qm = _expand(arr)
     frames = link_frames(chain, qm)
-    pose_l = forward_kinematics(chain, qm, lay.cam_left, frames=frames)
-    pose_r = forward_kinematics(chain, qm, lay.cam_right, frames=frames)
+    pose_l = forward_kinematics(chain, qm, _LAYOUT.cam_left, frames=frames)
+    pose_r = forward_kinematics(chain, qm, _LAYOUT.cam_right, frames=frames)
     cams = _unchecked(
         CameraFrames,
         o_left=pose_l.pos,
@@ -237,14 +233,14 @@ def _head_pass(chain: KinematicChain, q):
     kept = (qm, frames) if fx is None else (qm, frames, fx.point, fx.p_left, fx.p_right)
     for a in kept:
         a.setflags(write=False)
-    result = (lay, qm, frames, cams, fx)
+    result = (qm, frames, cams, fx)
     _last_head_pass = (chain, key, result)
     return result
 
 
 def camera_frames(chain: KinematicChain, q) -> CameraFrames:
     """Both camera frames at the given 9-DoF head configuration."""
-    return _head_pass(chain, q)[3]
+    return _head_pass(chain, q)[2]
 
 
 # ------------------------------------------------------------- fixation point
@@ -262,17 +258,17 @@ class FixationResult:
     gap: float  # ||p_left - p_right||
 
 
-def fixation_point(frames: CameraFrames, *, denom_tol: float = SINGULAR_DENOM_TOL) -> FixationResult:
+def fixation_point(frames: CameraFrames) -> FixationResult:
     """Fixation point from the closed-form closest-approach solution.
 
     Raises SingularConfiguration when the rays are numerically parallel
-    (|cos_axes^2 - 1| < denom_tol): there is no unique closest pair.
+    (|cos_axes^2 - 1| < SINGULAR_DENOM_TOL): there is no unique closest pair.
     """
     zl, zr = frames.z_left, frames.z_right
     ol, orr = frames.o_left, frames.o_right
     cos_axes = float(zl @ zr)
     denom = cos_axes * cos_axes - 1.0
-    if abs(denom) < denom_tol:
+    if abs(denom) < SINGULAR_DENOM_TOL:
         raise SingularConfiguration(
             f"optical axes are parallel to within tolerance (denom={denom:.3e})",
             denom=denom,
@@ -321,7 +317,7 @@ def fixation_full_jacobian(chain: KinematicChain, q) -> np.ndarray:
 
     Raises SingularConfiguration when the optical axes are parallel.
     """
-    lay, qm, frames, fr, fx = _head_pass(chain, q)
+    qm, frames, fr, fx = _head_pass(chain, q)
     if fx is None:
         fixation_point(fr)  # raises the pass's SingularConfiguration
     ol, zl, orr, zr = fr.o_left, fr.z_left, fr.o_right, fr.z_right
@@ -330,6 +326,7 @@ def fixation_full_jacobian(chain: KinematicChain, q) -> np.ndarray:
     # pan), read from the one pass: tilt is the camera's own tilt joint, and
     # the other eye's pan is off its path (a zero column).  np.take keeps the
     # blocks C-ordered; the products below round differently on F order.
+    lay = _LAYOUT
     left_vars = [lay.tilt_left, lay.pan_left, lay.pan_right]
     right_vars = [lay.tilt_right, lay.pan_left, lay.pan_right]
     d_ol = np.take(geometric_jacobian(chain, qm, ol, lay.cam_left, frames=frames)[:3], left_vars, axis=1)
@@ -358,7 +355,7 @@ def fixation_full_jacobian(chain: KinematicChain, q) -> np.ndarray:
     dPr = d_or + np.outer(zr, quotient(num_right, d_num_right)) + fx.s_right * d_zr
 
     J = np.zeros((6, HEAD_DOF))
-    J[:, :6] = geometric_jacobian(chain, qm, fx.point, lay.cam_left, frames=frames)[:, list(lay.trunk)]
+    J[:, :6] = geometric_jacobian(chain, qm, fx.point, lay.cam_left, frames=frames)[:, :6]
     J[:3, 6] = 0.5 * (dPl[:, 0] + dPr[:, 0])
     J[:3, 7] = 0.5 * (dPl[:, 1] + dPl[:, 2] + dPr[:, 1] + dPr[:, 2])
     J[:3, 8] = 0.25 * (dPl[:, 1] - dPl[:, 2] + dPr[:, 1] - dPr[:, 2])

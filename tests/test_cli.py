@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import re
@@ -7,11 +8,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gazestab.cli as cli
 from gazestab.cli import main
+from gazestab.chain import finite_difference_jacobian
 from gazestab.errors import FileFormatError, InvalidInput, JointLimitWarning
 from gazestab.fileio import (
+    SEGMENT_ORDER,
     RunConfig,
     config_overrides,
     default_data_dir,
@@ -34,6 +39,7 @@ from gazestab.simulator import (
     run_experiment,
 )
 from gazestab.stabilizer import StabilizerConfig
+from gazestab.stereo import HEAD_SEGMENTS, camera_frames, fixation_full_jacobian, fixation_point
 
 DATA = default_data_dir()
 MODEL_FILE = os.path.join(DATA, "default_head.model")
@@ -106,6 +112,98 @@ def test_model_parse_rejections(tmp_path, body, fragment):
 def test_model_missing_file_error():
     with pytest.raises(FileFormatError, match="file not found"):
         parse_model_file("/nonexistent/head.model")
+
+
+MODEL_LINES = Path(MODEL_FILE).read_text().splitlines(keepends=True)
+
+
+def model_in_block_order(order):
+    """The shipped model text with its segment blocks (a `segment` line and
+    its `link` lines) in the given order of block indices."""
+    starts = [i for i, line in enumerate(MODEL_LINES) if line.startswith("segment ")]
+    blocks = []
+    for start in starts:
+        end = start + 1
+        while MODEL_LINES[end].startswith("link "):
+            end += 1
+        blocks.append("".join(MODEL_LINES[start:end]))
+    return "".join(MODEL_LINES[: starts[0]]) + "\n".join(blocks[i] for i in order) + "".join(MODEL_LINES[end:])
+
+
+def trunk_interleaved_model():
+    """The shipped model with the six trunk links tagged torso, neck,
+    torso, ... in turn, each under its own `segment` line."""
+    lines, tagged = [], 0
+    for line in MODEL_LINES:
+        if line.startswith(("segment torso", "segment neck")):
+            continue
+        if line.startswith("link ") and tagged < 6:
+            lines.append(f"segment {('torso', 'neck')[tagged % 2]}\n")
+            tagged += 1
+        lines.append(line)
+    return "".join(lines)
+
+
+def first_segment_out_of_order(text):
+    """Line number of the first `segment` line naming an earlier segment
+    than the one before it, or None."""
+    segments = [(no, SEGMENT_ORDER.index(line.split()[1]))
+                for no, line in enumerate(text.splitlines(), start=1) if line.startswith("segment ")]
+    return next((no for (no, rank), (_, before) in zip(segments[1:], segments) if rank < before), None)
+
+
+@pytest.mark.parametrize("order", list(itertools.permutations(range(4))))
+def test_model_parses_only_in_the_shipped_segment_order(tmp_path, order):
+    p = tmp_path / "m.model"
+    p.write_text(model_in_block_order(order))
+    no = first_segment_out_of_order(p.read_text())
+    if order == (0, 1, 2, 3):
+        assert no is None and chains_equal(parse_model_file(str(p)).chain, default_head_model().chain)
+        return
+    with pytest.raises(FileFormatError, match="segments go torso -> neck -> left-eye -> right-eye") as exc:
+        parse_model_file(str(p))
+    assert exc.value.line == no
+
+
+def test_model_link_count_is_checked_at_the_end_of_the_file(tmp_path):
+    p = tmp_path / "m.model"
+    p.write_text("".join(line for line in MODEL_LINES if not line.startswith("link neck-roll")))
+    with pytest.raises(FileFormatError, match="got torso:3 neck:2 left-eye:2 right-eye:2") as exc:
+        parse_model_file(str(p))
+    assert exc.value.line == len(MODEL_LINES) - 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_model_parser_fuzz_accepts_only_heads(tmp_path_factory, data):
+    # Retag the shipped model's segments and delete or duplicate whole
+    # lines: the parser raises FileFormatError or returns a head whose
+    # fixation Jacobian agrees with the finite-difference oracle.
+    lines = list(MODEL_LINES)
+    segment_lines = st.sampled_from([i for i, line in enumerate(lines) if line.startswith("segment ")])
+    for i, j in data.draw(st.lists(st.tuples(segment_lines, segment_lines), max_size=2)):
+        lines[i], lines[j] = lines[j], lines[i]  # swap two segments' tags
+    for i in data.draw(st.lists(segment_lines, max_size=2)):
+        lines[i] = f"segment {data.draw(st.sampled_from(SEGMENT_ORDER))}\n"
+    edits = st.tuples(st.sampled_from(["delete", "duplicate"]), st.integers(0, len(lines) - 1))
+    for edit, i in data.draw(st.lists(edits, max_size=3)):
+        i %= len(lines)
+        if edit == "delete":
+            del lines[i]
+        else:
+            lines.insert(i, lines[i])
+    p = tmp_path_factory.mktemp("fuzz") / "m.model"
+    p.write_text("".join(lines))
+    try:
+        model = parse_model_file(str(p))
+    except FileFormatError:
+        return
+    chain = model.chain
+    assert chain.segments == HEAD_SEGMENTS
+    q = np.random.default_rng(318).uniform(-0.4, 0.4, 9)
+    q[8] = 0.3
+    fd = finite_difference_jacobian(lambda qq: fixation_point(camera_frames(chain, qq)).point, q)
+    assert np.abs(fixation_full_jacobian(chain, q)[:3] - fd).max() < 1e-5
 
 
 # ------------------------------------------------------------ script files
@@ -480,6 +578,15 @@ def test_cli_hostile_input_file_value_exits_2_at_its_line(tmp_path, capsys, name
     kind = name.rsplit(".", 1)[1]
     assert main(["run", "--config", write_quick_config(tmp_path, "kff", 0.3, **{kind: bad.name})]) == 2
     assert_clean_error(capsys, f"{bad}:{no}: ")
+
+
+@pytest.mark.parametrize("name", ["eyes-swapped", "trunk-interleaved"])
+def test_cli_model_of_another_shape_exits_2_at_its_segment_line(tmp_path, capsys, name):
+    text = model_in_block_order((0, 1, 3, 2)) if name == "eyes-swapped" else trunk_interleaved_model()
+    bad = tmp_path / f"{name}.model"
+    bad.write_text(text)
+    assert main(["run", "--config", write_quick_config(tmp_path, "kff", 0.3, model=bad.name)]) == 2
+    assert_clean_error(capsys, f"{bad}:{first_segment_out_of_order(text)}: ", "segments go")
 
 
 def test_cli_negative_config_seed_exits_2_at_its_line(tmp_path, capsys):

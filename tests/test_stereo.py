@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from gazestab import InvalidInput, SingularConfiguration, finite_difference_jacobian, geometric_jacobian
 from gazestab import stereo
 from gazestab.chain import KinematicChain
-from gazestab.models import default_head_model
+from gazestab.models import HeadModel, default_head_model
 from gazestab.stereo import (
     CameraFrames,
     camera_frames,
@@ -449,7 +449,7 @@ def test_head_pass_misses_on_another_chain_or_q(monkeypatch):
 
 
 def test_head_pass_arrays_are_read_only():
-    lay, qm, frames, cams, fx = stereo._head_pass(CHAIN, head_q(np.random.default_rng(316)))
+    qm, frames, cams, fx = stereo._head_pass(CHAIN, head_q(np.random.default_rng(316)))
     assert fx is not None
     for arr in (qm, frames, cams.o_left, cams.z_right, cams.rot_left, fx.point, fx.p_left, fx.p_right):
         with pytest.raises(ValueError):
@@ -470,3 +470,26 @@ def test_head_layout_indices():
     assert lay.trunk == (0, 1, 2, 3, 4, 5)
     assert (lay.tilt_left, lay.pan_left, lay.tilt_right, lay.pan_right) == (6, 7, 8, 9)
     assert lay.cam_left == 7 and lay.cam_right == 9
+
+
+# The same ten links in another segment order: the eye blocks swapped, or
+# the torso and neck links interleaved.  Both are valid chains, but not heads.
+NOT_A_HEAD = {
+    "eyes-swapped": KinematicChain(
+        CHAIN.links[:6] + CHAIN.links[8:] + CHAIN.links[6:8],
+        segments=CHAIN.segments[:6] + CHAIN.segments[8:] + CHAIN.segments[6:8],
+    ),
+    "trunk-interleaved": KinematicChain(CHAIN.links, segments=("torso", "neck") * 3 + CHAIN.segments[6:]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NOT_A_HEAD))
+def test_a_chain_of_another_shape_is_not_a_head(name):
+    chain = NOT_A_HEAD[name]
+    q = head_q(np.random.default_rng(317))
+    with pytest.raises(InvalidInput, match="torso:3 neck:3 left-eye:2 right-eye:2"):
+        HeadModel(chain=chain, imu_link=5)
+    with pytest.raises(InvalidInput, match="torso:3 neck:3 left-eye:2 right-eye:2"):
+        camera_frames(chain, q)
+    with pytest.raises(InvalidInput, match="torso:3 neck:3 left-eye:2 right-eye:2"):
+        fixation_full_jacobian(chain, q)
