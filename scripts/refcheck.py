@@ -23,7 +23,11 @@ configs are used.  The check
   `compensate` over 2,000 seeded head configurations; the gyro moves from
   each configuration to the next, and `compensate` cancels the
   `estimate_kff` twist of seeded rates under the default `neck-eyes` joint
-  set and under `eyes`.
+  set and under `eyes`;
+* compares a SHA-256 digest of `DisturbanceScript.realize` (the dtype, shape
+  and bytes of each of the track's five arrays) on the three shipped scripts
+  and on a synthetic script of commanded and external moves and noise on
+  joint and base channels, which the shipped scripts never combine.
 
 It prints one line per check and exits 1 on any breach (a byte-identical
 result or a numeric difference within the budget is no breach).
@@ -47,7 +51,9 @@ SETS = {
 CONFIGURATIONS = 2000
 # exp_b_ifb rerun with its gyro samples held back this many ticks
 GYRO_DELAY = 3
-DIGESTS = ("fixation_full_jacobian", "camera_frames", "imu_pose", "synth_gyro", "synth_gyro (noise)", "compensate")
+DIGESTS = (
+    "fixation_full_jacobian", "camera_frames", "imu_pose", "synth_gyro", "synth_gyro (noise)", "compensate", "realize"
+)
 
 # Runs inside a tree on log paths: prints a digest of each log as read_log_csv
 # returns it (every array's dtype, shape and bytes, the metadata, the segments).
@@ -115,6 +121,34 @@ for k in range({CONFIGURATIONS}):
     prev = state
 for h in (h_jac, h_cam, h_imu, h_gyro, h_noisy, h_comp):
     print(h.hexdigest())
+
+from dataclasses import fields
+from gazestab.fileio import default_data_dir, parse_script_file
+from gazestab.simulator import DisturbanceScript, NoiseSegment, ScriptSegment
+
+synthetic = DisturbanceScript(
+    "mixed",
+    segments=(
+        ScriptSegment(0.0, 0.3, "torso-yaw", 0.4),
+        ScriptSegment(0.1, 0.25, "neck-pitch", -0.2, external=True),
+        ScriptSegment(0.05, 0.35, "base-x", 0.1),
+        ScriptSegment(0.2, 0.4, "base-z", -0.05, external=True),
+    ),
+    noise=(
+        NoiseSegment(0.3, 0.5, ("torso-yaw", "eye-version"), 0.1, 2.0, seed=5, external=False),
+        NoiseSegment(0.0, 0.45, ("torso-roll",), 0.2, 1.0, seed=6),
+        NoiseSegment(0.4, 0.5, ("base-y", "base-x"), 0.05, 3.0, seed=7, external=False),
+        NoiseSegment(0.0, 0.2, ("base-z",), 0.02, 1.5, seed=8),
+    ),
+)
+scripts = [parse_script_file(f"{{default_data_dir()}}/{{n}}.script") for n in ("exp_a", "exp_b", "translate")]
+h_track = hashlib.sha256()
+for script in scripts + [synthetic]:
+    track = script.realize(model, 0.01, int(round((script.duration() + 0.5) / 0.01)))
+    for f in fields(track):
+        a = getattr(track, f.name)
+        h_track.update(f"{{f.name}} {{a.dtype.str}} {{a.shape}}".encode() + np.ascontiguousarray(a).tobytes())
+print(h_track.hexdigest())
 """
 
 

@@ -122,9 +122,12 @@ def cmd_run(args) -> int:
     try:
         model = parse_model_file(model_path)
         script = parse_script_file(script_path)
-        script.validate(model)
-    except (FileFormatError, GazestabError) as err:
+    except GazestabError as err:
         return _fail(str(err), 2)
+    try:
+        script.validate(model)  # the channels a script may name are the model's
+    except InvalidInput as err:
+        return _fail(f"{script_path}: {err}", 2)
 
     out = cfg.out or f"{cfg.name}.csv"
     reason = _out_dir_error(out)

@@ -10,10 +10,10 @@ Model/script entity lines use `directive key=value ...` tokens; run configs
 are flat `key value` pairs.  Parse and validation problems raise
 FileFormatError carrying the file path and 1-based line number.
 
-Trajectory logs are CSV with a frozen column set (documented in the README
-and in LOG_COLUMNS below), every cell serialized with repr-faithful %.17g,
-and run metadata in `# key: value` comment lines before the header -- byte
-identical across reruns of the same config.
+Trajectory logs are CSV with a frozen column set (see the README; the layout
+is declared beside TrajectoryLog in gazestab.simulator), every cell written
+as repr-faithful %.17g, and run metadata in `# key: value` comment lines
+before the header -- byte identical across reruns of the same config.
 
 Files are read a line at a time and logs written a block of rows at a time,
 so log I/O streams in bounded memory per row (about the log's own arrays).
@@ -33,8 +33,10 @@ import numpy as np
 
 from .chain import DHLink, KinematicChain, Pose
 from .errors import FileFormatError, InvalidInput
-from .models import BASE_CHANNELS, EYE_DOF_NAMES, TRUNK_NAMES, HeadModel
+from .models import BASE_CHANNELS, HeadModel
 from .simulator import (
+    LOG_COLUMNS,
+    LOG_META,
     CameraModel,
     CloudSpec,
     DisturbanceScript,
@@ -94,6 +96,13 @@ def _parse_float(path: str, no: int, token: str, what: str) -> float:
         return float(token)
     except ValueError:
         raise FileFormatError(path, no, f"bad number {token!r} for {what}") from None
+
+
+def _parse_int(path: str, no: int, token: str, what: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise FileFormatError(path, no, f"bad integer {token!r} for {what}") from None
 
 
 def _parse_kv(path: str, no: int, tokens, allowed, flags=()):
@@ -292,16 +301,16 @@ def _link_names(model: HeadModel):
 
 # ------------------------------------------------------------- script files
 
-_MOVE_KEYS = {"channel", "t", "rate"}
-_NOISE_KEYS = {"channels", "t", "amplitude", "bandwidth", "seed"}
-
-
-def _is_base_channel(ch: str) -> bool:
-    return ch in BASE_CHANNELS
+# Each motion directive's keys, all required, and its one flag word.
+_MOTION_KEYS = {
+    "move": (("channel", "t", "rate"), "external"),
+    "noise": (("channels", "t", "amplitude", "bandwidth", "seed"), "commanded"),
+}
 
 
 def parse_script_file(path: str) -> DisturbanceScript:
-    """Read a disturbance script; see data/exp_a.script."""
+    """Read a disturbance script; see data/exp_a.script.  Channel names are
+    checked against a model by DisturbanceScript.validate."""
     name = None
     units = None
     moves: list[ScriptSegment] = []
@@ -319,47 +328,35 @@ def parse_script_file(path: str) -> DisturbanceScript:
             if len(rest) != 1:
                 raise FileFormatError(path, no, "units line needs exactly one value")
             units = _Units(path, no, rest[0])
-        elif head in ("move", "noise"):
+        elif head in _MOTION_KEYS:
             if units is None:
                 raise FileFormatError(path, no, "units must be declared before motion lines")
-            if head == "move":
-                got = _parse_kv(path, no, rest, _MOVE_KEYS, flags=("external",))
-                for req in _MOVE_KEYS:
-                    if req not in got:
-                        raise FileFormatError(path, no, f"move line missing {req}=")
-                t0, t1 = _parse_vector(path, no, got["t"], 2, "time span")
-                rate = _parse_float(path, no, got["rate"], "rate")
-                ch = got["channel"]
-                if not _is_base_channel(ch):
-                    rate = units.to_rad(rate)
-                try:
-                    moves.append(ScriptSegment(t0, t1, ch, rate, external=bool(got.get("external", False))))
-                except InvalidInput as err:
-                    raise FileFormatError(path, no, str(err)) from None
-            else:
-                got = _parse_kv(path, no, rest, _NOISE_KEYS, flags=("commanded",))
-                for req in _NOISE_KEYS:
-                    if req not in got:
-                        raise FileFormatError(path, no, f"noise line missing {req}=")
-                t0, t1 = _parse_vector(path, no, got["t"], 2, "time span")
-                chans = tuple(got["channels"].split(","))
-                kinds = {_is_base_channel(c) for c in chans}
-                if len(kinds) > 1:
-                    raise FileFormatError(path, no, "noise cannot mix joint and base channels (units differ)")
-                amp = _parse_float(path, no, got["amplitude"], "amplitude")
-                if not kinds.pop():
-                    amp = units.to_rad(amp)
-                try:
-                    seed = int(got["seed"])
-                except ValueError:
-                    raise FileFormatError(path, no, f"bad integer {got['seed']!r} for seed") from None
-                bw = _parse_float(path, no, got["bandwidth"], "bandwidth")
-                try:
-                    noises.append(
-                        NoiseSegment(t0, t1, chans, amp, bw, seed, external=not got.get("commanded", False))
-                    )
-                except InvalidInput as err:
-                    raise FileFormatError(path, no, str(err)) from None
+            keys, flag = _MOTION_KEYS[head]
+            got = _parse_kv(path, no, rest, keys, flags=(flag,))
+            for req in keys:
+                if req not in got:
+                    raise FileFormatError(path, no, f"{head} line missing {req}=")
+            t0, t1 = _parse_vector(path, no, got["t"], 2, "time span")
+            try:  # the parse helpers raise FileFormatError; the segments InvalidInput
+                if head == "move":
+                    ch = got["channel"]
+                    rate = _parse_float(path, no, got["rate"], "rate")
+                    rate = rate if ch in BASE_CHANNELS else units.to_rad(rate)
+                    moves.append(ScriptSegment(t0, t1, ch, rate, external=flag in got))
+                else:
+                    chans = tuple(got["channels"].split(","))
+                    if "" in chans or len(set(chans)) < len(chans):
+                        what = "an empty" if "" in chans else "a repeated"
+                        raise FileFormatError(path, no, f"channels={got['channels']} has {what} channel name")
+                    if len({c in BASE_CHANNELS for c in chans}) > 1:
+                        raise FileFormatError(path, no, "noise cannot mix joint and base channels (units differ)")
+                    amp = _parse_float(path, no, got["amplitude"], "amplitude")
+                    amp = amp if chans[0] in BASE_CHANNELS else units.to_rad(amp)
+                    seed = _parse_int(path, no, got["seed"], "seed")
+                    bw = _parse_float(path, no, got["bandwidth"], "bandwidth")
+                    noises.append(NoiseSegment(t0, t1, chans, amp, bw, seed, external=flag not in got))
+            except InvalidInput as err:
+                raise FileFormatError(path, no, str(err)) from None
         else:
             raise FileFormatError(path, no, f"unknown directive {head!r}")
     if name is None:
@@ -372,7 +369,7 @@ def serialize_script(script: DisturbanceScript, units: str = "degrees") -> str:
     buf = io.StringIO()
     buf.write(f"script {script.name}\nunits {units}\n\n")
     for seg in script.segments:
-        rate = seg.rate if _is_base_channel(seg.channel) else u.from_rad(seg.rate)
+        rate = seg.rate if seg.channel in BASE_CHANNELS else u.from_rad(seg.rate)
         line = (
             f"move channel={seg.channel} t={_fmt(seg.t_start)},{_fmt(seg.t_end)} rate={_fmt(rate)}"
         )
@@ -380,7 +377,7 @@ def serialize_script(script: DisturbanceScript, units: str = "degrees") -> str:
             line += " external"
         buf.write(line + "\n")
     for seg in script.noise:
-        amp = seg.amplitude if _is_base_channel(seg.channels[0]) else u.from_rad(seg.amplitude)
+        amp = seg.amplitude if seg.channels[0] in BASE_CHANNELS else u.from_rad(seg.amplitude)
         line = (
             f"noise channels={','.join(seg.channels)} t={_fmt(seg.t_start)},{_fmt(seg.t_end)}"
             f" amplitude={_fmt(amp)} bandwidth={_fmt(seg.bandwidth)} seed={seg.seed}"
@@ -445,10 +442,7 @@ def _setting_value(path: str, no: int, key: str, raw: str, kind, units: _Units):
             raise FileFormatError(path, no, f"{key} must be true or false")
         return raw.lower() == "true"
     if kind is int:
-        try:
-            return int(raw)
-        except ValueError:
-            raise FileFormatError(path, no, f"bad integer {raw!r} for {key}") from None
+        return _parse_int(path, no, raw, key)
     v = _parse_float(path, no, raw, key)
     return units.to_rad(v) if kind == "angle" else v
 
@@ -562,36 +556,19 @@ def config_overrides(cfg: RunConfig, *, mode=None, dof=None, seed=None, out=None
 
 # ----------------------------------------------------------------- CSV logs
 
-# Each TrajectoryLog array with its CSV columns, in file order (log v1).
-_TWIST_AXES = ("vx", "vy", "vz", "wx", "wy", "wz")
-LOG_COLUMNS = (
-    ("t", ("t",)),
-    ("q", tuple(f"q_{n}" for n in TRUNK_NAMES + EYE_DOF_NAMES)),
-    ("qdot", tuple(f"qdot_{n}" for n in TRUNK_NAMES + EYE_DOF_NAMES)),
-    ("base_offset", tuple(f"base_{c[-1]}" for c in BASE_CHANNELS)),
-    ("cmd", tuple(f"cmd_{n}" for n in TRUNK_NAMES[3:] + EYE_DOF_NAMES)),
-    ("est_twist", tuple(f"est_{a}" for a in _TWIST_AXES)),
-    ("true_twist", tuple(f"true_{a}" for a in _TWIST_AXES)),
-    ("fp", ("fp_x", "fp_y", "fp_z")),
-    ("optfl", ("optfl",)),
-    ("n_valid", ("n_valid",)),
-    ("saturated", ("saturated",)),
-    ("singular", ("singular",)),
-)
-LOG_HEADER = tuple(c for _, cols in LOG_COLUMNS for c in cols)
-# Columns read back with these types; all 47 columns are written as %.17g,
-# which prints an integer-valued float as the integer does (1.0 -> "1").
-_LOG_INT_TYPES = {"n_valid": int, "saturated": bool, "singular": bool}
+LOG_HEADER = tuple(c for _, cols, _ in LOG_COLUMNS for c in cols)
+# All 47 columns are written as %.17g, which prints an integer-valued float
+# as the integer does (1.0 -> "1"), and read back as LOG_COLUMNS types them.
 _LOG_ROW = ",".join([FLOAT_FMT] * len(LOG_HEADER)) + "\n"
 _LOG_BLOCK = 64  # rows per write: the writer holds one block, not the log
 
 
 def write_log_csv(log: TrajectoryLog, path: str) -> None:
     """One row per tick; metadata and script segments in leading comments."""
-    arrays = [getattr(log, name) for name, _ in LOG_COLUMNS]
+    arrays = [getattr(log, name) for name, _, _ in LOG_COLUMNS]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("# gazestab-log: 1\n")
-        for key in ("script", "mode", "dof_set", "model", "dt", "duration", "seed", "gyro_sigma", "fixation_distance"):
+        for key in LOG_META:
             val = log.meta.get(key)
             if isinstance(val, float):
                 val = _fmt(val)
@@ -654,7 +631,7 @@ def read_log_csv(path: str) -> TrajectoryLog:
                 values.extend([_parse_float(path, data_no, x, col) for col, x in zip(LOG_HEADER, rec)])
     except csv.Error as err:
         raise FileFormatError(path, data_no, f"bad CSV row: {err}") from None
-    for cast, key in ((float, "dt"), (float, "duration"), (float, "gyro_sigma"), (float, "fixation_distance"), (int, "seed")):
+    for key, cast in LOG_META.items():
         if key in meta:
             try:
                 meta[key] = cast(meta[key])
@@ -663,12 +640,11 @@ def read_log_csv(path: str) -> TrajectoryLog:
     if not values:
         raise FileFormatError(path, 0, "log contains no data rows")
     table = np.frombuffer(values).reshape(-1, len(LOG_HEADER))
-    blocks = np.split(table, np.cumsum([len(cols) for _, cols in LOG_COLUMNS])[:-1], axis=1)
+    blocks = np.split(table, np.cumsum([len(cols) for _, cols, _ in LOG_COLUMNS])[:-1], axis=1)
     meta.pop("version", None)
     arrays = {}
-    for (name, cols), block in zip(LOG_COLUMNS, blocks):
-        block = block[:, 0] if len(cols) == 1 else block
-        arrays[name] = block.astype(_LOG_INT_TYPES[name]) if name in _LOG_INT_TYPES else block
+    for (name, cols, dtype), block in zip(LOG_COLUMNS, blocks):
+        arrays[name] = (block[:, 0] if len(cols) == 1 else block).astype(dtype, copy=False)
     return TrajectoryLog(meta=meta, segments=tuple(segments), **arrays)
 
 

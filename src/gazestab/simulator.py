@@ -41,7 +41,7 @@ from __future__ import annotations
 import math
 import warnings
 from collections import deque
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -53,7 +53,7 @@ from .errors import (
     JointLimitWarning,
     SimulationDiverged,
 )
-from .models import BASE_CHANNELS, HeadModel, _imu_world
+from .models import BASE_CHANNELS, EYE_DOF_NAMES, TRUNK_NAMES, HeadModel, _imu_world
 from .stabilizer import (
     ImuSample,
     StabilizerCommand,
@@ -417,8 +417,9 @@ class NoiseSegment:
         if not (0.0 <= self.t_start < self.t_end and math.isfinite(self.t_end)):
             raise InvalidInput("bad noise segment times")
         amp, bw = self.amplitude, self.bandwidth
-        if not (amp >= 0.0 and bw > 0.0 and math.isfinite(amp) and math.isfinite(bw)):
-            raise InvalidInput("noise amplitude must be finite and >= 0, bandwidth finite and > 0")
+        # the series reaches several times its std (the amplitude): a larger one could overflow
+        if not (0.0 <= amp <= 1e300 and bw > 0.0 and math.isfinite(bw)):
+            raise InvalidInput("noise amplitude must lie in [0, 1e300], bandwidth be finite and > 0")
         _check_seed(self.seed, "noise seed")
 
 
@@ -455,26 +456,20 @@ class DisturbanceScript:
         rows += [("noise:" + "+".join(s.channels), s.t_start, s.t_end) for s in self.noise]
         return rows
 
-    def _channel_index(self, model: HeadModel, channel: str):
-        if channel in model.dof_names:
-            return ("dof", model.dof_names.index(channel))
-        if channel in BASE_CHANNELS:
-            return ("base", BASE_CHANNELS.index(channel))
-        raise InvalidInput(
-            f"unknown script channel {channel!r}; expected one of "
-            f"{model.dof_names + BASE_CHANNELS}"
-        )
+    def _column(self, model: HeadModel, channel: str) -> int:
+        """Column of a channel in realize's tables: the 9 DoF, then base x, y, z."""
+        names = model.dof_names + BASE_CHANNELS
+        if channel not in names:
+            raise InvalidInput(f"unknown script channel {channel!r}; expected one of {names}")
+        return names.index(channel)
 
     def validate(self, model: HeadModel) -> None:
         """Resolve channels and reject overlapping claims on one channel."""
         spans: dict[str, list[tuple[float, float]]] = {}
-        for seg in self.segments:
-            self._channel_index(model, seg.channel)
-            spans.setdefault(seg.channel, []).append((seg.t_start, seg.t_end))
-        for seg in self.noise:
-            for ch in seg.channels:
-                self._channel_index(model, ch)
-                spans.setdefault(ch, []).append((seg.t_start, seg.t_end))
+        claims = [(s.channel, s) for s in self.segments] + [(ch, s) for s in self.noise for ch in s.channels]
+        for ch, seg in claims:
+            self._column(model, ch)
+            spans.setdefault(ch, []).append((seg.t_start, seg.t_end))
         for ch, times in spans.items():
             times.sort()
             for (a0, a1), (b0, b1) in zip(times, times[1:]):
@@ -485,53 +480,42 @@ class DisturbanceScript:
                     )
 
     def realize(self, model: HeadModel, dt: float, n_ticks: int) -> DisturbanceTrack:
-        """Evaluate every channel on the tick grid.  Deterministic."""
+        """Evaluate every channel on the tick grid.  Deterministic.  The track's
+        arrays are column views of a rate and a commanded table (_column)."""
         self.validate(model)
-        qdot = np.zeros((n_ticks, 9))
-        base = np.zeros((n_ticks, 3))
+        rates = np.zeros((n_ticks, 12))
+        commanded = np.zeros((n_ticks, 12))
         active = np.zeros((n_ticks, 9), dtype=bool)
-        cmd_q = np.zeros((n_ticks, 9))
-        cmd_b = np.zeros((n_ticks, 3))
         t = np.arange(n_ticks) * dt
+
+        def add(rows, channel, series, external):
+            col = self._column(model, channel)
+            rates[rows, col] += series
+            if col < 9:
+                active[rows, col] = True
+            if not external:
+                commanded[rows, col] += series
 
         for seg in self.segments:
             rows = (t >= seg.t_start - 1e-12) & (t < seg.t_end - 1e-12)
-            kind, idx = self._channel_index(model, seg.channel)
-            if kind == "dof":
-                qdot[rows, idx] += seg.rate
-                active[rows, idx] = True
-                if not seg.external:
-                    cmd_q[rows, idx] += seg.rate
-            else:
-                base[rows, idx] += seg.rate
-                if not seg.external:
-                    cmd_b[rows, idx] += seg.rate
+            add(rows, seg.channel, seg.rate, seg.external)
 
         for seg in self.noise:
             rows = np.nonzero((t >= seg.t_start - 1e-12) & (t < seg.t_end - 1e-12))[0]
             if rows.size == 0:
                 continue
-            rng = np.random.default_rng(seg.seed)
+            rng = np.random.default_rng(seg.seed)  # one stream across the line's channels, in order
             a = math.exp(-2.0 * math.pi * seg.bandwidth * dt)
             drive = seg.amplitude * math.sqrt(max(1.0 - a * a, 0.0))
             for ch in seg.channels:
-                kind, idx = self._channel_index(model, ch)
                 x = 0.0
                 series = np.empty(rows.size)
                 for k, eta in enumerate(rng.normal(size=rows.size)):
                     x = a * x + drive * eta
                     series[k] = x
-                if kind == "dof":
-                    qdot[rows, idx] += series
-                    active[rows, idx] = True
-                    if not seg.external:
-                        cmd_q[rows, idx] += series
-                else:
-                    base[rows, idx] += series
-                    if not seg.external:
-                        cmd_b[rows, idx] += series
+                add(rows, ch, series, seg.external)
 
-        return DisturbanceTrack(qdot, base, active, cmd_q, cmd_b)
+        return DisturbanceTrack(rates[:, :9], rates[:, 9:], active, commanded[:, :9], commanded[:, 9:])
 
 
 # ------------------------------------------------------------ run settings
@@ -564,6 +548,30 @@ class SimSettings:
         if not (self.gyro_sigma >= 0.0 and math.isfinite(self.gyro_sigma)) or self.gyro_delay_ticks < 0:
             raise InvalidInput("gyro noise must be finite and gyro noise/delay non-negative")
         _check_seed(self.seed, "seed")
+
+
+# Each TrajectoryLog array with its CSV columns and dtype, in file order (log
+# v1); a one-column array is 1-D.  Allocation, writer and reader all read it.
+_TWIST_AXES = ("vx", "vy", "vz", "wx", "wy", "wz")
+LOG_COLUMNS = (
+    ("t", ("t",), float),
+    ("q", tuple(f"q_{n}" for n in TRUNK_NAMES + EYE_DOF_NAMES), float),
+    ("qdot", tuple(f"qdot_{n}" for n in TRUNK_NAMES + EYE_DOF_NAMES), float),
+    ("base_offset", tuple(f"base_{c[-1]}" for c in BASE_CHANNELS), float),
+    ("cmd", tuple(f"cmd_{n}" for n in TRUNK_NAMES[3:] + EYE_DOF_NAMES), float),
+    ("est_twist", tuple(f"est_{a}" for a in _TWIST_AXES), float),
+    ("true_twist", tuple(f"true_{a}" for a in _TWIST_AXES), float),
+    ("fp", ("fp_x", "fp_y", "fp_z"), float),
+    ("optfl", ("optfl",), float),
+    ("n_valid", ("n_valid",), int),
+    ("saturated", ("saturated",), bool),
+    ("singular", ("singular",), bool),
+)
+# A run's metadata keys (TrajectoryLog.meta) with their types, in file order.
+LOG_META = dict(
+    script=str, mode=str, dof_set=str, model=str, dt=float, duration=float, seed=int, gyro_sigma=float,
+    fixation_distance=float,
+)
 
 
 @dataclass
@@ -663,19 +671,11 @@ def run_experiment(model: HeadModel, script: DisturbanceScript, settings: SimSet
             "gyro_sigma": settings.gyro_sigma,
             "fixation_distance": settings.fixation_distance,
         },
-        t=np.zeros(n_rows),
-        q=np.zeros((n_rows, 9)),
-        qdot=np.zeros((n_rows, 9)),
-        base_offset=np.zeros((n_rows, 3)),
-        cmd=np.zeros((n_rows, 6)),
-        est_twist=np.zeros((n_rows, 6)),
-        true_twist=np.zeros((n_rows, 6)),
-        fp=np.zeros((n_rows, 3)),
-        optfl=np.zeros(n_rows),
-        n_valid=np.zeros(n_rows, dtype=int),
-        saturated=np.zeros(n_rows, dtype=bool),
-        singular=np.zeros(n_rows, dtype=bool),
         segments=tuple(script.span_list()),
+        **{
+            name: np.zeros((n_rows, len(cols)) if len(cols) > 1 else n_rows, dtype)
+            for name, cols, dtype in LOG_COLUMNS
+        },
     )
     log.q[0] = state.q
     if x_fp is None:
@@ -685,8 +685,10 @@ def run_experiment(model: HeadModel, script: DisturbanceScript, settings: SimSet
 
     zero_twist, hold = Twist.zero(), StabilizerCommand.hold()
     prev_cmd = hold
-    # the iFB delay line: the newest sample and the gyro_delay_ticks before it
-    gyro_buffer: deque[ImuSample] = deque(maxlen=settings.gyro_delay_ticks + 1)
+    # the iFB delay line: the newest sample and the delay before it, read at
+    # [0]; a delay past the run's end reads no sample either way
+    delay = min(settings.gyro_delay_ticks, n_ticks)
+    gyro_buffer: deque[ImuSample] = deque(maxlen=delay + 1)
     try:
         for k in range(n_ticks):
             singular_now = x_fp is None
@@ -708,13 +710,10 @@ def run_experiment(model: HeadModel, script: DisturbanceScript, settings: SimSet
                     omega = _gyro_omega(imu_prev[0], imu[0], settings.dt, settings.gyro_sigma, rng_gyro)
                     self_qdot = np.where(track.active[k - 1][3:6], 0.0, state.qdot[3:6])
                     omega = omega - J[3:6, 3:6] @ self_qdot
+                if not gyro_buffer:  # until the first sample comes out: no rotation, at its position
+                    gyro_buffer.extend([_unchecked(ImuSample, omega=np.zeros(3), position=imu[1])] * delay)
                 gyro_buffer.append(_unchecked(ImuSample, omega=omega, position=imu[1]))
-                use = (
-                    gyro_buffer[-1 - settings.gyro_delay_ticks]
-                    if len(gyro_buffer) > settings.gyro_delay_ticks
-                    else _unchecked(ImuSample, omega=np.zeros(3), position=gyro_buffer[0].position)
-                )
-                est = estimate_ifb(use, x_fp)
+                est = estimate_ifb(gyro_buffer[0], x_fp)
 
             # --- compensate --------------------------------------------
             if cfg.mode == "off":
@@ -768,14 +767,10 @@ def run_experiment(model: HeadModel, script: DisturbanceScript, settings: SimSet
             state, proj, x_fp, imu = new_state, proj_next, fp_next, imu_next
     except (SimulationDiverged, InsufficientCoverage) as err:
         rows = int(np.count_nonzero(log.t > 0.0)) + 1  # completed rows
-        err.partial_log = _truncate_log(log, rows)
+        arrays = {name: getattr(log, name)[:rows].copy() for name, _, _ in LOG_COLUMNS}
+        err.partial_log = replace(log, meta=dict(log.meta), **arrays)
         raise
     return log
-
-
-def _truncate_log(log: TrajectoryLog, rows: int) -> TrajectoryLog:
-    arrays = {f.name: getattr(log, f.name)[:rows].copy() for f in fields(log) if f.name not in ("meta", "segments")}
-    return replace(log, meta=dict(log.meta), **arrays)
 
 
 # ---------------------------------------------------------------- summaries

@@ -263,6 +263,64 @@ def test_script_parse_rejections(tmp_path):
             parse_script_file(str(p))
 
 
+@pytest.mark.parametrize(
+    "channels,fragment",
+    [
+        ("torso-yaw,torso-yaw", "a repeated channel"),
+        ("torso-yaw,neck-yaw,torso-yaw", "a repeated channel"),
+        ("", "an empty channel"),
+        ("torso-yaw,,neck-yaw", "an empty channel"),
+        ("torso-yaw,", "an empty channel"),
+    ],
+)
+def test_script_noise_channel_list_rejected_at_its_line(tmp_path, channels, fragment):
+    p = tmp_path / "bad.script"
+    p.write_text(f"script s\nunits degrees\nnoise channels={channels} t=0.5,2 amplitude=1 bandwidth=1 seed=1\n")
+    with pytest.raises(FileFormatError, match=fragment) as exc:
+        parse_script_file(str(p))
+    assert exc.value.line == 3 and str(exc.value).startswith(f"{p}:3: ")
+
+
+SCRIPT_TEXTS = [Path(DATA, f"{name}.script").read_text() for name in ("exp_a", "exp_b", "translate")]
+_SEPARATOR = re.compile(r"(\s+)")
+# Replacement tokens: the shipped scripts' own words and hostile values.
+_TOKENS = sorted({w for text in SCRIPT_TEXTS for w in text.split()}) + [
+    "", "=", ",", "nan", "inf", "-inf", "-1", "0", "1e300", "1.7e308", "-1.7e308", "1e-300", "seed=-3",
+    "seed=1e3", "t=2,1", "t=0,1e300", "t=nan,1", "rate=inf", "channel=base-x", "channels=base-x,base-x",
+    "channels=torso-yaw,,neck-yaw", "channels=eye-tilt,base-z", "amplitude=1.7e308", "bandwidth=1e300",
+    "bandwidth=0", "units", "radians", "move", "noise", "external", "commanded", "torso-yawx",
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_script_parser_fuzz_accepts_only_realizable_scripts(tmp_path_factory, data):
+    # Replace, delete or duplicate whitespace-separated tokens of a shipped
+    # script: the parser raises FileFormatError or returns a script that the
+    # model's validate rejects with InvalidInput or that realizes to finite
+    # tables.
+    pieces = _SEPARATOR.split(data.draw(st.sampled_from(SCRIPT_TEXTS)))
+    words = st.sampled_from(range(0, len(pieces), 2))
+    edits = st.tuples(st.sampled_from(["replace", "delete", "duplicate"]), words, st.sampled_from(_TOKENS))
+    for edit, i, token in data.draw(st.lists(edits, min_size=1, max_size=4)):
+        pieces[i] = {"replace": token, "delete": "", "duplicate": f"{pieces[i]} {pieces[i]}"}[edit]
+    p = tmp_path_factory.mktemp("fuzz") / "s.script"
+    p.write_text("".join(pieces))
+    try:
+        script = parse_script_file(str(p))
+    except FileFormatError:
+        return
+    model = default_head_model()
+    try:
+        script.validate(model)
+    except InvalidInput:
+        return
+    n_ticks = int(min(script.duration() + 0.5, 15.0) / 0.01)
+    track = script.realize(model, 0.01, n_ticks)
+    for name in ("qdot", "base_vel", "commanded_qdot", "commanded_base"):
+        assert np.isfinite(getattr(track, name)).all(), name
+
+
 # -------------------------------------------------------------- run configs
 
 
@@ -465,6 +523,22 @@ def test_cli_missing_script_exits_2_naming_path(tmp_path, capsys):
     assert main(["run", "--config", str(p)]) == 2
     err = capsys.readouterr().err
     assert "ghost.script" in err
+
+
+@pytest.mark.parametrize(
+    "moves,fragment",
+    [
+        ("move channel=torso-yawx t=0.2,1 rate=5\n", "unknown script channel 'torso-yawx'"),
+        ("move channel=torso-yaw t=0.2,1 rate=5\nmove channel=torso-yaw t=0.5,1.5 rate=5\n", "overlapping segments"),
+    ],
+)
+def test_cli_script_channel_error_names_the_script(tmp_path, capsys, moves, fragment):
+    # The model decides which channels exist, so these are found after the
+    # script is read; the error line still starts with the script's path.
+    script = tmp_path / "bad.script"
+    script.write_text(f"script bad\nunits degrees\n{moves}")
+    assert main(["run", "--config", write_quick_config(tmp_path, "off", 1, script="bad.script")]) == 2
+    assert_clean_error(capsys, f"gazestab: error: {script}: ", fragment)
 
 
 def test_cli_missing_config_exits_2(tmp_path, capsys):

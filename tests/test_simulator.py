@@ -433,18 +433,73 @@ def test_script_realize_grid_and_external_flag():
     assert np.all(track.commanded_base == 0.0)  # external base motion
 
 
+def lowpass(eta, amplitude, bandwidth):
+    """The first-order low-pass recursion a noise line drives with eta."""
+    a = math.exp(-2.0 * math.pi * bandwidth * DT)
+    drive = amplitude * math.sqrt(1.0 - a * a)
+    x, out = 0.0, []
+    for e in eta:
+        x = a * x + drive * e
+        out.append(x)
+    return np.array(out)
+
+
 def test_noise_matches_lowpass_recursion():
     seg = NoiseSegment(0.0, 0.05, ("torso-roll",), amplitude=0.2, bandwidth=1.5, seed=11)
     track = DisturbanceScript("n", noise=(seg,)).realize(MODEL, DT, 5)
-    a = math.exp(-2.0 * math.pi * 1.5 * DT)
-    drive = 0.2 * math.sqrt(1.0 - a * a)
     eta = np.random.default_rng(11).normal(size=5)
-    x, expected = 0.0, []
-    for e in eta:
-        x = a * x + drive * e
-        expected.append(x)
-    assert np.allclose(track.qdot[:, 2], expected, atol=1e-15)
+    assert np.allclose(track.qdot[:, 2], lowpass(eta, 0.2, 1.5), atol=1e-15)
     assert np.all(track.commanded_qdot == 0.0)  # noise defaults to external
+
+
+@pytest.mark.parametrize("channels", [("torso-roll", "neck-yaw"), ("neck-yaw", "torso-roll")])
+def test_noise_line_continues_one_stream_across_its_channels(channels):
+    # The line's seed starts one generator; each channel, in the order the
+    # line lists them, takes the next rows-many draws.
+    seg = NoiseSegment(0.01, 0.05, channels, amplitude=0.2, bandwidth=1.5, seed=11)
+    track = DisturbanceScript("n", noise=(seg,)).realize(MODEL, DT, 6)
+    eta = np.random.default_rng(11).normal(size=8)
+    for i, ch in enumerate(channels):
+        col = MODEL.dof_names.index(ch)
+        assert track.qdot[0, col] == 0.0 and track.qdot[5, col] == 0.0
+        assert np.array_equal(track.qdot[1:5, col], lowpass(eta[4 * i : 4 * i + 4], 0.2, 1.5)), ch
+        assert np.all(track.active[1:5, col]) and not track.active[[0, 5], col].any()
+    assert np.count_nonzero(track.qdot.any(axis=0)) == 2
+
+
+def test_commanded_noise_feeds_the_commanded_tables():
+    noise = (
+        NoiseSegment(0.0, 0.05, ("neck-pitch",), 0.2, 1.5, seed=3, external=False),
+        NoiseSegment(0.0, 0.05, ("base-x",), 0.1, 1.0, seed=4, external=False),
+        NoiseSegment(0.0, 0.05, ("torso-yaw",), 0.2, 1.5, seed=5),
+    )
+    track = DisturbanceScript("n", noise=noise).realize(MODEL, DT, 5)
+    assert np.all(track.qdot[:, [3, 0]] != 0.0) and np.all(track.base_vel[:, 0] != 0.0)
+    assert np.array_equal(track.commanded_qdot[:, 3], track.qdot[:, 3])
+    assert np.array_equal(track.commanded_base, track.base_vel)
+    assert np.all(track.commanded_qdot[:, 0] == 0.0)  # the external line
+
+
+def test_base_noise_fills_base_vel_and_leaves_active_unset():
+    seg = NoiseSegment(0.0, 0.05, ("base-y", "base-z"), 0.1, 1.0, seed=4)
+    track = DisturbanceScript("n", noise=(seg,)).realize(MODEL, DT, 5)
+    eta = np.random.default_rng(4).normal(size=10)
+    assert np.array_equal(track.base_vel[:, 1], lowpass(eta[:5], 0.1, 1.0))
+    assert np.array_equal(track.base_vel[:, 2], lowpass(eta[5:], 0.1, 1.0))
+    assert np.all(track.base_vel[:, 0] == 0.0) and np.all(track.qdot == 0.0)
+    assert not track.active.any()
+    assert np.all(track.commanded_base == 0.0)
+
+
+@pytest.mark.parametrize("amplitude", [-0.1, math.nan, math.inf, 1.7e308])
+def test_noise_amplitude_that_could_overflow_rejected(amplitude):
+    with pytest.raises(InvalidInput, match="noise amplitude"):
+        NoiseSegment(0.0, 1.0, ("torso-yaw",), amplitude, 1.0, seed=1)
+
+
+def test_noise_at_the_amplitude_cap_realizes_finite():
+    seg = NoiseSegment(0.0, 10.0, ("torso-yaw",), 1e300, 1.0, seed=1)
+    assert np.isfinite(DisturbanceScript("n", noise=(seg,)).realize(MODEL, DT, 1000).qdot).all()
 
 
 def test_noise_overlap_with_segment_rejected():
@@ -540,6 +595,16 @@ def test_gyro_delay_degrades_ifb():
     now = float(np.mean(run("ifb").optfl[1:]))
     late = float(np.mean(run("ifb", gyro_delay_ticks=4).optfl[1:]))
     assert late > now
+
+
+def test_gyro_delay_past_the_run_end_reads_no_sample():
+    # Every tick of a 20-tick run reads the zero-rotation prefill whether the
+    # delay is 20 ticks or 10**12, and the longer one allocates nothing more.
+    within = run("ifb", duration=0.2, gyro_delay_ticks=20)
+    beyond = run("ifb", duration=0.2, gyro_delay_ticks=10**12)
+    assert np.all(within.est_twist[:, 3:] == 0.0)
+    for name in ("q", "qdot", "cmd", "est_twist", "optfl"):
+        assert np.array_equal(getattr(within, name), getattr(beyond, name)), name
 
 
 def test_summarize_reductions_and_segments():
