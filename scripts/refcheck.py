@@ -27,7 +27,11 @@ configs are used.  The check
 * compares a SHA-256 digest of `DisturbanceScript.realize` (the dtype, shape
   and bytes of each of the track's five arrays) on the three shipped scripts
   and on a synthetic script of commanded and external moves and noise on
-  joint and base channels, which the shipped scripts never combine.
+  joint and base channels, which the shipped scripts never combine;
+* compares a SHA-256 digest of the `serialize_model` text of the shipped
+  model and of a variant with a base pose and unlimited joints, and the
+  `serialize_script` text of the same four scripts, in `degrees` and in
+  `radians` (no shipped log exercises the serializers).
 
 It prints one line per check and exits 1 on any breach (a byte-identical
 result or a numeric difference within the budget is no breach).
@@ -52,7 +56,8 @@ CONFIGURATIONS = 2000
 # exp_b_ifb rerun with its gyro samples held back this many ticks
 GYRO_DELAY = 3
 DIGESTS = (
-    "fixation_full_jacobian", "camera_frames", "imu_pose", "synth_gyro", "synth_gyro (noise)", "compensate", "realize"
+    "fixation_full_jacobian", "camera_frames", "imu_pose", "synth_gyro", "synth_gyro (noise)", "compensate", "realize",
+    "serialize",
 )
 
 # Runs inside a tree on log paths: prints a digest of each log as read_log_csv
@@ -149,6 +154,27 @@ for script in scripts + [synthetic]:
         a = getattr(track, f.name)
         h_track.update(f"{{f.name}} {{a.dtype.str}} {{a.shape}}".encode() + np.ascontiguousarray(a).tobytes())
 print(h_track.hexdigest())
+
+from dataclasses import replace
+from gazestab.chain import KinematicChain, Pose
+from gazestab.fileio import parse_model_file, serialize_model, serialize_script
+
+shipped_model = parse_model_file(f"{{default_data_dir()}}/default_head.model")
+# the shipped model has no base pose and no unlimited joint: a variant has both
+links = list(shipped_model.chain.links)
+links[0] = replace(links[0], q_min=-np.inf, q_max=np.inf)
+links[4] = replace(links[4], v_max=np.inf)
+links[7] = replace(links[7], q_max=np.inf)
+c, s = np.cos(0.3), np.sin(0.3)
+base = Pose(np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]), np.array([0.1, -0.2, 0.3]))
+chain = KinematicChain(tuple(links), base_pose=base, segments=shipped_model.chain.segments)
+h_text = hashlib.sha256()
+for units in ("degrees", "radians"):
+    for head in (shipped_model, replace(shipped_model, chain=chain)):
+        h_text.update(serialize_model(head, units).encode())
+    for script in scripts + [synthetic]:
+        h_text.update(serialize_script(script, units).encode())
+print(h_text.hexdigest())
 """
 
 

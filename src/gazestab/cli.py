@@ -116,9 +116,6 @@ def cmd_run(args) -> int:
     config_dir = os.path.dirname(os.path.abspath(args.config))
     model_path = resolve_input_path(cfg.model_path, config_dir)
     script_path = resolve_input_path(cfg.script_path, config_dir)
-    for label, path in (("model", model_path), ("script", script_path)):
-        if not os.path.exists(path):
-            return _fail(f"{label} file not found: {path}", 2)
     try:
         model = parse_model_file(model_path)
         script = parse_script_file(script_path)

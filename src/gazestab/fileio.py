@@ -1,13 +1,15 @@
 """Line-oriented text formats for models, scripts, and run configs; CSV logs.
 
 All files are human-editable plain text.  Blank lines and `#` comments are
-ignored.  Model and script files declare their angle units up front
-(`units degrees` or `units radians`); lengths are always meters and times
-always seconds.  Internally everything is radians, so a degrees file and
-its radians twin parse to identical objects.
+ignored.  Model and script files declare their angle units before their
+first angle (`units degrees` or `units radians`); lengths are always meters
+and times always seconds.  Internally everything is radians, so a degrees
+file and its radians twin parse to identical objects.
 
-Model/script entity lines use `directive key=value ...` tokens; run configs
-are flat `key value` pairs.  Parse and validation problems raise
+Model and script files share one line reader, _EntityFile: it takes their
+name (`model`/`script`) and `units` lines, each at most once, and hands
+every other `directive key=value ...` line to the file's parser; run
+configs are flat `key value` pairs.  Parse and validation problems raise
 FileFormatError carrying the file path and 1-based line number.
 
 Trajectory logs are CSV with a frozen column set (see the README; the layout
@@ -98,24 +100,35 @@ def _parse_float(path: str, no: int, token: str, what: str) -> float:
         raise FileFormatError(path, no, f"bad number {token!r} for {what}") from None
 
 
-def _parse_int(path: str, no: int, token: str, what: str) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise FileFormatError(path, no, f"bad integer {token!r} for {what}") from None
+def _setting_value(path: str, no: int, key: str, raw: str, kind, units):
+    """One config, link or script value parsed as its kind: str, int, float,
+    "angle" (a float in the file's units, returned in radians) or "bool"."""
+    if kind is str:
+        return raw
+    if kind == "bool":
+        if raw.lower() not in ("true", "false"):
+            raise FileFormatError(path, no, f"{key} must be true or false")
+        return raw.lower() == "true"
+    if kind is int:
+        try:
+            return int(raw)
+        except ValueError:
+            raise FileFormatError(path, no, f"bad integer {raw!r} for {key}") from None
+    v = _parse_float(path, no, raw, key)
+    return units.to_rad(v) if kind == "angle" else v
 
 
 def _parse_kv(path: str, no: int, tokens, allowed, flags=()):
-    """key=value tokens (plus bare flag words) -> dict."""
+    """key=value tokens -> dict; a bare flag word maps to True.  A key or a
+    flag word given twice is a duplicate."""
     got = {}
     for tok in tokens:
-        if tok in flags:
-            got[tok] = True
-            continue
-        if "=" not in tok:
+        key, eq, value = tok.partition("=")
+        if not eq and key in flags:
+            value = True
+        elif not eq:
             raise FileFormatError(path, no, f"expected key=value, got {tok!r}")
-        key, _, value = tok.partition("=")
-        if key not in allowed:
+        elif key not in allowed:
             raise FileFormatError(path, no, f"unknown key {key!r} (allowed: {', '.join(sorted(allowed))})")
         if key in got:
             raise FileFormatError(path, no, f"duplicate key {key!r}")
@@ -143,6 +156,44 @@ class _Units:
         return math.degrees(x) if self.name == "degrees" else x
 
 
+class _EntityFile:
+    """The one reader of model and script files.  It takes the name line
+    (kind) and the units line, and yields (line number, directive, args,
+    units in force or None) for every other line; a needs_units directive
+    before the units line, or a second kind, units or once line, is
+    rejected at its line.  After the last line it holds name and last_no."""
+
+    def __init__(self, path: str, kind: str, needs_units, once=()):
+        self.path, self.kind, self.needs_units = path, kind, needs_units
+        self.once = (kind, "units", *once)
+        self.name = None
+        self.last_no = 0
+
+    def __iter__(self):
+        path, units, first = self.path, None, {}
+        for no, text in _content_lines(path):
+            self.last_no = no
+            head, *rest = text.split()
+            if head in self.once:
+                if head in first:
+                    raise FileFormatError(path, no, f"second {head} line (the first is line {first[head]})")
+                first[head] = no
+            if head in (self.kind, "units"):
+                if len(rest) != 1:
+                    what = "value" if head == "units" else "name"
+                    raise FileFormatError(path, no, f"{head} line needs exactly one {what}")
+                if head == "units":
+                    units = _Units(path, no, rest[0])
+                else:
+                    self.name = rest[0]
+            elif units is None and head in self.needs_units:
+                raise FileFormatError(path, no, f"units must be declared before {head} lines")
+            else:
+                yield no, head, rest, units
+        if self.name is None:
+            raise FileFormatError(path, self.last_no, f"missing {self.kind} line")
+
+
 def _rot_zyx(yaw: float, pitch: float, roll: float) -> np.ndarray:
     cy, sy = math.cos(yaw), math.sin(yaw)
     cp, sp = math.cos(pitch), math.sin(pitch)
@@ -155,38 +206,32 @@ def _rot_zyx(yaw: float, pitch: float, roll: float) -> np.ndarray:
 
 # -------------------------------------------------------------- model files
 
-_LINK_KEYS = {"a", "d", "alpha", "theta0", "min", "max", "vmax"}
-_LINK_ANGLE_KEYS = {"alpha", "theta0", "min", "max", "vmax"}
+# Each link key: its DHLink field and its _setting_value kind.  A key the
+# line does not give keeps DHLink's default.
+_LINK_KEYS = {
+    "a": ("a", float),
+    "d": ("d", float),
+    "alpha": ("alpha", "angle"),
+    "theta0": ("theta_offset", "angle"),
+    "min": ("q_min", "angle"),
+    "max": ("q_max", "angle"),
+    "vmax": ("v_max", "angle"),
+}
 
 
 def parse_model_file(path: str) -> HeadModel:
     """Read a head model description; see data/default_head.model."""
-    name = None
-    units = None
+    lines = _EntityFile(path, "model", needs_units=("base", "link"), once=("base", "imu"))
     base = Pose.identity()
     segment = None
     links: list[DHLink] = []
     segments: list[str] = []
     link_names: list[str] = []
     imu = None
-    last_no = 0
 
-    for no, text in _content_lines(path):
-        last_no = no
-        tokens = text.split()
-        head, rest = tokens[0], tokens[1:]
-        if head == "model":
-            if len(rest) != 1:
-                raise FileFormatError(path, no, "model line needs exactly one name")
-            name = rest[0]
-        elif head == "units":
-            if len(rest) != 1:
-                raise FileFormatError(path, no, "units line needs exactly one value")
-            units = _Units(path, no, rest[0])
-        elif head == "base":
+    for no, head, rest, units in lines:
+        if head == "base":
             got = _parse_kv(path, no, rest, {"position", "rotation-zyx"})
-            if units is None:
-                raise FileFormatError(path, no, "units must be declared before base")
             pos = _parse_vector(path, no, got.get("position", "0,0,0"), 3, "base position")
             ang = _parse_vector(path, no, got.get("rotation-zyx", "0,0,0"), 3, "base rotation")
             base = Pose(_rot_zyx(*(units.to_rad(a) for a in ang)), pos)
@@ -200,29 +245,17 @@ def parse_model_file(path: str) -> HeadModel:
         elif head == "link":
             if segment is None:
                 raise FileFormatError(path, no, "link line before any segment line")
-            if units is None:
-                raise FileFormatError(path, no, "units must be declared before links")
             if not rest:
                 raise FileFormatError(path, no, "link line needs a name")
             link_name, kv = rest[0], _parse_kv(path, no, rest[1:], _LINK_KEYS)
             if link_name in link_names:
                 raise FileFormatError(path, no, f"duplicate link name {link_name!r}")
-            vals = {}
+            fields = {}
             for key, raw in kv.items():
-                v = _parse_float(path, no, raw, key)
-                vals[key] = units.to_rad(v) if key in _LINK_ANGLE_KEYS else v
+                field, kind = _LINK_KEYS[key]
+                fields[field] = _setting_value(path, no, key, raw, kind, units)
             try:
-                links.append(
-                    DHLink(
-                        a=vals.get("a", 0.0),
-                        d=vals.get("d", 0.0),
-                        alpha=vals.get("alpha", 0.0),
-                        theta_offset=vals.get("theta0", 0.0),
-                        q_min=vals.get("min", -math.inf),
-                        q_max=vals.get("max", math.inf),
-                        v_max=vals.get("vmax", math.inf),
-                    )
-                )
+                links.append(DHLink(**fields))
             except InvalidInput as err:
                 raise FileFormatError(path, no, str(err)) from None
             segments.append(segment)
@@ -236,10 +269,8 @@ def parse_model_file(path: str) -> HeadModel:
         else:
             raise FileFormatError(path, no, f"unknown directive {head!r}")
 
-    if name is None:
-        raise FileFormatError(path, last_no, "missing model line")
     if imu is None:
-        raise FileFormatError(path, last_no, "missing imu line")
+        raise FileFormatError(path, lines.last_no, "missing imu line")
     imu_no, imu_name, imu_off = imu
     if imu_name not in link_names:
         raise FileFormatError(path, imu_no, f"imu link {imu_name!r} is not a declared link")
@@ -251,10 +282,10 @@ def parse_model_file(path: str) -> HeadModel:
             imu_link=link_names.index(imu_name),
             imu_offset=Pose(np.eye(3), imu_off),
             trunk_names=trunk,
-            name=name,
+            name=lines.name,
         )
     except InvalidInput as err:
-        raise FileFormatError(path, last_no, str(err)) from None
+        raise FileFormatError(path, lines.last_no, str(err)) from None
 
 
 def serialize_model(model: HeadModel, units: str = "degrees") -> str:
@@ -276,15 +307,11 @@ def serialize_model(model: HeadModel, units: str = "degrees") -> str:
         if seg != current:
             buf.write(f"\nsegment {seg}\n" if current else f"segment {seg}\n")
             current = seg
-        parts = [f"link {link_name}", f"a={_fmt(link.a)}", f"d={_fmt(link.d)}"]
-        parts.append(f"alpha={_fmt(u.from_rad(link.alpha))}")
-        parts.append(f"theta0={_fmt(u.from_rad(link.theta_offset))}")
-        if math.isfinite(link.q_min):
-            parts.append(f"min={_fmt(u.from_rad(link.q_min))}")
-        if math.isfinite(link.q_max):
-            parts.append(f"max={_fmt(u.from_rad(link.q_max))}")
-        if math.isfinite(link.v_max):
-            parts.append(f"vmax={_fmt(u.from_rad(link.v_max))}")
+        parts = [f"link {link_name}"]
+        for key, (field, kind) in _LINK_KEYS.items():
+            v = getattr(link, field)
+            if math.isfinite(v):  # an unlimited limit is left out
+                parts.append(f"{key}={_fmt(u.from_rad(v) if kind == 'angle' else v)}")
         buf.write(" ".join(parts) + "\n")
     off = ",".join(_fmt(x) for x in model.imu_offset.pos)
     buf.write(f"\nimu link={names[model.imu_link]} offset={off}\n")
@@ -311,57 +338,38 @@ _MOTION_KEYS = {
 def parse_script_file(path: str) -> DisturbanceScript:
     """Read a disturbance script; see data/exp_a.script.  Channel names are
     checked against a model by DisturbanceScript.validate."""
-    name = None
-    units = None
+    lines = _EntityFile(path, "script", needs_units=_MOTION_KEYS)
     moves: list[ScriptSegment] = []
     noises: list[NoiseSegment] = []
-    last_no = 0
-    for no, text in _content_lines(path):
-        last_no = no
-        tokens = text.split()
-        head, rest = tokens[0], tokens[1:]
-        if head == "script":
-            if len(rest) != 1:
-                raise FileFormatError(path, no, "script line needs exactly one name")
-            name = rest[0]
-        elif head == "units":
-            if len(rest) != 1:
-                raise FileFormatError(path, no, "units line needs exactly one value")
-            units = _Units(path, no, rest[0])
-        elif head in _MOTION_KEYS:
-            if units is None:
-                raise FileFormatError(path, no, "units must be declared before motion lines")
-            keys, flag = _MOTION_KEYS[head]
-            got = _parse_kv(path, no, rest, keys, flags=(flag,))
-            for req in keys:
-                if req not in got:
-                    raise FileFormatError(path, no, f"{head} line missing {req}=")
-            t0, t1 = _parse_vector(path, no, got["t"], 2, "time span")
-            try:  # the parse helpers raise FileFormatError; the segments InvalidInput
-                if head == "move":
-                    ch = got["channel"]
-                    rate = _parse_float(path, no, got["rate"], "rate")
-                    rate = rate if ch in BASE_CHANNELS else units.to_rad(rate)
-                    moves.append(ScriptSegment(t0, t1, ch, rate, external=flag in got))
-                else:
-                    chans = tuple(got["channels"].split(","))
-                    if "" in chans or len(set(chans)) < len(chans):
-                        what = "an empty" if "" in chans else "a repeated"
-                        raise FileFormatError(path, no, f"channels={got['channels']} has {what} channel name")
-                    if len({c in BASE_CHANNELS for c in chans}) > 1:
-                        raise FileFormatError(path, no, "noise cannot mix joint and base channels (units differ)")
-                    amp = _parse_float(path, no, got["amplitude"], "amplitude")
-                    amp = amp if chans[0] in BASE_CHANNELS else units.to_rad(amp)
-                    seed = _parse_int(path, no, got["seed"], "seed")
-                    bw = _parse_float(path, no, got["bandwidth"], "bandwidth")
-                    noises.append(NoiseSegment(t0, t1, chans, amp, bw, seed, external=flag not in got))
-            except InvalidInput as err:
-                raise FileFormatError(path, no, str(err)) from None
-        else:
+    for no, head, rest, units in lines:
+        if head not in _MOTION_KEYS:
             raise FileFormatError(path, no, f"unknown directive {head!r}")
-    if name is None:
-        raise FileFormatError(path, last_no, "missing script line")
-    return DisturbanceScript(name, tuple(moves), tuple(noises))
+        keys, flag = _MOTION_KEYS[head]
+        got = _parse_kv(path, no, rest, keys, flags=(flag,))
+        for req in keys:
+            if req not in got:
+                raise FileFormatError(path, no, f"{head} line missing {req}=")
+        t0, t1 = _parse_vector(path, no, got["t"], 2, "time span")
+        named = got[keys[0]]  # a move's one channel, a noise line's list
+        chans = tuple(named.split(",")) if head == "noise" else (named,)
+        if "" in chans or len(set(chans)) < len(chans):
+            what = "an empty" if "" in chans else "a repeated"
+            raise FileFormatError(path, no, f"{keys[0]}={named} has {what} channel name")
+        if len({c in BASE_CHANNELS for c in chans}) > 1:
+            raise FileFormatError(path, no, "noise cannot mix joint and base channels (units differ)")
+        kind = float if chans[0] in BASE_CHANNELS else "angle"  # base channels move in meters
+        try:  # the parse helpers raise FileFormatError; the segments InvalidInput
+            if head == "move":
+                rate = _setting_value(path, no, "rate", got["rate"], kind, units)
+                moves.append(ScriptSegment(t0, t1, named, rate, external=flag in got))
+            else:
+                amp = _setting_value(path, no, "amplitude", got["amplitude"], kind, units)
+                seed = _setting_value(path, no, "seed", got["seed"], int, units)
+                bw = _setting_value(path, no, "bandwidth", got["bandwidth"], float, units)
+                noises.append(NoiseSegment(t0, t1, chans, amp, bw, seed, external=flag not in got))
+        except InvalidInput as err:
+            raise FileFormatError(path, no, str(err)) from None
+    return DisturbanceScript(lines.name, tuple(moves), tuple(noises))
 
 
 def serialize_script(script: DisturbanceScript, units: str = "degrees") -> str:
@@ -370,21 +378,15 @@ def serialize_script(script: DisturbanceScript, units: str = "degrees") -> str:
     buf.write(f"script {script.name}\nunits {units}\n\n")
     for seg in script.segments:
         rate = seg.rate if seg.channel in BASE_CHANNELS else u.from_rad(seg.rate)
-        line = (
-            f"move channel={seg.channel} t={_fmt(seg.t_start)},{_fmt(seg.t_end)} rate={_fmt(rate)}"
-        )
-        if seg.external:
-            line += " external"
-        buf.write(line + "\n")
+        flag = " external" if seg.external else ""
+        buf.write(f"move channel={seg.channel} t={_fmt(seg.t_start)},{_fmt(seg.t_end)} rate={_fmt(rate)}{flag}\n")
     for seg in script.noise:
         amp = seg.amplitude if seg.channels[0] in BASE_CHANNELS else u.from_rad(seg.amplitude)
-        line = (
+        flag = "" if seg.external else " commanded"
+        buf.write(
             f"noise channels={','.join(seg.channels)} t={_fmt(seg.t_start)},{_fmt(seg.t_end)}"
-            f" amplitude={_fmt(amp)} bandwidth={_fmt(seg.bandwidth)} seed={seg.seed}"
+            f" amplitude={_fmt(amp)} bandwidth={_fmt(seg.bandwidth)} seed={seg.seed}{flag}\n"
         )
-        if not seg.external:
-            line += " commanded"
-        buf.write(line + "\n")
     return buf.getvalue()
 
 
@@ -431,20 +433,6 @@ _SETTING_KEYS = {
     "cloud-seed": ("cloud", "seed", int),
 }
 _CONFIG_KEYS = {"config", "units", "model", "script", "out", "cloud-radius", *_SETTING_KEYS}
-
-
-def _setting_value(path: str, no: int, key: str, raw: str, kind, units: _Units):
-    """One run-config value parsed as its _SETTING_KEYS kind."""
-    if kind is str:
-        return raw
-    if kind == "bool":
-        if raw.lower() not in ("true", "false"):
-            raise FileFormatError(path, no, f"{key} must be true or false")
-        return raw.lower() == "true"
-    if kind is int:
-        return _parse_int(path, no, raw, key)
-    v = _parse_float(path, no, raw, key)
-    return units.to_rad(v) if kind == "angle" else v
 
 
 def default_data_dir() -> str:

@@ -4,6 +4,7 @@ import os
 import re
 import tracemalloc
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -279,6 +280,24 @@ def test_script_noise_channel_list_rejected_at_its_line(tmp_path, channels, frag
     with pytest.raises(FileFormatError, match=fragment) as exc:
         parse_script_file(str(p))
     assert exc.value.line == 3 and str(exc.value).startswith(f"{p}:3: ")
+
+
+@pytest.mark.parametrize(
+    "line,fragment",
+    [
+        ("move channel= t=0,1 rate=1", "channel= has an empty channel name"),
+        ("move channel=torso-yaw t=0,1 rate=1 external external", "duplicate key 'external'"),
+        ("noise channels=torso-yaw t=0,1 amplitude=1 bandwidth=1 seed=1 commanded commanded", "duplicate key 'commanded'"),
+    ],
+    ids=["empty-move-channel", "repeated-external", "repeated-commanded"],
+)
+def test_cli_script_motion_line_fault_exits_2_at_its_line(tmp_path, capsys, line, fragment):
+    # Both were accepted once: the empty channel failed later in validate
+    # with no line, the repeated flag word ran.
+    script = tmp_path / "bad.script"
+    script.write_text(f"script bad\nunits degrees\n{line}\n")
+    assert main(["run", "--config", write_quick_config(tmp_path, "off", 0.5, script="bad.script")]) == 2
+    assert_clean_error(capsys, f"gazestab: error: {script}:3: ", fragment)
 
 
 SCRIPT_TEXTS = [Path(DATA, f"{name}.script").read_text() for name in ("exp_a", "exp_b", "translate")]
@@ -654,6 +673,32 @@ def test_cli_hostile_input_file_value_exits_2_at_its_line(tmp_path, capsys, name
     assert_clean_error(capsys, f"{bad}:{no}: ")
 
 
+@pytest.mark.parametrize(
+    "name,after,added",
+    [
+        ("default_head.model", "units ", ["model other-head"]),
+        # the neck-yaw line after it would read alpha=-90 as -90 rad
+        ("default_head.model", "link neck-roll", ["units radians"]),
+        ("default_head.model", "units ", ["base position=0,0,0", "base rotation-zyx=0,0,90"]),
+        ("default_head.model", "imu ", ["imu link=neck-pitch offset=0,0,0"]),
+        ("exp_a.script", "units ", ["script other"]),
+        ("exp_a.script", "move ", ["units radians"]),
+    ],
+    ids=["model", "units-mid-model", "base", "imu", "script", "units-mid-script"],
+)
+def test_cli_second_once_per_file_line_exits_2_at_its_line(tmp_path, capsys, name, after, added):
+    lines = Path(DATA, name).read_text().splitlines(keepends=True)
+    at = next(i for i, line in enumerate(lines, start=1) if line.startswith(after))
+    lines[at:at] = [f"{line}\n" for line in added]
+    directive = added[-1].split()[0]
+    first = next(i for i, line in enumerate(lines, start=1) if line.startswith(f"{directive} "))
+    bad = tmp_path / f"bad_{name}"
+    bad.write_text("".join(lines))
+    kind = name.rsplit(".", 1)[1]
+    assert main(["run", "--config", write_quick_config(tmp_path, "kff", 0.3, **{kind: bad.name})]) == 2
+    assert_clean_error(capsys, f"{bad}:{at + len(added)}: ", f"second {directive} line (the first is line {first})")
+
+
 @pytest.mark.parametrize("name", ["eyes-swapped", "trunk-interleaved"])
 def test_cli_model_of_another_shape_exits_2_at_its_segment_line(tmp_path, capsys, name):
     text = model_in_block_order((0, 1, 3, 2)) if name == "eyes-swapped" else trunk_interleaved_model()
@@ -694,6 +739,38 @@ def test_config_error_cites_the_line_of_its_own_check(tmp_path):
     with pytest.raises(FileFormatError, match="dt must be positive") as exc:
         parse_run_config(str(p))
     assert exc.value.line == 6
+
+
+CONFIG_TEXTS = [Path(DATA, name).read_text() for name in sorted(os.listdir(DATA)) if name.endswith(".config")]
+# Replacement tokens: the shipped configs' own words (keys included, so a
+# replaced key can repeat another) and hostile values.
+_CONFIG_TOKENS = sorted({w for text in CONFIG_TEXTS for w in text.split()}) + [
+    "", "nan", "inf", "-inf", "-1", "0", "1.5", "1e300", "-1e300", "1e-300", "true", "false", "True", "radians",
+    "degrees", "units", "seed", "dt", "cloud-radius", "cloud-points", "image-border", "sequential", "damping",
+    "gyro-delay", "cloud-azimuth", "cloud-elevation", "\nunits radians\n", "\nmode off\n",
+]
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_config_parser_fuzz_accepts_only_valid_settings(tmp_path_factory, data):
+    # Replace, delete or duplicate whitespace-separated tokens of a shipped
+    # config: the parser raises FileFormatError or returns settings that
+    # every part's constructor accepts again unchanged.
+    pieces = _SEPARATOR.split(data.draw(st.sampled_from(CONFIG_TEXTS)))
+    words = st.sampled_from(range(0, len(pieces), 2))
+    edits = st.tuples(st.sampled_from(["replace", "delete", "duplicate"]), words, st.sampled_from(_CONFIG_TOKENS))
+    for edit, i, token in data.draw(st.lists(edits, min_size=1, max_size=4)):
+        pieces[i] = {"replace": token, "delete": "", "duplicate": f"{pieces[i]} {pieces[i]}"}[edit]
+    p = tmp_path_factory.mktemp("fuzz") / "c.config"
+    p.write_text("".join(pieces))
+    try:
+        cfg = parse_run_config(str(p))
+    except FileFormatError:
+        return
+    s = cfg.settings
+    parts = dict(control=replace(s.control), plant=replace(s.plant), cam=replace(s.cam), cloud=replace(s.cloud))
+    assert isinstance(s, SimSettings) and replace(s, **parts) == s
 
 
 def rewrite_log_line(tmp_path, find, new_text):
