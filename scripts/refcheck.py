@@ -18,7 +18,9 @@ configs are used.  The check
   trees, and the two readers must return equal arrays, metadata and
   segments for each (so a rewritten reader is checked against the old one
   on the same bytes);
-* compares SHA-256 digests of `fixation_full_jacobian`, `camera_frames`,
+* compares SHA-256 digests of `fixation_full_jacobian`, of a repeat call of
+  it at the same q after the first result was overwritten with zeros (so a
+  kept Jacobian is pinned against a computed one), `camera_frames`,
   `HeadModel.imu_pose`, `synth_gyro` (without and with noise) and
   `compensate` over 2,000 seeded head configurations; the gyro moves from
   each configuration to the next, and `compensate` cancels the
@@ -56,8 +58,8 @@ CONFIGURATIONS = 2000
 # exp_b_ifb rerun with its gyro samples held back this many ticks
 GYRO_DELAY = 3
 DIGESTS = (
-    "fixation_full_jacobian", "camera_frames", "imu_pose", "synth_gyro", "synth_gyro (noise)", "compensate", "realize",
-    "serialize",
+    "fixation_full_jacobian", "fixation_full_jacobian (repeat)", "camera_frames", "imu_pose", "synth_gyro",
+    "synth_gyro (noise)", "compensate", "realize", "serialize",
 )
 
 # Runs inside a tree on log paths: prints a digest of each log as read_log_csv
@@ -96,7 +98,7 @@ rng = np.random.default_rng(20241)
 rng_noise = np.random.default_rng(71)
 rng_rates = np.random.default_rng(72)  # its own stream: the configurations stay as they were
 controls = (StabilizerConfig(), StabilizerConfig(dof_set="eyes"))
-h_jac, h_cam, h_imu, h_gyro, h_noisy, h_comp = (hashlib.sha256() for _ in range(6))
+h_jac, h_rep, h_cam, h_imu, h_gyro, h_noisy, h_comp = (hashlib.sha256() for _ in range(7))
 prev = PlantState(t=0.0, q=np.zeros(9), qdot=np.zeros(9))
 for k in range({CONFIGURATIONS}):
     q = rng.uniform(-0.9, 0.9, 9)
@@ -111,12 +113,19 @@ for k in range({CONFIGURATIONS}):
         J = fixation_full_jacobian(chain, q)
     except SingularConfiguration:
         h_jac.update(b"singular")
+        try:
+            fixation_full_jacobian(chain, q)
+        except SingularConfiguration:
+            h_rep.update(b"singular")
     else:
         h_jac.update(J.tobytes())
         twist = estimate_kff(J, rates)
         for control in controls:
             cmd = compensate(twist, J, control)
             h_comp.update(cmd.qdot_neck.tobytes() + cmd.qdot_eye.tobytes() + bytes([cmd.saturated]))
+        h_rep.update(J.tobytes())
+        J[:] = 0.0  # a caller writing into its J must not reach the next call's
+        h_rep.update(fixation_full_jacobian(chain, q).tobytes())
     pose = model.imu_pose(expand_head_q(q))
     h_imu.update(pose.rot.tobytes() + pose.pos.tobytes())
     state = PlantState(t=0.01 * (k + 1), q=q, qdot=np.zeros(9), base_offset=q[:3])
@@ -124,7 +133,7 @@ for k in range({CONFIGURATIONS}):
         sample = synth_gyro(model, prev, state, 0.01, **kw)
         h.update(sample.omega.tobytes() + sample.position.tobytes())
     prev = state
-for h in (h_jac, h_cam, h_imu, h_gyro, h_noisy, h_comp):
+for h in (h_jac, h_rep, h_cam, h_imu, h_gyro, h_noisy, h_comp):
     print(h.hexdigest())
 
 from dataclasses import fields

@@ -351,9 +351,10 @@ def parse_script_file(path: str) -> DisturbanceScript:
                 raise FileFormatError(path, no, f"{head} line missing {req}=")
         t0, t1 = _parse_vector(path, no, got["t"], 2, "time span")
         named = got[keys[0]]  # a move's one channel, a noise line's list
-        chans = tuple(named.split(",")) if head == "noise" else (named,)
-        if "" in chans or len(set(chans)) < len(chans):
-            what = "an empty" if "" in chans else "a repeated"
+        chans = tuple(named.split(","))
+        repeated = len(set(chans)) < len(chans)
+        if "" in chans or repeated or head == "move" and len(chans) > 1:
+            what = "an empty" if "" in chans else "a repeated" if repeated else "more than one"
             raise FileFormatError(path, no, f"{keys[0]}={named} has {what} channel name")
         if len({c in BASE_CHANNELS for c in chans}) > 1:
             raise FileFormatError(path, no, "noise cannot mix joint and base channels (units differ)")

@@ -636,8 +636,9 @@ def run_experiment(model: HeadModel, script: DisturbanceScript, settings: SimSet
     Each state's camera frames, fixation point, cloud projection and (in
     "ifb" mode) IMU pose are read from its one head pass, at the end of the
     tick that produced it, and carried into the next; the next tick's
-    fixation Jacobian reuses that pass (see gazestab.stereo), and its gyro
-    sample is formed from the two carried IMU poses as synth_gyro forms it.
+    fixation Jacobian reuses that pass (see gazestab.stereo), so a head that
+    holds still reuses its J, and its gyro sample is formed from the two
+    carried IMU poses as synth_gyro forms it.
     """
     duration = settings.duration if settings.duration is not None else script.duration() + 0.5
     ticks = duration / settings.dt

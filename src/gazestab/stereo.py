@@ -34,7 +34,8 @@ same chain object and q reuses it (q is still validated), so a state's
 camera frames, fixation point and Jacobian cost one walk.  The pass is
 keyed on the checked 9-DoF q, so a hit expands nothing.  The kept arrays
 are read-only.  The simulation loop reads the pass directly, for the
-camera frames, the fixation point and the IMU link's frame.
+camera frames, the fixation point and the IMU link's frame.  The kept pass
+also holds its fixation Jacobian once one is asked for, handed out as a copy.
 
 Checks sit at the public edge: each public function and constructor checks
 what its caller passes.  The camera frames of a pass are products of DH
@@ -255,7 +256,11 @@ class FixationResult:
     p_right: np.ndarray
     s_left: float  # signed ray parameters (meters along each axis)
     s_right: float
-    gap: float  # ||p_left - p_right||
+
+    @property
+    def gap(self) -> float:
+        """||p_left - p_right||"""
+        return float(np.linalg.norm(self.p_left - self.p_right))
 
 
 def fixation_point(frames: CameraFrames) -> FixationResult:
@@ -284,7 +289,6 @@ def fixation_point(frames: CameraFrames) -> FixationResult:
         p_right=p_right,
         s_left=s_left,
         s_right=s_right,
-        gap=float(np.linalg.norm(p_left - p_right)),
     )
 
 
@@ -294,6 +298,11 @@ def fixation_point(frames: CameraFrames) -> FixationResult:
 def eye_jacobian(chain: KinematicChain, q) -> np.ndarray:
     """3x3 fixation-point Jacobian w.r.t. (tilt, version, vergence)."""
     return fixation_full_jacobian(chain, q)[:3, 6:9]
+
+
+# (head pass, its read-only fixation Jacobian) of the latest
+# fixation_full_jacobian; a call on the same pass object copies the kept J.
+_last_jacobian = (None, None)
 
 
 def fixation_full_jacobian(chain: KinematicChain, q) -> np.ndarray:
@@ -317,9 +326,14 @@ def fixation_full_jacobian(chain: KinematicChain, q) -> np.ndarray:
 
     Raises SingularConfiguration when the optical axes are parallel.
     """
-    qm, frames, fr, fx = _head_pass(chain, q)
+    global _last_jacobian
+    head = _head_pass(chain, q)
+    qm, frames, fr, fx = head
     if fx is None:
         fixation_point(fr)  # raises the pass's SingularConfiguration
+    last_head, last_J = _last_jacobian
+    if last_head is head:
+        return last_J.copy()
     ol, zl, orr, zr = fr.o_left, fr.z_left, fr.o_right, fr.z_right
 
     # Each camera's origin and axis partials against (tilt, left pan, right
@@ -359,4 +373,6 @@ def fixation_full_jacobian(chain: KinematicChain, q) -> np.ndarray:
     J[:3, 6] = 0.5 * (dPl[:, 0] + dPr[:, 0])
     J[:3, 7] = 0.5 * (dPl[:, 1] + dPl[:, 2] + dPr[:, 1] + dPr[:, 2])
     J[:3, 8] = 0.25 * (dPl[:, 1] - dPl[:, 2] + dPr[:, 1] - dPr[:, 2])
-    return J
+    J.setflags(write=False)
+    _last_jacobian = (head, J)
+    return J.copy()

@@ -288,12 +288,13 @@ def test_script_noise_channel_list_rejected_at_its_line(tmp_path, channels, frag
         ("move channel= t=0,1 rate=1", "channel= has an empty channel name"),
         ("move channel=torso-yaw t=0,1 rate=1 external external", "duplicate key 'external'"),
         ("noise channels=torso-yaw t=0,1 amplitude=1 bandwidth=1 seed=1 commanded commanded", "duplicate key 'commanded'"),
+        ("move channel=torso-yaw,neck-yaw t=0.1,0.3 rate=5", "channel=torso-yaw,neck-yaw has more than one channel"),
     ],
-    ids=["empty-move-channel", "repeated-external", "repeated-commanded"],
+    ids=["empty-move-channel", "repeated-external", "repeated-commanded", "move-channel-list"],
 )
 def test_cli_script_motion_line_fault_exits_2_at_its_line(tmp_path, capsys, line, fragment):
-    # Both were accepted once: the empty channel failed later in validate
-    # with no line, the repeated flag word ran.
+    # All were accepted once: the empty channel and the channel list failed
+    # later in validate with no line, the repeated flag word ran.
     script = tmp_path / "bad.script"
     script.write_text(f"script bad\nunits degrees\n{line}\n")
     assert main(["run", "--config", write_quick_config(tmp_path, "off", 0.5, script="bad.script")]) == 2

@@ -703,6 +703,43 @@ def test_loop_builds_each_state_geometry_once(monkeypatch):
     assert counts["fixation_point"] == counts["link_frames"] <= 52
 
 
+def run_counting_jacobian_work(monkeypatch, mode, script):
+    """(log, geometric_jacobian calls made through gazestab.stereo) of a
+    0.5 s run, starting with no head pass kept."""
+    import gazestab.stereo
+
+    calls = [0]
+    real = gazestab.stereo.geometric_jacobian
+
+    def counted(*args, **kw):
+        calls[0] += 1
+        return real(*args, **kw)
+
+    monkeypatch.setattr(gazestab.stereo, "geometric_jacobian", counted)
+    monkeypatch.setattr(gazestab.stereo, "_last_head_pass", (None, b"", None))
+    log = run_experiment(MODEL, script, SimSettings(control=StabilizerConfig(mode=mode), duration=0.5, gyro_sigma=0.0))
+    assert not log.singular.any()
+    return log, calls[0]
+
+
+@pytest.mark.parametrize("mode", ["off", "ifb"])
+def test_still_head_computes_its_jacobian_once(monkeypatch, mode):
+    # Base translation leaves the passive head, and the rotation-only iFB
+    # estimate, at rest: 50 ticks of one head state build one J (3
+    # geometric_jacobian calls), not one per tick.
+    script = DisturbanceScript("slide", segments=(ScriptSegment(0.0, 0.5, "base-x", 0.1),))
+    log, calls = run_counting_jacobian_work(monkeypatch, mode, script)
+    assert log.n_rows() == 51 and np.all(log.q == log.q[0]) and np.any(log.base_offset[-1] != 0.0)
+    assert calls == 3
+
+
+def test_moving_head_computes_one_jacobian_per_tick(monkeypatch):
+    script = DisturbanceScript("yaw", segments=(ScriptSegment(0.0, 0.5, "torso-yaw", 0.35),))
+    log, calls = run_counting_jacobian_work(monkeypatch, "kff", script)
+    assert np.all(np.any(np.diff(log.q, axis=0) != 0.0, axis=1))  # the head moves every tick
+    assert calls == 3 * 50
+
+
 def dh_calls_between_steps(monkeypatch, mode):
     """dh_matrix calls between consecutive plant steps of a 0.5 s run whose
     head moves every tick."""

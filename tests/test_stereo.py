@@ -456,6 +456,61 @@ def test_head_pass_arrays_are_read_only():
             arr[0] = 0.0
 
 
+def count_jacobian_work(monkeypatch):
+    """Counter of the geometric_jacobian calls fixation_full_jacobian makes,
+    starting with no head pass kept."""
+    monkeypatch.setattr(stereo, "_last_head_pass", (None, b"", None))
+    calls = [0]
+    real = stereo.geometric_jacobian
+
+    def counted(*args, **kw):
+        calls[0] += 1
+        return real(*args, **kw)
+
+    monkeypatch.setattr(stereo, "geometric_jacobian", counted)
+    return calls
+
+
+def test_full_jacobian_repeat_hands_out_writable_copies(monkeypatch):
+    calls = count_jacobian_work(monkeypatch)
+    q = head_q(np.random.default_rng(317))
+    first = fixation_full_jacobian(CHAIN, q)
+    assert calls[0] == 3
+    second = fixation_full_jacobian(CHAIN, q)
+    assert calls[0] == 3  # the state's kept J
+    assert second is not first and second.tobytes() == first.tobytes()
+    assert first.flags.writeable and second.flags.writeable
+    kept = second.tobytes()
+    first[:] = 0.0
+    second[:] = np.nan
+    assert fixation_full_jacobian(CHAIN, q).tobytes() == kept
+    assert calls[0] == 3
+
+
+def test_full_jacobian_recomputed_for_another_state(monkeypatch):
+    # A new q, an equal chain that is another object, and a reset head-pass
+    # record each compute J afresh, to the same bits where the state agrees.
+    calls = count_jacobian_work(monkeypatch)
+    q = head_q(np.random.default_rng(318))
+    J = fixation_full_jacobian(CHAIN, q).tobytes()
+    q2 = q.copy()
+    q2[0] = np.nextafter(q2[0], 1.0)
+    fixation_full_jacobian(CHAIN, q2)
+    assert calls[0] == 6
+    twin = KinematicChain(CHAIN.links, CHAIN.base_pose, CHAIN.segments)
+    assert fixation_full_jacobian(twin, q).tobytes() == J
+    assert calls[0] == 9
+    monkeypatch.setattr(stereo, "_last_head_pass", (None, b"", None))
+    assert fixation_full_jacobian(twin, q).tobytes() == J
+    assert calls[0] == 12
+
+
+def test_full_jacobian_singular_state_raises_on_every_call():
+    for _ in range(2):
+        with pytest.raises(SingularConfiguration):
+            fixation_full_jacobian(CHAIN, np.zeros(9))
+
+
 def test_full_jacobian_trunk_block_is_geometric_jacobian():
     lay = head_layout(CHAIN)
     for seed in range(306, 311):
