@@ -2,7 +2,6 @@
 
 from .chain import (
     DHLink,
-    JointVector,
     KinematicChain,
     Pose,
     analytic_axis_jacobian,

@@ -131,33 +131,9 @@ class DHLink:
             raise InvalidInput("DHLink.v_max must be positive")
 
 
-@dataclass(frozen=True)
-class JointVector:
-    """Joint values plus a layout tag ("generic", "head-dof", "head-mech")."""
-
-    values: np.ndarray
-    layout: str = "generic"
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _readonly(self.values))
-        if self.values.ndim != 1:
-            raise InvalidInput("JointVector values must be one-dimensional")
-        if not np.isfinite(self.values).all():
-            raise InvalidInput("JointVector values must be finite")
-        expected = {"head-dof": 9, "head-mech": 10}.get(self.layout)
-        if expected is not None and self.values.size != expected:
-            raise InvalidInput(
-                f"layout {self.layout!r} wants {expected} values, got {self.values.size}"
-            )
-
-    def __len__(self):
-        return self.values.size
-
-
 def as_joint_array(q, n: int | None = None, *, name: str = "q") -> np.ndarray:
-    """Coerce a JointVector or array-like to a finite 1-D float array."""
-    values = q.values if isinstance(q, JointVector) else q
-    arr = np.asarray(values, dtype=float)
+    """Coerce an array-like to a finite 1-D float array."""
+    arr = np.asarray(q, dtype=float)
     if arr.ndim != 1:
         raise InvalidInput(f"{name} must be one-dimensional, got shape {arr.shape}")
     if not np.isfinite(arr).all():

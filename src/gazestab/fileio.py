@@ -603,7 +603,7 @@ def read_log_csv(path: str) -> TrajectoryLog:
                 meta[key] = val
                 meta_line[key] = no
 
-    values = array("d")
+    values, row_lines = array("d"), array("q")  # the cells, and each row's line number
     reader = csv.reader(data_lines())
     try:
         header = next(reader, None)  # the metadata before it is read by now
@@ -618,6 +618,7 @@ def read_log_csv(path: str) -> TrajectoryLog:
                 values.extend([float(x) for x in rec])
             except ValueError:  # name the offending column
                 values.extend([_parse_float(path, data_no, x, col) for col, x in zip(LOG_HEADER, rec)])
+            row_lines.append(data_no)
     except csv.Error as err:
         raise FileFormatError(path, data_no, f"bad CSV row: {err}") from None
     for key, cast in LOG_META.items():
@@ -633,7 +634,13 @@ def read_log_csv(path: str) -> TrajectoryLog:
     meta.pop("version", None)
     arrays = {}
     for (name, cols, dtype), block in zip(LOG_COLUMNS, blocks):
-        arrays[name] = (block[:, 0] if len(cols) == 1 else block).astype(dtype, copy=False)
+        col = block[:, 0] if len(cols) == 1 else block
+        if dtype is not float:  # the writer writes a count as a whole number int64 holds, a flag as 0 or 1
+            ok = (col >= 0) & (col < 2.0**63) & (np.floor(col) == col) if dtype is int else (col == 0) | (col == 1)
+            if not ok.all():
+                row, rule = int(np.argmin(ok)), "a whole number >= 0" if dtype is int else "0 or 1"
+                raise FileFormatError(path, row_lines[row], f"bad {name} value {float(col[row])!r}: must be {rule}")
+        arrays[name] = col.astype(dtype, copy=False)
     return TrajectoryLog(meta=meta, segments=tuple(segments), **arrays)
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain import DHLink, KinematicChain, Pose, _is_rigid, forward_kinematics
+from .chain import DHLink, KinematicChain, Pose, _is_rigid, as_joint_array, link_frames
 from .errors import InvalidInput
 from .stereo import HEAD_SEGMENTS, head_layout
 
@@ -58,16 +58,18 @@ class HeadModel:
         return self.trunk_names + EYE_DOF_NAMES
 
     def imu_pose(self, q_mech) -> Pose:
-        """World pose of the IMU given mechanical joint values."""
-        link = forward_kinematics(self.chain, q_mech, self.imu_link)
-        return Pose(*_imu_world(self, link.rot, link.pos))
+        """World pose of the IMU; q_mech must cover links 0..imu_link."""
+        q = as_joint_array(q_mech)
+        if q.size <= self.imu_link:
+            raise InvalidInput(f"q must cover links 0..{self.imu_link} ({self.imu_link + 1} values), got {q.size}")
+        return Pose(*_imu_world(self, link_frames(self.chain, q[: self.imu_link + 1])))
 
 
-def _imu_world(model: HeadModel, rot, pos):
-    """(rotation, position) of the IMU in the world, given its link frame's
-    world rotation and position: the link frame composed with imu_offset."""
-    off = model.imu_offset
-    return rot @ off.rot, rot @ off.pos + pos
+def _imu_world(model: HeadModel, frames):
+    """(rotation, position) of the IMU in the world, read from the IMU link's
+    row of a link_frames stack composed with imu_offset: the one IMU path."""
+    rot, pos = frames[model.imu_link, :3, :3], frames[model.imu_link, :3, 3]
+    return rot @ model.imu_offset.rot, rot @ model.imu_offset.pos + pos
 
 
 def default_head_model() -> HeadModel:

@@ -16,11 +16,10 @@ The gyro is synthesized from the IMU link's relative rotation between two
 states (rotation log-map over one tick, mapped to the world frame), so it
 faithfully measures disturbance *plus* the stabilizer's own neck motion; the
 control loop subtracts the latter (efference copy from executed velocities)
-before the lever-arm reconstruction.  synth_gyro walks the IMU link of both
-states it is given; the loop instead reads each state's IMU pose from that
-state's one head pass (the IMU rides on a neck link, shared by both eye
-paths, so the pass holds its frame) and forms the same sample from the two
-carried poses.
+before the lever-arm reconstruction.  The IMU rides on a neck link, shared
+by both eye paths, so a state's head pass (see gazestab.stereo) holds its
+frame: synth_gyro and the loop both read a state's IMU pose from its pass
+through models._imu_world, the loop from the two passes it carries.
 
 The stabilization metric projects a static random point cloud through the
 left pinhole camera at consecutive states and averages the pixel
@@ -236,7 +235,8 @@ def synth_gyro(
 
     omega is the rotation log-map of R_prev^T R_next divided by dt, mapped to
     the world frame; position is the IMU's world position at state_next.
-    Optional zero-mean Gaussian noise with std sigma per axis.
+    Optional zero-mean Gaussian noise with std sigma per axis.  Both IMU
+    poses are read from the states' head passes.
     """
     if not (dt > 0.0 and math.isfinite(dt)):
         raise InvalidInput("dt must be positive and finite")
@@ -244,10 +244,10 @@ def synth_gyro(
         raise InvalidInput("gyro noise sigma must be finite and >= 0")
     if sigma > 0.0 and rng is None:
         raise InvalidInput("gyro noise requires an rng")
-    pose_prev = model.imu_pose(_expand(state_prev.q))
-    pose_next = model.imu_pose(_expand(state_next.q))
-    omega = _gyro_omega(pose_prev.rot, pose_next.rot, dt, sigma, rng)
-    return ImuSample(omega=omega, position=pose_next.pos + state_next.base_offset)
+    rot_prev, _ = _imu_world(model, _head_pass(model.chain, state_prev.q).link_frames)
+    rot_next, pos_next = _imu_world(model, _head_pass(model.chain, state_next.q).link_frames)
+    omega = _gyro_omega(rot_prev, rot_next, dt, sigma, rng)
+    return ImuSample(omega=omega, position=pos_next + state_next.base_offset)
 
 
 def _gyro_omega(rot_prev, rot_next, dt, sigma, rng) -> np.ndarray:
@@ -612,14 +612,13 @@ def _world_geometry(model, cam, cloud, state, imu):
     offset: the cloud's projection into the left camera (a _project result,
     what _flow reads), the fixation point (None when the optical axes are
     parallel) and, if imu, the IMU's (rotation, position)."""
-    _, stack, frames, fx = _head_pass(model.chain, state.q)
-    b = state.base_offset
-    proj = _project(cam, frames.rot_left, frames.o_left + b, cloud)
+    head = _head_pass(model.chain, state.q)
+    cams, fx, b = head.cams, head.fx, state.base_offset
+    proj = _project(cam, cams.rot_left, cams.o_left + b, cloud)
     x_fp = None if fx is None else fx.point + b
     if not imu:
         return proj, x_fp, None
-    link = stack[model.imu_link]
-    rot, pos = _imu_world(model, link[:3, :3], link[:3, 3])
+    rot, pos = _imu_world(model, head.link_frames)
     return proj, x_fp, (rot, pos + b)
 
 

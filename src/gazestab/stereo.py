@@ -27,15 +27,13 @@ The head has one shape, HEAD_SEGMENTS: 3 torso links, 3 neck links, then
 tilt and pan per eye, left first.  Its joints sit at fixed indices (one
 HeadLayout), and a head pass rejects a chain of any other shape.
 
-camera_frames and fixation_full_jacobian read one DH pass per head state:
-the link frames, the camera frames and the fixation point (None when the
-optical axes are parallel).  The last pass is kept: a repeat call on the
-same chain object and q reuses it (q is still validated), so a state's
-camera frames, fixation point and Jacobian cost one walk.  The pass is
-keyed on the checked 9-DoF q, so a hit expands nothing.  The kept arrays
-are read-only.  The simulation loop reads the pass directly, for the
-camera frames, the fixation point and the IMU link's frame.  The kept pass
-also holds its fixation Jacobian once one is asked for, handed out as a copy.
+camera_frames and fixation_full_jacobian read one record per head state, a
+_HeadPass: the mechanical q, the link-frame stack, the camera frames, the
+fixation point (None when the optical axes are parallel) and the fixation
+Jacobian, filled on first request and handed out as a copy.  The last record
+is kept: a repeat call on the same chain object and checked 9-DoF q reuses
+it (q is still validated), so a state costs one walk and one J; its arrays
+are read-only.  The simulation loop and synth_gyro read records directly.
 
 Checks sit at the public edge: each public function and constructor checks
 what its caller passes.  The camera frames of a pass are products of DH
@@ -194,18 +192,24 @@ class CameraFrames:
         )
 
 
-# (chain, 9-DoF q bytes, result) of the latest _head_pass, swapped as one
-# tuple.  A chain is immutable and the result read-only, so a hit may hand
-# the stored result out again.
+class _HeadPass:
+    """A head state's geometry: q_mech, its link_frames stack, the
+    CameraFrames cams, the FixationResult fx (None for parallel axes) and
+    the read-only 6x9 jacobian (None until first asked for).  It has no
+    __init__, so building one costs no Python call."""
+
+    __slots__ = ("q_mech", "link_frames", "cams", "fx", "jacobian")
+
+
+# (chain, 9-DoF q bytes, record) of the latest _head_pass, swapped as one
+# tuple.  A chain is immutable and the record's arrays read-only, so a hit
+# may hand the stored record out again.
 _last_head_pass = (None, b"", None)
 
 
-def _head_pass(chain: KinematicChain, q):
-    """Mechanical q, link_frames stack, camera frames and fixation point
-    (None when the optical axes are parallel) of a 9-DoF head state: the one
-    DH walk camera_frames, fixation_full_jacobian and the simulation loop
-    read.  A repeat call on the same chain object and q returns the last
-    pass."""
+def _head_pass(chain: KinematicChain, q) -> _HeadPass:
+    """The _HeadPass of a 9-DoF head state: one DH walk.  A repeat call on
+    the same chain object and q returns the last record."""
     global _last_head_pass
     arr = as_joint_array(q, HEAD_DOF, name="q (head-dof)")
     key = arr.tobytes()
@@ -234,14 +238,15 @@ def _head_pass(chain: KinematicChain, q):
     kept = (qm, frames) if fx is None else (qm, frames, fx.point, fx.p_left, fx.p_right)
     for a in kept:
         a.setflags(write=False)
-    result = (qm, frames, cams, fx)
-    _last_head_pass = (chain, key, result)
-    return result
+    head = _HeadPass()
+    head.q_mech, head.link_frames, head.cams, head.fx, head.jacobian = qm, frames, cams, fx, None
+    _last_head_pass = (chain, key, head)
+    return head
 
 
 def camera_frames(chain: KinematicChain, q) -> CameraFrames:
     """Both camera frames at the given 9-DoF head configuration."""
-    return _head_pass(chain, q)[2]
+    return _head_pass(chain, q).cams
 
 
 # ------------------------------------------------------------- fixation point
@@ -300,11 +305,6 @@ def eye_jacobian(chain: KinematicChain, q) -> np.ndarray:
     return fixation_full_jacobian(chain, q)[:3, 6:9]
 
 
-# (head pass, its read-only fixation Jacobian) of the latest
-# fixation_full_jacobian; a call on the same pass object copies the kept J.
-_last_jacobian = (None, None)
-
-
 def fixation_full_jacobian(chain: KinematicChain, q) -> np.ndarray:
     """6x9 fixation twist Jacobian over (torso, neck, eye DoF).
 
@@ -324,16 +324,15 @@ def fixation_full_jacobian(chain: KinematicChain, q) -> np.ndarray:
         d x/d version  = (dPl_l + dPl_r + dPr_l + dPr_r) / 2
         d x/d vergence = (dPl_l - dPl_r + dPr_l - dPr_r) / 4
 
-    Raises SingularConfiguration when the optical axes are parallel.
+    A state's J is computed once, kept in its _HeadPass and handed out as a
+    writable copy.  Raises SingularConfiguration for parallel optical axes.
     """
-    global _last_jacobian
     head = _head_pass(chain, q)
-    qm, frames, fr, fx = head
+    qm, frames, fr, fx = head.q_mech, head.link_frames, head.cams, head.fx
     if fx is None:
         fixation_point(fr)  # raises the pass's SingularConfiguration
-    last_head, last_J = _last_jacobian
-    if last_head is head:
-        return last_J.copy()
+    if head.jacobian is not None:
+        return head.jacobian.copy()
     ol, zl, orr, zr = fr.o_left, fr.z_left, fr.o_right, fr.z_right
 
     # Each camera's origin and axis partials against (tilt, left pan, right
@@ -374,5 +373,5 @@ def fixation_full_jacobian(chain: KinematicChain, q) -> np.ndarray:
     J[:3, 7] = 0.5 * (dPl[:, 1] + dPl[:, 2] + dPr[:, 1] + dPr[:, 2])
     J[:3, 8] = 0.25 * (dPl[:, 1] - dPl[:, 2] + dPr[:, 1] - dPr[:, 2])
     J.setflags(write=False)
-    _last_jacobian = (head, J)
+    head.jacobian = J
     return J.copy()

@@ -16,7 +16,6 @@ from hypothesis.extra.numpy import arrays
 from gazestab import (
     DHLink,
     InvalidInput,
-    JointVector,
     KinematicChain,
     OracleFailure,
     Pose,
@@ -400,14 +399,6 @@ def test_fd_oracle_rejects_bad_step():
 
 
 # ------------------------------------------------------------- value types
-
-
-def test_joint_vector_layout_validation():
-    JointVector(np.zeros(9), "head-dof")
-    with pytest.raises(InvalidInput):
-        JointVector(np.zeros(8), "head-dof")
-    with pytest.raises(InvalidInput):
-        JointVector(np.array([0.0, math.inf]))
 
 
 def test_dhlink_validation():

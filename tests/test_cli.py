@@ -17,6 +17,7 @@ from gazestab.cli import main
 from gazestab.chain import finite_difference_jacobian
 from gazestab.errors import FileFormatError, InvalidInput, JointLimitWarning
 from gazestab.fileio import (
+    LOG_HEADER,
     SEGMENT_ORDER,
     RunConfig,
     config_overrides,
@@ -790,6 +791,18 @@ def first_data_row(line):
     return line[:1].isdigit()
 
 
+def with_cell(column, value):
+    """new_text for rewrite_log_line: the data row with column's cell replaced by value."""
+    i = LOG_HEADER.index(column)
+
+    def new_text(line):
+        cells = line.rstrip("\n").split(",")
+        cells[i] = value
+        return ",".join(cells) + "\n"
+
+    return new_text
+
+
 @pytest.mark.parametrize(
     "find,new_text,fragment",
     [
@@ -797,8 +810,19 @@ def first_data_row(line):
         (first_data_row, lambda line: "zebra" + line[line.index(","):], "bad number 'zebra' for t"),
         (first_data_row, lambda line: line.rstrip("\n") + ",0\n", "row with 48 fields"),
         (first_data_row, lambda line: "1" * 200_000 + line[line.index(","):], "field larger than field limit"),
+        # typed cells hold only what the writer writes: a count int64 holds, a 0/1 flag
+        (first_data_row, with_cell("n_valid", "nan"), "bad n_valid value nan: must be a whole number >= 0"),
+        (first_data_row, with_cell("n_valid", "1e300"), "bad n_valid value 1e[+]300: must be a whole number"),
+        (first_data_row, with_cell("n_valid", "1.5"), "bad n_valid value 1.5: must be a whole number"),
+        (first_data_row, with_cell("n_valid", "-7"), "bad n_valid value -7.0: must be a whole number"),
+        (first_data_row, with_cell("saturated", "2"), "bad saturated value 2.0: must be 0 or 1"),
+        (first_data_row, with_cell("saturated", "0.5"), "bad saturated value 0.5: must be 0 or 1"),
+        (first_data_row, with_cell("singular", "nan"), "bad singular value nan: must be 0 or 1"),
     ],
-    ids=["segment-time", "non-numeric-field", "extra-field", "huge-field"],
+    ids=[
+        "segment-time", "non-numeric-field", "extra-field", "huge-field", "n_valid-nan", "n_valid-huge",
+        "n_valid-fraction", "n_valid-negative", "saturated-2", "saturated-half", "singular-nan",
+    ],
 )
 def test_csv_reader_reports_bad_line(tmp_path, capsys, find, new_text, fragment):
     path, no = rewrite_log_line(tmp_path, find, new_text)
@@ -817,6 +841,62 @@ def test_csv_reader_cites_bad_metadata_line(tmp_path, capsys):
     assert f"{path}:6: " in str(exc.value)
     assert main(["compare", "--baseline", path, path]) == 2
     assert f"{path}:6: " in capsys.readouterr().err
+
+
+# Hostile replacements for one cell of a written log.
+LOG_CELL_POOL = ["nan", "inf", "-1", "1.5", "2", "1e300", "", "x"]
+
+
+@pytest.fixture(scope="module")
+def short_log(tmp_path_factory):
+    """(a path to overwrite, the lines of a written 4-row log)."""
+    p = tmp_path_factory.mktemp("fuzz") / "log.csv"
+    write_log_csv(synthetic_log(4), str(p))
+    return p, p.read_bytes().splitlines(keepends=True)
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_log_reader_fuzz_accepts_only_writable_logs(short_log, data):
+    # A short written log with cells replaced from the pool and lines
+    # dropped, duplicated or truncated, with or without arbitrary bytes
+    # spliced in (or arbitrary bytes alone): the reader raises
+    # FileFormatError or returns typed columns holding values the writer
+    # writes, equal to the file's cells.
+    p, lines = short_log[0], list(short_log[1])
+    rows = st.sampled_from([i for i, line in enumerate(lines) if line[:1].isdigit()])
+    cells = st.tuples(rows, st.integers(0, len(LOG_HEADER) - 1), st.sampled_from(LOG_CELL_POOL))
+    for i, col, value in data.draw(st.lists(cells, max_size=2)):
+        fields = lines[i].rstrip(b"\n").split(b",")
+        fields[col] = value.encode()
+        lines[i] = b",".join(fields) + b"\n"
+    edit_kinds = st.sampled_from(["drop", "duplicate", "truncate"])
+    edits = st.tuples(edit_kinds, st.integers(0, len(lines) - 1), st.integers(0, 999))
+    for edit, i, cut in data.draw(st.lists(edits, max_size=2)):
+        i %= len(lines)
+        if edit == "drop":
+            del lines[i]
+        elif edit == "duplicate":
+            lines.insert(i, lines[i])
+        else:
+            lines[i] = lines[i][: cut % len(lines[i])] + b"\n"
+    text = b"".join(lines)
+    blob = data.draw(st.sampled_from(["none", "splice", "alone"]))
+    if blob != "none":
+        extra = data.draw(st.binary(max_size=64))
+        at = data.draw(st.integers(0, len(text)))
+        text = extra if blob == "alone" else text[:at] + extra + text[at:]
+    p.write_bytes(text)
+    try:
+        log = read_log_csv(str(p))
+    except FileFormatError:
+        return
+    assert log.n_valid.dtype == np.int64 and log.saturated.dtype == log.singular.dtype == np.bool_
+    assert np.all(log.n_valid >= 0)
+    if blob == "none":  # no quote in the file: one CSV row per data line
+        table = [line.split(b",") for line in text.splitlines() if not line.startswith(b"#")][1:]
+        typed = np.array([[float(cell) for cell in row[-3:]] for row in table])
+        assert np.array_equal(typed, np.column_stack([log.n_valid, log.saturated, log.singular]))
 
 
 def assert_clean_error(capsys, *fragments):

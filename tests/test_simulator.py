@@ -919,3 +919,58 @@ def test_coverage_loss_carries_completed_rows():
     assert log.n_rows() == 82
     assert np.allclose(log.t, np.arange(82) * DT)
     assert np.all(log.n_valid[1:] >= 10)
+
+
+# ------------------------------------------------------- the paper's claims
+
+
+@st.composite
+def short_scripts(draw, channels, external=st.booleans()):
+    """(script, duration) of a 0.3-0.5 s run: one constant-rate segment on
+    each of 1-3 distinct channels, at rates that keep the torso inside its
+    limits and the cloud in view."""
+    duration = draw(st.floats(0.3, 0.5))
+    segments = []
+    for ch in draw(st.lists(st.sampled_from(channels), min_size=1, max_size=3, unique=True)):
+        t0 = draw(st.floats(0.0, duration - 0.1))
+        t1 = draw(st.floats(t0 + 0.05, duration))
+        limit = 0.2 if ch.startswith("base") else 0.6  # m/s or rad/s
+        segments.append(ScriptSegment(t0, t1, ch, draw(st.floats(-limit, limit)), external=draw(external)))
+    return DisturbanceScript("random", segments=tuple(segments)), duration
+
+
+# Scripted torso and base channels stop with their segments; a scripted neck
+# joint would coast on through the plant lag.
+TORSO_AND_BASE = MODEL.trunk_names[:3] + ("base-x", "base-y", "base-z")
+
+
+@settings(max_examples=16, deadline=None)
+@given(mode=st.sampled_from(["kff", "ifb"]), case=short_scripts(TORSO_AND_BASE))
+def test_eyes_alone_leave_the_disturbance_rotation(mode, case):
+    # Neck DoF are crucial: eye columns carry no rotation, so with dof eyes
+    # each logged residual omega is the disturbance's, J_k @ track.qdot[k].
+    script, duration = case
+    control = StabilizerConfig(mode=mode, dof_set="eyes")
+    log = run_experiment(MODEL, script, SimSettings(control=control, duration=duration, gyro_sigma=0.0))
+    track = script.realize(MODEL, DT, log.n_rows() - 1)
+    for k in np.flatnonzero(~log.singular[:-1]):
+        disturbance = fixation_full_jacobian(MODEL.chain, log.q[k]) @ track.qdot[k]
+        assert np.all(log.true_twist[k + 1, 3:] == disturbance[3:]), k  # ==: signed zeros differ in bytes
+
+
+@settings(max_examples=24, deadline=None)
+@given(case=short_scripts(TORSO_AND_BASE, external=st.just(True)))
+def test_kff_cannot_see_external_motion(case):
+    # kFF reads only commanded rates: an all-external script gives it nothing.
+    script, duration = case
+    log = run_experiment(MODEL, script, SimSettings(control=StabilizerConfig(mode="kff"), duration=duration))
+    assert np.all(log.est_twist == 0.0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=short_scripts(("base-x", "base-y", "base-z")), delay=st.integers(0, 60))
+def test_ifb_cannot_see_translation(case, delay):
+    # The gyro measures rotation only, so a base-only run gives iFB nothing.
+    script, duration = case
+    sim = SimSettings(control=StabilizerConfig(mode="ifb"), duration=duration, gyro_sigma=0.0, gyro_delay_ticks=delay)
+    assert np.all(run_experiment(MODEL, script, sim).est_twist == 0.0)

@@ -449,9 +449,13 @@ def test_head_pass_misses_on_another_chain_or_q(monkeypatch):
 
 
 def test_head_pass_arrays_are_read_only():
-    qm, frames, cams, fx = stereo._head_pass(CHAIN, head_q(np.random.default_rng(316)))
-    assert fx is not None
-    for arr in (qm, frames, cams.o_left, cams.z_right, cams.rot_left, fx.point, fx.p_left, fx.p_right):
+    q = head_q(np.random.default_rng(316))
+    head = stereo._head_pass(CHAIN, q)
+    cams, fx = head.cams, head.fx
+    assert fx is not None and head.jacobian is None
+    fixation_full_jacobian(CHAIN, q)  # fills the record's J slot
+    arrays = (head.q_mech, head.link_frames, cams.o_left, cams.z_right, cams.rot_left, fx.point, fx.p_left, fx.p_right)
+    for arr in arrays + (head.jacobian,):
         with pytest.raises(ValueError):
             arr[0] = 0.0
 
