@@ -33,7 +33,13 @@ configs are used.  The check
 * compares a SHA-256 digest of the `serialize_model` text of the shipped
   model and of a variant with a base pose and unlimited joints, and the
   `serialize_script` text of the same four scripts, in `degrees` and in
-  `radians` (no shipped log exercises the serializers).
+  `radians` (no shipped log exercises the serializers);
+* runs a lift script (`move channel=base-z t=0.2,3 rate=10` for 3 s, which
+  takes the cloud out of view, as in the coverage-loss tests) in `off`,
+  `kff` and `ifb` mode, and compares each run's exit code, its stderr with
+  the output directory's path normalised, and the bytes of the partial log
+  it leaves (no shipped config fails, so nothing else checks where a failed
+  run's log is cut).
 
 It prints one line per check and exits 1 on any breach (a byte-identical
 result or a numeric difference within the budget is no breach).
@@ -61,6 +67,9 @@ DIGESTS = (
     "fixation_full_jacobian", "fixation_full_jacobian (repeat)", "camera_frames", "imu_pose", "synth_gyro",
     "synth_gyro (noise)", "compensate", "realize", "serialize",
 )
+# A script that fails every mode part-way, and the modes it runs in.
+LIFT_SCRIPT = "script lift\nunits degrees\nmove channel=base-z t=0.2,3 rate=10\n"
+LIFT_MODES = ("off", "kff", "ifb")
 
 # Runs inside a tree on log paths: prints a digest of each log as read_log_csv
 # returns it (every array's dtype, shape and bytes, the metadata, the segments).
@@ -200,17 +209,22 @@ def start(tree, args, cwd):
     )
 
 
-def finish(proc, what):
-    out, err = proc.communicate()
-    if proc.returncode != 0:
-        raise SystemExit(f"refcheck: {what} exited {proc.returncode}:\n{err}")
-    return out
+def both_results(trees, outdirs, args_for):
+    """Run args_for(tree) on both trees at once; return (exit code, stdout,
+    stderr) of each."""
+    procs = [start(tree, args_for(tree), cwd) for tree, cwd in zip(trees, outdirs)]
+    outputs = [p.communicate() for p in procs]
+    return [(p.returncode, out, err) for p, (out, err) in zip(procs, outputs)]
 
 
 def both(trees, outdirs, args_for, what):
-    """Run args_for(tree) on both trees at once; return both stdouts."""
-    procs = [start(tree, args_for(tree), cwd) for tree, cwd in zip(trees, outdirs)]
-    return [finish(p, f"{what} on {tree}") for p, tree in zip(procs, trees)]
+    """Run args_for(tree) on both trees at once; return both stdouts, each
+    run having exited 0."""
+    results = both_results(trees, outdirs, args_for)
+    for (code, _, err), tree in zip(results, trees):
+        if code != 0:
+            raise SystemExit(f"refcheck: {what} on {tree} exited {code}:\n{err}")
+    return [out for _, out, _ in results]
 
 
 def read_csv(path):
@@ -320,6 +334,31 @@ def main(argv):
             label = f"{side} tree's {len(logs) // 2} logs"
             print(f"  {label:<38} {'identical' if not differ else 'BREACH: read differently: ' + ', '.join(differ)}")
             breaches += bool(differ)
+        print("partial logs of failing runs:")
+        for d in outdirs:
+            with open(os.path.join(d, "lift.script"), "w", encoding="utf-8") as fh:
+                fh.write(LIFT_SCRIPT)
+        for mode in LIFT_MODES:
+            name = f"lift_{mode}"
+            for d in outdirs:
+                with open(os.path.join(d, f"{name}.config"), "w", encoding="utf-8") as fh:
+                    fh.write(f"config {name}\nmodel default_head.model\nscript lift.script\nmode {mode}\nduration 3\n")
+            args = ["-m", "gazestab.cli", "run", "--config", f"{name}.config", "--out", f"{name}.csv"]
+            results = both_results(trees, outdirs, lambda tree: args)
+            (code_a, _, err_a), (code_b, _, err_b) = results
+            same = code_a == code_b and err_a.replace(outdirs[0], "<out>") == err_b.replace(outdirs[1], "<out>")
+            print(f"  {name + ' exit code and stderr':<38} {'identical' if same else 'BREACH: differ'} (exit {code_b})")
+            if not same:
+                for side, (code, _, err) in zip(("old", "new"), results):
+                    print(f"    {side}| exit {code}")
+                    print("".join(f"    {side}| {ln}\n" for ln in err.splitlines()), end="")
+            breaches += not same
+            old, new = (os.path.join(d, f"{name}.csv") for d in outdirs)
+            if os.path.exists(old) and os.path.exists(new):
+                breaches += report(f"{name}.csv", old, new, csv_difference)
+            elif os.path.exists(old) or os.path.exists(new):
+                print(f"  {name + '.csv':<38} BREACH: written by one tree only")
+                breaches += 1
         print("gazestab compare:")
         for set_name, names in SETS.items():
             args = ["-m", "gazestab.cli", "compare", "--baseline", *(f"{n}.csv" for n in names)]

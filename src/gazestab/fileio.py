@@ -550,6 +550,15 @@ LOG_HEADER = tuple(c for _, cols, _ in LOG_COLUMNS for c in cols)
 # as the integer does (1.0 -> "1"), and read back as LOG_COLUMNS types them.
 _LOG_ROW = ",".join([FLOAT_FMT] * len(LOG_HEADER)) + "\n"
 _LOG_BLOCK = 64  # rows per write: the writer holds one block, not the log
+# The cells the writer writes in the checked columns: a finite tick time, a
+# count as a whole number int64 holds, a flag as 0 or 1.
+_FLAG = ("0 or 1", lambda c: (c == 0) | (c == 1))
+_CELL_RULES = {
+    "t": ("finite", np.isfinite),
+    "n_valid": ("a whole number >= 0", lambda c: (c >= 0) & (c < 2.0**63) & (np.floor(c) == c)),
+    "saturated": _FLAG,
+    "singular": _FLAG,
+}
 
 
 def write_log_csv(log: TrajectoryLog, path: str) -> None:
@@ -573,7 +582,6 @@ def write_log_csv(log: TrajectoryLog, path: str) -> None:
 def read_log_csv(path: str) -> TrajectoryLog:
     """Inverse of write_log_csv."""
     meta: dict = {}
-    meta_line: dict = {}
     segments = []
     data_no = 0  # the file line number of the last data line handed to csv
 
@@ -595,19 +603,23 @@ def read_log_csv(path: str) -> TrajectoryLog:
                     raise FileFormatError(path, no, "segment metadata needs: label t0 t1")
                 t0, t1 = (_parse_float(path, no, p, "segment time") for p in parts[1:])
                 segments.append((parts[0], t0, t1))
+            elif key in meta:
+                raise FileFormatError(path, no, f"second {key!r} metadata line")
             elif key == "gazestab-log":
                 if val != "1":
                     raise FileFormatError(path, no, f"unsupported log version {val!r}")
-                meta["version"] = 1
+                meta[key] = 1
             else:
-                meta[key] = val
-                meta_line[key] = no
+                try:
+                    meta[key] = LOG_META.get(key, str)(val)
+                except ValueError:
+                    raise FileFormatError(path, no, f"bad metadata value for {key!r}") from None
 
     values, row_lines = array("d"), array("q")  # the cells, and each row's line number
     reader = csv.reader(data_lines())
     try:
         header = next(reader, None)  # the metadata before it is read by now
-        if "version" not in meta:
+        if "gazestab-log" not in meta:
             raise FileFormatError(path, 1, "not a gazestab log (missing '# gazestab-log: 1')")
         if header is not None and tuple(header) != LOG_HEADER:
             raise FileFormatError(path, data_no, "unexpected CSV columns")
@@ -621,25 +633,18 @@ def read_log_csv(path: str) -> TrajectoryLog:
             row_lines.append(data_no)
     except csv.Error as err:
         raise FileFormatError(path, data_no, f"bad CSV row: {err}") from None
-    for key, cast in LOG_META.items():
-        if key in meta:
-            try:
-                meta[key] = cast(meta[key])
-            except ValueError:
-                raise FileFormatError(path, meta_line[key], f"bad metadata value for {key!r}") from None
     if not values:
         raise FileFormatError(path, 0, "log contains no data rows")
     table = np.frombuffer(values).reshape(-1, len(LOG_HEADER))
     blocks = np.split(table, np.cumsum([len(cols) for _, cols, _ in LOG_COLUMNS])[:-1], axis=1)
-    meta.pop("version", None)
+    meta.pop("gazestab-log")
     arrays = {}
     for (name, cols, dtype), block in zip(LOG_COLUMNS, blocks):
         col = block[:, 0] if len(cols) == 1 else block
-        if dtype is not float:  # the writer writes a count as a whole number int64 holds, a flag as 0 or 1
-            ok = (col >= 0) & (col < 2.0**63) & (np.floor(col) == col) if dtype is int else (col == 0) | (col == 1)
-            if not ok.all():
-                row, rule = int(np.argmin(ok)), "a whole number >= 0" if dtype is int else "0 or 1"
-                raise FileFormatError(path, row_lines[row], f"bad {name} value {float(col[row])!r}: must be {rule}")
+        rule, test = _CELL_RULES.get(name, (None, None))
+        if rule and not (ok := test(col)).all():
+            row = int(np.argmin(ok))
+            raise FileFormatError(path, row_lines[row], f"bad {name} value {float(col[row])!r}: must be {rule}")
         arrays[name] = col.astype(dtype, copy=False)
     return TrajectoryLog(meta=meta, segments=tuple(segments), **arrays)
 

@@ -32,7 +32,9 @@ class HeadModel:
 
     imu_link must be a neck link (the sensor rides on the head, upstream of
     both eye branches); imu_offset is a finite rigid transform (orthonormal
-    rotation) expressed in that link's frame.
+    rotation) expressed in that link's frame.  The two eye-tilt links are one
+    physical axis, so they must share their limits (q_min, q_max, v_max);
+    the pan limits may differ.
     """
 
     chain: KinematicChain
@@ -44,7 +46,14 @@ class HeadModel:
     def __post_init__(self):
         if self.chain.segments[self.imu_link] != "neck":
             raise InvalidInput("IMU must be attached to a neck link")
-        head_layout(self.chain)
+        lay = head_layout(self.chain)
+        left, right = self.chain.links[lay.tilt_left], self.chain.links[lay.tilt_right]
+        for lim in ("q_min", "q_max", "v_max"):
+            if getattr(left, lim) != getattr(right, lim):
+                raise InvalidInput(
+                    f"the eye tilts are one axis: left tilt {lim} {getattr(left, lim)!r} differs from the right's "
+                    f"{getattr(right, lim)!r}"
+                )
         if not _is_rigid(self.imu_offset):
             raise InvalidInput("imu_offset must be finite, with an orthonormal rotation")
         names = tuple(self.trunk_names) or tuple(f"joint-{i}" for i in range(6))

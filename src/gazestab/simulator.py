@@ -21,6 +21,12 @@ by both eye paths, so a state's head pass (see gazestab.stereo) holds its
 frame: synth_gyro and the loop both read a state's IMU pose from its pass
 through models._imu_world, the loop from the two passes it carries.
 
+run_experiment reads each plant state in one step, the initial state and
+every state a tick produces alike: the step writes the state's log row and
+returns what the next tick reads of it (cloud projection, fixation point,
+IMU pose).  Estimation and compensation run on ticks that are neither "off"
+nor singular; every other tick keeps the command it holds.
+
 The stabilization metric projects a static random point cloud through the
 left pinhole camera at consecutive states and averages the pixel
 displacement over points that stay inside the image interior (a fixed
@@ -69,6 +75,13 @@ DEFAULT_GYRO_SIGMA = 0.005  # rad/s, per axis
 MIN_FLOW_POINTS = 10  # fewer valid cloud points make the flow average meaningless
 MAX_TICKS = 200_000  # 2,000 s at the default tick; caps the (n, 9) log and track arrays
 MAX_CLOUD_POINTS = 100_000  # caps the (n, 3) cloud and its per-tick projections
+# Cap on the settings the loop multiplies into its floats: focal length
+# (px), cloud radius (m) and gyro noise (rad/s).  _project forms f * x / z
+# with depth z > 1e-9 m and |x| under twice the point's distance from the
+# camera, and iFB multiplies a gyro sample (a few sigma) by the lever arm to
+# the fixation point; at 1e100 these stay near 1e210 for distances and lever
+# arms up to 1e100 m, far from the float limit 1.8e308.
+MAX_SCALE = 1e100
 
 
 def _is_int(x) -> bool:
@@ -225,7 +238,7 @@ def _so3_log(R) -> np.ndarray:
 def synth_gyro(
     model: HeadModel,
     state_prev: PlantState,
-    state_next: PlantState,
+    new_state: PlantState,
     dt: float,
     *,
     sigma: float = 0.0,
@@ -234,7 +247,7 @@ def synth_gyro(
     """Gyro sample for the motion between two states.
 
     omega is the rotation log-map of R_prev^T R_next divided by dt, mapped to
-    the world frame; position is the IMU's world position at state_next.
+    the world frame; position is the IMU's world position at new_state.
     Optional zero-mean Gaussian noise with std sigma per axis.  Both IMU
     poses are read from the states' head passes.
     """
@@ -245,9 +258,9 @@ def synth_gyro(
     if sigma > 0.0 and rng is None:
         raise InvalidInput("gyro noise requires an rng")
     rot_prev, _ = _imu_world(model, _head_pass(model.chain, state_prev.q).link_frames)
-    rot_next, pos_next = _imu_world(model, _head_pass(model.chain, state_next.q).link_frames)
+    rot_next, pos_next = _imu_world(model, _head_pass(model.chain, new_state.q).link_frames)
     omega = _gyro_omega(rot_prev, rot_next, dt, sigma, rng)
-    return ImuSample(omega=omega, position=pos_next + state_next.base_offset)
+    return ImuSample(omega=omega, position=pos_next + new_state.base_offset)
 
 
 def _gyro_omega(rot_prev, rot_next, dt, sigma, rng) -> np.ndarray:
@@ -273,8 +286,8 @@ class CameraModel:
     border: int = 20
 
     def __post_init__(self):
-        if not (self.f > 0 and math.isfinite(self.f)):
-            raise InvalidInput("focal length must be positive")
+        if not 0 < self.f <= MAX_SCALE:
+            raise InvalidInput(f"focal length must be positive and at most {MAX_SCALE:g}")
         if not all(_is_int(getattr(self, name)) for name in ("width", "height", "border")):
             raise InvalidInput("image width, height and border must be integers")
         if self.border < 0:
@@ -350,9 +363,12 @@ class CloudSpec:
     def __post_init__(self):
         if not 500 <= self.n <= MAX_CLOUD_POINTS:
             raise InvalidInput(f"cloud must contain 500 to {MAX_CLOUD_POINTS} points, got {self.n}")
-        if not (0.0 < self.r_min <= self.r_max and math.isfinite(self.r_max)):
-            raise InvalidInput("cloud radii must be finite and satisfy 0 < r_min <= r_max")
-        # half-widths of make_cloud's angle ranges: all the way round and up
+        if not 0.0 < self.r_min <= self.r_max <= MAX_SCALE:
+            raise InvalidInput(f"cloud radii must satisfy 0 < r_min <= r_max <= {MAX_SCALE:g}")
+        # half-widths of make_cloud's angle ranges: all the way round and up;
+        # -0 becomes 0, as make_cloud samples [-angle, angle]
+        object.__setattr__(self, "azimuth", self.azimuth + 0.0)
+        object.__setattr__(self, "elevation", self.elevation + 0.0)
         if not 0.0 <= self.azimuth <= math.pi:
             raise InvalidInput(f"cloud azimuth must lie in [0, pi] rad (0 to 180 degrees), got {self.azimuth!r}")
         if not 0.0 <= self.elevation <= math.pi / 2:
@@ -545,8 +561,8 @@ class SimSettings:
             raise InvalidInput("fixation_distance must be positive and finite")
         if not _is_int(self.gyro_delay_ticks):
             raise InvalidInput("gyro delay must be an integer number of ticks")
-        if not (self.gyro_sigma >= 0.0 and math.isfinite(self.gyro_sigma)) or self.gyro_delay_ticks < 0:
-            raise InvalidInput("gyro noise must be finite and gyro noise/delay non-negative")
+        if not 0.0 <= self.gyro_sigma <= MAX_SCALE or self.gyro_delay_ticks < 0:
+            raise InvalidInput(f"gyro noise must lie in [0, {MAX_SCALE:g}] and gyro delay be non-negative")
         _check_seed(self.seed, "seed")
 
 
@@ -606,22 +622,6 @@ def initial_state(model: HeadModel, fixation_distance: float) -> PlantState:
     return PlantState(t=0.0, q=q0, qdot=np.zeros(9))
 
 
-def _world_geometry(model, cam, cloud, state, imu):
-    """What the loop reads about a plant state, from its one head pass (see
-    gazestab.stereo), in the world -- the head moved rigidly by the base
-    offset: the cloud's projection into the left camera (a _project result,
-    what _flow reads), the fixation point (None when the optical axes are
-    parallel) and, if imu, the IMU's (rotation, position)."""
-    head = _head_pass(model.chain, state.q)
-    cams, fx, b = head.cams, head.fx, state.base_offset
-    proj = _project(cam, cams.rot_left, cams.o_left + b, cloud)
-    x_fp = None if fx is None else fx.point + b
-    if not imu:
-        return proj, x_fp, None
-    rot, pos = _imu_world(model, head.link_frames)
-    return proj, x_fp, (rot, pos + b)
-
-
 def run_experiment(model: HeadModel, script: DisturbanceScript, settings: SimSettings) -> TrajectoryLog:
     """Simulate the full closed loop and log every tick.
 
@@ -632,12 +632,16 @@ def run_experiment(model: HeadModel, script: DisturbanceScript, settings: SimSet
     leaves the head passive.  On a parallel-gaze tick the fixation Jacobian
     does not exist and the previous command is held.
 
-    Each state's camera frames, fixation point, cloud projection and (in
-    "ifb" mode) IMU pose are read from its one head pass, at the end of the
-    tick that produced it, and carried into the next; the next tick's
-    fixation Jacobian reuses that pass (see gazestab.stereo), so a head that
-    holds still reuses its J, and its gyro sample is formed from the two
-    carried IMU poses as synth_gyro forms it.
+    One step per plant state, the initial one included: it reads the
+    state's one head pass (see gazestab.stereo), writes the state's row
+    (t, q, qdot, base offset, fixation point, singular flag) and returns
+    what the next tick reads of it, in the world -- the head moved rigidly
+    by the base offset: the cloud's projection into the left camera, the
+    fixation point (None when the optical axes are parallel) and, in "ifb"
+    mode, the IMU pose.  The next tick's fixation Jacobian reuses that pass,
+    so a head that holds still reuses its J, and its gyro sample is formed
+    from two carried IMU poses as synth_gyro forms it.  A run that fails
+    (SimulationDiverged, InsufficientCoverage) carries its fully logged rows.
     """
     duration = settings.duration if settings.duration is not None else script.duration() + 0.5
     ticks = duration / settings.dt
@@ -650,94 +654,84 @@ def run_experiment(model: HeadModel, script: DisturbanceScript, settings: SimSet
         raise InvalidInput("duration shorter than one tick")
     track = script.realize(model, settings.dt, n_ticks)
     cfg = settings.control
+    ifb = cfg.mode == "ifb"
     rng_gyro = np.random.default_rng(np.random.SeedSequence((settings.seed, 71)))
 
     state = initial_state(model, settings.fixation_distance)
     frames = camera_frames(model.chain, state.q)
     cloud = make_cloud(settings.cloud, 0.5 * (frames.o_left + frames.o_right))
-    ifb = cfg.mode == "ifb"
-    proj, x_fp, imu = _world_geometry(model, settings.cam, cloud, state, ifb)
-
     n_rows = n_ticks + 1
     log = TrajectoryLog(
-        meta={
-            "script": script.name,
-            "mode": cfg.mode,
-            "dof_set": cfg.dof_set,
-            "model": model.name,
-            "dt": settings.dt,
-            "duration": n_ticks * settings.dt,
-            "seed": settings.seed,
-            "gyro_sigma": settings.gyro_sigma,
-            "fixation_distance": settings.fixation_distance,
-        },
+        meta=dict(
+            script=script.name, mode=cfg.mode, dof_set=cfg.dof_set, model=model.name, dt=settings.dt,
+            duration=n_ticks * settings.dt, seed=settings.seed, gyro_sigma=settings.gyro_sigma,
+            fixation_distance=settings.fixation_distance,
+        ),
         segments=tuple(script.span_list()),
         **{
             name: np.zeros((n_rows, len(cols)) if len(cols) > 1 else n_rows, dtype)
             for name, cols, dtype in LOG_COLUMNS
         },
     )
-    log.q[0] = state.q
-    if x_fp is None:
-        log.singular[0] = True
-    else:
-        log.fp[0] = x_fp
 
-    zero_twist, hold = Twist.zero(), StabilizerCommand.hold()
-    prev_cmd = hold
+    def observe(row, state):
+        """Write a state's row; return what the next tick reads of it."""
+        head, b = _head_pass(model.chain, state.q), state.base_offset
+        log.t[row], log.q[row], log.qdot[row], log.base_offset[row] = state.t, state.q, state.qdot, b
+        x_fp = None
+        if head.fx is None:
+            log.singular[row] = True
+        else:
+            x_fp = log.fp[row] = head.fx.point + b
+        proj = _project(settings.cam, head.cams.rot_left, head.cams.o_left + b, cloud)
+        if not ifb:
+            return proj, x_fp, None
+        rot, pos = _imu_world(model, head.link_frames)
+        return proj, x_fp, (rot, pos + b)
+
+    proj, x_fp, imu = observe(0, state)
+    logged = 1  # rows fully written; a failed run's partial log keeps these
+    cmd = StabilizerCommand.hold()
     # the iFB delay line: the newest sample and the delay before it, read at
     # [0]; a delay past the run's end reads no sample either way
     delay = min(settings.gyro_delay_ticks, n_ticks)
     gyro_buffer: deque[ImuSample] = deque(maxlen=delay + 1)
     try:
         for k in range(n_ticks):
-            singular_now = x_fp is None
-            J = None if singular_now else fixation_full_jacobian(model.chain, state.q)
-
-            # --- estimate --------------------------------------------
-            est = zero_twist
-            if cfg.mode == "kff" and not singular_now:
-                est = estimate_kff(J, track.commanded_qdot[k])
-                est = _unchecked(Twist, v=est.v + track.commanded_base[k], omega=est.omega)
-            elif ifb and not singular_now:
-                if k == 0:
-                    omega = np.zeros(3)
-                else:
-                    # synth_gyro's sample between the carried IMU poses, less
-                    # the efference copy: the neck's own rotation (executed
-                    # velocities over the same window the gyro integrated);
-                    # script-owned neck channels are disturbance, not self-motion
-                    omega = _gyro_omega(imu_prev[0], imu[0], settings.dt, settings.gyro_sigma, rng_gyro)
-                    self_qdot = np.where(track.active[k - 1][3:6], 0.0, state.qdot[3:6])
-                    omega = omega - J[3:6, 3:6] @ self_qdot
-                if not gyro_buffer:  # until the first sample comes out: no rotation, at its position
-                    gyro_buffer.extend([_unchecked(ImuSample, omega=np.zeros(3), position=imu[1])] * delay)
-                gyro_buffer.append(_unchecked(ImuSample, omega=omega, position=imu[1]))
-                est = estimate_ifb(gyro_buffer[0], x_fp)
-
-            # --- compensate --------------------------------------------
-            if cfg.mode == "off":
-                cmd = hold
-            elif singular_now:
-                cmd = prev_cmd
+            row = k + 1
+            if x_fp is None:  # parallel axes: no fixation Jacobian, the command is held
+                J = None
+                log.singular[row] = True
             else:
+                J = fixation_full_jacobian(model.chain, state.q)
+            if J is not None and cfg.mode != "off":  # --- estimate and compensate
+                if ifb:
+                    if k == 0:
+                        omega = np.zeros(3)
+                    else:
+                        # synth_gyro's sample between the carried IMU poses, less
+                        # the efference copy: the neck's own rotation (executed
+                        # velocities over the same window the gyro integrated);
+                        # script-owned neck channels are disturbance, not self-motion
+                        omega = _gyro_omega(imu_prev[0], imu[0], settings.dt, settings.gyro_sigma, rng_gyro)
+                        self_qdot = np.where(track.active[k - 1][3:6], 0.0, state.qdot[3:6])
+                        omega = omega - J[3:6, 3:6] @ self_qdot
+                    if not gyro_buffer:  # until the first sample comes out: no rotation, at its position
+                        gyro_buffer.extend([_unchecked(ImuSample, omega=np.zeros(3), position=imu[1])] * delay)
+                    gyro_buffer.append(_unchecked(ImuSample, omega=omega, position=imu[1]))
+                    est = estimate_ifb(gyro_buffer[0], x_fp)
+                else:
+                    est = estimate_kff(J, track.commanded_qdot[k])
+                    est = _unchecked(Twist, v=est.v + track.commanded_base[k], omega=est.omega)
                 cmd = compensate(est, J, cfg)
+                log.est_twist[row] = est.as_array()
 
-            # --- step --------------------------------------------------
+            # --- step, then log row k+1 --------------------------------
             new_state = step(
-                model,
-                state,
-                track.qdot[k],
-                cmd,
-                settings.dt,
-                settings.plant,
-                active=track.active[k],
+                model, state, track.qdot[k], cmd, settings.dt, settings.plant, active=track.active[k],
                 base_vel=track.base_vel[k],
             )
-
-            # --- log row k+1 --------------------------------------------
-            row = k + 1
-            proj_next, fp_next, imu_next = _world_geometry(model, settings.cam, cloud, new_state, ifb)
+            proj_next, fp_next, imu_next = observe(row, new_state)
             optfl, n_valid = _flow(proj, proj_next)
             if n_valid < MIN_FLOW_POINTS:
                 raise InsufficientCoverage(
@@ -748,26 +742,15 @@ def run_experiment(model: HeadModel, script: DisturbanceScript, settings: SimSet
                 tw = J @ new_state.qdot
                 tw[:3] += track.base_vel[k]
                 log.true_twist[row] = tw
-            log.t[row] = new_state.t
-            log.q[row] = new_state.q
-            log.qdot[row] = new_state.qdot
-            log.base_offset[row] = new_state.base_offset
             log.cmd[row] = np.concatenate([cmd.qdot_neck, cmd.qdot_eye])
-            log.est_twist[row] = est.as_array()
-            if fp_next is not None:
-                log.fp[row] = fp_next
-            log.optfl[row] = optfl
-            log.n_valid[row] = n_valid
-            log.saturated[row] = cmd.saturated
-            log.singular[row] = singular_now or fp_next is None
+            log.optfl[row], log.n_valid[row], log.saturated[row] = optfl, n_valid, cmd.saturated
+            logged = row + 1
             if not math.isfinite(optfl):
                 raise SimulationDiverged("flow metric became non-finite", t=new_state.t)
 
-            prev_cmd, imu_prev = cmd, imu
-            state, proj, x_fp, imu = new_state, proj_next, fp_next, imu_next
+            state, proj, x_fp, imu_prev, imu = new_state, proj_next, fp_next, imu, imu_next
     except (SimulationDiverged, InsufficientCoverage) as err:
-        rows = int(np.count_nonzero(log.t > 0.0)) + 1  # completed rows
-        arrays = {name: getattr(log, name)[:rows].copy() for name, _, _ in LOG_COLUMNS}
+        arrays = {name: getattr(log, name)[:logged].copy() for name, _, _ in LOG_COLUMNS}
         err.partial_log = replace(log, meta=dict(log.meta), **arrays)
         raise
     return log

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import itertools
 import math
 import os
@@ -17,6 +19,7 @@ from gazestab.cli import main
 from gazestab.chain import finite_difference_jacobian
 from gazestab.errors import FileFormatError, InvalidInput, JointLimitWarning
 from gazestab.fileio import (
+    _SETTING_KEYS,
     LOG_HEADER,
     SEGMENT_ORDER,
     RunConfig,
@@ -818,10 +821,14 @@ def with_cell(column, value):
         (first_data_row, with_cell("saturated", "2"), "bad saturated value 2.0: must be 0 or 1"),
         (first_data_row, with_cell("saturated", "0.5"), "bad saturated value 0.5: must be 0 or 1"),
         (first_data_row, with_cell("singular", "nan"), "bad singular value nan: must be 0 or 1"),
+        (first_data_row, with_cell("t", "nan"), "bad t value nan: must be finite"),
+        # each metadata key comes once: a second dt, inserted before the duration line
+        (lambda line: line.startswith("# duration:"), lambda line: "# dt: 0.5\n" + line, "second 'dt' metadata line"),
     ],
     ids=[
         "segment-time", "non-numeric-field", "extra-field", "huge-field", "n_valid-nan", "n_valid-huge",
-        "n_valid-fraction", "n_valid-negative", "saturated-2", "saturated-half", "singular-nan",
+        "n_valid-fraction", "n_valid-negative", "saturated-2", "saturated-half", "singular-nan", "t-nan",
+        "repeated-metadata",
     ],
 )
 def test_csv_reader_reports_bad_line(tmp_path, capsys, find, new_text, fragment):
@@ -1013,6 +1020,58 @@ def test_cli_coverage_loss_writes_partial_log(tmp_path, capsys):
     log = read_log_csv(str(tmp_path / "quick_off.csv"))
     assert log.n_rows() == round(float(failed.group(1)) / 0.01)  # rows before the failing tick
     assert np.all(log.n_valid[1:] >= 10)
+
+
+def test_cli_unequal_tilt_limits_exit_2_at_the_model(tmp_path, capsys):
+    # The tilts are one axis: a right tilt limited to +-1 degree used to be
+    # clamped apart from the left mid-run, and the error named the config.
+    model = tmp_path / "head.model"
+    model.write_text("".join(
+        line.replace("min=-42 max=42", "min=-1 max=1") if line.startswith("link right-eye-tilt") else line
+        for line in MODEL_LINES
+    ))
+    cfg = write_quick_config(tmp_path, "kff", 0.3, model="head.model", dof="eyes")
+    assert main(["run", "--config", cfg]) == 2
+    assert_clean_error(capsys, f"{model}:{len(MODEL_LINES)}: ", "eye tilts are one axis: left tilt q_min")
+    assert not (tmp_path / "quick_kff.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "key,value", [("gyro-noise", "1e308"), ("focal-length", "1e308"), ("cloud-radius", "0.3 1e308")]
+)
+def test_cli_scale_past_its_cap_exits_2_at_its_line(tmp_path, capsys, key, value):
+    # Each used to overflow mid-run (numpy warnings, then a late error or none).
+    cfg = write_quick_config(tmp_path, "ifb", 0.3, **{key.replace("-", "_"): value})
+    no = Path(cfg).read_text().splitlines().index(f"{key} {value}") + 1
+    assert main(["run", "--config", cfg]) == 2
+    assert_clean_error(capsys, f"{cfg}:{no}: ", "1e+100")
+
+
+# Hostile values for the settings keys of a run config.
+HOSTILE_VALUES = ["nan", "inf", "-inf", "-0", "-1", "0", "1e-300", "4.9e-324", "1e300", "1e308"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_cli_run_fuzz_fails_cleanly_on_hostile_values(tmp_path_factory, data):
+    # A shipped config cut to 0.3 s, with 1-3 settings keys set to hostile
+    # values: the run ends in exit 0, 1 or 2, a failure in exactly one
+    # `gazestab: error:` line, with no traceback and no numpy warning.
+    keys = data.draw(st.lists(st.sampled_from(sorted(_SETTING_KEYS) + ["cloud-radius"]), min_size=1, max_size=3, unique=True))
+    values = st.sampled_from(HOSTILE_VALUES)
+    given_lines = [f"{k} {data.draw(values)}" + (f" {data.draw(values)}" if k == "cloud-radius" else "") for k in keys]
+    tmp = tmp_path_factory.mktemp("fuzz")
+    kept = [line for line in data.draw(st.sampled_from(CONFIG_TEXTS)).splitlines()
+            if line.split()[:1] and line.split()[0] not in {*keys, "duration", "out"}]
+    lines = kept + ([] if "duration" in keys else ["duration 0.3"]) + [f"out {tmp / 'run.csv'}"] + given_lines
+    (tmp / "c.config").write_text("\n".join(lines) + "\n")
+    err = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        warnings.simplefilter("error", RuntimeWarning)  # joint-limit warnings are folded inside the run
+        code = main(["run", "--config", str(tmp / "c.config")])
+    err = err.getvalue()
+    assert code in (0, 1, 2) and "Traceback" not in err
+    assert err.count("gazestab: error: ") == (code != 0)
 
 
 def test_cli_unknown_mode_rejected():

@@ -14,10 +14,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gazestab.chain import Pose, analytic_axis_jacobian, forward_kinematics, geometric_jacobian
+from gazestab.chain import KinematicChain, Pose, analytic_axis_jacobian, forward_kinematics, geometric_jacobian
 from gazestab.errors import InvalidInput
 from gazestab.models import default_head_model
-from gazestab.simulator import CloudSpec, NoiseSegment, PlantState, SimSettings, step, synth_gyro
+from gazestab.simulator import (
+    MAX_SCALE,
+    CameraModel,
+    CloudSpec,
+    NoiseSegment,
+    PlantState,
+    SimSettings,
+    make_cloud,
+    step,
+    synth_gyro,
+)
 from gazestab.stabilizer import (
     ImuSample,
     StabilizerCommand,
@@ -143,6 +153,41 @@ def test_cloud_angles_out_of_range_rejected(field, value):
 def test_cloud_angles_accept_their_bounds():
     for azimuth, elevation in ((0.0, 0.0), (math.pi, math.pi / 2)):
         assert CloudSpec(azimuth=azimuth, elevation=elevation).azimuth == azimuth
+
+
+@pytest.mark.parametrize("field", ["azimuth", "elevation"])
+def test_cloud_negative_zero_angle_samples_as_zero(field):
+    # make_cloud samples [-angle, angle]; numpy rejects the range [0, -0]
+    a, b = (make_cloud(CloudSpec(**{field: zero}), np.zeros(3)) for zero in (-0.0, 0.0))
+    assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda x: CameraModel(f=x), lambda x: CloudSpec(r_max=x), lambda x: SimSettings(gyro_sigma=x)],
+    ids=["focal-length", "cloud-radius", "gyro-noise"],
+)
+def test_scale_settings_capped(build):
+    # the loop multiplies these into its floats: past the cap a product could overflow
+    build(MAX_SCALE)
+    with pytest.raises(InvalidInput, match="1e[+]100"):
+        build(np.nextafter(MAX_SCALE, math.inf))
+
+
+def with_link(index, **limits):
+    """MODEL with one link's limits replaced."""
+    links = list(MODEL.chain.links)
+    links[index] = replace(links[index], **limits)
+    return replace(MODEL, chain=KinematicChain(tuple(links), segments=MODEL.chain.segments))
+
+
+@pytest.mark.parametrize("limit", ["q_min", "q_max", "v_max"])
+def test_head_model_rejects_unequal_tilt_limits(limit):
+    # the two tilt joints are one axis: the plant would clamp them apart
+    half = getattr(MODEL.chain.links[8], limit) / 2
+    with pytest.raises(InvalidInput, match=f"left tilt {limit} .* differs from the right's {half!r}"):
+        with_link(8, **{limit: half})
+    assert with_link(9, **{limit: getattr(MODEL.chain.links[9], limit) / 2})  # pan limits may differ
 
 
 @pytest.mark.parametrize(
