@@ -13,7 +13,12 @@ class GazestabError(Exception):
 
 
 class InvalidInput(GazestabError, ValueError):
-    """Bad argument: wrong shape, non-finite value, out-of-range parameter."""
+    """Bad argument: wrong shape, non-finite value, out-of-range parameter.
+    `links` names the chain links a HeadModel rule concerns (else empty)."""
+
+    def __init__(self, message: str, links: tuple[int, ...] = ()):
+        super().__init__(message)
+        self.links = links
 
 
 class OracleFailure(GazestabError):

@@ -6,11 +6,13 @@ first angle (`units degrees` or `units radians`); lengths are always meters
 and times always seconds.  Internally everything is radians, so a degrees
 file and its radians twin parse to identical objects.
 
-Model and script files share one line reader, _EntityFile: it takes their
-name (`model`/`script`) and `units` lines, each at most once, and hands
-every other `directive key=value ...` line to the file's parser; run
-configs are flat `key value` pairs.  Parse and validation problems raise
-FileFormatError carrying the file path and 1-based line number.
+Model, script and config files share one line reader, _EntityFile: it takes
+their name (`model`/`script`/`config`) and `units` lines, each at most once,
+and hands every other line to the file's parser.  Model and script lines are
+`directive key=value ...`; config lines are `key value` pairs, each key at
+most once, and a config's units apply to the whole file.  Parse and
+validation problems raise FileFormatError carrying the file path and 1-based
+line number.
 
 Trajectory logs are CSV with a frozen column set (see the README; the layout
 is declared beside TrajectoryLog in gazestab.simulator), every cell written
@@ -140,7 +142,10 @@ def _parse_vector(path: str, no: int, text: str, n: int, what: str) -> np.ndarra
     parts = text.split(",")
     if len(parts) != n:
         raise FileFormatError(path, no, f"{what} needs {n} comma-separated numbers, got {len(parts)}")
-    return np.array([_parse_float(path, no, p, what) for p in parts])
+    vec = np.array([_parse_float(path, no, p, what) for p in parts])
+    if not np.isfinite(vec).all():
+        raise FileFormatError(path, no, f"{what} must be finite, got {text}")
+    return vec
 
 
 class _Units:
@@ -157,20 +162,21 @@ class _Units:
 
 
 class _EntityFile:
-    """The one reader of model and script files.  It takes the name line
-    (kind) and the units line, and yields (line number, directive, args,
+    """The one reader of model, script and config files.  It takes the name
+    line (kind) and the units line, and yields (line number, directive, args,
     units in force or None) for every other line; a needs_units directive
     before the units line, or a second kind, units or once line, is
-    rejected at its line.  After the last line it holds name and last_no."""
+    rejected at its line.  After the last line it holds name, units (None
+    if the file has no units line) and last_no."""
 
     def __init__(self, path: str, kind: str, needs_units, once=()):
         self.path, self.kind, self.needs_units = path, kind, needs_units
         self.once = (kind, "units", *once)
-        self.name = None
+        self.name = self.units = None
         self.last_no = 0
 
     def __iter__(self):
-        path, units, first = self.path, None, {}
+        path, first = self.path, {}
         for no, text in _content_lines(path):
             self.last_no = no
             head, *rest = text.split()
@@ -183,13 +189,13 @@ class _EntityFile:
                     what = "value" if head == "units" else "name"
                     raise FileFormatError(path, no, f"{head} line needs exactly one {what}")
                 if head == "units":
-                    units = _Units(path, no, rest[0])
+                    self.units = _Units(path, no, rest[0])
                 else:
                     self.name = rest[0]
-            elif units is None and head in self.needs_units:
+            elif self.units is None and head in self.needs_units:
                 raise FileFormatError(path, no, f"units must be declared before {head} lines")
             else:
-                yield no, head, rest, units
+                yield no, head, rest, self.units
         if self.name is None:
             raise FileFormatError(path, self.last_no, f"missing {self.kind} line")
 
@@ -227,6 +233,7 @@ def parse_model_file(path: str) -> HeadModel:
     links: list[DHLink] = []
     segments: list[str] = []
     link_names: list[str] = []
+    link_nos: list[int] = []
     imu = None
 
     for no, head, rest, units in lines:
@@ -260,6 +267,7 @@ def parse_model_file(path: str) -> HeadModel:
                 raise FileFormatError(path, no, str(err)) from None
             segments.append(segment)
             link_names.append(link_name)
+            link_nos.append(no)
         elif head == "imu":
             got = _parse_kv(path, no, rest, {"link", "offset"})
             if "link" not in got:
@@ -274,18 +282,16 @@ def parse_model_file(path: str) -> HeadModel:
     imu_no, imu_name, imu_off = imu
     if imu_name not in link_names:
         raise FileFormatError(path, imu_no, f"imu link {imu_name!r} is not a declared link")
+    imu_link = link_names.index(imu_name)
     try:
         chain = KinematicChain(tuple(links), base_pose=base, segments=tuple(segments))
         trunk = tuple(n for n, s in zip(link_names, segments) if s in ("torso", "neck"))
-        return HeadModel(
-            chain=chain,
-            imu_link=link_names.index(imu_name),
-            imu_offset=Pose(np.eye(3), imu_off),
-            trunk_names=trunk,
-            name=lines.name,
-        )
+        return HeadModel(chain, imu_link, Pose(np.eye(3), imu_off), trunk_names=trunk, name=lines.name)
     except InvalidInput as err:
-        raise FileFormatError(path, lines.last_no, str(err)) from None
+        # A HeadModel rule names its links: cite the later of their lines,
+        # or the imu line for the IMU's link; other faults the last line.
+        nos = [imu_no if i == imu_link else link_nos[i] for i in err.links]
+        raise FileFormatError(path, max(nos, default=lines.last_no), str(err)) from None
 
 
 def serialize_model(model: HeadModel, units: str = "degrees") -> str:
@@ -460,25 +466,20 @@ def resolve_input_path(name: str, config_dir: str | None = None) -> str:
 
 
 def parse_run_config(path: str) -> RunConfig:
-    """Read a flat `key value` run configuration; see data/exp_a_kff.config."""
+    """Read a flat `key value` run configuration; see data/exp_a_kff.config.
+    Each key comes at most once; `units` (degrees by default) applies to the
+    whole file, wherever its line sits."""
+    lines = _EntityFile(path, "config", needs_units=(), once=_CONFIG_KEYS)
     pairs: dict[str, list[str]] = {}
-    order: list[tuple[int, str]] = []
-    units = _Units(path, 0, "degrees")
-    for no, text in _content_lines(path):
-        tokens = text.split()
-        key, rest = tokens[0], tokens[1:]
+    line_of: dict[str, int] = {}  # in line order
+    for no, key, rest, _ in lines:
         if key not in _CONFIG_KEYS:
             raise FileFormatError(path, no, f"unknown config key {key!r}")
-        if key in pairs:
-            raise FileFormatError(path, no, f"duplicate config key {key!r}")
         if not rest:
             raise FileFormatError(path, no, f"config key {key!r} needs a value")
-        pairs[key] = rest
-        order.append((no, key))
-        if key == "units":
-            units = _Units(path, no, rest[0])
-    line_of = dict((k, n) for n, k in order)
-    for req in ("config", "model", "script"):
+        pairs[key], line_of[key] = rest, no
+    units = lines.units or _Units(path, 0, "degrees")
+    for req in ("model", "script"):
         if req not in pairs:
             raise FileFormatError(path, 0, f"missing required config key {req!r}")
 
@@ -508,7 +509,7 @@ def parse_run_config(path: str) -> RunConfig:
             cloud=CloudSpec(**parts["cloud"]),
             **parts["run"],
         )
-        return RunConfig(one("config"), one("model"), one("script"), settings, out=one("out"))
+        return RunConfig(lines.name, one("model"), one("script"), settings, out=one("out"))
 
     try:
         return config_from(pairs)
@@ -518,7 +519,7 @@ def parse_run_config(path: str) -> RunConfig:
         # keys checked together.  An earlier prefix may fail for another
         # reason (a default that a later key replaces), which does not count.
         given: dict[str, list[str]] = {}
-        for no, key in order:
+        for key, no in line_of.items():
             given[key] = pairs[key]
             try:
                 config_from(given)

@@ -1,22 +1,21 @@
 """Head models: a chain plus IMU attachment and joint naming.
 
-The shipped default is an invented, desk-scale humanoid stand-in (it is NOT
-measured from any particular robot): torso yaw/pitch/roll at the waist, neck
-pitch/roll/yaw 0.32 m up, and two eyes on a 68 mm baseline 0.40 m above the
-waist.  World frame: x forward, y left, z up.  Camera frames follow the
-usual vision convention (x right, y down, z = optical axis).
+The shipped default, data/default_head.model, is an invented, desk-scale
+humanoid stand-in (it is NOT measured from any particular robot): torso
+yaw/pitch/roll at the waist, neck pitch/roll/yaw 0.32 m up, and two eyes on
+a 68 mm baseline 0.40 m above the waist.  World frame: x forward, y left,
+z up.  Camera frames follow the usual vision convention (x right, y down,
+z = optical axis).
 """
 
 from __future__ import annotations
 
-import math
+import os
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .chain import DHLink, KinematicChain, Pose, _is_rigid, as_joint_array, link_frames
+from .chain import KinematicChain, Pose, _is_rigid, as_joint_array, link_frames
 from .errors import InvalidInput
-from .stereo import HEAD_SEGMENTS, head_layout
+from .stereo import head_layout
 
 # Joint names of the shipped head's torso and neck, base outward.
 TRUNK_NAMES = ("torso-yaw", "torso-pitch", "torso-roll", "neck-pitch", "neck-roll", "neck-yaw")
@@ -34,7 +33,8 @@ class HeadModel:
     both eye branches); imu_offset is a finite rigid transform (orthonormal
     rotation) expressed in that link's frame.  The two eye-tilt links are one
     physical axis, so they must share their limits (q_min, q_max, v_max);
-    the pan limits may differ.
+    the pan limits may differ.  Both rules name their links in the error's
+    `links`.
     """
 
     chain: KinematicChain
@@ -45,14 +45,15 @@ class HeadModel:
 
     def __post_init__(self):
         if self.chain.segments[self.imu_link] != "neck":
-            raise InvalidInput("IMU must be attached to a neck link")
+            raise InvalidInput("IMU must be attached to a neck link", links=(self.imu_link,))
         lay = head_layout(self.chain)
         left, right = self.chain.links[lay.tilt_left], self.chain.links[lay.tilt_right]
         for lim in ("q_min", "q_max", "v_max"):
             if getattr(left, lim) != getattr(right, lim):
                 raise InvalidInput(
                     f"the eye tilts are one axis: left tilt {lim} {getattr(left, lim)!r} differs from the right's "
-                    f"{getattr(right, lim)!r}"
+                    f"{getattr(right, lim)!r}",
+                    links=(lay.tilt_left, lay.tilt_right),
                 )
         if not _is_rigid(self.imu_offset):
             raise InvalidInput("imu_offset must be finite, with an orthonormal rotation")
@@ -82,31 +83,8 @@ def _imu_world(model: HeadModel, frames):
 
 
 def default_head_model() -> HeadModel:
-    """The shipped stand-in head (see module docstring; not robot-authentic)."""
-    pi2 = math.pi / 2
-    deg = math.radians
-    trunk_lim = dict(q_min=-deg(52), q_max=deg(52), v_max=deg(145))
-    tilt_lim = dict(q_min=-deg(42), q_max=deg(42), v_max=deg(345))
-    pan_lim = dict(q_min=-deg(52), q_max=deg(52), v_max=deg(345))
-    links = (
-        DHLink(0.0, 0.0, -pi2, 0.0, **trunk_lim),      # torso-yaw    +z at waist
-        DHLink(0.0, 0.0, -pi2, -pi2, **trunk_lim),     # torso-pitch  +y
-        DHLink(0.32, 0.06, pi2, 0.0, **trunk_lim),     # torso-roll   +x; carries to neck base
-        DHLink(0.0, 0.0, -pi2, 0.0, **trunk_lim),      # neck-pitch   +y at (0.06, 0, 0.32)
-        DHLink(0.0, 0.0, pi2, pi2, **trunk_lim),       # neck-roll    +x
-        DHLink(0.05, 0.08, -pi2, pi2, **trunk_lim),    # neck-yaw     +z; carries to eye line
-        DHLink(0.0, 0.034, -pi2, 0.0, **tilt_lim),     # left tilt    +y at (0.11, 0, 0.40)
-        DHLink(0.0, 0.0, pi2, pi2, **pan_lim),         # left pan     -z at (0.11, +0.034, 0.40)
-        DHLink(0.0, -0.034, -pi2, 0.0, **tilt_lim),    # right tilt
-        DHLink(0.0, 0.0, pi2, pi2, **pan_lim),         # right pan
-    )
-    chain = KinematicChain(links, segments=HEAD_SEGMENTS)
-    return HeadModel(
-        chain=chain,
-        imu_link=5,
-        # head-frame axes at link 5: x=+x_w, y=-z_w, z=+y_w; this offset puts
-        # the sensor at world (0.09, 0, 0.43) in the neutral posture.
-        imu_offset=Pose(np.eye(3), np.array([-0.02, -0.03, 0.0])),
-        trunk_names=TRUNK_NAMES,
-        name="default-head",
-    )
+    """The shipped stand-in head: the packaged data/default_head.model, read
+    by its own path, so neither $GAZESTAB_MODEL_DIR nor the cwd changes it."""
+    from .fileio import default_data_dir, parse_model_file  # fileio imports this module
+
+    return parse_model_file(os.path.join(default_data_dir(), "default_head.model"))

@@ -19,6 +19,7 @@ from gazestab.cli import main
 from gazestab.chain import finite_difference_jacobian
 from gazestab.errors import FileFormatError, InvalidInput, JointLimitWarning
 from gazestab.fileio import (
+    _CONFIG_KEYS,
     _SETTING_KEYS,
     LOG_HEADER,
     SEGMENT_ORDER,
@@ -34,7 +35,7 @@ from gazestab.fileio import (
     serialize_script,
     write_log_csv,
 )
-from gazestab.models import default_head_model
+from gazestab.models import TRUNK_NAMES, default_head_model
 from gazestab.simulator import (
     MAX_CLOUD_POINTS,
     DisturbanceScript,
@@ -65,14 +66,21 @@ def chains_equal(a, b) -> bool:
 # ------------------------------------------------------------- model files
 
 
-def test_shipped_model_file_matches_code_model():
-    parsed = parse_model_file(MODEL_FILE)
-    built = default_head_model()
-    assert chains_equal(parsed.chain, built.chain)
-    assert parsed.imu_link == built.imu_link
-    assert np.array_equal(parsed.imu_offset.pos, built.imu_offset.pos)
-    assert parsed.trunk_names == built.trunk_names
-    assert parsed.name == built.name
+def test_default_head_model_is_the_packaged_file(tmp_path, monkeypatch):
+    # A different default_head.model in $GAZESTAB_MODEL_DIR and in the cwd,
+    # where a config's model name would find it, leaves the shipped head as
+    # the packaged file defines it; its trunk names are the log header's.
+    packaged = parse_model_file(MODEL_FILE)
+    other = tmp_path / "default_head.model"
+    other.write_text(Path(MODEL_FILE).read_text().replace("default-head", "other-head").replace("a=0.32", "a=0.5"))
+    monkeypatch.setenv("GAZESTAB_MODEL_DIR", str(tmp_path))
+    monkeypatch.chdir(tmp_path)
+    assert resolve_input_path("default_head.model") == str(other)
+    assert parse_model_file(str(other)).name == "other-head"
+    head = default_head_model()
+    assert head.name == packaged.name == "default-head" and chains_equal(head.chain, packaged.chain)
+    assert head.imu_link == packaged.imu_link and np.array_equal(head.imu_offset.pos, packaged.imu_offset.pos)
+    assert head.trunk_names == packaged.trunk_names == TRUNK_NAMES
 
 
 def test_model_units_equivalence(tmp_path):
@@ -155,6 +163,34 @@ def first_segment_out_of_order(text):
     segments = [(no, SEGMENT_ORDER.index(line.split()[1]))
                 for no, line in enumerate(text.splitlines(), start=1) if line.startswith("segment ")]
     return next((no for (no, rank), (_, before) in zip(segments[1:], segments) if rank < before), None)
+
+
+def moved_imu(line):
+    """The shipped model's lines with its imu line replaced by line, on line 6."""
+    lines = [text for text in MODEL_LINES if not text.startswith("imu ")]
+    return lines[:5] + [f"{line}\n"] + lines[5:]
+
+
+@pytest.mark.parametrize(
+    "lines,at,fragment",
+    [
+        (MODEL_LINES[:5] + ["base position=inf,0,0\n"] + MODEL_LINES[5:], "base ", "base position must be finite"),
+        (MODEL_LINES[:5] + ["base rotation-zyx=0,nan,0\n"] + MODEL_LINES[5:], "base ", "base rotation must be finite"),
+        (moved_imu("imu link=neck-yaw offset=inf,0,0"), "imu ", "imu offset must be finite, got inf,0,0"),
+        (moved_imu("imu link=torso-roll"), "imu ", "IMU must be attached to a neck link"),
+        # the two tilts' limits are checked together: the later line is cited
+        ([line.replace("vmax=345", "vmax=300") if line.startswith("link left-eye-tilt") else line
+          for line in MODEL_LINES], "link right-eye-tilt", "left tilt v_max 5.23"),
+    ],
+    ids=["base-position", "base-rotation", "imu-offset", "imu-link", "left-tilt"],
+)
+def test_model_fault_is_cited_at_the_line_that_set_it(tmp_path, lines, at, fragment):
+    # Each was cited at the file's last content line.
+    p = tmp_path / "m.model"
+    p.write_text("".join(lines))
+    with pytest.raises(FileFormatError, match=re.escape(fragment)) as exc:
+        parse_model_file(str(p))
+    assert exc.value.line == next(no for no, line in enumerate(lines, start=1) if line.startswith(at))
 
 
 @pytest.mark.parametrize("order", list(itertools.permutations(range(4))))
@@ -293,8 +329,9 @@ def test_script_noise_channel_list_rejected_at_its_line(tmp_path, channels, frag
         ("move channel=torso-yaw t=0,1 rate=1 external external", "duplicate key 'external'"),
         ("noise channels=torso-yaw t=0,1 amplitude=1 bandwidth=1 seed=1 commanded commanded", "duplicate key 'commanded'"),
         ("move channel=torso-yaw,neck-yaw t=0.1,0.3 rate=5", "channel=torso-yaw,neck-yaw has more than one channel"),
+        ("move channel=torso-yaw t=0,inf rate=5", "time span must be finite, got 0,inf"),
     ],
-    ids=["empty-move-channel", "repeated-external", "repeated-commanded", "move-channel-list"],
+    ids=["empty-move-channel", "repeated-external", "repeated-commanded", "move-channel-list", "infinite-time-span"],
 )
 def test_cli_script_motion_line_fault_exits_2_at_its_line(tmp_path, capsys, line, fragment):
     # All were accepted once: the empty channel and the channel list failed
@@ -382,7 +419,7 @@ def test_config_rejects_unknown_and_duplicate_keys(tmp_path):
     with pytest.raises(FileFormatError, match="unknown config key"):
         parse_run_config(str(p))
     p.write_text("config c\nmodel m\nscript s\nmode kff\nmode ifb\n")
-    with pytest.raises(FileFormatError, match="duplicate config key"):
+    with pytest.raises(FileFormatError, match=r"c.config:5: second mode line \(the first is line 4\)"):
         parse_run_config(str(p))
     p.write_text("config c\nmodel m\n")
     with pytest.raises(FileFormatError, match="missing required config key"):
@@ -395,6 +432,8 @@ def test_config_angle_keys_respect_units(tmp_path):
     cfg = parse_run_config(str(p))
     assert cfg.settings.control.neck_rate_limit == pytest.approx(math.radians(30.0))
     assert cfg.settings.cloud.azimuth == pytest.approx(math.radians(45.0))
+    p.write_text("config c\nmodel m\nscript s\nneck-rate-limit 30\nunits radians\n")  # wherever it sits
+    assert parse_run_config(str(p)).settings.control.neck_rate_limit == 30.0
 
 
 def test_config_overrides_replace_fields():
@@ -649,6 +688,7 @@ def test_cli_compare_empty_logs_usage_error():
         "gyro-noise nan",
         "gyro-noise inf",
         "image-border -5",
+        "units radians degrees",  # the second word was ignored
     ],
 )
 def test_cli_bad_config_value_exits_2_with_line(tmp_path, monkeypatch, capsys, line):
@@ -776,6 +816,45 @@ def test_config_parser_fuzz_accepts_only_valid_settings(tmp_path_factory, data):
     s = cfg.settings
     parts = dict(control=replace(s.control), plant=replace(s.plant), cam=replace(s.cam), cloud=replace(s.cloud))
     assert isinstance(s, SimSettings) and replace(s, **parts) == s
+
+
+# Line soups: a name line or none, then config keys, model and motion lines
+# and stray words, each at most once and followed by a value, good or hostile.
+_SOUP_START = st.sampled_from(
+    ["", "config c\nmodel m\nscript s\n", "script s\nunits degrees\n", "model m\nunits degrees\nsegment torso\n"]
+)
+_SOUP_HEADS = sorted(_CONFIG_KEYS) + [
+    "move channel=torso-yaw t=0,1 rate=20", "noise channels=base-x,base-y t=0,1 amplitude=0.1 bandwidth=2 seed=3",
+    "move channel=base-z", "link j a=0", "imu link=j", "base position=1,0,0", "segment", "#", "=",
+]
+_SOUP_VALUES = [
+    "kff", "neck-eyes", "radians", "true", "0", "1", "2", "-1", "0.5", "1e300", "nan", "inf", "0.3 1e308", "1 2",
+    "t=1,inf", "external", "x=1=2", "#",
+]
+_SOUPS = st.builds(
+    lambda start, lines: (start + "".join(f"{head} {value}\n" for head, value in lines)).encode(),
+    _SOUP_START,
+    st.lists(st.tuples(st.sampled_from(_SOUP_HEADS), st.sampled_from(_SOUP_VALUES)), max_size=8,
+             unique_by=lambda line: line[0]),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    raw=st.one_of(st.binary(max_size=200), _SOUPS),
+    parse=st.sampled_from([parse_run_config, parse_script_file, parse_model_file]),
+)
+def test_text_readers_fail_only_at_a_line(tmp_path_factory, raw, parse):
+    # Arbitrary bytes or a soup of key lines: the config, script or model
+    # reader returns, or raises FileFormatError at path:line:, with no line
+    # only for a missing key.
+    p = tmp_path_factory.mktemp("soup") / "in.txt"
+    p.write_bytes(raw)
+    try:
+        parse(str(p))
+    except FileFormatError as err:
+        assert err.path == str(p) and err.line <= len(raw.splitlines())
+        assert str(err).startswith(f"{p}:{err.line}: ") if err.line else str(err).startswith(f"{p}: missing ")
 
 
 def rewrite_log_line(tmp_path, find, new_text):
@@ -1032,7 +1111,8 @@ def test_cli_unequal_tilt_limits_exit_2_at_the_model(tmp_path, capsys):
     ))
     cfg = write_quick_config(tmp_path, "kff", 0.3, model="head.model", dof="eyes")
     assert main(["run", "--config", cfg]) == 2
-    assert_clean_error(capsys, f"{model}:{len(MODEL_LINES)}: ", "eye tilts are one axis: left tilt q_min")
+    no = next(i for i, line in enumerate(MODEL_LINES, start=1) if line.startswith("link right-eye-tilt"))
+    assert_clean_error(capsys, f"{model}:{no}: ", "eye tilts are one axis: left tilt q_min")
     assert not (tmp_path / "quick_kff.csv").exists()
 
 

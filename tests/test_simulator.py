@@ -855,6 +855,46 @@ def test_loop_trusts_the_values_it_builds(monkeypatch):
     assert after["as_joint_array"] / after["ticks"] <= 10
 
 
+def test_work_ledger_calls_per_tick():
+    """Python-level calls into gazestab code per tick, counted as
+    sys.setprofile `call` events whose code lives in the package, over a run
+    of a shipped config cut short minus a run of half its length (set-up
+    cancels).  The counts are exact on any host.  Ceilings, measured at
+    landing (the full runs read 112.1, 120.1, 40.2 and 18.2):
+
+    - exp_a_kff, 2 s (the first torso-yaw sweep, 1-2 s): 111.55
+    - exp_b_ifb, 1 s (torso noise from 0.5 s): 120.18
+    - translate_ifb, 1 s (base-y motion from 0.5 s): 40.0
+    - translate_off, 1 s: 18.0
+
+    A change that lowers a count lowers its ceiling here.
+    """
+    ceilings = {"exp_a_kff": (2.0, 111.55), "exp_b_ifb": (1.0, 120.18), "translate_ifb": (1.0, 40.0),
+                "translate_off": (1.0, 18.0)}
+    package = os.path.dirname(simulator.__file__) + os.sep
+
+    def calls(name, duration):
+        model, script, settings = shipped(name)
+        n = 0
+
+        def profile(frame, event, arg):
+            nonlocal n
+            n += event == "call" and frame.f_code.co_filename.startswith(package)
+
+        sys.setprofile(profile)
+        try:
+            log = run_experiment(model, script, replace(settings, duration=duration))
+        finally:
+            sys.setprofile(None)
+        return n, log.n_rows()
+
+    per_tick = {}
+    for name, (duration, _) in ceilings.items():
+        (full, rows_full), (half, rows_half) = calls(name, duration), calls(name, duration / 2)
+        per_tick[name] = (full - half) / (rows_full - rows_half)
+    assert all(per_tick[name] <= ceiling for name, (_, ceiling) in ceilings.items()), per_tick
+
+
 def test_loop_builds_per_chain_structure_once(monkeypatch):
     # The head layout and the chain's path table are built per chain, not
     # per tick, and compensate inverts both of its blocks in one call.
