@@ -218,6 +218,11 @@ class KinematicChain:
         return tuple(int(rows[-1]) for _, rows in self._paths)
 
     @cached_property
+    def _dh(self) -> np.ndarray:
+        """Read-only (5, n) rows of each link's theta_offset, cos alpha, sin alpha, a and d."""
+        return _readonly([[k.theta_offset, math.cos(k.alpha), math.sin(k.alpha), k.a, k.d] for k in self.links]).T
+
+    @cached_property
     def q_min(self) -> np.ndarray:
         """Read-only per-link lower position limits, link order."""
         return _readonly([link.q_min for link in self.links])
@@ -239,18 +244,16 @@ class KinematicChain:
 def dh_matrix(link: DHLink, q: float) -> np.ndarray:
     """Homogeneous transform of one link at joint value q (radians)."""
     th = q + link.theta_offset
-    ct, st = math.cos(th), math.sin(th)
-    ca, sa = math.cos(link.alpha), math.sin(link.alpha)
-    a, d = link.a, link.d
-    # Closed form of Rot_z(th) @ Trans_z(d) @ Trans_x(a) @ Rot_x(alpha).
-    return np.array(
-        [
-            [ct, -st * ca, st * sa, a * ct],
-            [st, ct * ca, -ct * sa, a * st],
-            [0.0, sa, ca, d],
-            [0.0, 0.0, 0.0, 1.0],
-        ]
-    )
+    return _dh_closed_form(math.cos(th), math.sin(th), math.cos(link.alpha), math.sin(link.alpha), link.a, link.d)
+
+
+def _dh_closed_form(ct, st, ca, sa, a, d) -> np.ndarray:
+    """Rot_z(th) @ Trans_z(d) @ Trans_x(a) @ Rot_x(alpha) from the cos and sin
+    of th and alpha: one (4, 4) transform, or a C-contiguous (k, 4, 4) stack
+    from (k,) arrays."""
+    z = np.zeros_like(ct)
+    rows = np.array([ct, -st * ca, st * sa, a * ct, st, ct * ca, -ct * sa, a * st, z, sa, ca, d, z, z, z, z + 1.0])
+    return rows.T.reshape(*z.shape, 4, 4)
 
 
 # ------------------------------------------------------------------ kinematics
@@ -274,15 +277,19 @@ def link_frames(chain: KinematicChain, q) -> np.ndarray:
 
     Each link composes onto its path predecessor (chain.parents), so the
     trunk is walked once for both eye branches.  This is the only place DH
-    transforms are composed.
+    transforms are composed, each formed as dh_matrix forms it: np.cos and
+    np.sin must round as math.cos and math.sin do.
     """
     arr = as_joint_array(q)
     if arr.size > chain.n_joints:
         raise InvalidInput(f"q has {arr.size} values for a {chain.n_joints}-link chain")
+    th0, ca, sa, a, d = chain._dh[:, : arr.size]
+    th = arr + th0
+    dh = _dh_closed_form(np.cos(th), np.sin(th), ca, sa, a, d)
     frames = np.empty((arr.size + 1, 4, 4))
     frames[-1] = chain.base_pose.matrix()
     for i in range(arr.size):
-        frames[i] = frames[chain.parents[i]] @ dh_matrix(chain.links[i], arr[i])
+        frames[i] = frames[chain.parents[i]] @ dh[i]
     return frames
 
 

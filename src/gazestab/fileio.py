@@ -37,7 +37,7 @@ import numpy as np
 
 from .chain import DHLink, KinematicChain, Pose
 from .errors import FileFormatError, InvalidInput
-from .models import BASE_CHANNELS, HeadModel
+from .models import BASE_CHANNELS, HeadModel, _tilt_mismatch
 from .simulator import (
     LOG_COLUMNS,
     LOG_META,
@@ -291,7 +291,9 @@ def parse_model_file(path: str) -> HeadModel:
         # A HeadModel rule names its links: cite the later of their lines,
         # or the imu line for the IMU's link; other faults the last line.
         nos = [imu_no if i == imu_link else link_nos[i] for i in err.links]
-        raise FileFormatError(path, max(nos, default=lines.last_no), str(err)) from None
+        show = lines.units.from_rad  # the tilt rule (two links) speaks in the file's units
+        tilt = len(err.links) == 2 and _tilt_mismatch(*(links[i] for i in err.links), lambda x: f"{show(x):.15g}")
+        raise FileFormatError(path, max(nos, default=lines.last_no), tilt or str(err)) from None
 
 
 def serialize_model(model: HeadModel, units: str = "degrees") -> str:
@@ -481,7 +483,7 @@ def parse_run_config(path: str) -> RunConfig:
     units = lines.units or _Units(path, 0, "degrees")
     for req in ("model", "script"):
         if req not in pairs:
-            raise FileFormatError(path, 0, f"missing required config key {req!r}")
+            raise FileFormatError(path, lines.last_no, f"missing required config key {req!r}")
 
     def config_from(given: dict[str, list[str]]) -> RunConfig:
         def one(key: str):

@@ -13,7 +13,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 
-from .chain import KinematicChain, Pose, _is_rigid, as_joint_array, link_frames
+from .chain import DHLink, KinematicChain, Pose, _is_rigid, as_joint_array, link_frames
 from .errors import InvalidInput
 from .stereo import head_layout
 
@@ -47,14 +47,9 @@ class HeadModel:
         if self.chain.segments[self.imu_link] != "neck":
             raise InvalidInput("IMU must be attached to a neck link", links=(self.imu_link,))
         lay = head_layout(self.chain)
-        left, right = self.chain.links[lay.tilt_left], self.chain.links[lay.tilt_right]
-        for lim in ("q_min", "q_max", "v_max"):
-            if getattr(left, lim) != getattr(right, lim):
-                raise InvalidInput(
-                    f"the eye tilts are one axis: left tilt {lim} {getattr(left, lim)!r} differs from the right's "
-                    f"{getattr(right, lim)!r}",
-                    links=(lay.tilt_left, lay.tilt_right),
-                )
+        tilts = (lay.tilt_left, lay.tilt_right)
+        if mismatch := _tilt_mismatch(*(self.chain.links[i] for i in tilts)):
+            raise InvalidInput(mismatch, links=tilts)
         if not _is_rigid(self.imu_offset):
             raise InvalidInput("imu_offset must be finite, with an orthonormal rotation")
         names = tuple(self.trunk_names) or tuple(f"joint-{i}" for i in range(6))
@@ -73,6 +68,14 @@ class HeadModel:
         if q.size <= self.imu_link:
             raise InvalidInput(f"q must cover links 0..{self.imu_link} ({self.imu_link + 1} values), got {q.size}")
         return Pose(*_imu_world(self, link_frames(self.chain, q[: self.imu_link + 1])))
+
+
+def _tilt_mismatch(left: DHLink, right: DHLink, show=repr) -> str | None:
+    """The eye-tilt rule's complaint, each value printed by show, or None."""
+    for lim in ("q_min", "q_max", "v_max"):
+        a, b = getattr(left, lim), getattr(right, lim)
+        if a != b:
+            return f"the eye tilts are one axis: left tilt {lim} {show(a)} differs from the right's {show(b)}"
 
 
 def _imu_world(model: HeadModel, frames):

@@ -296,36 +296,37 @@ class CameraModel:
             raise InvalidInput("image must be wider than twice the border")
 
 
-def _project(cam: CameraModel, rot, origin, cloud):
+def _project(cam: CameraModel, rot, origin, cloud_t):
     """Pixel coordinates u and v and the interior-validity mask of a point
-    cloud, as three (n,) arrays."""
-    local = (cloud - origin) @ rot  # = rot.T applied to rows
-    z = local[:, 2]
-    in_front = z > 1e-9
-    zs = np.where(in_front, z, 1.0)
-    u = cam.width / 2.0 + cam.f * local[:, 0] / zs
-    v = cam.height / 2.0 + cam.f * local[:, 1] / zs
-    interior = (
-        in_front
-        & (u >= cam.border)
-        & (u <= cam.width - cam.border)
-        & (v >= cam.border)
-        & (v <= cam.height - cam.border)
-    )
-    return u, v, interior
+    cloud given as a C-contiguous (3, n) array, as three (n,) arrays.  u and
+    v round as w/2 + f*x/z does."""
+    x, y, z = rot.T @ (cloud_t - origin[:, None])
+    ok = z > 1e-9
+    zs = np.where(ok, z, 1.0)
+    u = cam.f * x
+    u /= zs
+    u += cam.width / 2.0
+    v = cam.f * y
+    v /= zs
+    v += cam.height / 2.0
+    ok &= u >= cam.border
+    ok &= u <= cam.width - cam.border
+    ok &= v >= cam.border
+    ok &= v <= cam.height - cam.border
+    return u, v, ok
 
 
 def _flow(proj_prev, proj_next) -> tuple[float, int]:
     """(mean pixel displacement, number of points counted) between two
-    _project results of one cloud; the mean is NaN when fewer than
-    MIN_FLOW_POINTS points count."""
+    _project results of one cloud, squaring only counted points (an off-image
+    u may overflow); the mean is NaN when fewer than MIN_FLOW_POINTS count."""
     (u_a, v_a, ok_a), (u_b, v_b, ok_b) = proj_prev, proj_next
     ok = ok_a & ok_b
     n = int(np.count_nonzero(ok))
     if n < MIN_FLOW_POINTS:
         return math.nan, n
-    du = u_b[ok] - u_a[ok]
-    dv = v_b[ok] - v_a[ok]
+    du = (u_b - u_a)[ok]
+    dv = (v_b - v_a)[ok]
     # the sum np.linalg.norm(axis=1) forms over (du, dv) rows, so the bits match
     return float(np.mean(np.sqrt(du * du + dv * dv))), n
 
@@ -340,9 +341,10 @@ def flow_metric(cam: CameraModel, frames_prev, frames_next, cloud) -> float:
     cloud = np.asarray(cloud, dtype=float)
     if cloud.ndim != 2 or cloud.shape[1] != 3:
         raise InvalidInput("cloud must be an (n, 3) array")
+    cloud_t = np.ascontiguousarray(cloud.T)
     mean, n = _flow(
-        _project(cam, frames_prev.rot_left, frames_prev.o_left, cloud),
-        _project(cam, frames_next.rot_left, frames_next.o_left, cloud),
+        _project(cam, frames_prev.rot_left, frames_prev.o_left, cloud_t),
+        _project(cam, frames_next.rot_left, frames_next.o_left, cloud_t),
     )
     if n < MIN_FLOW_POINTS:
         raise InsufficientCoverage(f"only {n} cloud points remained valid (need >= {MIN_FLOW_POINTS})")
@@ -659,7 +661,7 @@ def run_experiment(model: HeadModel, script: DisturbanceScript, settings: SimSet
 
     state = initial_state(model, settings.fixation_distance)
     frames = camera_frames(model.chain, state.q)
-    cloud = make_cloud(settings.cloud, 0.5 * (frames.o_left + frames.o_right))
+    cloud_t = np.ascontiguousarray(make_cloud(settings.cloud, 0.5 * (frames.o_left + frames.o_right)).T)
     n_rows = n_ticks + 1
     log = TrajectoryLog(
         meta=dict(
@@ -683,7 +685,7 @@ def run_experiment(model: HeadModel, script: DisturbanceScript, settings: SimSet
             log.singular[row] = True
         else:
             x_fp = log.fp[row] = head.fx.point + b
-        proj = _project(settings.cam, head.cams.rot_left, head.cams.o_left + b, cloud)
+        proj = _project(settings.cam, head.cams.rot_left, head.cams.o_left + b, cloud_t)
         if not ifb:
             return proj, x_fp, None
         rot, pos = _imu_world(model, head.link_frames)

@@ -20,6 +20,7 @@ from gazestab import (
     OracleFailure,
     Pose,
     analytic_axis_jacobian,
+    default_head_model,
     dh_matrix,
     finite_difference_jacobian,
     forward_kinematics,
@@ -218,15 +219,23 @@ def test_link_frames_match_path_products():
     assert frames.shape == (chain.n_joints + 1, 4, 4)
     assert np.array_equal(frames[-1], chain.base_pose.matrix())
     assert chain.parents == (-1, 0, 1, 2, 3, 2, 5)
-    for k in range(chain.n_joints):
-        T = chain.base_pose.matrix()
-        for i in chain.path_indices(k):
-            T = T @ dh_matrix(chain.links[i], q[i])
-        assert np.array_equal(frames[k], T)
+    # link_frames forms its link transforms with np.cos and np.sin on all
+    # links at once, dh_matrix with math.cos and math.sin on one: the bits
+    # match only where these round alike, so the postures reach |q| = 1000.
+    rng = np.random.default_rng(27)
+    for ch in (chain, default_head_model().chain):
+        for scale in (1.0, 4.0, 1000.0):
+            for q in rng.uniform(-scale, scale, (30, ch.n_joints)):
+                frames = link_frames(ch, q)
+                for k in range(ch.n_joints):
+                    T = ch.base_pose.matrix()
+                    for i in ch.path_indices(k):
+                        T = T @ dh_matrix(ch.links[i], q[i])
+                    assert frames[k].tobytes() == T.tobytes(), (scale, q, k)
     # a prefix of q gives the prefix of the frames
-    assert np.array_equal(link_frames(chain, q[:4])[:4], frames[:4])
+    assert np.array_equal(link_frames(ch, q[:4])[:4], frames[:4])
     with pytest.raises(InvalidInput):
-        link_frames(chain, np.zeros(chain.n_joints + 1))
+        link_frames(ch, np.zeros(ch.n_joints + 1))
 
 
 def test_helpers_read_a_given_link_frames_stack():

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gazestab.cli as cli
+import gazestab.fileio as fileio
 from gazestab.cli import main
 from gazestab.chain import finite_difference_jacobian
 from gazestab.errors import FileFormatError, InvalidInput, JointLimitWarning
@@ -180,7 +181,7 @@ def moved_imu(line):
         (moved_imu("imu link=torso-roll"), "imu ", "IMU must be attached to a neck link"),
         # the two tilts' limits are checked together: the later line is cited
         ([line.replace("vmax=345", "vmax=300") if line.startswith("link left-eye-tilt") else line
-          for line in MODEL_LINES], "link right-eye-tilt", "left tilt v_max 5.23"),
+          for line in MODEL_LINES], "link right-eye-tilt", "left tilt v_max 300 differs from the right's 345"),
     ],
     ids=["base-position", "base-rotation", "imu-offset", "imu-link", "left-tilt"],
 )
@@ -191,6 +192,20 @@ def test_model_fault_is_cited_at_the_line_that_set_it(tmp_path, lines, at, fragm
     with pytest.raises(FileFormatError, match=re.escape(fragment)) as exc:
         parse_model_file(str(p))
     assert exc.value.line == next(no for no, line in enumerate(lines, start=1) if line.startswith(at))
+
+
+def test_model_fault_naming_two_links_keeps_its_message_unless_it_is_the_tilt_rule(tmp_path, monkeypatch):
+    # The tilt rule names two links and is restated in the file's units; any
+    # other two-link rule's message is passed through, at the later link.
+    def two_link_rule(*args, **kwargs):
+        raise InvalidInput("torso and neck disagree", links=(1, 4))
+
+    monkeypatch.setattr(fileio, "HeadModel", two_link_rule)
+    p = tmp_path / "m.model"
+    p.write_text("".join(MODEL_LINES))
+    with pytest.raises(FileFormatError, match="torso and neck disagree$") as exc:
+        parse_model_file(str(p))
+    assert exc.value.line == next(no for no, line in enumerate(MODEL_LINES, start=1) if line.startswith("link neck-roll"))
 
 
 @pytest.mark.parametrize("order", list(itertools.permutations(range(4))))
@@ -421,8 +436,14 @@ def test_config_rejects_unknown_and_duplicate_keys(tmp_path):
     p.write_text("config c\nmodel m\nscript s\nmode kff\nmode ifb\n")
     with pytest.raises(FileFormatError, match=r"c.config:5: second mode line \(the first is line 4\)"):
         parse_run_config(str(p))
-    p.write_text("config c\nmodel m\n")
-    with pytest.raises(FileFormatError, match="missing required config key"):
+
+
+@pytest.mark.parametrize("missing", ["model", "script"])
+def test_config_missing_required_key_cites_the_last_content_line(tmp_path, missing):
+    # It was cited with no line; a missing config line is cited at the last content line too.
+    p = tmp_path / "c.config"
+    p.write_text("".join(f"{key} x\n" for key in ("config", "model", "script") if key != missing) + "mode kff\n# end\n\n")
+    with pytest.raises(FileFormatError, match=re.escape(f"c.config:3: missing required config key {missing!r}")):
         parse_run_config(str(p))
 
 
@@ -1112,7 +1133,8 @@ def test_cli_unequal_tilt_limits_exit_2_at_the_model(tmp_path, capsys):
     cfg = write_quick_config(tmp_path, "kff", 0.3, model="head.model", dof="eyes")
     assert main(["run", "--config", cfg]) == 2
     no = next(i for i, line in enumerate(MODEL_LINES, start=1) if line.startswith("link right-eye-tilt"))
-    assert_clean_error(capsys, f"{model}:{no}: ", "eye tilts are one axis: left tilt q_min")
+    # both values in the file's degrees, not radians
+    assert_clean_error(capsys, f"{model}:{no}: ", "eye tilts are one axis: left tilt q_min -42 differs from the right's -1")
     assert not (tmp_path / "quick_kff.csv").exists()
 
 

@@ -22,6 +22,7 @@ from gazestab.fileio import default_data_dir, parse_model_file, parse_run_config
 from gazestab.models import HeadModel, default_head_model
 import gazestab.simulator as simulator
 from gazestab.simulator import (
+    MAX_SCALE,
     MAX_TICKS,
     _so3_log,
     CameraModel,
@@ -366,6 +367,47 @@ def test_flow_matches_per_point_pinhole_oracle():
             disp.append(np.linalg.norm(b - a))
     assert len(disp) >= 10
     assert flow_metric(cam, fr_a, fr_b, cloud) == pytest.approx(float(np.mean(disp)), rel=1e-12)
+
+
+def row_project(cam, rot, origin, cloud):
+    """The (n, 3) projection _project's (3, n) form replaced, term for term:
+    its bit-for-bit reference."""
+    local = (cloud - origin) @ rot
+    z = local[:, 2]
+    in_front = z > 1e-9
+    zs = np.where(in_front, z, 1.0)
+    u = cam.width / 2.0 + cam.f * local[:, 0] / zs
+    v = cam.height / 2.0 + cam.f * local[:, 1] / zs
+    interior = in_front & (u >= cam.border) & (u <= cam.width - cam.border)
+    return u, v, interior & (v >= cam.border) & (v <= cam.height - cam.border)
+
+
+@pytest.mark.parametrize("n", [900, 1600])
+def test_project_of_the_transposed_cloud_matches_the_row_formula(n):
+    rng = np.random.default_rng(n)
+    cam = CameraModel()
+    cloud = rng.normal([2.0, 0.0, 0.0], 3.0, (n, 3))  # some of it behind every camera
+    cloud_t = np.ascontiguousarray(cloud.T)
+    behind = 0
+    for _ in range(100):
+        fr = camera_frames(MODEL.chain, rng.uniform(-1.0, 1.0, 9))
+        got = simulator._project(cam, fr.rot_left, fr.o_left, cloud_t)
+        want = row_project(cam, fr.rot_left, fr.o_left, cloud)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+        behind += np.count_nonzero((cloud - fr.o_left) @ fr.rot_left[:, 2] <= 1e-9)
+    assert behind > 0
+
+
+def test_flow_squares_only_the_counted_points():
+    # At the largest focal length a point just past the near plane projects
+    # far off the image (u ~ 5e168 here); its displacement squared overflows.
+    cam = CameraModel(f=MAX_SCALE)
+    on_axis = [[0.0, 0.0, depth] for depth in range(1, 13)]
+    cloud = np.array(on_axis + [[1e60, 0.0, 2e-9]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = flow_metric(cam, lateral_frames([0.0, 0.0, 0.0]), lateral_frames([0.0, 0.0, 1e-9]), cloud)
+    assert got == 0.0
 
 
 def test_camera_model_validation():
@@ -740,24 +782,27 @@ def test_moving_head_computes_one_jacobian_per_tick(monkeypatch):
     assert calls == 3 * 50
 
 
-def dh_calls_between_steps(monkeypatch, mode):
-    """dh_matrix calls between consecutive plant steps of a 0.5 s run whose
-    head moves every tick."""
+def links_walked_between_steps(monkeypatch, mode):
+    """Link transforms link_frames forms between consecutive plant steps of
+    a 0.5 s run whose head moves every tick."""
     import gazestab.chain
+    import gazestab.models
+    import gazestab.stereo
 
     calls = [0]
-    real_dh, real_step = gazestab.chain.dh_matrix, simulator.step
+    real_walk, real_step = gazestab.chain.link_frames, simulator.step
     at_step = []
 
-    def counted_dh(*args):
-        calls[0] += 1
-        return real_dh(*args)
+    def counted_walk(chain, q):
+        calls[0] += np.size(q)
+        return real_walk(chain, q)
 
     def counted_step(*args, **kw):
         at_step.append(calls[0])
         return real_step(*args, **kw)
 
-    monkeypatch.setattr(gazestab.chain, "dh_matrix", counted_dh)
+    for module in (gazestab.chain, gazestab.models, gazestab.stereo):
+        monkeypatch.setattr(module, "link_frames", counted_walk)
     monkeypatch.setattr(simulator, "step", counted_step)
     script = DisturbanceScript("yaw", segments=(ScriptSegment(0.0, 0.5, "torso-yaw", 0.35),))
     log = run_experiment(MODEL, script, SimSettings(control=StabilizerConfig(mode=mode), duration=0.5))
@@ -769,14 +814,14 @@ def dh_calls_between_steps(monkeypatch, mode):
 def test_loop_walks_each_head_state_once(monkeypatch):
     # Between two plant steps the loop walks the new state once, for its
     # camera frames; the next tick's fixation Jacobian reuses that walk.
-    per_tick = dh_calls_between_steps(monkeypatch, "kff")
+    per_tick = links_walked_between_steps(monkeypatch, "kff")
     assert per_tick.size == 50 and per_tick.max() <= MODEL.chain.n_joints
 
 
 def test_ifb_loop_walks_each_head_state_once(monkeypatch):
     # The gyro reads the IMU pose from each state's head pass, with no IMU
     # walk of its own, so an iFB tick also walks only the new state.
-    per_tick = dh_calls_between_steps(monkeypatch, "ifb")
+    per_tick = links_walked_between_steps(monkeypatch, "ifb")
     assert per_tick.size == 50 and per_tick.max() <= MODEL.chain.n_joints
 
 
@@ -860,16 +905,17 @@ def test_work_ledger_calls_per_tick():
     sys.setprofile `call` events whose code lives in the package, over a run
     of a shipped config cut short minus a run of half its length (set-up
     cancels).  The counts are exact on any host.  Ceilings, measured at
-    landing (the full runs read 112.1, 120.1, 40.2 and 18.2):
+    landing and lowered by the one-pass DH stack in link_frames (one call
+    that forms all link transforms for ten dh_matrix calls per head walk):
 
-    - exp_a_kff, 2 s (the first torso-yaw sweep, 1-2 s): 111.55
-    - exp_b_ifb, 1 s (torso noise from 0.5 s): 120.18
+    - exp_a_kff, 2 s (the first torso-yaw sweep, 1-2 s): 102.55
+    - exp_b_ifb, 1 s (torso noise from 0.5 s): 111.18
     - translate_ifb, 1 s (base-y motion from 0.5 s): 40.0
     - translate_off, 1 s: 18.0
 
     A change that lowers a count lowers its ceiling here.
     """
-    ceilings = {"exp_a_kff": (2.0, 111.55), "exp_b_ifb": (1.0, 120.18), "translate_ifb": (1.0, 40.0),
+    ceilings = {"exp_a_kff": (2.0, 102.55), "exp_b_ifb": (1.0, 111.18), "translate_ifb": (1.0, 40.0),
                 "translate_off": (1.0, 18.0)}
     package = os.path.dirname(simulator.__file__) + os.sep
 

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gazestab.stabilizer as stabilizer
 from gazestab import InvalidInput, SingularMatrix
 from gazestab.models import default_head_model
 from gazestab.stabilizer import (
@@ -110,6 +111,49 @@ def test_pinv_damped_stack_raises_if_any_slice_is_singular():
     with pytest.raises(SingularMatrix):
         pinv_damped(stack, 0.0)
     assert np.isfinite(pinv_damped(stack, 0.1)).all()
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """A list that grows by one per np.linalg.svd call, with pinv_damped's
+    memo emptied."""
+    calls, real = [], np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    monkeypatch.setattr(stabilizer, "_last_pinv", (None, None))
+    return calls
+
+
+def test_pinv_damped_repeat_is_a_writable_copy_of_one_svd(svd_calls):
+    J = np.random.default_rng(13).uniform(-2.0, 2.0, (2, 3, 3))
+    fresh = pinv_damped(J, 1e-3)
+    fresh[...] = 0.0  # the caller's copy: the kept result is untouched
+    hit = pinv_damped(J.copy(), 1e-3)
+    assert len(svd_calls) == 1
+    hit[...] = 1.0
+    again = pinv_damped(J, 1e-3)
+    assert len(svd_calls) == 1 and again is not hit
+    stabilizer._last_pinv = (None, None)
+    assert again.tobytes() == pinv_damped(J, 1e-3).tobytes() and len(svd_calls) == 2
+
+
+def test_pinv_damped_memo_keys_on_damping_and_shape(svd_calls):
+    J = np.random.default_rng(14).uniform(-2.0, 2.0, (2, 3, 3))
+    pinv_damped(J, 1e-3)
+    pinv_damped(J, 2e-3)
+    assert len(svd_calls) == 2
+    flat = J.reshape(3, 6)  # the same bytes in another shape
+    assert pinv_damped(flat, 2e-3).shape == (6, 3) and len(svd_calls) == 3
+    pinv_damped(flat, 2e-3)
+    assert len(svd_calls) == 3
+
+
+def test_pinv_damped_never_keeps_a_singular_matrix(svd_calls):
+    S = np.diag([1.0, 1.0, 0.0])
+    assert np.isfinite(pinv_damped(S, 0.1)).all()
+    for _ in range(2):
+        with pytest.raises(SingularMatrix):
+            pinv_damped(S, 0.0)
+    assert len(svd_calls) == 3
 
 
 def test_compensate_eyes_mode_leaves_a_singular_neck_block_uninverted():

@@ -384,36 +384,38 @@ def test_full_jacobian_shape_and_determinism():
     assert a.tobytes() == fixation_full_jacobian(CHAIN, q).tobytes()
 
 
-def count_dh_calls(monkeypatch):
-    """Counter of dh_matrix calls, starting with no head pass kept."""
+def count_links_walked(monkeypatch):
+    """Counter of the link transforms link_frames forms, starting with no
+    head pass kept."""
     import gazestab.chain
 
     monkeypatch.setattr(stereo, "_last_head_pass", (None, b"", None))
     calls = [0]
-    real = gazestab.chain.dh_matrix
+    real = gazestab.chain.link_frames
 
-    def counted(*args):
-        calls[0] += 1
-        return real(*args)
+    def counted(chain, q):
+        calls[0] += np.size(q)
+        return real(chain, q)
 
-    monkeypatch.setattr(gazestab.chain, "dh_matrix", counted)
+    for module in (gazestab.chain, stereo):
+        monkeypatch.setattr(module, "link_frames", counted)
     return calls
 
 
 def test_camera_frames_walk_each_link_once(monkeypatch):
-    calls = count_dh_calls(monkeypatch)
+    calls = count_links_walked(monkeypatch)
     camera_frames(CHAIN, head_q(np.random.default_rng(304)))
     assert calls[0] == CHAIN.n_joints
 
 
 def test_full_jacobian_walks_each_link_once(monkeypatch):
-    calls = count_dh_calls(monkeypatch)
+    calls = count_links_walked(monkeypatch)
     fixation_full_jacobian(CHAIN, head_q(np.random.default_rng(305)))
     assert calls[0] == CHAIN.n_joints
 
 
 def test_camera_frames_then_full_jacobian_share_one_walk(monkeypatch):
-    calls = count_dh_calls(monkeypatch)
+    calls = count_links_walked(monkeypatch)
     q = head_q(np.random.default_rng(312))
     camera_frames(CHAIN, q)
     fixation_full_jacobian(CHAIN, q)
@@ -421,7 +423,7 @@ def test_camera_frames_then_full_jacobian_share_one_walk(monkeypatch):
 
 
 def test_head_pass_hit_returns_identical_results(monkeypatch):
-    calls = count_dh_calls(monkeypatch)
+    calls = count_links_walked(monkeypatch)
     q = head_q(np.random.default_rng(313))
     cold_frames = camera_frames(CHAIN, q)
     fixation_full_jacobian(CHAIN, head_q(np.random.default_rng(314)))
@@ -435,7 +437,7 @@ def test_head_pass_hit_returns_identical_results(monkeypatch):
 
 
 def test_head_pass_misses_on_another_chain_or_q(monkeypatch):
-    calls = count_dh_calls(monkeypatch)
+    calls = count_links_walked(monkeypatch)
     q = head_q(np.random.default_rng(315))
     twin = KinematicChain(CHAIN.links, CHAIN.base_pose, CHAIN.segments)
     frames = camera_frames(CHAIN, q)
