@@ -21,11 +21,13 @@ configs are used.  The check
 * compares SHA-256 digests of `fixation_full_jacobian`, of a repeat call of
   it at the same q after the first result was overwritten with zeros (so a
   kept Jacobian is pinned against a computed one), `camera_frames`,
-  `HeadModel.imu_pose`, `synth_gyro` (without and with noise) and
-  `compensate` over 2,000 seeded head configurations; the gyro moves from
-  each configuration to the next, and `compensate` cancels the
-  `estimate_kff` twist of seeded rates under the default `neck-eyes` joint
-  set and under `eyes`;
+  `HeadModel.imu_pose`, `synth_gyro` (without and with noise),
+  `compensate`, `estimate_kff` and `estimate_ifb` over 2,000 seeded head
+  configurations; the gyro moves from each configuration to the next,
+  `compensate` cancels the `estimate_kff` twist of seeded rates under the
+  default `neck-eyes` joint set and under `eyes`, and `estimate_ifb` reads
+  the noisy gyro sample against a seeded fixation point (the loop computes
+  both estimates through the same private kernels);
 * compares a SHA-256 digest of `DisturbanceScript.realize` (the dtype, shape
   and bytes of each of the track's five arrays) on the three shipped scripts
   and on a synthetic script of commanded and external moves and noise on
@@ -65,7 +67,7 @@ CONFIGURATIONS = 2000
 GYRO_DELAY = 3
 DIGESTS = (
     "fixation_full_jacobian", "fixation_full_jacobian (repeat)", "camera_frames", "imu_pose", "synth_gyro",
-    "synth_gyro (noise)", "compensate", "realize", "serialize",
+    "synth_gyro (noise)", "compensate", "estimate_kff", "estimate_ifb", "realize", "serialize",
 )
 # A script that fails every mode part-way, and the modes it runs in.
 LIFT_SCRIPT = "script lift\nunits degrees\nmove channel=base-z t=0.2,3 rate=10\n"
@@ -98,7 +100,7 @@ import numpy as np
 from gazestab.errors import SingularConfiguration
 from gazestab.models import default_head_model
 from gazestab.simulator import PlantState, synth_gyro
-from gazestab.stabilizer import StabilizerConfig, compensate, estimate_kff
+from gazestab.stabilizer import StabilizerConfig, compensate, estimate_ifb, estimate_kff
 from gazestab.stereo import camera_frames, expand_head_q, fixation_full_jacobian
 
 model = default_head_model()
@@ -106,8 +108,9 @@ chain = model.chain
 rng = np.random.default_rng(20241)
 rng_noise = np.random.default_rng(71)
 rng_rates = np.random.default_rng(72)  # its own stream: the configurations stay as they were
+rng_fp = np.random.default_rng(73)  # estimate_ifb's fixation points, likewise
 controls = (StabilizerConfig(), StabilizerConfig(dof_set="eyes"))
-h_jac, h_rep, h_cam, h_imu, h_gyro, h_noisy, h_comp = (hashlib.sha256() for _ in range(7))
+h_jac, h_rep, h_cam, h_imu, h_gyro, h_noisy, h_comp, h_kff, h_ifb = (hashlib.sha256() for _ in range(9))
 prev = PlantState(t=0.0, q=np.zeros(9), qdot=np.zeros(9))
 for k in range({CONFIGURATIONS}):
     q = rng.uniform(-0.9, 0.9, 9)
@@ -129,6 +132,7 @@ for k in range({CONFIGURATIONS}):
     else:
         h_jac.update(J.tobytes())
         twist = estimate_kff(J, rates)
+        h_kff.update(twist.v.tobytes() + twist.omega.tobytes())
         for control in controls:
             cmd = compensate(twist, J, control)
             h_comp.update(cmd.qdot_neck.tobytes() + cmd.qdot_eye.tobytes() + bytes([cmd.saturated]))
@@ -141,8 +145,10 @@ for k in range({CONFIGURATIONS}):
     for h, kw in ((h_gyro, {{}}), (h_noisy, dict(sigma=0.005, rng=rng_noise))):
         sample = synth_gyro(model, prev, state, 0.01, **kw)
         h.update(sample.omega.tobytes() + sample.position.tobytes())
+    twist = estimate_ifb(sample, rng_fp.uniform(-10.0, 10.0, 3))
+    h_ifb.update(twist.v.tobytes() + twist.omega.tobytes())
     prev = state
-for h in (h_jac, h_rep, h_cam, h_imu, h_gyro, h_noisy, h_comp):
+for h in (h_jac, h_rep, h_cam, h_imu, h_gyro, h_noisy, h_comp, h_kff, h_ifb):
     print(h.hexdigest())
 
 from dataclasses import fields

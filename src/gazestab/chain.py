@@ -218,6 +218,11 @@ class KinematicChain:
         return tuple(int(rows[-1]) for _, rows in self._paths)
 
     @cached_property
+    def _base_matrix(self) -> np.ndarray:
+        """Read-only 4x4 homogeneous matrix of base_pose."""
+        return _readonly(self.base_pose.matrix())
+
+    @cached_property
     def _dh(self) -> np.ndarray:
         """Read-only (5, n) rows of each link's theta_offset, cos alpha, sin alpha, a and d."""
         return _readonly([[k.theta_offset, math.cos(k.alpha), math.sin(k.alpha), k.a, k.d] for k in self.links]).T
@@ -287,7 +292,7 @@ def link_frames(chain: KinematicChain, q) -> np.ndarray:
     th = arr + th0
     dh = _dh_closed_form(np.cos(th), np.sin(th), ca, sa, a, d)
     frames = np.empty((arr.size + 1, 4, 4))
-    frames[-1] = chain.base_pose.matrix()
+    frames[-1] = chain._base_matrix
     for i in range(arr.size):
         frames[i] = frames[chain.parents[i]] @ dh[i]
     return frames

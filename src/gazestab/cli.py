@@ -171,14 +171,14 @@ def cmd_compare(args) -> int:
     except FileFormatError as err:
         return _fail(str(err), 2)
 
+    path = args.baseline  # the log being summarized, named on failure
     try:
         base_summary = summarize(baseline)
-        rows = [
-            (path, log, summarize(log, baseline=baseline))
-            for path, log in logs
-        ]
+        rows = []
+        for path, log in logs:
+            rows.append((path, log, summarize(log, baseline=baseline)))
     except InvalidComparison as err:
-        return _fail(str(err), 1)
+        return _fail(f"{path}: {err}", 1)
 
     rows.sort(key=lambda r: r[2].mean_optfl)
     label_w = max(len(_condition_label(p, lg)) for p, lg in logs + [(args.baseline, baseline)])

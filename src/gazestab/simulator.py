@@ -36,9 +36,11 @@ Checks sit at the public edge: step, synth_gyro and the value types check
 the arguments a caller passes, and run_experiment's inputs are checked when
 they are built.  Values built from checked ones are not checked again: step
 builds its new PlantState unchecked after one finiteness check of the new q,
-qdot and base offset (SimulationDiverged), and the loop builds its own
-Twist and ImuSample values unchecked (its gyro samples rest on the head
-model's imu_offset, a finite rigid transform).
+qdot and base offset (SimulationDiverged); the loop writes each estimate
+with the estimators' private kernels straight into its est_twist log row and
+hands compensate an unchecked Twist of views into that row (its gyro samples,
+(omega, position) pairs, rest on the head model's imu_offset, a finite rigid
+transform).
 """
 
 from __future__ import annotations
@@ -64,9 +66,9 @@ from .stabilizer import (
     StabilizerCommand,
     StabilizerConfig,
     Twist,
+    _estimate_ifb,
+    _estimate_kff,
     compensate,
-    estimate_ifb,
-    estimate_kff,
 )
 from .stereo import _collapse, _expand, _head_pass, camera_frames, fixation_full_jacobian
 
@@ -178,7 +180,7 @@ def step(
     # Velocity and position limits live on the mechanical joints (the eye
     # coupling is linear, so velocities expand the same way positions do).
     chain = model.chain
-    qdot_mech = np.clip(_expand(qdot), -chain.v_max, chain.v_max)
+    qdot_mech = np.minimum(np.maximum(_expand(qdot), -chain.v_max), chain.v_max)
 
     t = state.t + dt
     q_mech = _expand(state.q) + dt * qdot_mech
@@ -186,7 +188,7 @@ def step(
     clamped = (q_mech < lo) | (q_mech > hi)
     if clamped.any():
         warnings.warn(JointLimitWarning(t, np.nonzero(clamped)[0].tolist()), stacklevel=2)
-        q_mech = np.clip(q_mech, lo, hi)
+        q_mech = np.minimum(np.maximum(q_mech, lo), hi)
         qdot_mech = np.where(clamped, 0.0, qdot_mech)
 
     q_new = _collapse(q_mech)
@@ -697,7 +699,7 @@ def run_experiment(model: HeadModel, script: DisturbanceScript, settings: SimSet
     # the iFB delay line: the newest sample and the delay before it, read at
     # [0]; a delay past the run's end reads no sample either way
     delay = min(settings.gyro_delay_ticks, n_ticks)
-    gyro_buffer: deque[ImuSample] = deque(maxlen=delay + 1)
+    gyro_buffer: deque[tuple] = deque(maxlen=delay + 1)  # (omega, position) samples
     try:
         for k in range(n_ticks):
             row = k + 1
@@ -707,6 +709,7 @@ def run_experiment(model: HeadModel, script: DisturbanceScript, settings: SimSet
             else:
                 J = fixation_full_jacobian(model.chain, state.q)
             if J is not None and cfg.mode != "off":  # --- estimate and compensate
+                est = log.est_twist[row]
                 if ifb:
                     if k == 0:
                         omega = np.zeros(3)
@@ -719,14 +722,13 @@ def run_experiment(model: HeadModel, script: DisturbanceScript, settings: SimSet
                         self_qdot = np.where(track.active[k - 1][3:6], 0.0, state.qdot[3:6])
                         omega = omega - J[3:6, 3:6] @ self_qdot
                     if not gyro_buffer:  # until the first sample comes out: no rotation, at its position
-                        gyro_buffer.extend([_unchecked(ImuSample, omega=np.zeros(3), position=imu[1])] * delay)
-                    gyro_buffer.append(_unchecked(ImuSample, omega=omega, position=imu[1]))
-                    est = estimate_ifb(gyro_buffer[0], x_fp)
+                        gyro_buffer.extend([(np.zeros(3), imu[1])] * delay)
+                    gyro_buffer.append((omega, imu[1]))
+                    est[:] = _estimate_ifb(*gyro_buffer[0], x_fp)
                 else:
-                    est = estimate_kff(J, track.commanded_qdot[k])
-                    est = _unchecked(Twist, v=est.v + track.commanded_base[k], omega=est.omega)
-                cmd = compensate(est, J, cfg)
-                log.est_twist[row] = est.as_array()
+                    est[:] = _estimate_kff(J, track.commanded_qdot[k])
+                    est[:3] += track.commanded_base[k]
+                cmd = compensate(_unchecked(Twist, v=est[:3], omega=est[3:]), J, cfg)
 
             # --- step, then log row k+1 --------------------------------
             new_state = step(
@@ -792,7 +794,8 @@ def summarize(log: TrajectoryLog, baseline: TrajectoryLog | None = None) -> RunS
     """Aggregate a run; percent reductions are against the baseline run.
 
     The baseline must be the same script on the same tick grid, otherwise
-    the comparison is meaningless and InvalidComparison is raised.
+    the comparison is meaningless and InvalidComparison is raised; so is a
+    log with no completed tick (fewer than 2 rows), which has no flow.
     """
     if baseline is not None:
         same = (
@@ -806,6 +809,8 @@ def summarize(log: TrajectoryLog, baseline: TrajectoryLog | None = None) -> RunS
                 f"{baseline.meta.get('script')}@{baseline.meta.get('dt')}x{baseline.n_rows()} vs "
                 f"{log.meta.get('script')}@{log.meta.get('dt')}x{log.n_rows()}"
             )
+    if log.n_rows() < 2:
+        raise InvalidComparison(f"no completed tick to summarize: the log has {log.n_rows()} row(s)")
 
     mean_optfl = float(np.mean(log.optfl[1:]))
     reduction = None

@@ -173,8 +173,13 @@ def estimate_kff(J, qdot) -> Twist:
     input.
     """
     _require_fixation_jacobian(J)
-    xi = J @ as_joint_array(qdot, 9, name="qdot")
+    xi = _estimate_kff(J, as_joint_array(qdot, 9, name="qdot"))
     return Twist(xi[:3], xi[3:])
+
+
+def _estimate_kff(J, qdot) -> np.ndarray:
+    """estimate_kff's twist as one (v, omega) 6-vector, arguments unchecked."""
+    return J @ qdot
 
 
 def estimate_ifb(imu: ImuSample, x_fp) -> Twist:
@@ -184,8 +189,13 @@ def estimate_ifb(imu: ImuSample, x_fp) -> Twist:
     invisible here -- that blindness is the central limitation of the
     inertial route and is preserved deliberately.
     """
-    lever = _finite3(x_fp, "x_fp") - imu.position
-    return Twist(_cross_rows(imu.omega, lever), imu.omega)
+    xi = _estimate_ifb(imu.omega, imu.position, _finite3(x_fp, "x_fp"))
+    return Twist(xi[:3], xi[3:])
+
+
+def _estimate_ifb(omega, position, x_fp) -> np.ndarray:
+    """estimate_ifb's twist as one (v, omega) 6-vector, arguments unchecked."""
+    return np.concatenate((_cross_rows(omega, x_fp - position), omega))
 
 
 # ------------------------------------------------------------- compensation
@@ -219,7 +229,8 @@ def compensate(twist: Twist, J, config: StabilizerConfig) -> StabilizerCommand:
         v_target += neck_trans @ qdot_neck
     qdot_eye = -eye_pinv @ v_target
 
-    neck_clip = np.clip(qdot_neck, -config.neck_rate_limit, config.neck_rate_limit)
-    eye_clip = np.clip(qdot_eye, -config.eye_rate_limit, config.eye_rate_limit)
+    # np.clip's result, without the cost of its Python wrapper
+    neck_clip = np.minimum(np.maximum(qdot_neck, -config.neck_rate_limit), config.neck_rate_limit)
+    eye_clip = np.minimum(np.maximum(qdot_eye, -config.eye_rate_limit), config.eye_rate_limit)
     saturated = bool((neck_clip != qdot_neck).any() or (eye_clip != qdot_eye).any())
     return StabilizerCommand(neck_clip, eye_clip, saturated=saturated)

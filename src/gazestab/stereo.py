@@ -34,6 +34,9 @@ Jacobian, filled on first request and handed out as a copy.  The last record
 is kept: a repeat call on the same chain object and checked 9-DoF q reuses
 it (q is still validated), so a state costs one walk and one J; its arrays
 are read-only.  The simulation loop and synth_gyro read records directly.
+A J reads the record's link-frame stack: one cross for the camera origins'
+eye partials, one geometric_jacobian for the trunk columns and two
+analytic_axis_jacobian calls for the optical-axis partials.
 
 Checks sit at the public edge: each public function and constructor checks
 what its caller passes.  The camera frames of a pass are products of DH
@@ -50,6 +53,7 @@ import numpy as np
 
 from .chain import (
     KinematicChain,
+    _cross_rows,
     _finite3,
     _unchecked,
     analytic_axis_jacobian,
@@ -83,17 +87,11 @@ class HeadLayout:
     pan_left: int
     tilt_right: int
     pan_right: int
-
-    @property
-    def cam_left(self) -> int:
-        return self.pan_left  # camera frame = last left-eye link
-
-    @property
-    def cam_right(self) -> int:
-        return self.pan_right
+    cam_left: int  # camera frame = last left-eye link
+    cam_right: int
 
 
-_LAYOUT = HeadLayout(trunk=tuple(range(6)), tilt_left=6, pan_left=7, tilt_right=8, pan_right=9)
+_LAYOUT = HeadLayout(trunk=tuple(range(6)), tilt_left=6, pan_left=7, tilt_right=8, pan_right=9, cam_left=7, cam_right=9)
 
 
 def head_layout(chain: KinematicChain) -> HeadLayout:
@@ -337,13 +335,19 @@ def fixation_full_jacobian(chain: KinematicChain, q) -> np.ndarray:
 
     # Each camera's origin and axis partials against (tilt, left pan, right
     # pan), read from the one pass: tilt is the camera's own tilt joint, and
-    # the other eye's pan is off its path (a zero column).  np.take keeps the
-    # blocks C-ordered; the products below round differently on F order.
+    # the other eye's pan is off its path (a zero column).  Eye joint m moves
+    # an origin by z_m x (o_cam - p_m) about frame chain.parents[m], formed as
+    # geometric_jacobian forms it, all four in one cross.  The blocks are
+    # C-ordered: the products below round differently on F order.
     lay = _LAYOUT
     left_vars = [lay.tilt_left, lay.pan_left, lay.pan_right]
     right_vars = [lay.tilt_right, lay.pan_left, lay.pan_right]
-    d_ol = np.take(geometric_jacobian(chain, qm, ol, lay.cam_left, frames=frames)[:3], left_vars, axis=1)
-    d_or = np.take(geometric_jacobian(chain, qm, orr, lay.cam_right, frames=frames)[:3], right_vars, axis=1)
+    axes = frames[np.take(chain.parents, (lay.tilt_left, lay.pan_left, lay.tilt_right, lay.pan_right)), :3]
+    origins = frames[[lay.cam_left, lay.cam_left, lay.cam_right, lay.cam_right], :3, 3]
+    d_eye = _cross_rows(axes[:, :, 2], origins - axes[:, :, 3])  # (3, 4)
+    d_ol, d_or = d_o = np.zeros((2, 3, 3))
+    d_o[0, :, :2] = d_eye[:, :2]
+    d_o[1, :, ::2] = d_eye[:, 2:]
     d_zl = np.take(analytic_axis_jacobian(chain, qm, lay.cam_left, frames=frames), left_vars, axis=1)
     d_zr = np.take(analytic_axis_jacobian(chain, qm, lay.cam_right, frames=frames), right_vars, axis=1)
 
@@ -354,8 +358,8 @@ def fixation_full_jacobian(chain: KinematicChain, q) -> np.ndarray:
     offset = ol - orr
 
     d_cos = d_zl.T @ zr + d_zr.T @ zl  # (3,)
-    d_num_left = d_zl - np.outer(zr, d_cos) - cos_axes * d_zr
-    d_num_right = np.outer(zl, d_cos) + cos_axes * d_zl - d_zr
+    d_num_left = d_zl - zr[:, None] * d_cos - cos_axes * d_zr
+    d_num_right = zl[:, None] * d_cos + cos_axes * d_zl - d_zr
     d_offset = d_ol - d_or
     d_denom = 2.0 * cos_axes * d_cos
 
@@ -364,8 +368,8 @@ def fixation_full_jacobian(chain: KinematicChain, q) -> np.ndarray:
         d_dot = d_num.T @ offset + d_offset.T @ num
         return (d_dot * denom - float(num @ offset) * d_denom) / (denom * denom)
 
-    dPl = d_ol + np.outer(zl, quotient(num_left, d_num_left)) + fx.s_left * d_zl
-    dPr = d_or + np.outer(zr, quotient(num_right, d_num_right)) + fx.s_right * d_zr
+    dPl = d_ol + zl[:, None] * quotient(num_left, d_num_left) + fx.s_left * d_zl
+    dPr = d_or + zr[:, None] * quotient(num_right, d_num_right) + fx.s_right * d_zr
 
     J = np.zeros((6, HEAD_DOF))
     J[:, :6] = geometric_jacobian(chain, qm, fx.point, lay.cam_left, frames=frames)[:, :6]

@@ -1122,6 +1122,22 @@ def test_cli_coverage_loss_writes_partial_log(tmp_path, capsys):
     assert np.all(log.n_valid[1:] >= 10)
 
 
+def test_cli_compare_of_a_log_with_no_completed_tick_exits_1(tmp_path, capsys):
+    # A 1000 m/s lift loses the cloud on the first tick: the partial log holds
+    # the initial row only, which has no flow to average.  compare used to
+    # print numpy warnings and a nan table with a 0.0% reduction, and exit 0.
+    script = tmp_path / "lift.script"
+    script.write_text("script lift\nunits degrees\nmove channel=base-z t=0,1 rate=1000\n")
+    cfg = write_quick_config(tmp_path, "off", 1, script="lift.script")
+    assert main(["run", "--config", cfg]) == 1
+    assert "partial log (1 rows)" in capsys.readouterr().err
+    log = str(tmp_path / "quick_off.csv")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["compare", "--baseline", log, log]) == 1
+    assert_clean_error(capsys, f"gazestab: error: {log}: ", "no completed tick")
+
+
 def test_cli_unequal_tilt_limits_exit_2_at_the_model(tmp_path, capsys):
     # The tilts are one axis: a right tilt limited to +-1 degree used to be
     # clamped apart from the left mid-run, and the error named the config.

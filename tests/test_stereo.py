@@ -463,8 +463,9 @@ def test_head_pass_arrays_are_read_only():
 
 
 def count_jacobian_work(monkeypatch):
-    """Counter of the geometric_jacobian calls fixation_full_jacobian makes,
-    starting with no head pass kept."""
+    """Counter of the geometric_jacobian calls fixation_full_jacobian makes
+    (one per computed J, for the trunk columns), starting with no head pass
+    kept."""
     monkeypatch.setattr(stereo, "_last_head_pass", (None, b"", None))
     calls = [0]
     real = stereo.geometric_jacobian
@@ -481,16 +482,16 @@ def test_full_jacobian_repeat_hands_out_writable_copies(monkeypatch):
     calls = count_jacobian_work(monkeypatch)
     q = head_q(np.random.default_rng(317))
     first = fixation_full_jacobian(CHAIN, q)
-    assert calls[0] == 3
+    assert calls[0] == 1
     second = fixation_full_jacobian(CHAIN, q)
-    assert calls[0] == 3  # the state's kept J
+    assert calls[0] == 1  # the state's kept J
     assert second is not first and second.tobytes() == first.tobytes()
     assert first.flags.writeable and second.flags.writeable
     kept = second.tobytes()
     first[:] = 0.0
     second[:] = np.nan
     assert fixation_full_jacobian(CHAIN, q).tobytes() == kept
-    assert calls[0] == 3
+    assert calls[0] == 1
 
 
 def test_full_jacobian_recomputed_for_another_state(monkeypatch):
@@ -502,13 +503,13 @@ def test_full_jacobian_recomputed_for_another_state(monkeypatch):
     q2 = q.copy()
     q2[0] = np.nextafter(q2[0], 1.0)
     fixation_full_jacobian(CHAIN, q2)
-    assert calls[0] == 6
+    assert calls[0] == 2
     twin = KinematicChain(CHAIN.links, CHAIN.base_pose, CHAIN.segments)
     assert fixation_full_jacobian(twin, q).tobytes() == J
-    assert calls[0] == 9
+    assert calls[0] == 3
     monkeypatch.setattr(stereo, "_last_head_pass", (None, b"", None))
     assert fixation_full_jacobian(twin, q).tobytes() == J
-    assert calls[0] == 12
+    assert calls[0] == 4
 
 
 def test_full_jacobian_singular_state_raises_on_every_call():
