@@ -20,7 +20,8 @@ configs are used.  The check
   on the same bytes);
 * compares SHA-256 digests of `fixation_full_jacobian`, of a repeat call of
   it at the same q after the first result was overwritten with zeros (so a
-  kept Jacobian is pinned against a computed one), `camera_frames`,
+  repeat call is pinned to give the same bits, untouched by a caller's
+  writes into an earlier result), `camera_frames`,
   `HeadModel.imu_pose`, `synth_gyro` (without and with noise),
   `compensate`, `estimate_kff` and `estimate_ifb` over 2,000 seeded head
   configurations; the gyro moves from each configuration to the next,

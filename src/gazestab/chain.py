@@ -183,7 +183,7 @@ class KinematicChain:
         if not _is_rigid(self.base_pose):
             raise InvalidInput("base_pose must be a finite rigid transform (orthonormal rotation)")
 
-    @property
+    @cached_property
     def n_joints(self) -> int:
         return len(self.links)
 

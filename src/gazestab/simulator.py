@@ -25,7 +25,10 @@ run_experiment reads each plant state in one step, the initial state and
 every state a tick produces alike: the step writes the state's log row and
 returns what the next tick reads of it (cloud projection, fixation point,
 IMU pose).  Estimation and compensation run on ticks that are neither "off"
-nor singular; every other tick keeps the command it holds.
+nor singular; every other tick keeps the command it holds.  The command
+depends only on the posture's fixation Jacobian and on the estimate, so the
+loop keeps its J while q repeats and its command while the estimate does
+too: a head that holds still computes both once.
 
 The stabilization metric projects a static random point cloud through the
 left pinhole camera at consecutive states and averages the pixel
@@ -225,7 +228,7 @@ def _so3_log(R) -> np.ndarray:
         q[k] = m[k][i] + m[i][k]
         q[3] = m[k][j] - m[j][k]
     norm = math.sqrt(q[0] * q[0] + q[1] * q[1] + q[2] * q[2] + q[3] * q[3])
-    x, y, z, w = (c / norm for c in q)
+    x, y, z, w = q[0] / norm, q[1] / norm, q[2] / norm, q[3] / norm
     if w < 0:
         x, y, z, w = -x, -y, -z, -w
     angle = 2 * math.atan2(math.sqrt(x * x + y * y + z * z), w)
@@ -541,6 +544,17 @@ class DisturbanceScript:
 # ------------------------------------------------------------ run settings
 
 
+def _tick_count(duration: float, dt: float) -> int:
+    """Ticks of a run: duration / dt rounded, from 1 to MAX_TICKS."""
+    ticks = duration / dt
+    if ticks > MAX_TICKS + 0.5:
+        raise InvalidInput(f"duration {duration:g} s at dt {dt:g} s is {ticks:.6g} ticks, over the cap of {MAX_TICKS}")
+    n_ticks = int(round(ticks))
+    if n_ticks < 1:
+        raise InvalidInput("duration shorter than one tick")
+    return n_ticks
+
+
 @dataclass(frozen=True)
 class SimSettings:
     """Everything one closed-loop run needs besides model and script."""
@@ -559,8 +573,10 @@ class SimSettings:
     def __post_init__(self):
         if not (self.dt > 0.0 and math.isfinite(self.dt)):
             raise InvalidInput("dt must be positive")
-        if self.duration is not None and not (self.duration > 0.0 and math.isfinite(self.duration)):
-            raise InvalidInput("duration must be positive and finite")
+        if self.duration is not None:
+            if not (self.duration > 0.0 and math.isfinite(self.duration)):
+                raise InvalidInput("duration must be positive and finite")
+            _tick_count(self.duration, self.dt)
         if not (self.fixation_distance > 0.0 and math.isfinite(self.fixation_distance)):
             raise InvalidInput("fixation_distance must be positive and finite")
         if not _is_int(self.gyro_delay_ticks):
@@ -642,20 +658,15 @@ def run_experiment(model: HeadModel, script: DisturbanceScript, settings: SimSet
     what the next tick reads of it, in the world -- the head moved rigidly
     by the base offset: the cloud's projection into the left camera, the
     fixation point (None when the optical axes are parallel) and, in "ifb"
-    mode, the IMU pose.  The next tick's fixation Jacobian reuses that pass,
-    so a head that holds still reuses its J, and its gyro sample is formed
-    from two carried IMU poses as synth_gyro forms it.  A run that fails
-    (SimulationDiverged, InsufficientCoverage) carries its fully logged rows.
+    mode, the IMU pose.  The next tick's fixation Jacobian reads that pass,
+    and is kept while q holds still (bytes compared, so -0.0 and 0.0 differ);
+    the command is kept while the J is and the estimate's bytes repeat.  The
+    gyro sample is formed from two carried IMU poses as synth_gyro forms it.
+    A run that fails (SimulationDiverged, InsufficientCoverage) carries its
+    fully logged rows.
     """
     duration = settings.duration if settings.duration is not None else script.duration() + 0.5
-    ticks = duration / settings.dt
-    if ticks > MAX_TICKS + 0.5:
-        raise InvalidInput(
-            f"duration {duration:g} s at dt {settings.dt:g} s is {ticks:.6g} ticks, over the cap of {MAX_TICKS}"
-        )
-    n_ticks = int(round(ticks))
-    if n_ticks < 1:
-        raise InvalidInput("duration shorter than one tick")
+    n_ticks = _tick_count(duration, settings.dt)
     track = script.realize(model, settings.dt, n_ticks)
     cfg = settings.control
     ifb = cfg.mode == "ifb"
@@ -696,6 +707,10 @@ def run_experiment(model: HeadModel, script: DisturbanceScript, settings: SimSet
     proj, x_fp, imu = observe(0, state)
     logged = 1  # rows fully written; a failed run's partial log keeps these
     cmd = StabilizerCommand.hold()
+    # A still head repeats its J and command: J is kept while the state's q
+    # bytes equal q_key, the q it was computed at, and cmd while that J is
+    # kept and the estimate's bytes equal est_key, what compensate last got.
+    J = q_key = est_key = None
     # the iFB delay line: the newest sample and the delay before it, read at
     # [0]; a delay past the run's end reads no sample either way
     delay = min(settings.gyro_delay_ticks, n_ticks)
@@ -704,10 +719,10 @@ def run_experiment(model: HeadModel, script: DisturbanceScript, settings: SimSet
         for k in range(n_ticks):
             row = k + 1
             if x_fp is None:  # parallel axes: no fixation Jacobian, the command is held
-                J = None
+                J = q_key = None
                 log.singular[row] = True
-            else:
-                J = fixation_full_jacobian(model.chain, state.q)
+            elif (q_bytes := state.q.tobytes()) != q_key:
+                J, q_key, est_key = fixation_full_jacobian(model.chain, state.q), q_bytes, None
             if J is not None and cfg.mode != "off":  # --- estimate and compensate
                 est = log.est_twist[row]
                 if ifb:
@@ -728,7 +743,8 @@ def run_experiment(model: HeadModel, script: DisturbanceScript, settings: SimSet
                 else:
                     est[:] = _estimate_kff(J, track.commanded_qdot[k])
                     est[:3] += track.commanded_base[k]
-                cmd = compensate(_unchecked(Twist, v=est[:3], omega=est[3:]), J, cfg)
+                if (est_bytes := est.tobytes()) != est_key:
+                    cmd, est_key = compensate(_unchecked(Twist, v=est[:3], omega=est[3:]), J, cfg), est_bytes
 
             # --- step, then log row k+1 --------------------------------
             new_state = step(

@@ -30,8 +30,6 @@ from .errors import InvalidInput, SingularMatrix
 DEFAULT_DAMPING = 1e-3
 DEFAULT_NECK_RATE_LIMIT = math.radians(40.0)
 DEFAULT_EYE_RATE_LIMIT = math.radians(180.0)
-# pinv_damped's last ((shape, damping, bytes of J), result), swapped as one tuple
-_last_pinv = (None, None)
 
 
 @dataclass(frozen=True)
@@ -129,19 +127,12 @@ def pinv_damped(J, damping: float) -> np.ndarray:
     by slice in one SVD call, each slice bit-identical to its own call.  For
     damping = 0 this is the exact (pseudo-)inverse and a rank-deficient J
     (any slice) raises SingularMatrix instead of amplifying noise to infinity.
-    A call whose J is byte-identical to the last call's, with the same shape
-    and damping, returns a copy of the last result.
     """
-    global _last_pinv
     J = np.asarray(J, dtype=float)
     if J.ndim < 2 or not np.isfinite(J).all():
         raise InvalidInput("pinv_damped wants a finite 2-D matrix or a stack of them")
     if not (damping >= 0.0 and math.isfinite(damping)):
         raise InvalidInput("damping must be finite and >= 0")
-    key = (J.shape, damping, J.tobytes())
-    last_key, last = _last_pinv
-    if last_key == key:
-        return last.copy()
     u, s, vt = np.linalg.svd(J, full_matrices=False)
     if damping == 0.0:
         if s.shape[-1] == 0 or not (s[..., 0] > 0.0).all() or (s[..., -1] / s[..., 0] < 1e-12).any():
@@ -149,9 +140,7 @@ def pinv_damped(J, damping: float) -> np.ndarray:
         gains = 1.0 / s
     else:
         gains = s / (s * s + damping * damping)
-    result = (vt.swapaxes(-1, -2) * gains[..., None, :]) @ u.swapaxes(-1, -2)
-    _last_pinv = (key, result)
-    return result.copy()
+    return (vt.swapaxes(-1, -2) * gains[..., None, :]) @ u.swapaxes(-1, -2)
 
 
 # ------------------------------------------------------------- estimators

@@ -28,15 +28,17 @@ tilt and pan per eye, left first.  Its joints sit at fixed indices (one
 HeadLayout), and a head pass rejects a chain of any other shape.
 
 camera_frames and fixation_full_jacobian read one record per head state, a
-_HeadPass: the mechanical q, the link-frame stack, the camera frames, the
-fixation point (None when the optical axes are parallel) and the fixation
-Jacobian, filled on first request and handed out as a copy.  The last record
-is kept: a repeat call on the same chain object and checked 9-DoF q reuses
-it (q is still validated), so a state costs one walk and one J; its arrays
-are read-only.  The simulation loop and synth_gyro read records directly.
-A J reads the record's link-frame stack: one cross for the camera origins'
-eye partials, one geometric_jacobian for the trunk columns and two
-analytic_axis_jacobian calls for the optical-axis partials.
+_HeadPass: the mechanical q, the link-frame stack, the camera frames and the
+fixation point (None when the optical axes are parallel), complete and
+read-only once built.  The last record is kept: a repeat call on the same
+chain object and checked 9-DoF q reuses it (q is still validated), so a
+state costs one walk.  The simulation loop and synth_gyro read records
+directly.  Each fixation_full_jacobian call computes its J afresh from the
+record's link-frame stack: one cross for the camera origins' eye partials,
+one geometric_jacobian for the trunk columns and two analytic_axis_jacobian
+calls for the optical-axis partials.  Whether a J can be reused is the
+caller's knowledge: the simulation loop keeps its J while the head holds
+still.
 
 Checks sit at the public edge: each public function and constructor checks
 what its caller passes.  The camera frames of a pass are products of DH
@@ -192,11 +194,11 @@ class CameraFrames:
 
 class _HeadPass:
     """A head state's geometry: q_mech, its link_frames stack, the
-    CameraFrames cams, the FixationResult fx (None for parallel axes) and
-    the read-only 6x9 jacobian (None until first asked for).  It has no
-    __init__, so building one costs no Python call."""
+    CameraFrames cams and the FixationResult fx (None for parallel axes),
+    all read-only.  It has no __init__, so building one costs no Python
+    call."""
 
-    __slots__ = ("q_mech", "link_frames", "cams", "fx", "jacobian")
+    __slots__ = ("q_mech", "link_frames", "cams", "fx")
 
 
 # (chain, 9-DoF q bytes, record) of the latest _head_pass, swapped as one
@@ -237,7 +239,7 @@ def _head_pass(chain: KinematicChain, q) -> _HeadPass:
     for a in kept:
         a.setflags(write=False)
     head = _HeadPass()
-    head.q_mech, head.link_frames, head.cams, head.fx, head.jacobian = qm, frames, cams, fx, None
+    head.q_mech, head.link_frames, head.cams, head.fx = qm, frames, cams, fx
     _last_head_pass = (chain, key, head)
     return head
 
@@ -322,15 +324,13 @@ def fixation_full_jacobian(chain: KinematicChain, q) -> np.ndarray:
         d x/d version  = (dPl_l + dPl_r + dPr_l + dPr_r) / 2
         d x/d vergence = (dPl_l - dPl_r + dPr_l - dPr_r) / 4
 
-    A state's J is computed once, kept in its _HeadPass and handed out as a
-    writable copy.  Raises SingularConfiguration for parallel optical axes.
+    Each call returns a freshly computed, writable J.  Raises
+    SingularConfiguration for parallel optical axes.
     """
     head = _head_pass(chain, q)
     qm, frames, fr, fx = head.q_mech, head.link_frames, head.cams, head.fx
     if fx is None:
         fixation_point(fr)  # raises the pass's SingularConfiguration
-    if head.jacobian is not None:
-        return head.jacobian.copy()
     ol, zl, orr, zr = fr.o_left, fr.z_left, fr.o_right, fr.z_right
 
     # Each camera's origin and axis partials against (tilt, left pan, right
@@ -376,6 +376,4 @@ def fixation_full_jacobian(chain: KinematicChain, q) -> np.ndarray:
     J[:3, 6] = 0.5 * (dPl[:, 0] + dPr[:, 0])
     J[:3, 7] = 0.5 * (dPl[:, 1] + dPl[:, 2] + dPr[:, 1] + dPr[:, 2])
     J[:3, 8] = 0.25 * (dPl[:, 1] - dPl[:, 2] + dPr[:, 1] - dPr[:, 2])
-    J.setflags(write=False)
-    head.jacobian = J
-    return J.copy()
+    return J

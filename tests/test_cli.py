@@ -1099,13 +1099,19 @@ def test_joint_limit_summary_folds_warnings_as_they_arrive(capsys):
 
 
 @pytest.mark.parametrize(
-    "dt,fragment",
-    [("1e-300", "over the cap of 200000"), ("1", "duration shorter than one tick")],
+    "duration,lines,line,fragment",
+    [
+        pytest.param(0.3, {"dt": "1e-300"}, 8, "over the cap of 200000", id="1e-300-over the cap of 200000"),
+        pytest.param(0.3, {"dt": "1"}, 8, "duration shorter than one tick", id="1-duration shorter than one tick"),
+        pytest.param(1e9, {}, 5, "1e+11 ticks, over the cap of 200000", id="duration-over the cap"),
+        pytest.param(0.001, {}, 5, "duration shorter than one tick", id="duration-shorter than one tick"),
+    ],
 )
-def test_cli_tick_count_out_of_range_exits_2(tmp_path, capsys, dt, fragment):
-    cfg = write_quick_config(tmp_path, "off", 0.3, dt=dt)
+def test_cli_tick_count_out_of_range_exits_2(tmp_path, capsys, duration, lines, line, fragment):
+    # the later of the duration line (5) and the dt line (8) is cited
+    cfg = write_quick_config(tmp_path, "off", duration, **lines)
     assert main(["run", "--config", cfg]) == 2
-    assert_clean_error(capsys, f"{cfg}: ", fragment)
+    assert_clean_error(capsys, f"{cfg}:{line}: ", fragment)
 
 
 def test_cli_coverage_loss_writes_partial_log(tmp_path, capsys):

@@ -13,7 +13,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import gazestab.stabilizer as stabilizer
 from gazestab import InvalidInput, SingularMatrix
 from gazestab.models import default_head_model
 from gazestab.stabilizer import (
@@ -115,35 +114,29 @@ def test_pinv_damped_stack_raises_if_any_slice_is_singular():
 
 @pytest.fixture
 def svd_calls(monkeypatch):
-    """A list that grows by one per np.linalg.svd call, with pinv_damped's
-    memo emptied."""
+    """A list that grows by one per np.linalg.svd call."""
     calls, real = [], np.linalg.svd
     monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: calls.append(1) or real(*a, **kw))
-    monkeypatch.setattr(stabilizer, "_last_pinv", (None, None))
     return calls
 
 
-def test_pinv_damped_repeat_is_a_writable_copy_of_one_svd(svd_calls):
+def test_pinv_damped_repeat_is_a_fresh_writable_array(svd_calls):
+    # pinv_damped keeps nothing: each call runs its own SVD and returns its
+    # own array, so writing into one result reaches no other.
     J = np.random.default_rng(13).uniform(-2.0, 2.0, (2, 3, 3))
     fresh = pinv_damped(J, 1e-3)
-    fresh[...] = 0.0  # the caller's copy: the kept result is untouched
-    hit = pinv_damped(J.copy(), 1e-3)
-    assert len(svd_calls) == 1
-    hit[...] = 1.0
-    again = pinv_damped(J, 1e-3)
-    assert len(svd_calls) == 1 and again is not hit
-    stabilizer._last_pinv = (None, None)
-    assert again.tobytes() == pinv_damped(J, 1e-3).tobytes() and len(svd_calls) == 2
-
-
-def test_pinv_damped_memo_keys_on_damping_and_shape(svd_calls):
-    J = np.random.default_rng(14).uniform(-2.0, 2.0, (2, 3, 3))
-    pinv_damped(J, 1e-3)
-    pinv_damped(J, 2e-3)
+    kept = fresh.tobytes()
+    fresh[...] = 0.0
+    again = pinv_damped(J.copy(), 1e-3)
+    assert again is not fresh and again.flags.writeable and again.tobytes() == kept
     assert len(svd_calls) == 2
+
+
+def test_pinv_damped_follows_damping_and_shape(svd_calls):
+    J = np.random.default_rng(14).uniform(-2.0, 2.0, (2, 3, 3))
+    assert pinv_damped(J, 1e-3).tobytes() != pinv_damped(J, 2e-3).tobytes()
     flat = J.reshape(3, 6)  # the same bytes in another shape
-    assert pinv_damped(flat, 2e-3).shape == (6, 3) and len(svd_calls) == 3
-    pinv_damped(flat, 2e-3)
+    assert pinv_damped(flat, 2e-3).shape == (6, 3)
     assert len(svd_calls) == 3
 
 
