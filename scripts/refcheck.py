@@ -29,6 +29,14 @@ configs are used.  The check
   default `neck-eyes` joint set and under `eyes`, and `estimate_ifb` reads
   the noisy gyro sample against a seeded fixation point (the loop computes
   both estimates through the same private kernels);
+* compares SHA-256 digests of the plant `step` (the new state's bytes, `t`
+  with its dtype, or the exception, and each warning's text) over 2,000
+  seeded cases -- signed zeros, values tied with a joint limit, clamped and
+  unlimited joints, overflow, `None` as command, `active` and `base_vel`,
+  and numpy float32 `dt` and `tau` -- and of `expand_head_q` and
+  `collapse_head_q` on seeded vectors, tilts equal, apart by a signed zero
+  or an ulp, or apart (the error text); no shipped log clamps a joint or
+  diverges;
 * compares a SHA-256 digest of `DisturbanceScript.realize` (the dtype, shape
   and bytes of each of the track's five arrays) on the three shipped scripts
   and on a synthetic script of commanded and external moves and noise on
@@ -68,7 +76,8 @@ CONFIGURATIONS = 2000
 GYRO_DELAY = 3
 DIGESTS = (
     "fixation_full_jacobian", "fixation_full_jacobian (repeat)", "camera_frames", "imu_pose", "synth_gyro",
-    "synth_gyro (noise)", "compensate", "estimate_kff", "estimate_ifb", "realize", "serialize",
+    "synth_gyro (noise)", "compensate", "estimate_kff", "estimate_ifb", "realize", "serialize", "step",
+    "expand_head_q", "collapse_head_q",
 )
 # A script that fails every mode part-way, and the modes it runs in.
 LIFT_SCRIPT = "script lift\nunits degrees\nmove channel=base-z t=0.2,3 rate=10\n"
@@ -200,6 +209,75 @@ for units in ("degrees", "radians"):
     for script in scripts + [synthetic]:
         h_text.update(serialize_script(script, units).encode())
 print(h_text.hexdigest())
+
+import warnings
+from gazestab.errors import InvalidInput, SimulationDiverged
+from gazestab.simulator import PlantParams, step
+from gazestab.stabilizer import StabilizerCommand
+from gazestab.stereo import collapse_head_q
+
+# the shipped head, the head with every joint unlimited, and one whose odd
+# links are unlimited and whose even links stop at a signed zero
+unlimited = tuple(replace(k, q_min=-np.inf, q_max=np.inf, v_max=np.inf) for k in shipped_model.chain.links)
+stops = {{0: dict(q_min=-0.0), 2: dict(q_max=0.0), 4: dict(q_min=0.0), 6: dict(q_max=-0.0), 8: dict(q_max=-0.0)}}
+zero_stops = tuple(replace(k, **stops[i]) if i in stops else unlimited[i] for i, k in enumerate(shipped_model.chain.links))
+heads = [shipped_model] + [
+    replace(shipped_model, chain=replace(shipped_model.chain, links=ls)) for ls in (unlimited, zero_stops)
+]
+rng = np.random.default_rng(20251)
+
+
+def values(size, scale, limits=()):
+    # seeded values, 30% of them signed zeros, huge values or the given limits
+    x = rng.normal(0.0, scale, size)
+    special = [0.0, -0.0, 1e300, -1e300, 1.7e308, -1.7e308, *limits]
+    for i in np.flatnonzero(rng.random(size) < 0.3):
+        x[i] = special[rng.integers(len(special))]
+    return x
+
+
+h_step = hashlib.sha256()
+for k in range({CONFIGURATIONS}):
+    head = heads[rng.integers(3)]
+    lims = [v for v in head.chain.q_min.tolist()[:6] + head.chain.q_max.tolist()[:6] if np.isfinite(v)]
+    rates = [s * v for v in head.chain.v_max.tolist()[:6] if np.isfinite(v) for s in (1.0, -1.0)]
+    q = np.where(rng.random(9) < 0.5, rng.uniform(-1.0, 1.0, 9), values(9, 0.3, lims))
+    q = np.clip(q, -1e3, 1e3) if head is shipped_model else q
+    qdot, neck, eye = values(9, 2.0, rates), values(3, 1.0, rates), values(3, 3.0, rates)
+    state = PlantState(t=0.01 * k, q=q, qdot=qdot, base_offset=values(3, 1.0))
+    command = None if rng.random() < 0.2 else StabilizerCommand(neck, eye)
+    dt = [0.01, np.float32(0.01), float(rng.uniform(1e-4, 0.2)), 1e10, 1e-300][rng.choice(5, p=[0.4, 0.2, 0.3, 0.05, 0.05])]
+    taus = [0.0, 0.08, 0.02, np.float32(0.08), float(rng.uniform(0.0, 0.5))]
+    params = PlantParams(taus[rng.integers(5)], taus[rng.integers(5)])
+    active = None if rng.random() < 0.3 else rng.random(9) < 0.4
+    base_vel = None if rng.random() < 0.3 else values(3, 0.5)
+    with warnings.catch_warnings(record=True) as caught, np.errstate(all="ignore"):
+        warnings.simplefilter("always")
+        try:
+            new = step(head, state, values(9, 1.0, rates), command, dt, params, active=active, base_vel=base_vel)
+        except (SimulationDiverged, InvalidInput) as err:
+            h_step.update(f"{{type(err).__name__}} {{err}} {{getattr(err, 't', None)!r}}".encode())
+        else:
+            t = np.asarray(new.t)
+            h_step.update(t.dtype.str.encode() + t.tobytes() + new.q.tobytes() + new.qdot.tobytes())
+            h_step.update(new.base_offset.tobytes())
+    for w in caught:
+        h_step.update(f"{{w.category.__name__}} {{w.message}}".encode())
+print(h_step.hexdigest())
+
+h_expand, h_collapse = hashlib.sha256(), hashlib.sha256()
+with np.errstate(all="ignore"):
+    for k in range({CONFIGURATIONS}):
+        h_expand.update(expand_head_q(values(9, 0.5)).tobytes())
+        qm = values(10, 0.5)
+        if rng.random() < 0.8:  # tilts equal, or apart by a signed zero or one ulp
+            qm[8] = [qm[6], -qm[6], np.nextafter(qm[6], 0.0)][rng.integers(3)]
+        try:
+            h_collapse.update(collapse_head_q(qm).tobytes())
+        except InvalidInput as err:  # tilts apart
+            h_collapse.update(str(err).encode())
+print(h_expand.hexdigest())
+print(h_collapse.hexdigest())
 """
 
 

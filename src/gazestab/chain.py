@@ -26,6 +26,13 @@ import numpy as np
 
 from .errors import InvalidInput, OracleFailure
 
+# Cap on the scales the loop multiplies into its floats: link a and d, base
+# and IMU offsets, cloud radius (m), focal length (px), gyro noise (rad/s).
+# _project's f * x / z (depth z > 1e-9 m, |x| under twice the point's
+# distance) and iFB's gyro sample (a few sigma) times its lever arm stay near
+# 1e210 at this cap, far from the float limit 1.8e308.
+MAX_SCALE = 1e100
+
 # Segment tags understood by the branch logic.
 TRUNK_TAGS = ("link", "torso", "neck")
 EYE_TAGS = ("left-eye", "right-eye")
@@ -96,9 +103,9 @@ class Pose:
 
 
 def _is_rigid(pose: Pose) -> bool:
-    """A finite translation and a finite orthonormal rotation."""
+    """A translation within MAX_SCALE and a finite orthonormal rotation."""
     rot = pose.rot
-    finite = np.isfinite(rot).all() and np.isfinite(pose.pos).all()
+    finite = np.isfinite(rot).all() and np.abs(pose.pos).max() <= MAX_SCALE
     return bool(finite and np.abs(rot.T @ rot - np.eye(3)).max() <= 1e-9)
 
 
@@ -125,6 +132,8 @@ class DHLink:
         for name in ("a", "d", "alpha", "theta_offset"):
             if not math.isfinite(getattr(self, name)):
                 raise InvalidInput(f"DHLink.{name} must be finite")
+        if not max(abs(self.a), abs(self.d)) <= MAX_SCALE:
+            raise InvalidInput(f"DHLink lengths a and d must lie within +-{MAX_SCALE:g} m")
         if not self.q_min <= self.q_max:  # also rejects a NaN limit; +-inf means unlimited
             raise InvalidInput("DHLink limits must be numbers with q_min <= q_max")
         if not self.v_max > 0.0:
@@ -181,7 +190,7 @@ class KinematicChain:
                 raise InvalidInput(f"{tag} links must be contiguous")
         object.__setattr__(self, "segments", segs)
         if not _is_rigid(self.base_pose):
-            raise InvalidInput("base_pose must be a finite rigid transform (orthonormal rotation)")
+            raise InvalidInput(f"base_pose must be a rigid transform (orthonormal rotation) within {MAX_SCALE:g} m")
 
     @cached_property
     def n_joints(self) -> int:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 
-from .chain import DHLink, KinematicChain, Pose, _is_rigid, as_joint_array, link_frames
+from .chain import MAX_SCALE, DHLink, KinematicChain, Pose, _is_rigid, as_joint_array, link_frames
 from .errors import InvalidInput
 from .stereo import head_layout
 
@@ -30,11 +30,11 @@ class HeadModel:
     """A torso-neck-eyes chain bundled with its IMU attachment.
 
     imu_link must be a neck link (the sensor rides on the head, upstream of
-    both eye branches); imu_offset is a finite rigid transform (orthonormal
-    rotation) expressed in that link's frame.  The two eye-tilt links are one
-    physical axis, so they must share their limits (q_min, q_max, v_max);
-    the pan limits may differ.  Both rules name their links in the error's
-    `links`.
+    both eye branches); imu_offset is a rigid transform (orthonormal
+    rotation, translation within MAX_SCALE) in that link's frame.  The two
+    eye-tilt links are one physical axis, so they must share their limits
+    (q_min, q_max, v_max); the pan limits may differ.  Both rules name their
+    links in the error's `links`.
     """
 
     chain: KinematicChain
@@ -51,7 +51,7 @@ class HeadModel:
         if mismatch := _tilt_mismatch(*(self.chain.links[i] for i in tilts)):
             raise InvalidInput(mismatch, links=tilts)
         if not _is_rigid(self.imu_offset):
-            raise InvalidInput("imu_offset must be finite, with an orthonormal rotation")
+            raise InvalidInput(f"imu_offset must be finite, within {MAX_SCALE:g} m, with an orthonormal rotation")
         names = tuple(self.trunk_names) or tuple(f"joint-{i}" for i in range(6))
         if len(names) != 6 or len(set(names)) != 6:
             raise InvalidInput("trunk_names must be six distinct joint names")

@@ -1,12 +1,14 @@
 """Closed-loop simulation: plant, synthetic gyro, synthetic optical flow.
 
-The plant integrates the 9 head DoF with explicit Euler at a fixed tick.
-Disturbance channels (scripted joints and the prismatic base stage) follow
-their script exactly; stabilizer channels track their setpoints through a
-first-order velocity lag (tau = 0 gives the ideal plant).  Joint limits are
-enforced in mechanical joint space -- the eye coupling means a pan limit
-constrains version +- vergence/2 -- by clamping position and zeroing the
-violating velocity (a warning, not an error).
+The plant integrates the 9 head DoF with explicit Euler at a fixed tick, on
+Python floats: they round as numpy's elementwise ufuncs do and cost less on
+nine joints (the loop's BLAS products stay in numpy).  Disturbance channels
+(scripted joints and the prismatic base stage) follow their script exactly;
+stabilizer channels track their setpoints through a first-order velocity lag
+(tau = 0 gives the ideal plant).  Joint limits are enforced in mechanical
+joint space -- the eye coupling means a pan limit constrains version +-
+vergence/2 -- by clamping position and zeroing the violating velocity (a
+warning, not an error).
 
 The prismatic base stage moves the whole head rigidly, so the loop reads the
 run's one head model and adds a state's base offset only to the world points
@@ -55,7 +57,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .chain import _finite3, _unchecked, as_joint_array
+from .chain import MAX_SCALE, _finite3, _unchecked, as_joint_array
 from .errors import (
     InsufficientCoverage,
     InvalidComparison,
@@ -80,13 +82,6 @@ DEFAULT_GYRO_SIGMA = 0.005  # rad/s, per axis
 MIN_FLOW_POINTS = 10  # fewer valid cloud points make the flow average meaningless
 MAX_TICKS = 200_000  # 2,000 s at the default tick; caps the (n, 9) log and track arrays
 MAX_CLOUD_POINTS = 100_000  # caps the (n, 3) cloud and its per-tick projections
-# Cap on the settings the loop multiplies into its floats: focal length
-# (px), cloud radius (m) and gyro noise (rad/s).  _project forms f * x / z
-# with depth z > 1e-9 m and |x| under twice the point's distance from the
-# camera, and iFB multiplies a gyro sample (a few sigma) by the lever arm to
-# the fixation point; at 1e100 these stay near 1e210 for distances and lever
-# arms up to 1e100 m, far from the float limit 1.8e308.
-MAX_SCALE = 1e100
 
 
 def _is_int(x) -> bool:
@@ -162,45 +157,53 @@ def step(
     """
     if not (dt > 0.0 and math.isfinite(dt)):
         raise InvalidInput("dt must be positive and finite")
-    dist = as_joint_array(disturbance_qdot, 9, name="disturbance_qdot")
+    dist = as_joint_array(disturbance_qdot, 9, name="disturbance_qdot").tolist()
     act = np.zeros(9, dtype=bool) if active is None else np.asarray(active, dtype=bool)
     if act.shape != (9,):
         raise InvalidInput("active mask must have 9 entries")
-    vel = np.zeros(3) if base_vel is None else _finite3(base_vel, "base_vel")
+    vel = [0.0] * 3 if base_vel is None else _finite3(base_vel, "base_vel").tolist()
+    setpoint = [0.0] * 9 if command is None else [0.0] * 3 + command.qdot_neck.tolist() + command.qdot_eye.tolist()
 
-    setpoint = np.zeros(9)
-    if command is not None:
-        setpoint[3:6] = command.qdot_neck
-        setpoint[6:9] = command.qdot_eye
-
-    g_neck = _tracking_gain(dt, params.tau_neck)
-    g_eye = _tracking_gain(dt, params.tau_eye)
-    gain = np.array([0.0, 0.0, 0.0, g_neck, g_neck, g_neck, g_eye, g_eye, g_eye])
-    tracked = state.qdot + gain * (setpoint - state.qdot)
-    tracked[:3] = 0.0  # torso DoF the script does not own rest
-    qdot = np.where(act, dist, tracked)
+    # float() gives a numpy scalar dt or gain the float64 that arrays made of it
+    t = state.t + dt
+    g_neck, g_eye = float(_tracking_gain(dt, params.tau_neck)), float(_tracking_gain(dt, params.tau_eye))
+    dt = float(dt)
+    qdot = state.qdot.tolist()
+    for i, scripted in enumerate(act.tolist()):  # scripted DoF follow the script; other torso DoF rest
+        if scripted:
+            qdot[i] = dist[i]
+        elif i < 3:
+            qdot[i] = 0.0
+        else:
+            qdot[i] += (g_neck if i < 6 else g_eye) * (setpoint[i] - qdot[i])
 
     # Velocity and position limits live on the mechanical joints (the eye
-    # coupling is linear, so velocities expand the same way positions do).
+    # coupling is linear, so velocities expand the same way positions do).  A
+    # clip is np.minimum(np.maximum(x, lo), hi): a tie gives the limit, NaN passes.
     chain = model.chain
-    qdot_mech = np.minimum(np.maximum(_expand(qdot), -chain.v_max), chain.v_max)
+    v_max, lo, hi = chain.v_max.tolist(), chain.q_min.tolist(), chain.q_max.tolist()
+    qdot_mech, q_mech, clamped = _expand(qdot), _expand(state.q.tolist()), []
+    for i in range(10):
+        v = qdot_mech[i]
+        v = -v_max[i] if v <= -v_max[i] else v
+        qdot_mech[i] = v = v_max[i] if v >= v_max[i] else v
+        q_mech[i] += dt * v
+        if q_mech[i] < lo[i] or q_mech[i] > hi[i]:
+            clamped.append(i)
+    if clamped:
+        warnings.warn(JointLimitWarning(t, clamped), stacklevel=2)
+        for i in range(10):
+            x = lo[i] if q_mech[i] <= lo[i] else q_mech[i]
+            q_mech[i] = hi[i] if x >= hi[i] else x
+        for i in clamped:
+            qdot_mech[i] = 0.0
 
-    t = state.t + dt
-    q_mech = _expand(state.q) + dt * qdot_mech
-    lo, hi = chain.q_min, chain.q_max
-    clamped = (q_mech < lo) | (q_mech > hi)
-    if clamped.any():
-        warnings.warn(JointLimitWarning(t, np.nonzero(clamped)[0].tolist()), stacklevel=2)
-        q_mech = np.minimum(np.maximum(q_mech, lo), hi)
-        qdot_mech = np.where(clamped, 0.0, qdot_mech)
-
-    q_new = _collapse(q_mech)
-    qdot_new = _collapse(qdot_mech)
-    base_offset = state.base_offset + dt * vel
-    finite = np.isfinite(q_new).all() and np.isfinite(qdot_new).all() and np.isfinite(base_offset).all()
-    if not (finite and math.isfinite(t)):
+    q_new, qdot_new = _collapse(q_mech), _collapse(qdot_mech)
+    b = state.base_offset.tolist()
+    base_offset = [b[0] + dt * vel[0], b[1] + dt * vel[1], b[2] + dt * vel[2]]
+    if not all(map(math.isfinite, [t] + q_new + qdot_new + base_offset)):
         raise SimulationDiverged("plant state became non-finite", t=t)
-    return _unchecked(PlantState, t=t, q=q_new, qdot=qdot_new, base_offset=base_offset)
+    return _unchecked(PlantState, t=t, q=np.array(q_new), qdot=np.array(qdot_new), base_offset=np.array(base_offset))
 
 
 # ------------------------------------------------------------ synthetic gyro
@@ -346,6 +349,8 @@ def flow_metric(cam: CameraModel, frames_prev, frames_next, cloud) -> float:
     cloud = np.asarray(cloud, dtype=float)
     if cloud.ndim != 2 or cloud.shape[1] != 3:
         raise InvalidInput("cloud must be an (n, 3) array")
+    if not np.isfinite(cloud).all():
+        raise InvalidInput("cloud must be finite")
     cloud_t = np.ascontiguousarray(cloud.T)
     mean, n = _flow(
         _project(cam, frames_prev.rot_left, frames_prev.o_left, cloud_t),
@@ -385,12 +390,13 @@ class CloudSpec:
 
 def make_cloud(spec: CloudSpec, center) -> np.ndarray:
     """Sample the shell around `center`, forward (+x) biased, deterministic."""
+    center = _finite3(center, "center")
     rng = np.random.default_rng(spec.seed)
     az = rng.uniform(-spec.azimuth, spec.azimuth, spec.n)
     el = rng.uniform(-spec.elevation, spec.elevation, spec.n)
     r = rng.uniform(spec.r_min, spec.r_max, spec.n)
     dirs = np.column_stack([np.cos(el) * np.cos(az), np.cos(el) * np.sin(az), np.sin(el)])
-    return np.asarray(center, dtype=float) + r[:, None] * dirs
+    return center + r[:, None] * dirs
 
 
 # -------------------------------------------------------- disturbance script

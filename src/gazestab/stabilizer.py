@@ -7,8 +7,8 @@ Two interchangeable disturbance estimators produce a fixation-point twist:
   rates only (stabilizer outputs excluded), so the loop never chases its own
   compensation.
 * inertial feedback (iFB): reconstruct the twist from a head-mounted gyro by
-  the lever-arm rule v = omega x (x_fp - x_imu), omega unchanged.  A pure
-  head translation is invisible to this path on purpose.
+  the lever-arm rule v = omega x (x_fp - x_imu) on floats, omega unchanged.
+  A pure head translation is invisible to this path on purpose.
 
 Compensation is decoupled: the neck's three joints cancel the rotational
 component through a damped pseudo-inverse of the neck rotation block, the
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import _cross_rows, _finite3, as_joint_array
+from .chain import _finite3, as_joint_array
 from .errors import InvalidInput, SingularMatrix
 
 DEFAULT_DAMPING = 1e-3
@@ -182,9 +182,12 @@ def estimate_ifb(imu: ImuSample, x_fp) -> Twist:
     return Twist(xi[:3], xi[3:])
 
 
-def _estimate_ifb(omega, position, x_fp) -> np.ndarray:
-    """estimate_ifb's twist as one (v, omega) 6-vector, arguments unchecked."""
-    return np.concatenate((_cross_rows(omega, x_fp - position), omega))
+def _estimate_ifb(omega, position, x_fp) -> list:
+    """estimate_ifb's twist as six floats (v, omega), arguments unchecked:
+    the lever-arm cross on floats, in np.cross's operand order."""
+    (w0, w1, w2), (x0, x1, x2), (p0, p1, p2) = omega.tolist(), x_fp.tolist(), position.tolist()
+    r0, r1, r2 = x0 - p0, x1 - p1, x2 - p2
+    return [w1 * r2 - w2 * r1, w2 * r0 - w0 * r2, w0 * r1 - w1 * r0, w0, w1, w2]
 
 
 # ------------------------------------------------------------- compensation

@@ -21,7 +21,8 @@ p_left = v + g/2, p_right = v - g/2.  Differentiation for the analytic
 fixation Jacobian is done with respect to the *mechanical* variables
 (t, p_left, p_right) -- the common tilt moves both camera chains, and each
 pan reaches the other camera's ray parameter through the shared terms above
--- then folded onto (tilt, version, vergence) by the chain rule.
+-- then folded onto (tilt, version, vergence) by the chain rule.  _expand
+and _collapse map the coupling on lists of floats, for the plant step.
 
 The head has one shape, HEAD_SEGMENTS: 3 torso links, 3 neck links, then
 tilt and pan per eye, left first.  Its joints sit at fixed indices (one
@@ -104,21 +105,21 @@ def head_layout(chain: KinematicChain) -> HeadLayout:
     return _LAYOUT
 
 
-def _expand(arr: np.ndarray) -> np.ndarray:
-    tilt, version, vergence = arr[6], arr[7], arr[8]
-    return np.concatenate([arr[:6], [tilt, version + 0.5 * vergence, tilt, version - 0.5 * vergence]])
+def _expand(arr: list) -> list:
+    tilt, version, vergence = arr[6:]
+    return arr[:6] + [tilt, version + 0.5 * vergence, tilt, version - 0.5 * vergence]
 
 
 def expand_head_q(q) -> np.ndarray:
     """9 control DoF -> 10 mechanical joint values (chain order)."""
-    return _expand(as_joint_array(q, HEAD_DOF, name="q (head-dof)"))
+    return np.array(_expand(as_joint_array(q, HEAD_DOF, name="q (head-dof)").tolist()))
 
 
-def _collapse(arr: np.ndarray) -> np.ndarray:
+def _collapse(arr: list) -> list:
     tilt_left, pan_left, tilt_right, pan_right = arr[6:]
     if abs(tilt_left - tilt_right) > TILT_TOL:
         raise InvalidInput(f"tilt coupling violated: left {tilt_left} vs right {tilt_right}")
-    return np.concatenate([arr[:6], [tilt_left, 0.5 * (pan_left + pan_right), pan_left - pan_right]])
+    return arr[:6] + [tilt_left, 0.5 * (pan_left + pan_right), pan_left - pan_right]
 
 
 def collapse_head_q(q_mech) -> np.ndarray:
@@ -127,7 +128,7 @@ def collapse_head_q(q_mech) -> np.ndarray:
     The tilt motors are one physical axis; a mismatch larger than TILT_TOL
     means the caller broke the coupling invariant.
     """
-    return _collapse(as_joint_array(q_mech, HEAD_MECH, name="q (head-mech)"))
+    return np.array(_collapse(as_joint_array(q_mech, HEAD_MECH, name="q (head-mech)").tolist()))
 
 
 # ---------------------------------------------------------------- camera rays
@@ -218,7 +219,7 @@ def _head_pass(chain: KinematicChain, q) -> _HeadPass:
         return last
     if chain.segments != HEAD_SEGMENTS:
         head_layout(chain)  # raises the shape's InvalidInput
-    qm = _expand(arr)
+    qm = np.array(_expand(arr.tolist()))
     frames = link_frames(chain, qm)
     pose_l = forward_kinematics(chain, qm, _LAYOUT.cam_left, frames=frames)
     pose_r = forward_kinematics(chain, qm, _LAYOUT.cam_right, frames=frames)

@@ -1173,21 +1173,44 @@ def test_cli_scale_past_its_cap_exits_2_at_its_line(tmp_path, capsys, key, value
 
 # Hostile values for the settings keys of a run config.
 HOSTILE_VALUES = ["nan", "inf", "-inf", "-0", "-1", "0", "1e-300", "4.9e-324", "1e300", "1e308"]
+# Hostile magnitudes for script rates and amplitudes, link lengths and the IMU offset.
+HOSTILE_MAGNITUDES = ["0", "-0", "1e-300", "1e10", "-1e10", "1e100", "1e300", "-1e300"]
 
 
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_cli_run_fuzz_fails_cleanly_on_hostile_values(tmp_path_factory, data):
-    # A shipped config cut to 0.3 s, with 1-3 settings keys set to hostile
-    # values: the run ends in exit 0, 1 or 2, a failure in exactly one
-    # `gazestab: error:` line, with no traceback and no numpy warning.
-    keys = data.draw(st.lists(st.sampled_from(sorted(_SETTING_KEYS) + ["cloud-radius"]), min_size=1, max_size=3, unique=True))
-    values = st.sampled_from(HOSTILE_VALUES)
+    # A shipped config cut to 0.3 s, with up to 3 settings keys set to
+    # hostile values and, on its own copies of the model and script, any of:
+    # script rates and noise amplitudes, one link's a or d and the IMU offset
+    # up to 1e300, and every joint unlimited.  The run ends in exit 0, 1 or
+    # 2, a failure in exactly one `gazestab: error:` line, with no traceback
+    # and no numpy warning.
+    edits = data.draw(st.sets(st.sampled_from(["rates", "link", "imu", "unlimited"])))
+    settable = sorted(_SETTING_KEYS) + ["cloud-radius"]
+    keys = data.draw(st.lists(st.sampled_from(settable), min_size=0 if edits else 1, max_size=3, unique=True))
+    values, magnitudes = st.sampled_from(HOSTILE_VALUES), st.sampled_from(HOSTILE_MAGNITUDES)
     given_lines = [f"{k} {data.draw(values)}" + (f" {data.draw(values)}" if k == "cloud-radius" else "") for k in keys]
+    config = data.draw(st.sampled_from(CONFIG_TEXTS))
+    script = Path(DATA, re.search(r"^script (\S+)", config, re.M).group(1)).read_text()
+    model = "".join(MODEL_LINES)
+    if "rates" in edits:
+        script = re.sub(r"\b(rate|amplitude)=\S+", lambda m: f"{m.group(1)}={data.draw(magnitudes)}", script)
+    if "link" in edits:
+        link = data.draw(st.sampled_from([line.split()[1] for line in MODEL_LINES if line.startswith("link ")]))
+        key = data.draw(st.sampled_from(["a", "d"]))
+        model = re.sub(rf"^(link {link}\b.*? {key}=)\S+", lambda m: m.group(1) + data.draw(magnitudes), model, flags=re.M)
+    if "imu" in edits:
+        model = re.sub(r"offset=\S+", "offset=" + ",".join(data.draw(magnitudes) for _ in range(3)), model)
+    if "unlimited" in edits:
+        model = re.sub(r" (min|max|vmax)=\S+", "", model)
     tmp = tmp_path_factory.mktemp("fuzz")
-    kept = [line for line in data.draw(st.sampled_from(CONFIG_TEXTS)).splitlines()
-            if line.split()[:1] and line.split()[0] not in {*keys, "duration", "out"}]
-    lines = kept + ([] if "duration" in keys else ["duration 0.3"]) + [f"out {tmp / 'run.csv'}"] + given_lines
+    (tmp / "m.model").write_text(model)
+    (tmp / "s.script").write_text(script)
+    kept = [line for line in config.splitlines()
+            if line.split()[:1] and line.split()[0] not in {*keys, "duration", "out", "model", "script"}]
+    lines = kept + ["model m.model", "script s.script", f"out {tmp / 'run.csv'}"] + given_lines
+    lines += [] if "duration" in keys else ["duration 0.3"]
     (tmp / "c.config").write_text("\n".join(lines) + "\n")
     err = io.StringIO()
     with warnings.catch_warnings(), contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):

@@ -14,7 +14,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gazestab.chain import KinematicChain, Pose, analytic_axis_jacobian, forward_kinematics, geometric_jacobian
+from gazestab.chain import (
+    DHLink,
+    KinematicChain,
+    Pose,
+    analytic_axis_jacobian,
+    forward_kinematics,
+    geometric_jacobian,
+)
 from gazestab.errors import InvalidInput
 from gazestab.models import default_head_model
 from gazestab.simulator import (
@@ -24,6 +31,7 @@ from gazestab.simulator import (
     NoiseSegment,
     PlantState,
     SimSettings,
+    flow_metric,
     make_cloud,
     step,
     synth_gyro,
@@ -48,6 +56,7 @@ QM = expand_head_q(Q)
 J = fixation_full_jacobian(CHAIN, Q)
 FRAMES = camera_frames(CHAIN, Q)
 STATE = PlantState(t=0.0, q=Q, qdot=np.zeros(9))
+CLOUD = make_cloud(CloudSpec(), np.zeros(3))
 
 
 def rebuilt(value):
@@ -73,6 +82,8 @@ ENTRY_POINTS = [
     ("Twist", lambda b: Twist(with_bad(np.zeros(3), b), np.zeros(3))),
     ("ImuSample", lambda b: ImuSample(np.zeros(3), with_bad(np.zeros(3), b))),
     ("StabilizerCommand", lambda b: StabilizerCommand(np.zeros(3), with_bad(np.zeros(3), b))),
+    ("flow_metric", lambda b: flow_metric(CameraModel(), FRAMES, FRAMES, with_bad(CLOUD, b))),
+    ("make_cloud", lambda b: make_cloud(CloudSpec(), with_bad(np.zeros(3), b))),
     ("step.dt", lambda b: step(MODEL, STATE, np.zeros(9), None, b)),
     ("step.disturbance_qdot", lambda b: step(MODEL, STATE, with_bad(np.zeros(9), b), None, DT)),
     ("step.base_vel", lambda b: step(MODEL, STATE, np.zeros(9), None, DT, base_vel=with_bad(np.zeros(3), b))),
@@ -96,6 +107,7 @@ ENTRY_POINTS = [
 
 # The message each of these rows must raise: the fault named where it enters.
 MESSAGES = {name: "J must be finite" for name in ("estimate_kff.J", "compensate.J_eye", "compensate.J_neck")}
+MESSAGES["flow_metric"] = "^cloud must be finite$"
 MESSAGES.update(
     (row, f"^{vector} must be a finite 3-vector$")
     for row, vector in (
@@ -105,6 +117,7 @@ MESSAGES.update(
         ("ImuSample", "ImuSample.position"),
         ("StabilizerCommand", "StabilizerCommand.qdot_eye"),
         ("step.base_vel", "base_vel"),
+        ("make_cloud", "center"),
         ("estimate_ifb", "x_fp"),
         ("geometric_jacobian.point", "point"),
     )
@@ -164,8 +177,16 @@ def test_cloud_negative_zero_angle_samples_as_zero(field):
 
 @pytest.mark.parametrize(
     "build",
-    [lambda x: CameraModel(f=x), lambda x: CloudSpec(r_max=x), lambda x: SimSettings(gyro_sigma=x)],
-    ids=["focal-length", "cloud-radius", "gyro-noise"],
+    [
+        lambda x: CameraModel(f=x),
+        lambda x: CloudSpec(r_max=x),
+        lambda x: SimSettings(gyro_sigma=x),
+        lambda x: DHLink(a=-x),
+        lambda x: DHLink(d=x),
+        lambda x: KinematicChain(CHAIN.links, base_pose=Pose(np.eye(3), [0.0, -x, 0.0]), segments=CHAIN.segments),
+        lambda x: replace(MODEL, imu_offset=Pose(np.eye(3), [0.0, 0.0, x])),
+    ],
+    ids=["focal-length", "cloud-radius", "gyro-noise", "link-a", "link-d", "base-position", "imu-offset"],
 )
 def test_scale_settings_capped(build):
     # the loop multiplies these into its floats: past the cap a product could overflow
