@@ -50,7 +50,12 @@ configs are used.  The check
   `kff` and `ifb` mode, and compares each run's exit code, its stderr with
   the output directory's path normalised, and the bytes of the partial log
   it leaves (no shipped config fails, so nothing else checks where a failed
-  run's log is cut).
+  run's log is cut);
+* runs a 2 s spin script (torso yaw and pitch at +-140 deg/s, swinging
+  +-35 degrees) in `off` and `kff` mode at focal lengths 240, 40 and 3 px,
+  and compares the same, plus each run's log and sidecar: the flow's view
+  cone re-centres often on these runs, and at the short focal lengths it
+  holds nearly the whole cloud (no shipped config turns the head this fast).
 
 It prints one line per check and exits 1 on any breach (a byte-identical
 result or a numeric difference within the budget is no breach).
@@ -81,7 +86,26 @@ DIGESTS = (
 )
 # A script that fails every mode part-way, and the modes it runs in.
 LIFT_SCRIPT = "script lift\nunits degrees\nmove channel=base-z t=0.2,3 rate=10\n"
-LIFT_MODES = ("off", "kff", "ifb")
+# Torso yaw and pitch at +-140 deg/s, each swinging +-35 degrees.
+SPIN_SCRIPT = """script spin
+units degrees
+move channel=torso-yaw   t=0,0.25    rate=140
+move channel=torso-yaw   t=0.25,0.75 rate=-140
+move channel=torso-yaw   t=0.75,1.25 rate=140
+move channel=torso-yaw   t=1.25,1.75 rate=-140
+move channel=torso-yaw   t=1.75,2    rate=140
+move channel=torso-pitch t=0.1,0.35  rate=-140
+move channel=torso-pitch t=0.35,0.85 rate=140
+move channel=torso-pitch t=0.85,1.35 rate=-140
+move channel=torso-pitch t=1.35,1.85 rate=140
+move channel=torso-pitch t=1.85,2    rate=-140
+"""
+# (name, script file, config lines) of each run that may fail part-way
+EDGE_RUNS = [(f"lift_{mode}", "lift.script", f"mode {mode}\nduration 3\n") for mode in ("off", "kff", "ifb")] + [
+    (f"spin_{mode}_f{f}", "spin.script", f"mode {mode}\nfocal-length {f}\n")
+    for mode in ("off", "kff")
+    for f in (240, 40, 3)
+]
 
 # Runs inside a tree on log paths: prints a digest of each log as read_log_csv
 # returns it (every array's dtype, shape and bytes, the metadata, the segments).
@@ -419,15 +443,15 @@ def main(argv):
             label = f"{side} tree's {len(logs) // 2} logs"
             print(f"  {label:<38} {'identical' if not differ else 'BREACH: read differently: ' + ', '.join(differ)}")
             breaches += bool(differ)
-        print("partial logs of failing runs:")
+        print("lift runs (they fail part-way) and spin runs:")
         for d in outdirs:
-            with open(os.path.join(d, "lift.script"), "w", encoding="utf-8") as fh:
-                fh.write(LIFT_SCRIPT)
-        for mode in LIFT_MODES:
-            name = f"lift_{mode}"
+            for script_name, text in (("lift.script", LIFT_SCRIPT), ("spin.script", SPIN_SCRIPT)):
+                with open(os.path.join(d, script_name), "w", encoding="utf-8") as fh:
+                    fh.write(text)
+        for name, script_name, lines in EDGE_RUNS:
             for d in outdirs:
                 with open(os.path.join(d, f"{name}.config"), "w", encoding="utf-8") as fh:
-                    fh.write(f"config {name}\nmodel default_head.model\nscript lift.script\nmode {mode}\nduration 3\n")
+                    fh.write(f"config {name}\nmodel default_head.model\nscript {script_name}\n{lines}")
             args = ["-m", "gazestab.cli", "run", "--config", f"{name}.config", "--out", f"{name}.csv"]
             results = both_results(trees, outdirs, lambda tree: args)
             (code_a, _, err_a), (code_b, _, err_b) = results
@@ -438,12 +462,13 @@ def main(argv):
                     print(f"    {side}| exit {code}")
                     print("".join(f"    {side}| {ln}\n" for ln in err.splitlines()), end="")
             breaches += not same
-            old, new = (os.path.join(d, f"{name}.csv") for d in outdirs)
-            if os.path.exists(old) and os.path.exists(new):
-                breaches += report(f"{name}.csv", old, new, csv_difference)
-            elif os.path.exists(old) or os.path.exists(new):
-                print(f"  {name + '.csv':<38} BREACH: written by one tree only")
-                breaches += 1
+            for suffix, compare in ((".csv", csv_difference), (".summary.json", sidecar_difference)):
+                old, new = (os.path.join(d, name + suffix) for d in outdirs)
+                if os.path.exists(old) and os.path.exists(new):
+                    breaches += report(name + suffix, old, new, compare)
+                elif os.path.exists(old) or os.path.exists(new):
+                    print(f"  {name + suffix:<38} BREACH: written by one tree only")
+                    breaches += 1
         print("gazestab compare:")
         for set_name, names in SETS.items():
             args = ["-m", "gazestab.cli", "compare", "--baseline", *(f"{n}.csv" for n in names)]

@@ -25,7 +25,7 @@ through models._imu_world, the loop from the two passes it carries.
 
 run_experiment reads each plant state in one step, the initial state and
 every state a tick produces alike: the step writes the state's log row and
-returns what the next tick reads of it (cloud projection, fixation point,
+returns what the next tick reads of it (left camera pose, fixation point,
 IMU pose).  Estimation and compensation run on ticks that are neither "off"
 nor singular; every other tick keeps the command it holds.  The command
 depends only on the posture's fixation Jacobian and on the estimate, so the
@@ -35,7 +35,14 @@ too: a head that holds still computes both once.
 The stabilization metric projects a static random point cloud through the
 left pinhole camera at consecutive states and averages the pixel
 displacement over points that stay inside the image interior (a fixed
-border is excluded) and in front of the camera in both frames.
+border is excluded) and in front of the camera in both frames.  The loop
+projects only the cloud columns of a view cone about a reference pose (see
+_cone): the interior's half-diagonal angle plus a margin.  While the
+camera's motion since that pose keeps the certificate, no column left out
+can reach the interior, so the mean and count are the whole cloud's, bit
+for bit.  Else the cone re-centres on the new pose with a margin of
+max(0.05 rad, 8 times the certificate's growth over the last tick).
+flow_metric projects the whole cloud.
 
 Checks sit at the public edge: step, synth_gyro and the value types check
 the arguments a caller passes, and run_experiment's inputs are checked when
@@ -86,6 +93,13 @@ MAX_CLOUD_POINTS = 100_000  # caps the (n, 3) cloud and its per-tick projections
 
 def _is_int(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _real(x, what: str) -> float:
+    # a Python or numpy real scalar as a float; bool, Decimal, Fraction, str and complex are not
+    if isinstance(x, bool) or not isinstance(x, (int, float, np.integer, np.floating)):
+        raise InvalidInput(f"{what} must be a real number, got {x!r}")
+    return float(x)
 
 
 def _check_seed(seed, what: str) -> None:
@@ -294,8 +308,9 @@ class CameraModel:
     border: int = 20
 
     def __post_init__(self):
+        object.__setattr__(self, "f", _real(self.f, "focal length"))
         if not 0 < self.f <= MAX_SCALE:
-            raise InvalidInput(f"focal length must be positive and at most {MAX_SCALE:g}")
+            raise InvalidInput(f"focal length must be positive and at most {MAX_SCALE:g}, got {self.f!r}")
         if not all(_is_int(getattr(self, name)) for name in ("width", "height", "border")):
             raise InvalidInput("image width, height and border must be integers")
         if self.border < 0:
@@ -324,6 +339,29 @@ def _project(cam: CameraModel, rot, origin, cloud_t):
     return u, v, ok
 
 
+def _cone(cam: CameraModel, cloud_t, rot, origin, margin: float):
+    """(margin, d_min, columns): the C-ordered columns of a (3, n) cloud
+    within atan(hypot(w/2 - border, h/2 - border) / f) + margin, the image
+    interior's half-diagonal angle plus margin, of a left camera's optical
+    axis, and the distance from its origin to the nearest column.  A camera
+    whose axis turned by a and whose origin moved by s since this pose, with
+    s < d_min and a + asin(s / d_min) + 1e-6 <= margin (the certificate),
+    sees no left-out column inside the image interior.  A cone past 3 rad
+    (near pi its cosine test would lose precision), one holding 3/4 of the
+    columns or more, or a column so far away that its squared distance
+    overflows keeps every column with an infinite margin: for the rest of
+    the run."""
+    limit = math.atan(math.hypot(cam.width / 2 - cam.border, cam.height / 2 - cam.border) / cam.f) + margin
+    if limit < 3.0:
+        d = cloud_t - origin[:, None]
+        r2 = np.einsum("ij,ij->j", d, d)
+        if r2.max() < math.inf:
+            keep = rot[:, 2] @ d >= math.cos(limit) * np.sqrt(r2)
+            if 4 * np.count_nonzero(keep) < 3 * keep.size:  # a smaller cut saves less than re-centring costs
+                return margin, math.sqrt(r2.min()), np.compress(keep, cloud_t, axis=1)
+    return math.inf, math.inf, cloud_t
+
+
 def _flow(proj_prev, proj_next) -> tuple[float, int]:
     """(mean pixel displacement, number of points counted) between two
     _project results of one cloud, squaring only counted points (an off-image
@@ -335,8 +373,9 @@ def _flow(proj_prev, proj_next) -> tuple[float, int]:
         return math.nan, n
     du = (u_b - u_a)[ok]
     dv = (v_b - v_a)[ok]
-    # the sum np.linalg.norm(axis=1) forms over (du, dv) rows, so the bits match
-    return float(np.mean(np.sqrt(du * du + dv * dv))), n
+    # the sum np.linalg.norm(axis=1) forms over (du, dv) rows, so the bits
+    # match; then the sum and divide np.mean does
+    return float(np.add.reduce(np.sqrt(du * du + dv * dv))) / n, n
 
 
 def flow_metric(cam: CameraModel, frames_prev, frames_next, cloud) -> float:
@@ -577,8 +616,9 @@ class SimSettings:
     gyro_delay_ticks: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "dt", _real(self.dt, "dt"))
         if not (self.dt > 0.0 and math.isfinite(self.dt)):
-            raise InvalidInput("dt must be positive")
+            raise InvalidInput(f"dt must be positive and finite, got {self.dt!r}")
         if self.duration is not None:
             if not (self.duration > 0.0 and math.isfinite(self.duration)):
                 raise InvalidInput("duration must be positive and finite")
@@ -662,12 +702,12 @@ def run_experiment(model: HeadModel, script: DisturbanceScript, settings: SimSet
     state's one head pass (see gazestab.stereo), writes the state's row
     (t, q, qdot, base offset, fixation point, singular flag) and returns
     what the next tick reads of it, in the world -- the head moved rigidly
-    by the base offset: the cloud's projection into the left camera, the
-    fixation point (None when the optical axes are parallel) and, in "ifb"
-    mode, the IMU pose.  The next tick's fixation Jacobian reads that pass,
-    and is kept while q holds still (bytes compared, so -0.0 and 0.0 differ);
-    the command is kept while the J is and the estimate's bytes repeat.  The
-    gyro sample is formed from two carried IMU poses as synth_gyro forms it.
+    by the base offset: the left camera's pose, the fixation point (None
+    when the optical axes are parallel) and, in "ifb" mode, the IMU pose.
+    The next tick's fixation Jacobian reads that pass, and is kept while q
+    holds still (bytes compared, so -0.0 and 0.0 differ); the command is
+    kept while the J is and the estimate's bytes repeat.  The gyro sample is
+    formed from two carried IMU poses as synth_gyro forms it.
     A run that fails (SimulationDiverged, InsufficientCoverage) carries its
     fully logged rows.
     """
@@ -704,13 +744,17 @@ def run_experiment(model: HeadModel, script: DisturbanceScript, settings: SimSet
             log.singular[row] = True
         else:
             x_fp = log.fp[row] = head.fx.point + b
-        proj = _project(settings.cam, head.cams.rot_left, head.cams.o_left + b, cloud_t)
+        pose = head.cams.rot_left, head.cams.o_left + b
         if not ifb:
-            return proj, x_fp, None
+            return pose, x_fp, None
         rot, pos = _imu_world(model, head.link_frames)
-        return proj, x_fp, (rot, pos + b)
+        return pose, x_fp, (rot, pos + b)
 
-    proj, x_fp, imu = observe(0, state)
+    pose, x_fp, imu = observe(0, state)
+    # the view cone's reference axis and origin, and the latest pose's certificate angle (see _cone)
+    z0, o0, cert = pose[0][:, 2].tolist(), pose[1].tolist(), 0.0
+    margin, d_min, cols = _cone(settings.cam, cloud_t, *pose, 0.05)
+    proj = _project(settings.cam, *pose, cols)
     logged = 1  # rows fully written; a failed run's partial log keeps these
     cmd = StabilizerCommand.hold()
     # A still head repeats its J and command: J is kept while the state's q
@@ -757,7 +801,8 @@ def run_experiment(model: HeadModel, script: DisturbanceScript, settings: SimSet
                 model, state, track.qdot[k], cmd, settings.dt, settings.plant, active=track.active[k],
                 base_vel=track.base_vel[k],
             )
-            proj_next, fp_next, imu_next = observe(row, new_state)
+            pose_next, fp_next, imu_next = observe(row, new_state)
+            proj_next = _project(settings.cam, *pose_next, cols)
             optfl, n_valid = _flow(proj, proj_next)
             if n_valid < MIN_FLOW_POINTS:
                 raise InsufficientCoverage(
@@ -773,6 +818,14 @@ def run_experiment(model: HeadModel, script: DisturbanceScript, settings: SimSet
             logged = row + 1
             if not math.isfinite(optfl):
                 raise SimulationDiverged("flow metric became non-finite", t=new_state.t)
+            z, o, cert_last = pose_next[0][:, 2].tolist(), pose_next[1].tolist(), cert
+            shift = math.dist(o, o0)
+            cert = 2 * math.asin(min(1.0, math.dist(z, z0) / 2))  # the axis turn, then the origin shift
+            cert += math.asin(shift / d_min) if shift < d_min else math.inf
+            if not cert + 1e-6 <= margin:  # the pair above read the old columns, as both poses allow
+                margin, d_min, cols = _cone(settings.cam, cloud_t, *pose_next, max(0.05, 8 * (cert - cert_last)))
+                z0, o0, cert = z, o, 0.0
+                proj_next = _project(settings.cam, *pose_next, cols)
 
             state, proj, x_fp, imu_prev, imu = new_state, proj_next, fp_next, imu, imu_next
     except (SimulationDiverged, InsufficientCoverage) as err:

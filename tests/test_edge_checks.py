@@ -8,6 +8,8 @@ caller passes; the values the code builds for itself without those checks
 import math
 import warnings
 from dataclasses import fields, replace
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -76,6 +78,8 @@ ENTRY_POINTS = [
     ("CameraFrames.rot_right", lambda b: replace(FRAMES, rot_right=with_bad(FRAMES.rot_right, b))),
     ("CloudSpec.azimuth", lambda b: CloudSpec(azimuth=b)),
     ("CloudSpec.elevation", lambda b: CloudSpec(elevation=b)),
+    ("CameraModel.f", lambda b: CameraModel(f=b)),
+    ("SimSettings.dt", lambda b: SimSettings(dt=b)),
     ("PlantState.t", lambda b: PlantState(t=b, q=Q, qdot=np.zeros(9))),
     ("PlantState.q", lambda b: PlantState(t=0.0, q=with_bad(Q, b), qdot=np.zeros(9))),
     ("PlantState.base_offset", lambda b: PlantState(0.0, Q, np.zeros(9), with_bad(np.zeros(3), b))),
@@ -108,6 +112,8 @@ ENTRY_POINTS = [
 # The message each of these rows must raise: the fault named where it enters.
 MESSAGES = {name: "J must be finite" for name in ("estimate_kff.J", "compensate.J_eye", "compensate.J_neck")}
 MESSAGES["flow_metric"] = "^cloud must be finite$"
+MESSAGES["CameraModel.f"] = r"^focal length must be positive and at most 1e\+100, got -?(nan|inf)$"
+MESSAGES["SimSettings.dt"] = "^dt must be positive and finite, got -?(nan|inf)$"
 MESSAGES.update(
     (row, f"^{vector} must be a finite 3-vector$")
     for row, vector in (
@@ -129,6 +135,29 @@ MESSAGES.update(
 def test_public_entry_point_rejects_non_finite(name, call, bad):
     with pytest.raises(InvalidInput, match=MESSAGES.get(name)), np.errstate(all="ignore"):
         call(bad)
+
+
+# Settings the loop computes with as floats: (row, build, field, name in the message).
+REAL_SETTINGS = [
+    ("CameraModel.f", lambda x: CameraModel(f=x), "f", "focal length"),
+    ("SimSettings.dt", lambda x: SimSettings(dt=x), "dt", "dt"),
+]
+
+
+@pytest.mark.parametrize("value", [True, np.True_, Decimal("0.5"), Fraction(1, 2), "0.5", 0.5 + 0j], ids=repr)
+@pytest.mark.parametrize(("name", "build", "field", "what"), REAL_SETTINGS, ids=[r[0] for r in REAL_SETTINGS])
+def test_real_settings_reject_other_types(name, build, field, what, value):
+    # a bool would run as 1.0 and a Decimal would reach the loop's float math
+    with pytest.raises(InvalidInput, match=f"^{what} must be a real number, got"):
+        build(value)
+
+
+@pytest.mark.parametrize(("name", "build", "field", "what"), REAL_SETTINGS, ids=[r[0] for r in REAL_SETTINGS])
+def test_real_settings_store_python_floats(name, build, field, what):
+    # a numpy float32 dt would otherwise run the clock in float32
+    for value in (1, np.int64(2), np.float32(0.01), np.float64(0.02), 0.25):
+        got = getattr(build(value), field)
+        assert type(got) is float and got == float(value)
 
 
 # Each seed feeds a numpy generator, which takes only non-negative integers.

@@ -10,7 +10,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gazestab.chain import KinematicChain, Pose
@@ -1368,3 +1368,187 @@ def test_runs_repeat_their_bytes_and_round_trip_through_the_log(tmp_path_factory
         want, got = getattr(log, name), getattr(back, name)
         assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes()), name
     assert back.meta == log.meta and tuple(back.segments) == log.segments
+
+
+def run_or_partial(script, sim):
+    """(log, error): the run's log, or a failed run's partial log and its error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", JointLimitWarning)
+        try:
+            return run_experiment(MODEL, script, sim), None
+        except (InsufficientCoverage, SimulationDiverged) as err:
+            return err.partial_log, err
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    mode=st.sampled_from(["off", "kff", "ifb"]),
+    case=short_scripts(TORSO_AND_BASE),
+    exponent=st.integers(0, 2**32 - 1).map(lambda seed: np.random.default_rng(seed).uniform(-1.0, 5.0)),
+)
+@example(mode="kff", case=(DisturbanceScript("yaw", (ScriptSegment(0.0, 0.3, "torso-yaw", 0.6),)), 0.3), exponent=-1.0)
+@example(mode="ifb", case=(DisturbanceScript("yaw", (ScriptSegment(0.0, 0.3, "torso-yaw", 0.6),)), 0.3), exponent=5.0)
+def test_hostile_fixation_distances_end_cleanly(mode, case, exponent):
+    # Fixation distances drawn log-uniformly from 0.1 m (the eyes verge past
+    # their limits) to 100 km (the axes all but parallel) end in a finite log,
+    # or in InsufficientCoverage or SimulationDiverged with a finite partial
+    # log of the completed rows.
+    script, duration = case
+    sim = SimSettings(control=StabilizerConfig(mode=mode), duration=duration, fixation_distance=10.0**exponent)
+    log, err = run_or_partial(script, sim)
+    assert 1 <= log.n_rows() <= round(duration / DT) + 1
+    assert err is None or log.n_rows() <= round(duration / DT)
+    for name, _, dtype in simulator.LOG_COLUMNS:
+        assert dtype is not float or np.isfinite(getattr(log, name)).all(), name
+
+
+# ------------------------------------------------------------ the view cone
+
+
+def random_rotation(rng):
+    q, r = np.linalg.qr(rng.normal(size=(3, 3)))
+    q = q * np.sign(np.diag(r))
+    return q if np.linalg.det(q) > 0 else -q
+
+
+def rodrigues(axis, angle):
+    k = axis / np.linalg.norm(axis)
+    K = np.array([[0.0, -k[2], k[1]], [k[2], 0.0, -k[0]], [-k[1], k[0], 0.0]])
+    return np.eye(3) + math.sin(angle) * K + (1.0 - math.cos(angle)) * K @ K
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    f=st.sampled_from([1.0, 3.0, 40.0, 240.0, 480.0]),
+    margin=st.floats(0.05, 1.0),
+    share=st.floats(0.0, 1.0),
+)
+def test_view_cone_certificate_is_sound(seed, f, margin, share):
+    # A camera whose axis turned by a and whose origin moved by s since the
+    # cone's pose, with a + asin(s / d_min) + 1e-6 <= margin, sees no
+    # left-out column inside the image interior.  Each pose here spends the
+    # whole angle budget against one left-out column: its axis turns toward
+    # the column by a share of it and its origin moves across the column's
+    # line of sight, toward the axis, by the rest.
+    rng = np.random.default_rng(seed)
+    cam = CameraModel(f=f)
+    cloud_t = np.ascontiguousarray(rng.normal(0.0, 3.0, (3, 600)))
+    rot0, o0 = random_rotation(rng), rng.normal(0.0, 0.5, 3)
+    got_margin, d_min, cols = simulator._cone(cam, cloud_t, rot0, o0, margin)
+    assert cols.flags.c_contiguous
+    left_out = ~np.isin(cloud_t[0], cols[0])
+    assert np.array_equal(cloud_t[:, ~left_out], cols)
+    if got_margin == math.inf:  # the cone holds the whole cloud
+        assert cols is cloud_t
+        return
+    assert got_margin == margin and d_min == pytest.approx(np.linalg.norm(cloud_t - o0[:, None], axis=0).min())
+    z0, budget = rot0[:, 2], margin - 1e-6
+    for p in cloud_t[:, left_out].T[:20]:
+        a = share * budget
+        rot = rodrigues(np.cross(z0, p - o0), a) @ rot0
+        u = (p - o0) / np.linalg.norm(p - o0)
+        w = z0 - (z0 @ u) * u
+        o = o0 + d_min * math.sin(budget - a) * w / np.linalg.norm(w)
+        assert not simulator._project(cam, rot, o, cloud_t[:, left_out])[2].any()
+
+
+def test_view_cone_keeps_a_cloud_too_far_to_measure():
+    # a squared distance past the largest float would compare as inf
+    cloud_t = np.ascontiguousarray(make_cloud(CloudSpec(), np.zeros(3)).T * 1e160)
+    margin, d_min, cols = simulator._cone(CameraModel(), cloud_t, np.eye(3), np.zeros(3), 0.05)
+    assert margin == d_min == math.inf and cols is cloud_t
+
+
+# a 140 deg/s torso spin, and a cloud 0.3-1 m from the eyes
+SPIN = DisturbanceScript(
+    "spin", segments=(ScriptSegment(0.0, 0.3, "torso-yaw", math.radians(140.0)),
+                      ScriptSegment(0.0, 0.3, "torso-pitch", -math.radians(140.0)))
+)
+NEAR_CLOUD = CloudSpec(r_min=0.3, r_max=1.0)
+
+
+@st.composite
+def cull_cases(draw):
+    """(script, settings) of a 0.2-0.4 s run in any mode: constant-rate
+    segments on 1-4 torso and base channels, torso at up to 140 deg/s and
+    the base at up to 2 m/s, focal lengths from 1 to 2,000 px, and the
+    default cloud or one 0.3-1 m from the eyes."""
+    duration = draw(st.floats(0.2, 0.4))
+    segments = []
+    for ch in draw(st.lists(st.sampled_from(TORSO_AND_BASE), min_size=1, max_size=4, unique=True)):
+        t0 = draw(st.floats(0.0, duration - 0.05))
+        t1 = draw(st.floats(t0 + 0.02, duration))
+        limit = 2.0 if ch.startswith("base") else min(math.radians(140.0), 0.8 / (t1 - t0))
+        segments.append(ScriptSegment(t0, t1, ch, draw(st.floats(-limit, limit))))
+    sim = SimSettings(
+        control=StabilizerConfig(mode=draw(st.sampled_from(["off", "kff", "ifb"]))),
+        cam=CameraModel(f=draw(st.sampled_from([1.0, 3.0, 40.0, 240.0, 480.0, 2000.0]))),
+        cloud=draw(st.sampled_from([CloudSpec(), NEAR_CLOUD])),
+        duration=duration,
+    )
+    return DisturbanceScript("random", segments=tuple(segments)), sim
+
+
+def full_cloud_flows(sim, log):
+    """(optfl, n_valid) of each logged tick recomputed over the whole cloud
+    from the logged q and base offset."""
+    fr = camera_frames(MODEL.chain, log.q[0])
+    cloud_t = np.ascontiguousarray(make_cloud(sim.cloud, 0.5 * (fr.o_left + fr.o_right)).T)
+    projs = []
+    for q, b in zip(log.q, log.base_offset):
+        fr = camera_frames(MODEL.chain, q)
+        projs.append(simulator._project(sim.cam, fr.rot_left, fr.o_left + b, cloud_t))
+    return [simulator._flow(a, b) for a, b in zip(projs, projs[1:])]
+
+
+@settings(max_examples=12, deadline=None)
+@given(case=cull_cases())
+@example(case=(SPIN, SimSettings(control=StabilizerConfig(mode="off"), cam=CameraModel(f=240.0), duration=0.3)))
+@example(case=(SPIN, SimSettings(control=StabilizerConfig(mode="kff"), cam=CameraModel(f=1.0), duration=0.3)))
+@example(
+    case=(
+        DisturbanceScript("dash", segments=(ScriptSegment(0.05, 0.3, "base-x", 20.0),)),
+        SimSettings(control=StabilizerConfig(mode="ifb"), cloud=NEAR_CLOUD, duration=0.3),
+    )
+)
+@example(
+    case=(
+        DisturbanceScript("lift", segments=(ScriptSegment(0.2, 3.0, "base-z", 10.0),)),
+        SimSettings(control=StabilizerConfig(mode="kff"), duration=3.0),
+    )
+)
+def test_loop_flow_matches_the_full_cloud_oracle(case):
+    # Every logged optfl and n_valid equals, bit for bit, _flow of two
+    # whole-cloud projections at the logged states.  A run that loses the
+    # cloud (the dash and the 10 m/s lift) fails at the tick, with the
+    # message and partial log, of a loop whose cone holds every column.
+    script, sim = case
+    log, err = run_or_partial(script, sim)
+    for k, (optfl, n_valid) in enumerate(full_cloud_flows(sim, log), 1):
+        assert (log.optfl[k].tobytes(), log.n_valid[k]) == (np.float64(optfl).tobytes(), n_valid), k
+    if err is not None:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simulator, "_cone", lambda cam, cloud_t, rot, origin, margin: (math.inf, math.inf, cloud_t))
+            full_log, full_err = run_or_partial(script, sim)
+        assert (type(full_err), str(full_err)) == (type(err), str(err))
+        for name, _, _ in simulator.LOG_COLUMNS:
+            assert getattr(log, name).tobytes() == getattr(full_log, name).tobytes(), name
+
+
+def test_translate_flow_reads_a_small_cone(monkeypatch):
+    # On translate_ifb about 4% of the 1,600-point cloud is in view: at
+    # least 99% of the loop's projections read at most 200 columns.
+    widths = []
+    real = simulator._project
+
+    def counted(cam, rot, origin, cloud_t):
+        widths.append(cloud_t.shape[1])
+        return real(cam, rot, origin, cloud_t)
+
+    monkeypatch.setattr(simulator, "_project", counted)
+    model, script, settings = shipped("translate_ifb")
+    assert settings.cloud.n == 1600
+    log = run_experiment(model, script, settings)
+    assert len(widths) >= log.n_rows()
+    assert np.mean(np.array(widths) <= 200) >= 0.99, np.unique(widths, return_counts=True)
