@@ -55,7 +55,12 @@ configs are used.  The check
   +-35 degrees) in `off` and `kff` mode at focal lengths 240, 40 and 3 px,
   and compares the same, plus each run's log and sidecar: the flow's view
   cone re-centres often on these runs, and at the short focal lengths it
-  holds nearly the whole cloud (no shipped config turns the head this fast).
+  holds nearly the whole cloud (no shipped config turns the head this fast);
+* runs a 0.4 s torso yaw at 0.35 rad/s with an eye-vergence move of
+  0.02 rad/s from 0.05 s to 0.3 s, fixating 10 km away, in `off`, `kff` and
+  `ifb` mode, and compares the same: these runs start with near-parallel
+  optical axes and leave that singular band, so the `singular` column and
+  the held command change part-way (no shipped config logs a singular row).
 
 It prints one line per check and exits 1 on any breach (a byte-identical
 result or a numeric difference within the budget is no breach).
@@ -100,12 +105,24 @@ move channel=torso-pitch t=0.85,1.35 rate=-140
 move channel=torso-pitch t=1.35,1.85 rate=140
 move channel=torso-pitch t=1.85,2    rate=-140
 """
-# (name, script file, config lines) of each run that may fail part-way
-EDGE_RUNS = [(f"lift_{mode}", "lift.script", f"mode {mode}\nduration 3\n") for mode in ("off", "kff", "ifb")] + [
-    (f"spin_{mode}_f{f}", "spin.script", f"mode {mode}\nfocal-length {f}\n")
-    for mode in ("off", "kff")
-    for f in (240, 40, 3)
-]
+# A torso yaw with the eyes verging off a 10 km target: the run starts in the
+# singular band of near-parallel optical axes and leaves it.
+LEAVE_SCRIPT = """script leave
+units radians
+move channel=torso-yaw    t=0,0.4    rate=0.35
+move channel=eye-vergence t=0.05,0.3 rate=0.02
+"""
+MODES = ("off", "kff", "ifb")
+# (name, script file, config lines) of each run compared by exit code, stderr, log and sidecar
+EDGE_RUNS = (
+    [(f"lift_{mode}", "lift.script", f"mode {mode}\nduration 3\n") for mode in MODES]
+    + [
+        (f"spin_{mode}_f{f}", "spin.script", f"mode {mode}\nfocal-length {f}\n")
+        for mode in ("off", "kff")
+        for f in (240, 40, 3)
+    ]
+    + [(f"leave_{mode}", "leave.script", f"mode {mode}\nduration 0.4\nfixation-distance 1e4\n") for mode in MODES]
+)
 
 # Runs inside a tree on log paths: prints a digest of each log as read_log_csv
 # returns it (every array's dtype, shape and bytes, the metadata, the segments).
@@ -443,9 +460,10 @@ def main(argv):
             label = f"{side} tree's {len(logs) // 2} logs"
             print(f"  {label:<38} {'identical' if not differ else 'BREACH: read differently: ' + ', '.join(differ)}")
             breaches += bool(differ)
-        print("lift runs (they fail part-way) and spin runs:")
+        print("lift runs (they fail part-way), spin runs and singular-band runs:")
         for d in outdirs:
-            for script_name, text in (("lift.script", LIFT_SCRIPT), ("spin.script", SPIN_SCRIPT)):
+            scripts = (("lift.script", LIFT_SCRIPT), ("spin.script", SPIN_SCRIPT), ("leave.script", LEAVE_SCRIPT))
+            for script_name, text in scripts:
                 with open(os.path.join(d, script_name), "w", encoding="utf-8") as fh:
                     fh.write(text)
         for name, script_name, lines in EDGE_RUNS:

@@ -23,14 +23,14 @@ by both eye paths, so a state's head pass (see gazestab.stereo) holds its
 frame: synth_gyro and the loop both read a state's IMU pose from its pass
 through models._imu_world, the loop from the two passes it carries.
 
-run_experiment reads each plant state in one step, the initial state and
-every state a tick produces alike: the step writes the state's log row and
-returns what the next tick reads of it (left camera pose, fixation point,
-IMU pose).  Estimation and compensation run on ticks that are neither "off"
-nor singular; every other tick keeps the command it holds.  The command
-depends only on the posture's fixation Jacobian and on the estimate, so the
-loop keeps its J while q repeats and its command while the estimate does
-too: a head that holds still computes both once.
+run_experiment is one loop body per plant state, the initial state and
+every state a tick produces alike: it writes the state's log row, logs the
+tick that ended there (flow, true twist, command), then runs the tick that
+starts there.  Estimation and compensation run on ticks that are neither
+"off" nor singular; every other tick keeps the command it holds.  The
+command depends only on the posture's fixation Jacobian and on the
+estimate, so the loop keeps its J while q repeats and its command while the
+estimate does too: a head that holds still computes both once.
 
 The stabilization metric projects a static random point cloud through the
 left pinhole camera at consecutive states and averages the pixel
@@ -49,10 +49,10 @@ the arguments a caller passes, and run_experiment's inputs are checked when
 they are built.  Values built from checked ones are not checked again: step
 builds its new PlantState unchecked after one finiteness check of the new q,
 qdot and base offset (SimulationDiverged); the loop writes each estimate
-with the estimators' private kernels straight into its est_twist log row and
-hands compensate an unchecked Twist of views into that row (its gyro samples,
-(omega, position) pairs, rest on the head model's imu_offset, a finite rigid
-transform).
+straight into its est_twist log row (kFF as J @ rates, iFB through the
+estimator's private lever-arm kernel) and hands compensate an unchecked
+Twist of views into that row (its gyro samples, (omega, position) pairs,
+rest on the head model's imu_offset, a finite rigid transform).
 """
 
 from __future__ import annotations
@@ -79,7 +79,6 @@ from .stabilizer import (
     StabilizerConfig,
     Twist,
     _estimate_ifb,
-    _estimate_kff,
     compensate,
 )
 from .stereo import _collapse, _expand, _head_pass, camera_frames, fixation_full_jacobian
@@ -412,8 +411,8 @@ class CloudSpec:
     seed: int = 2024
 
     def __post_init__(self):
-        if not 500 <= self.n <= MAX_CLOUD_POINTS:
-            raise InvalidInput(f"cloud must contain 500 to {MAX_CLOUD_POINTS} points, got {self.n}")
+        if not (_is_int(self.n) and 500 <= self.n <= MAX_CLOUD_POINTS):
+            raise InvalidInput(f"cloud must contain 500 to {MAX_CLOUD_POINTS} points, a whole number, got {self.n!r}")
         if not 0.0 < self.r_min <= self.r_max <= MAX_SCALE:
             raise InvalidInput(f"cloud radii must satisfy 0 < r_min <= r_max <= {MAX_SCALE:g}")
         # half-widths of make_cloud's angle ranges: all the way round and up;
@@ -616,7 +615,9 @@ class SimSettings:
     gyro_delay_ticks: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "dt", _real(self.dt, "dt"))
+        reals = ("dt", "fixation_distance", "gyro_sigma") + (("duration",) if self.duration is not None else ())
+        for name in reals:
+            object.__setattr__(self, name, _real(getattr(self, name), name))
         if not (self.dt > 0.0 and math.isfinite(self.dt)):
             raise InvalidInput(f"dt must be positive and finite, got {self.dt!r}")
         if self.duration is not None:
@@ -698,15 +699,18 @@ def run_experiment(model: HeadModel, script: DisturbanceScript, settings: SimSet
     leaves the head passive.  On a parallel-gaze tick the fixation Jacobian
     does not exist and the previous command is held.
 
-    One step per plant state, the initial one included: it reads the
-    state's one head pass (see gazestab.stereo), writes the state's row
-    (t, q, qdot, base offset, fixation point, singular flag) and returns
-    what the next tick reads of it, in the world -- the head moved rigidly
-    by the base offset: the left camera's pose, the fixation point (None
-    when the optical axes are parallel) and, in "ifb" mode, the IMU pose.
-    The next tick's fixation Jacobian reads that pass, and is kept while q
-    holds still (bytes compared, so -0.0 and 0.0 differ); the command is
-    kept while the J is and the estimate's bytes repeat.  The gyro sample is
+    One loop body per plant state, row 0 included.  It reads the state's
+    one head pass (see gazestab.stereo) into its row (t, q, qdot, base
+    offset, fixation point) in the world -- the head moved rigidly by the
+    base offset -- with the left camera's pose and, in "ifb" mode, the IMU
+    pose.  The singular flag marks a state with parallel optical axes, or
+    one whose tick began at such a state and held its command.  From row 1
+    on it logs the tick that ended at the state (flow, true twist, command),
+    and it re-centres the flow's view cone when the certificate breaks (row
+    0 sets it up).  Then, but for the last row, it runs the tick from the
+    state: its fixation Jacobian reads that pass and is kept while q holds
+    still (bytes compared, so -0.0 and 0.0 differ); the command is kept
+    while the J is and the estimate's bytes repeat.  The gyro sample is
     formed from two carried IMU poses as synth_gyro forms it.
     A run that fails (SimulationDiverged, InsufficientCoverage) carries its
     fully logged rows.
@@ -735,48 +739,71 @@ def run_experiment(model: HeadModel, script: DisturbanceScript, settings: SimSet
         },
     )
 
-    def observe(row, state):
-        """Write a state's row; return what the next tick reads of it."""
-        head, b = _head_pass(model.chain, state.q), state.base_offset
-        log.t[row], log.q[row], log.qdot[row], log.base_offset[row] = state.t, state.q, state.qdot, b
-        x_fp = None
-        if head.fx is None:
-            log.singular[row] = True
-        else:
-            x_fp = log.fp[row] = head.fx.point + b
-        pose = head.cams.rot_left, head.cams.o_left + b
-        if not ifb:
-            return pose, x_fp, None
-        rot, pos = _imu_world(model, head.link_frames)
-        return pose, x_fp, (rot, pos + b)
-
-    pose, x_fp, imu = observe(0, state)
-    # the view cone's reference axis and origin, and the latest pose's certificate angle (see _cone)
-    z0, o0, cert = pose[0][:, 2].tolist(), pose[1].tolist(), 0.0
-    margin, d_min, cols = _cone(settings.cam, cloud_t, *pose, 0.05)
-    proj = _project(settings.cam, *pose, cols)
-    logged = 1  # rows fully written; a failed run's partial log keeps these
     cmd = StabilizerCommand.hold()
     # A still head repeats its J and command: J is kept while the state's q
     # bytes equal q_key, the q it was computed at, and cmd while that J is
     # kept and the estimate's bytes equal est_key, what compensate last got.
-    J = q_key = est_key = None
+    J = q_key = est_key = imu = None
+    # the view cone's margin (see _cone), and the certificate angle of the
+    # latest pose and of the one before; a margin of -inf sets the cone up at row 0
+    margin, cert, cert_last = -math.inf, 0.0, 0.0
+    logged = 1  # rows fully written (row 0 is before anything can fail); a failed run's partial log keeps these
     # the iFB delay line: the newest sample and the delay before it, read at
     # [0]; a delay past the run's end reads no sample either way
     delay = min(settings.gyro_delay_ticks, n_ticks)
     gyro_buffer: deque[tuple] = deque(maxlen=delay + 1)  # (omega, position) samples
     try:
-        for k in range(n_ticks):
-            row = k + 1
+        for row in range(n_rows):
+            # --- read state `row` into its row, in the world: the head moved by b
+            head, b = _head_pass(model.chain, state.q), state.base_offset
+            log.t[row], log.q[row], log.qdot[row], log.base_offset[row] = state.t, state.q, state.qdot, b
+            x_fp = None if head.fx is None else head.fx.point + b
+            if x_fp is not None:
+                log.fp[row] = x_fp
+            # parallel axes here, or where the tick that ended here began (it had no J and held its command)
+            log.singular[row] = x_fp is None or (row > 0 and J is None)
+            rot, origin = head.cams.rot_left, head.cams.o_left + b
+            z, o = rot[:, 2].tolist(), origin.tolist()
+            if ifb:
+                rot_imu, pos_imu = _imu_world(model, head.link_frames)
+                imu_prev, imu = imu, (rot_imu, pos_imu + b)
+
+            if row:  # --- log the tick that ended at this state
+                proj_next = _project(settings.cam, rot, origin, cols)
+                optfl, n_valid = _flow(proj, proj_next)
+                if n_valid < MIN_FLOW_POINTS:
+                    raise InsufficientCoverage(
+                        f"only {n_valid} cloud points remained valid at t={state.t:.3f}s "
+                        f"(need >= {MIN_FLOW_POINTS})"
+                    )
+                if J is not None:
+                    tw = J @ state.qdot
+                    tw[:3] += track.base_vel[row - 1]
+                    log.true_twist[row] = tw
+                log.cmd[row] = np.concatenate([cmd.qdot_neck, cmd.qdot_eye])
+                log.optfl[row], log.n_valid[row], log.saturated[row] = optfl, n_valid, cmd.saturated
+                logged = row + 1
+                if not math.isfinite(optfl):
+                    raise SimulationDiverged("flow metric became non-finite", t=state.t)
+                proj, shift, cert_last = proj_next, math.dist(o, o0), cert
+                cert = 2 * math.asin(min(1.0, math.dist(z, z0) / 2))  # the axis turn, then the origin shift
+                cert += math.asin(shift / d_min) if shift < d_min else math.inf
+            if not cert + 1e-6 <= margin:  # the pair above read the old columns, as both poses allow
+                margin, d_min, cols = _cone(settings.cam, cloud_t, rot, origin, max(0.05, 8 * (cert - cert_last)))
+                z0, o0, cert = z, o, 0.0
+                proj = _project(settings.cam, rot, origin, cols)
+            if row == n_ticks:
+                break
+
+            # --- the tick from this state: estimate, compensate, step
             if x_fp is None:  # parallel axes: no fixation Jacobian, the command is held
                 J = q_key = None
-                log.singular[row] = True
             elif (q_bytes := state.q.tobytes()) != q_key:
                 J, q_key, est_key = fixation_full_jacobian(model.chain, state.q), q_bytes, None
-            if J is not None and cfg.mode != "off":  # --- estimate and compensate
-                est = log.est_twist[row]
+            if J is not None and cfg.mode != "off":
+                est = log.est_twist[row + 1]
                 if ifb:
-                    if k == 0:
+                    if row == 0:
                         omega = np.zeros(3)
                     else:
                         # synth_gyro's sample between the carried IMU poses, less
@@ -784,50 +811,21 @@ def run_experiment(model: HeadModel, script: DisturbanceScript, settings: SimSet
                         # velocities over the same window the gyro integrated);
                         # script-owned neck channels are disturbance, not self-motion
                         omega = _gyro_omega(imu_prev[0], imu[0], settings.dt, settings.gyro_sigma, rng_gyro)
-                        self_qdot = np.where(track.active[k - 1][3:6], 0.0, state.qdot[3:6])
+                        self_qdot = np.where(track.active[row - 1][3:6], 0.0, state.qdot[3:6])
                         omega = omega - J[3:6, 3:6] @ self_qdot
                     if not gyro_buffer:  # until the first sample comes out: no rotation, at its position
                         gyro_buffer.extend([(np.zeros(3), imu[1])] * delay)
                     gyro_buffer.append((omega, imu[1]))
                     est[:] = _estimate_ifb(*gyro_buffer[0], x_fp)
                 else:
-                    est[:] = _estimate_kff(J, track.commanded_qdot[k])
-                    est[:3] += track.commanded_base[k]
+                    est[:] = J @ track.commanded_qdot[row]
+                    est[:3] += track.commanded_base[row]
                 if (est_bytes := est.tobytes()) != est_key:
                     cmd, est_key = compensate(_unchecked(Twist, v=est[:3], omega=est[3:]), J, cfg), est_bytes
-
-            # --- step, then log row k+1 --------------------------------
-            new_state = step(
-                model, state, track.qdot[k], cmd, settings.dt, settings.plant, active=track.active[k],
-                base_vel=track.base_vel[k],
+            state = step(
+                model, state, track.qdot[row], cmd, settings.dt, settings.plant, active=track.active[row],
+                base_vel=track.base_vel[row],
             )
-            pose_next, fp_next, imu_next = observe(row, new_state)
-            proj_next = _project(settings.cam, *pose_next, cols)
-            optfl, n_valid = _flow(proj, proj_next)
-            if n_valid < MIN_FLOW_POINTS:
-                raise InsufficientCoverage(
-                    f"only {n_valid} cloud points remained valid at t={new_state.t:.3f}s "
-                    f"(need >= {MIN_FLOW_POINTS})"
-                )
-            if J is not None:
-                tw = J @ new_state.qdot
-                tw[:3] += track.base_vel[k]
-                log.true_twist[row] = tw
-            log.cmd[row] = np.concatenate([cmd.qdot_neck, cmd.qdot_eye])
-            log.optfl[row], log.n_valid[row], log.saturated[row] = optfl, n_valid, cmd.saturated
-            logged = row + 1
-            if not math.isfinite(optfl):
-                raise SimulationDiverged("flow metric became non-finite", t=new_state.t)
-            z, o, cert_last = pose_next[0][:, 2].tolist(), pose_next[1].tolist(), cert
-            shift = math.dist(o, o0)
-            cert = 2 * math.asin(min(1.0, math.dist(z, z0) / 2))  # the axis turn, then the origin shift
-            cert += math.asin(shift / d_min) if shift < d_min else math.inf
-            if not cert + 1e-6 <= margin:  # the pair above read the old columns, as both poses allow
-                margin, d_min, cols = _cone(settings.cam, cloud_t, *pose_next, max(0.05, 8 * (cert - cert_last)))
-                z0, o0, cert = z, o, 0.0
-                proj_next = _project(settings.cam, *pose_next, cols)
-
-            state, proj, x_fp, imu_prev, imu = new_state, proj_next, fp_next, imu, imu_next
     except (SimulationDiverged, InsufficientCoverage) as err:
         arrays = {name: getattr(log, name)[:logged].copy() for name, _, _ in LOG_COLUMNS}
         err.partial_log = replace(log, meta=dict(log.meta), **arrays)

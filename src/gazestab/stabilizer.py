@@ -162,13 +162,8 @@ def estimate_kff(J, qdot) -> Twist:
     input.
     """
     _require_fixation_jacobian(J)
-    xi = _estimate_kff(J, as_joint_array(qdot, 9, name="qdot"))
+    xi = J @ as_joint_array(qdot, 9, name="qdot")
     return Twist(xi[:3], xi[3:])
-
-
-def _estimate_kff(J, qdot) -> np.ndarray:
-    """estimate_kff's twist as one (v, omega) 6-vector, arguments unchecked."""
-    return J @ qdot
 
 
 def estimate_ifb(imu: ImuSample, x_fp) -> Twist:

@@ -25,16 +25,19 @@ from gazestab.chain import (
     geometric_jacobian,
 )
 from gazestab.errors import InvalidInput
+from gazestab.fileio import write_log_csv
 from gazestab.models import default_head_model
 from gazestab.simulator import (
     MAX_SCALE,
     CameraModel,
     CloudSpec,
+    DisturbanceScript,
     NoiseSegment,
     PlantState,
     SimSettings,
     flow_metric,
     make_cloud,
+    run_experiment,
     step,
     synth_gyro,
 )
@@ -141,6 +144,14 @@ def test_public_entry_point_rejects_non_finite(name, call, bad):
 REAL_SETTINGS = [
     ("CameraModel.f", lambda x: CameraModel(f=x), "f", "focal length"),
     ("SimSettings.dt", lambda x: SimSettings(dt=x), "dt", "dt"),
+    ("SimSettings.duration", lambda x: SimSettings(duration=x), "duration", "duration"),
+    (
+        "SimSettings.fixation_distance",
+        lambda x: SimSettings(fixation_distance=x),
+        "fixation_distance",
+        "fixation_distance",
+    ),
+    ("SimSettings.gyro_sigma", lambda x: SimSettings(gyro_sigma=x), "gyro_sigma", "gyro_sigma"),
 ]
 
 
@@ -158,6 +169,22 @@ def test_real_settings_store_python_floats(name, build, field, what):
     for value in (1, np.int64(2), np.float32(0.01), np.float64(0.02), 0.25):
         got = getattr(build(value), field)
         assert type(got) is float and got == float(value)
+
+
+def test_numpy_real_settings_log_as_python_floats(tmp_path):
+    # the writer prints a float as %.17g (6.0 -> "6"); a float32 would print through str() as "6.0"
+    settings = SimSettings(control=StabilizerConfig(mode="off"), duration=0.02, fixation_distance=np.float32(6))
+    path = tmp_path / "run.csv"
+    write_log_csv(run_experiment(MODEL, DisturbanceScript("still"), settings), str(path))
+    assert "# fixation_distance: 6\n" in path.read_text(encoding="utf-8").splitlines(keepends=True)
+
+
+def test_float32_gyro_sigma_is_range_checked_without_a_cast_warning():
+    # comparing a float32 with MAX_SCALE would cast 1e100 to float32 and overflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sigma = SimSettings(gyro_sigma=np.float32(0.005)).gyro_sigma
+    assert type(sigma) is float and sigma == float(np.float32(0.005))
 
 
 # Each seed feeds a numpy generator, which takes only non-negative integers.
