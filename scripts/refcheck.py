@@ -6,9 +6,11 @@
 Each tree is a checkout of this repository; its own `src/` and shipped
 configs are used.  The check
 
-* runs the ten shipped configs on both trees, and exp_b_ifb once more with
-  `gyro-delay 3` (no shipped config exercises the iFB delay line), and
-  compares each CSV log and `.summary.json` sidecar byte for byte; on a
+* runs the ten shipped configs on both trees, exp_b_ifb once more with
+  `gyro-delay 3` (no shipped config exercises the iFB delay line) and
+  translate_ifb once more with `gyro-noise 0.005` (no shipped config pairs
+  a still head with a noisy gyro), and compares each CSV log and
+  `.summary.json` sidecar byte for byte; on a
   mismatch it prints the largest difference per file against the BUDGET
   (absolute, per CSV column or sidecar value), and a metadata line, header
   or shape that differs is a breach whatever the numbers;
@@ -82,8 +84,12 @@ SETS = {
     "translate": ("translate_off", "translate_kff", "translate_ifb"),
 }
 CONFIGURATIONS = 2000
-# exp_b_ifb rerun with its gyro samples held back this many ticks
-GYRO_DELAY = 3
+# (run name, shipped config, the config line it gains or replaces) of each
+# shipped config rerun with one setting changed
+VARIANTS = (
+    ("exp_b_ifb_delay3", "exp_b_ifb", "gyro-delay 3"),
+    ("translate_ifb_noise", "translate_ifb", "gyro-noise 0.005"),
+)
 DIGESTS = (
     "fixation_full_jacobian", "fixation_full_jacobian (repeat)", "camera_frames", "imu_pose", "synth_gyro",
     "synth_gyro (noise)", "compensate", "estimate_kff", "estimate_ifb", "realize", "serialize", "step",
@@ -430,18 +436,20 @@ def main(argv):
         for d in outdirs:
             os.mkdir(d)
         print("logs and sidecars:")
-        delayed = f"exp_b_ifb_delay{GYRO_DELAY}"
+        variants = [name for name, _, _ in VARIANTS]
         for tree, d in zip(trees, outdirs):
-            # beside each tree's outputs: its model and script resolve to that tree's packaged data
-            with open(config_path(tree, "exp_b_ifb"), encoding="utf-8") as fh:
-                text = fh.read()
-            with open(os.path.join(d, f"{delayed}.config"), "w", encoding="utf-8") as fh:
-                fh.write(f"{text}gyro-delay {GYRO_DELAY}\n")
+            for name, shipped, line in VARIANTS:
+                # beside each tree's outputs: its model and script resolve to that tree's packaged data
+                key = line.split()[0]
+                with open(config_path(tree, shipped), encoding="utf-8") as fh:
+                    kept = [ln for ln in fh if ln.split()[:1] != [key]]
+                with open(os.path.join(d, f"{name}.config"), "w", encoding="utf-8") as fh:
+                    fh.write("".join(kept) + line + "\n")
         runs = [name for names in SETS.values() for name in names]
-        for name in runs + [delayed]:
+        for name in runs + variants:
 
             def run_args(tree, name=name):
-                config = f"{delayed}.config" if name == delayed else config_path(tree, name)
+                config = f"{name}.config" if name in variants else config_path(tree, name)
                 return ["-m", "gazestab.cli", "run", "--config", config, "--out", f"{name}.csv"]
 
             both(trees, outdirs, run_args, f"run {name}")
@@ -449,7 +457,7 @@ def main(argv):
             breaches += report(f"{name}.csv", old + ".csv", new + ".csv", csv_difference)
             breaches += report(f"{name}.summary.json", old + ".summary.json", new + ".summary.json", sidecar_difference)
         print("cross-read, each tree's read_log_csv on both trees' logs:")
-        logs = [os.path.join(d, f"{name}.csv") for d in outdirs for name in runs + [delayed]]
+        logs = [os.path.join(d, f"{name}.csv") for d in outdirs for name in runs + variants]
         old, new = both(trees, outdirs, lambda tree: ["-c", READ_CODE, *logs], "cross-read")
         for side, d in zip(("old", "new"), outdirs):
             differ = [

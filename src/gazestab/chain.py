@@ -152,6 +152,13 @@ def as_joint_array(q, n: int | None = None, *, name: str = "q") -> np.ndarray:
     return arr
 
 
+def _real(x, what: str) -> float:
+    # a Python or numpy real scalar as a float; bool, Decimal, Fraction, str and complex are not
+    if isinstance(x, bool) or not isinstance(x, (int, float, np.integer, np.floating)):
+        raise InvalidInput(f"{what} must be a real number, got {x!r}")
+    return float(x)
+
+
 def _finite3(value, name: str) -> np.ndarray:
     """value as a float array of shape (3,); InvalidInput unless finite."""
     arr = np.asarray(value, dtype=float)

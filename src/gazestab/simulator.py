@@ -27,10 +27,14 @@ run_experiment is one loop body per plant state, the initial state and
 every state a tick produces alike: it writes the state's log row, logs the
 tick that ended there (flow, true twist, command), then runs the tick that
 starts there.  Estimation and compensation run on ticks that are neither
-"off" nor singular; every other tick keeps the command it holds.  The
-command depends only on the posture's fixation Jacobian and on the
-estimate, so the loop keeps its J while q repeats and its command while the
-estimate does too: a head that holds still computes both once.
+"off" nor singular; every other tick keeps the command it holds.  One test
+on q's bytes decides what a state repeats: a state whose q equals the last
+state's keeps that state's head record, IMU pose (before the base offset)
+and fixation Jacobian, and its command while the estimate repeats too; a
+third state on the same q also keeps the noise-free gyro rate, its IMU pair
+being the last tick's (the gyro noise is drawn every tick all the same).
+Nothing that reads qdot, the base offset or the script is kept.  A head
+that holds still computes each of these once.
 
 The stabilization metric projects a static random point cloud through the
 left pinhole camera at consecutive states and averages the pixel
@@ -64,7 +68,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .chain import MAX_SCALE, _finite3, _unchecked, as_joint_array
+from .chain import MAX_SCALE, _finite3, _real, _unchecked, as_joint_array
 from .errors import (
     InsufficientCoverage,
     InvalidComparison,
@@ -92,13 +96,6 @@ MAX_CLOUD_POINTS = 100_000  # caps the (n, 3) cloud and its per-tick projections
 
 def _is_int(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
-
-
-def _real(x, what: str) -> float:
-    # a Python or numpy real scalar as a float; bool, Decimal, Fraction, str and complex are not
-    if isinstance(x, bool) or not isinstance(x, (int, float, np.integer, np.floating)):
-        raise InvalidInput(f"{what} must be a real number, got {x!r}")
-    return float(x)
 
 
 def _check_seed(seed, what: str) -> None:
@@ -280,18 +277,17 @@ def synth_gyro(
         raise InvalidInput("gyro noise requires an rng")
     rot_prev, _ = _imu_world(model, _head_pass(model.chain, state_prev.q).link_frames)
     rot_next, pos_next = _imu_world(model, _head_pass(model.chain, new_state.q).link_frames)
-    omega = _gyro_omega(rot_prev, rot_next, dt, sigma, rng)
+    omega = _gyro_rate(rot_prev, rot_next, dt)
+    if sigma > 0.0:
+        omega = omega + rng.normal(0.0, sigma, 3)
     return ImuSample(omega=omega, position=pos_next + new_state.base_offset)
 
 
-def _gyro_omega(rot_prev, rot_next, dt, sigma, rng) -> np.ndarray:
-    """World-frame gyro rate between two IMU orientations: the log-map of
-    rot_prev^T rot_next over dt, rotated to the world, plus noise drawn from
-    rng only when sigma > 0.  synth_gyro and the loop both use it."""
-    omega = rot_prev @ (_so3_log(rot_prev.T @ rot_next) / dt)
-    if sigma > 0.0:
-        omega = omega + rng.normal(0.0, sigma, 3)
-    return omega
+def _gyro_rate(rot_prev, rot_next, dt) -> np.ndarray:
+    """Noise-free world-frame gyro rate between two IMU orientations: the
+    log-map of rot_prev^T rot_next over dt, rotated to the world.  synth_gyro
+    and the loop both use it, and both add the noise as synth_gyro does."""
+    return rot_prev @ (_so3_log(rot_prev.T @ rot_next) / dt)
 
 
 # ------------------------------------------------------------- flow metric
@@ -703,15 +699,17 @@ def run_experiment(model: HeadModel, script: DisturbanceScript, settings: SimSet
     one head pass (see gazestab.stereo) into its row (t, q, qdot, base
     offset, fixation point) in the world -- the head moved rigidly by the
     base offset -- with the left camera's pose and, in "ifb" mode, the IMU
-    pose.  The singular flag marks a state with parallel optical axes, or
-    one whose tick began at such a state and held its command.  From row 1
-    on it logs the tick that ended at the state (flow, true twist, command),
-    and it re-centres the flow's view cone when the certificate breaks (row
-    0 sets it up).  Then, but for the last row, it runs the tick from the
-    state: its fixation Jacobian reads that pass and is kept while q holds
-    still (bytes compared, so -0.0 and 0.0 differ); the command is kept
-    while the J is and the estimate's bytes repeat.  The gyro sample is
-    formed from two carried IMU poses as synth_gyro forms it.
+    pose.  A row whose q bytes equal the last row's (so -0.0 and 0.0
+    differ) is still: it reuses that row's head pass and IMU pose.  The
+    singular flag marks a state with parallel optical axes, or one whose
+    tick began at such a state and held its command.  From row 1 on it logs
+    the tick that ended at the state (flow, true twist, command), and it
+    re-centres the flow's view cone when the certificate breaks (row 0 sets
+    it up).  Then, but for the last row, it runs the tick from the state:
+    its fixation Jacobian reads that pass and is kept on a still row; the
+    command is kept while the J is and the estimate's bytes repeat.  The
+    gyro sample is formed from two carried IMU poses as synth_gyro forms
+    it; a still row after a still row keeps its noise-free rate.
     A run that fails (SimulationDiverged, InsufficientCoverage) carries its
     fully logged rows.
     """
@@ -740,10 +738,11 @@ def run_experiment(model: HeadModel, script: DisturbanceScript, settings: SimSet
     )
 
     cmd = StabilizerCommand.hold()
-    # A still head repeats its J and command: J is kept while the state's q
-    # bytes equal q_key, the q it was computed at, and cmd while that J is
-    # kept and the estimate's bytes equal est_key, what compensate last got.
+    # A row whose q bytes equal q_key, the last row's, is still: it keeps what
+    # that q fixes (see the module docstring).  cmd is kept while J is and the
+    # estimate's bytes equal est_key, what compensate last got.
     J = q_key = est_key = imu = None
+    still = False
     # the view cone's margin (see _cone), and the certificate angle of the
     # latest pose and of the one before; a margin of -inf sets the cone up at row 0
     margin, cert, cert_last = -math.inf, 0.0, 0.0
@@ -755,7 +754,12 @@ def run_experiment(model: HeadModel, script: DisturbanceScript, settings: SimSet
     try:
         for row in range(n_rows):
             # --- read state `row` into its row, in the world: the head moved by b
-            head, b = _head_pass(model.chain, state.q), state.base_offset
+            b, q_bytes = state.base_offset, state.q.tobytes()
+            still, was_still, q_key = q_bytes == q_key, still, q_bytes
+            if not still:
+                head = _head_pass(model.chain, state.q)
+                if ifb:
+                    rot_imu, pos_imu = _imu_world(model, head.link_frames)
             log.t[row], log.q[row], log.qdot[row], log.base_offset[row] = state.t, state.q, state.qdot, b
             x_fp = None if head.fx is None else head.fx.point + b
             if x_fp is not None:
@@ -765,7 +769,6 @@ def run_experiment(model: HeadModel, script: DisturbanceScript, settings: SimSet
             rot, origin = head.cams.rot_left, head.cams.o_left + b
             z, o = rot[:, 2].tolist(), origin.tolist()
             if ifb:
-                rot_imu, pos_imu = _imu_world(model, head.link_frames)
                 imu_prev, imu = imu, (rot_imu, pos_imu + b)
 
             if row:  # --- log the tick that ended at this state
@@ -796,10 +799,9 @@ def run_experiment(model: HeadModel, script: DisturbanceScript, settings: SimSet
                 break
 
             # --- the tick from this state: estimate, compensate, step
-            if x_fp is None:  # parallel axes: no fixation Jacobian, the command is held
-                J = q_key = None
-            elif (q_bytes := state.q.tobytes()) != q_key:
-                J, q_key, est_key = fixation_full_jacobian(model.chain, state.q), q_bytes, None
+            if not still:  # parallel axes have no fixation Jacobian: the command is held
+                J = None if x_fp is None else fixation_full_jacobian(model.chain, state.q)
+                est_key = None
             if J is not None and cfg.mode != "off":
                 est = log.est_twist[row + 1]
                 if ifb:
@@ -810,7 +812,10 @@ def run_experiment(model: HeadModel, script: DisturbanceScript, settings: SimSet
                         # the efference copy: the neck's own rotation (executed
                         # velocities over the same window the gyro integrated);
                         # script-owned neck channels are disturbance, not self-motion
-                        omega = _gyro_omega(imu_prev[0], imu[0], settings.dt, settings.gyro_sigma, rng_gyro)
+                        if not (still and was_still):  # else the IMU pair, so the rate, repeats
+                            rate = _gyro_rate(imu_prev[0], imu[0], settings.dt)
+                        sigma = settings.gyro_sigma
+                        omega = rate + rng_gyro.normal(0.0, sigma, 3) if sigma > 0.0 else rate
                         self_qdot = np.where(track.active[row - 1][3:6], 0.0, state.qdot[3:6])
                         omega = omega - J[3:6, 3:6] @ self_qdot
                     if not gyro_buffer:  # until the first sample comes out: no rotation, at its position
@@ -868,7 +873,9 @@ def summarize(log: TrajectoryLog, baseline: TrajectoryLog | None = None) -> RunS
 
     The baseline must be the same script on the same tick grid, otherwise
     the comparison is meaningless and InvalidComparison is raised; so is a
-    log with no completed tick (fewer than 2 rows), which has no flow.
+    log with no completed tick (fewer than 2 rows), which has no flow.  The
+    residual speed and omega average the true twist over rows 1.. that are
+    not singular, NaN when every such row is.
     """
     if baseline is not None:
         same = (
@@ -900,14 +907,16 @@ def summarize(log: TrajectoryLog, baseline: TrajectoryLog | None = None) -> RunS
             r = 100.0 * (1.0 - m / bm) if bm and bm > 0 and math.isfinite(bm) else None
         seg_rows.append(SegmentSummary(label, t0, t1, m, r))
 
-    speeds = np.linalg.norm(log.true_twist[1:, :3], axis=1)
-    omegas = np.linalg.norm(log.true_twist[1:, 3:], axis=1)
+    # a singular row has no true twist (its cells hold zeros), so the means skip it
+    twists = log.true_twist[1:][~log.singular[1:]]
+    speeds = np.linalg.norm(twists[:, :3], axis=1)
+    omegas = np.linalg.norm(twists[:, 3:], axis=1)
     return RunSummary(
         mode=str(log.meta.get("mode")),
         dof_set=str(log.meta.get("dof_set")),
         mean_optfl=mean_optfl,
-        mean_residual_speed=float(np.mean(speeds)),
-        mean_residual_omega=float(np.mean(omegas)),
+        mean_residual_speed=float(np.mean(speeds)) if speeds.size else math.nan,
+        mean_residual_omega=float(np.mean(omegas)) if omegas.size else math.nan,
         reduction_pct=reduction,
         segments=tuple(seg_rows),
     )

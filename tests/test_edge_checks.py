@@ -152,6 +152,14 @@ REAL_SETTINGS = [
         "fixation_distance",
     ),
     ("SimSettings.gyro_sigma", lambda x: SimSettings(gyro_sigma=x), "gyro_sigma", "gyro_sigma"),
+    ("StabilizerConfig.damping", lambda x: StabilizerConfig(damping=x), "damping", "damping"),
+    (
+        "StabilizerConfig.neck_rate_limit",
+        lambda x: StabilizerConfig(neck_rate_limit=x),
+        "neck_rate_limit",
+        "neck_rate_limit",
+    ),
+    ("StabilizerConfig.eye_rate_limit", lambda x: StabilizerConfig(eye_rate_limit=x), "eye_rate_limit", "eye_rate_limit"),
 ]
 
 
