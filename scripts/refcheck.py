@@ -35,10 +35,11 @@ configs are used.  The check
   with its dtype, or the exception, and each warning's text) over 2,000
   seeded cases -- signed zeros, values tied with a joint limit, clamped and
   unlimited joints, overflow, `None` as command, `active` and `base_vel`,
-  and numpy float32 `dt` and `tau` -- and of `expand_head_q` and
-  `collapse_head_q` on seeded vectors, tilts equal, apart by a signed zero
-  or an ulp, or apart (the error text); no shipped log clamps a joint or
-  diverges;
+  and numpy float32 `dt` and `tau` (`PlantParams` stores a float32 `tau` as
+  its float64 value, so those cases run a float64 lag gain) -- and of
+  `expand_head_q` and `collapse_head_q` on seeded vectors, tilts equal,
+  apart by a signed zero or an ulp, or apart (the error text); no shipped
+  log clamps a joint or diverges;
 * compares a SHA-256 digest of `DisturbanceScript.realize` (the dtype, shape
   and bytes of each of the track's five arrays) on the three shipped scripts
   and on a synthetic script of commanded and external moves and noise on
@@ -62,7 +63,9 @@ configs are used.  The check
   0.02 rad/s from 0.05 s to 0.3 s, fixating 10 km away, in `off`, `kff` and
   `ifb` mode, and compares the same: these runs start with near-parallel
   optical axes and leave that singular band, so the `singular` column and
-  the held command change part-way (no shipped config logs a singular row).
+  the held command change part-way (no shipped config logs a singular row);
+* prints both trees' `src/gazestab/*.py` line totals, the design aim's size
+  metric, for information only: no total is a breach.
 
 It prints one line per check and exits 1 on any breach (a byte-identical
 result or a numeric difference within the budget is no breach).
@@ -409,6 +412,17 @@ def sidecar_difference(a, b):
     return worst
 
 
+def source_lines(tree):
+    """Total line count of a tree's src/gazestab/*.py, as `wc -l` gives it."""
+    package = os.path.join(tree, "src", "gazestab")
+    total = 0
+    for name in os.listdir(package):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), "rb") as fh:
+                total += fh.read().count(b"\n")
+    return total
+
+
 def report(label, old, new, compare):
     """Print one file's verdict; return True on a breach."""
     with open(old, "rb") as fa, open(new, "rb") as fb:
@@ -431,6 +445,7 @@ def main(argv):
     trees = argv
     breaches = 0
     print(f"refcheck {trees[0]} -> {trees[1]}")
+    print(f"src/gazestab/*.py lines: {source_lines(trees[0])} -> {source_lines(trees[1])} (information, not a check)")
     with tempfile.TemporaryDirectory() as work:
         outdirs = [os.path.join(work, side) for side in ("old", "new")]
         for d in outdirs:

@@ -14,6 +14,10 @@ Conventions
   index order, and must precede all eye links.
 
 All functions here are pure; identical inputs give bit-identical outputs.
+
+Checks sit at the public edge: each scalar field of a value type is stored
+through _real (a real scalar as a float within a range rule) or _int (an
+integer in a range as an int), which raise an InvalidInput naming the field.
 """
 
 from __future__ import annotations
@@ -52,6 +56,41 @@ def _unchecked(cls, **values):
     for name, value in values.items():
         object.__setattr__(obj, name, value)
     return obj
+
+
+# _real's range rules: the words after "must" and a test of the float, which NaN fails.
+FINITE = ("be finite", math.isfinite)
+POSITIVE = ("be positive and finite", lambda v: 0.0 < v < math.inf)
+NON_NEGATIVE = ("be finite and >= 0", lambda v: 0.0 <= v < math.inf)
+POSITIVE_OR_INF = ("be positive", lambda v: v > 0.0)
+
+
+def _real(x, what: str, rule) -> float:
+    """x, a Python or numpy real scalar (not a bool, Decimal, Fraction, str
+    or complex), as a float that passes rule, a (words, test) pair."""
+    if isinstance(x, bool) or not isinstance(x, (int, float, np.integer, np.floating)):
+        raise InvalidInput(f"{what} must be a real number, got {x!r}")
+    try:
+        v = float(x)
+    except OverflowError:  # a Python int past the float range rounds to +-inf
+        v = math.inf if x > 0 else -math.inf
+    words, test = rule
+    if not test(v):
+        raise InvalidInput(f"{what} must {words}, got {x!r}")
+    return v
+
+
+def _int(x, what: str, lo: int = 0, hi: float = math.inf, rule: str = "be a non-negative integer") -> int:
+    """x, a Python or numpy integer (not a bool) in [lo, hi], as an int."""
+    if isinstance(x, bool) or not isinstance(x, (int, np.integer)) or not lo <= x <= hi:
+        raise InvalidInput(f"{what} must {rule}, got {x!r}")
+    return int(x)
+
+
+def _reals(obj, prefix: str, **rules) -> None:
+    """Store each named field of a frozen value through _real, as prefix + name."""
+    for name, rule in rules.items():
+        object.__setattr__(obj, name, _real(getattr(obj, name), prefix + name, rule))
 
 
 # ---------------------------------------------------------------- value types
@@ -129,15 +168,12 @@ class DHLink:
     v_max: float = math.inf
 
     def __post_init__(self):
-        for name in ("a", "d", "alpha", "theta_offset"):
-            if not math.isfinite(getattr(self, name)):
-                raise InvalidInput(f"DHLink.{name} must be finite")
-        if not max(abs(self.a), abs(self.d)) <= MAX_SCALE:
-            raise InvalidInput(f"DHLink lengths a and d must lie within +-{MAX_SCALE:g} m")
-        if not self.q_min <= self.q_max:  # also rejects a NaN limit; +-inf means unlimited
-            raise InvalidInput("DHLink limits must be numbers with q_min <= q_max")
-        if not self.v_max > 0.0:
-            raise InvalidInput("DHLink.v_max must be positive")
+        length = (f"lie within +-{MAX_SCALE:g} m", lambda v: abs(v) <= MAX_SCALE)
+        limit = ("not be NaN", lambda v: not math.isnan(v))  # +-inf means unlimited
+        _reals(self, "DHLink.", a=length, d=length, alpha=FINITE, theta_offset=FINITE, q_min=limit, q_max=limit,
+               v_max=POSITIVE_OR_INF)
+        if not self.q_min <= self.q_max:
+            raise InvalidInput(f"DHLink limits must satisfy q_min <= q_max, got [{self.q_min!r}, {self.q_max!r}]")
 
 
 def as_joint_array(q, n: int | None = None, *, name: str = "q") -> np.ndarray:
@@ -150,13 +186,6 @@ def as_joint_array(q, n: int | None = None, *, name: str = "q") -> np.ndarray:
     if n is not None and arr.size != n:
         raise InvalidInput(f"{name} must have length {n}, got {arr.size}")
     return arr
-
-
-def _real(x, what: str) -> float:
-    # a Python or numpy real scalar as a float; bool, Decimal, Fraction, str and complex are not
-    if isinstance(x, bool) or not isinstance(x, (int, float, np.integer, np.floating)):
-        raise InvalidInput(f"{what} must be a real number, got {x!r}")
-    return float(x)
 
 
 def _finite3(value, name: str) -> np.ndarray:
@@ -379,8 +408,7 @@ def finite_difference_jacobian(f, q0, step: float = 1e-6) -> np.ndarray:
     comes back non-finite.
     """
     arr = as_joint_array(q0, name="q0")
-    if not (step > 0 and math.isfinite(step)):
-        raise InvalidInput("step must be a positive finite number")
+    step = _real(step, "step", POSITIVE)
     f0 = np.asarray(f(arr), dtype=float)
     if f0.ndim != 1:
         raise InvalidInput("f must return a 1-D vector")

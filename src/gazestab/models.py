@@ -13,7 +13,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 
-from .chain import MAX_SCALE, DHLink, KinematicChain, Pose, _is_rigid, as_joint_array, link_frames
+from .chain import MAX_SCALE, DHLink, KinematicChain, Pose, _int, _is_rigid, as_joint_array, link_frames
 from .errors import InvalidInput
 from .stereo import head_layout
 
@@ -44,6 +44,7 @@ class HeadModel:
     name: str = "head"
 
     def __post_init__(self):
+        object.__setattr__(self, "imu_link", _int(self.imu_link, "imu_link", 0, self.chain.n_joints - 1, "name a link"))
         if self.chain.segments[self.imu_link] != "neck":
             raise InvalidInput("IMU must be attached to a neck link", links=(self.imu_link,))
         lay = head_layout(self.chain)

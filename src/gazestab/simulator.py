@@ -48,15 +48,15 @@ for bit.  Else the cone re-centres on the new pose with a margin of
 max(0.05 rad, 8 times the certificate's growth over the last tick).
 flow_metric projects the whole cloud.
 
-Checks sit at the public edge: step, synth_gyro and the value types check
-the arguments a caller passes, and run_experiment's inputs are checked when
-they are built.  Values built from checked ones are not checked again: step
-builds its new PlantState unchecked after one finiteness check of the new q,
-qdot and base offset (SimulationDiverged); the loop writes each estimate
-straight into its est_twist log row (kFF as J @ rates, iFB through the
-estimator's private lever-arm kernel) and hands compensate an unchecked
-Twist of views into that row (its gyro samples, (omega, position) pairs,
-rest on the head model's imu_offset, a finite rigid transform).
+Checks sit at the public edge: step and synth_gyro check their arguments,
+value types store each scalar field through chain._real or chain._int, and
+run_experiment's inputs are checked when built.  Values built from checked
+ones are not checked again: step builds its new PlantState unchecked after
+one finiteness check of the new q, qdot and base offset (SimulationDiverged);
+the loop writes each estimate into its est_twist log row (kFF as J @ rates,
+iFB through the estimator's private lever-arm kernel) and hands compensate an
+unchecked Twist of views into that row (its gyro samples, (omega, position)
+pairs, rest on the head model's imu_offset, a rigid transform).
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .chain import MAX_SCALE, _finite3, _real, _unchecked, as_joint_array
+from .chain import FINITE, MAX_SCALE, NON_NEGATIVE, POSITIVE, _finite3, _int, _real, _reals, _unchecked, as_joint_array
 from .errors import (
     InsufficientCoverage,
     InvalidComparison,
@@ -94,16 +94,6 @@ MAX_TICKS = 200_000  # 2,000 s at the default tick; caps the (n, 9) log and trac
 MAX_CLOUD_POINTS = 100_000  # caps the (n, 3) cloud and its per-tick projections
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
-
-
-def _check_seed(seed, what: str) -> None:
-    # numpy's generators take only non-negative integer seeds
-    if not (_is_int(seed) and seed >= 0):
-        raise InvalidInput(f"{what} must be a non-negative integer, got {seed!r}")
-
-
 # ------------------------------------------------------------------- plant
 
 
@@ -115,10 +105,7 @@ class PlantParams:
     tau_eye: float = 0.02
 
     def __post_init__(self):
-        for name in ("tau_neck", "tau_eye"):
-            v = getattr(self, name)
-            if not (v >= 0.0 and math.isfinite(v)):
-                raise InvalidInput(f"PlantParams.{name} must be finite and >= 0")
+        _reals(self, "PlantParams.", tau_neck=NON_NEGATIVE, tau_eye=NON_NEGATIVE)
 
 
 @dataclass(frozen=True)
@@ -132,8 +119,7 @@ class PlantState:
     base_offset: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
     def __post_init__(self):
-        if not math.isfinite(self.t):
-            raise InvalidInput("PlantState.t must be finite")
+        object.__setattr__(self, "t", _real(self.t, "PlantState.t", FINITE))
         object.__setattr__(self, "q", as_joint_array(self.q, 9, name="q"))
         object.__setattr__(self, "qdot", as_joint_array(self.qdot, 9, name="qdot"))
         object.__setattr__(self, "base_offset", _finite3(self.base_offset, "base_offset"))
@@ -303,15 +289,13 @@ class CameraModel:
     border: int = 20
 
     def __post_init__(self):
-        object.__setattr__(self, "f", _real(self.f, "focal length"))
-        if not 0 < self.f <= MAX_SCALE:
-            raise InvalidInput(f"focal length must be positive and at most {MAX_SCALE:g}, got {self.f!r}")
-        if not all(_is_int(getattr(self, name)) for name in ("width", "height", "border")):
-            raise InvalidInput("image width, height and border must be integers")
-        if self.border < 0:
-            raise InvalidInput("image border must be >= 0")
+        focal = (f"be positive and at most {MAX_SCALE:g}", lambda v: 0.0 < v <= MAX_SCALE)
+        object.__setattr__(self, "f", _real(self.f, "focal length", focal))
+        for name in ("width", "height", "border"):
+            size = _int(getattr(self, name), "image width, height and border", rule="be integers >= 0")
+            object.__setattr__(self, name, size)
         if self.width <= 2 * self.border or self.height <= 2 * self.border:
-            raise InvalidInput("image must be wider than twice the border")
+            raise InvalidInput("image width and height must exceed twice the border")
 
 
 def _project(cam: CameraModel, rot, origin, cloud_t):
@@ -407,19 +391,18 @@ class CloudSpec:
     seed: int = 2024
 
     def __post_init__(self):
-        if not (_is_int(self.n) and 500 <= self.n <= MAX_CLOUD_POINTS):
-            raise InvalidInput(f"cloud must contain 500 to {MAX_CLOUD_POINTS} points, a whole number, got {self.n!r}")
-        if not 0.0 < self.r_min <= self.r_max <= MAX_SCALE:
-            raise InvalidInput(f"cloud radii must satisfy 0 < r_min <= r_max <= {MAX_SCALE:g}")
-        # half-widths of make_cloud's angle ranges: all the way round and up;
-        # -0 becomes 0, as make_cloud samples [-angle, angle]
+        points = f"contain 500 to {MAX_CLOUD_POINTS} points, a whole number"
+        object.__setattr__(self, "n", _int(self.n, "cloud", 500, MAX_CLOUD_POINTS, points))
+        # the angles are half-widths of make_cloud's ranges, all the way round
+        # and up; -0 is stored as 0, as make_cloud samples [-angle, angle]
+        azimuth = ("lie in [0, pi] rad (0 to 180 degrees)", lambda v: 0.0 <= v <= math.pi)
+        elevation = ("lie in [0, pi/2] rad (0 to 90 degrees)", lambda v: 0.0 <= v <= math.pi / 2)
+        _reals(self, "cloud ", r_min=POSITIVE, r_max=POSITIVE, azimuth=azimuth, elevation=elevation)
         object.__setattr__(self, "azimuth", self.azimuth + 0.0)
         object.__setattr__(self, "elevation", self.elevation + 0.0)
-        if not 0.0 <= self.azimuth <= math.pi:
-            raise InvalidInput(f"cloud azimuth must lie in [0, pi] rad (0 to 180 degrees), got {self.azimuth!r}")
-        if not 0.0 <= self.elevation <= math.pi / 2:
-            raise InvalidInput(f"cloud elevation must lie in [0, pi/2] rad (0 to 90 degrees), got {self.elevation!r}")
-        _check_seed(self.seed, "cloud seed")
+        if not self.r_min <= self.r_max <= MAX_SCALE:
+            raise InvalidInput(f"cloud radii must satisfy r_min <= r_max <= {MAX_SCALE:g}")
+        object.__setattr__(self, "seed", _int(self.seed, "cloud seed"))
 
 
 def make_cloud(spec: CloudSpec, center) -> np.ndarray:
@@ -451,10 +434,9 @@ class ScriptSegment:
     external: bool = False
 
     def __post_init__(self):
-        if not (0.0 <= self.t_start < self.t_end and math.isfinite(self.t_end)):
-            raise InvalidInput(f"bad segment times [{self.t_start}, {self.t_end})")
-        if not math.isfinite(self.rate):
-            raise InvalidInput("segment rate must be finite")
+        _reals(self, "segment ", t_start=NON_NEGATIVE, t_end=FINITE, rate=FINITE)
+        if not self.t_start < self.t_end:
+            raise InvalidInput(f"segment times must satisfy t_start < t_end, got [{self.t_start}, {self.t_end})")
 
 
 @dataclass(frozen=True)
@@ -477,13 +459,12 @@ class NoiseSegment:
 
     def __post_init__(self):
         object.__setattr__(self, "channels", tuple(self.channels))
-        if not (0.0 <= self.t_start < self.t_end and math.isfinite(self.t_end)):
-            raise InvalidInput("bad noise segment times")
-        amp, bw = self.amplitude, self.bandwidth
         # the series reaches several times its std (the amplitude): a larger one could overflow
-        if not (0.0 <= amp <= 1e300 and bw > 0.0 and math.isfinite(bw)):
-            raise InvalidInput("noise amplitude must lie in [0, 1e300], bandwidth be finite and > 0")
-        _check_seed(self.seed, "noise seed")
+        amplitude = ("lie in [0, 1e300]", lambda v: 0.0 <= v <= 1e300)
+        _reals(self, "noise ", t_start=NON_NEGATIVE, t_end=FINITE, amplitude=amplitude, bandwidth=POSITIVE)
+        if not self.t_start < self.t_end:
+            raise InvalidInput(f"noise times must satisfy t_start < t_end, got [{self.t_start}, {self.t_end})")
+        object.__setattr__(self, "seed", _int(self.seed, "noise seed"))
 
 
 @dataclass(frozen=True)
@@ -611,22 +592,14 @@ class SimSettings:
     gyro_delay_ticks: int = 0
 
     def __post_init__(self):
-        reals = ("dt", "fixation_distance", "gyro_sigma") + (("duration",) if self.duration is not None else ())
-        for name in reals:
-            object.__setattr__(self, name, _real(getattr(self, name), name))
-        if not (self.dt > 0.0 and math.isfinite(self.dt)):
-            raise InvalidInput(f"dt must be positive and finite, got {self.dt!r}")
+        sigma = (f"lie in [0, {MAX_SCALE:g}]", lambda v: 0.0 <= v <= MAX_SCALE)
+        _reals(self, "", dt=POSITIVE, fixation_distance=POSITIVE, gyro_sigma=sigma)
         if self.duration is not None:
-            if not (self.duration > 0.0 and math.isfinite(self.duration)):
-                raise InvalidInput("duration must be positive and finite")
+            _reals(self, "", duration=POSITIVE)
             _tick_count(self.duration, self.dt)
-        if not (self.fixation_distance > 0.0 and math.isfinite(self.fixation_distance)):
-            raise InvalidInput("fixation_distance must be positive and finite")
-        if not _is_int(self.gyro_delay_ticks):
-            raise InvalidInput("gyro delay must be an integer number of ticks")
-        if not 0.0 <= self.gyro_sigma <= MAX_SCALE or self.gyro_delay_ticks < 0:
-            raise InvalidInput(f"gyro noise must lie in [0, {MAX_SCALE:g}] and gyro delay be non-negative")
-        _check_seed(self.seed, "seed")
+        delay = _int(self.gyro_delay_ticks, "gyro delay", rule="be an integer number of ticks >= 0")
+        object.__setattr__(self, "gyro_delay_ticks", delay)
+        object.__setattr__(self, "seed", _int(self.seed, "seed"))
 
 
 # Each TrajectoryLog array with its CSV columns and dtype, in file order (log
@@ -655,7 +628,9 @@ LOG_META = dict(
 
 @dataclass
 class TrajectoryLog:
-    """Dense per-tick record of one run (row 0 = initial state)."""
+    """Dense per-tick record of one run (row 0 = initial state).  Log v1 has
+    zeros in fp where the state has parallel axes, and in true_twist where the
+    tick that ended there began at such a state: only singular marks them."""
 
     meta: dict
     t: np.ndarray  # (n+1,)

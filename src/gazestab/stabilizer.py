@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import _finite3, _real, as_joint_array
+from .chain import NON_NEGATIVE, POSITIVE_OR_INF, _finite3, _reals, as_joint_array
 from .errors import InvalidInput, SingularMatrix
 
 DEFAULT_DAMPING = 1e-3
@@ -111,12 +111,7 @@ class StabilizerConfig:
             raise InvalidInput(f"unknown mode {self.mode!r}")
         if self.dof_set not in ("eyes", "neck-eyes"):
             raise InvalidInput(f"unknown dof_set {self.dof_set!r}")
-        for name in ("damping", "neck_rate_limit", "eye_rate_limit"):
-            object.__setattr__(self, name, _real(getattr(self, name), name))
-        if not (self.damping >= 0.0 and math.isfinite(self.damping)):
-            raise InvalidInput("damping must be finite and >= 0")
-        if not (self.neck_rate_limit > 0.0 and self.eye_rate_limit > 0.0):
-            raise InvalidInput("rate limits must be positive")
+        _reals(self, "", damping=NON_NEGATIVE, neck_rate_limit=POSITIVE_OR_INF, eye_rate_limit=POSITIVE_OR_INF)
 
 
 # ------------------------------------------------------------ linear algebra

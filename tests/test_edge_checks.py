@@ -33,7 +33,9 @@ from gazestab.simulator import (
     CloudSpec,
     DisturbanceScript,
     NoiseSegment,
+    PlantParams,
     PlantState,
+    ScriptSegment,
     SimSettings,
     flow_metric,
     make_cloud,
@@ -140,7 +142,8 @@ def test_public_entry_point_rejects_non_finite(name, call, bad):
         call(bad)
 
 
-# Settings the loop computes with as floats: (row, build, field, name in the message).
+# Every scalar field stored through chain._real: (row, build, field, name in
+# the message).  Each build accepts the values 0.01 to 2.
 REAL_SETTINGS = [
     ("CameraModel.f", lambda x: CameraModel(f=x), "f", "focal length"),
     ("SimSettings.dt", lambda x: SimSettings(dt=x), "dt", "dt"),
@@ -160,6 +163,36 @@ REAL_SETTINGS = [
         "neck_rate_limit",
     ),
     ("StabilizerConfig.eye_rate_limit", lambda x: StabilizerConfig(eye_rate_limit=x), "eye_rate_limit", "eye_rate_limit"),
+    *(
+        (f"PlantParams.{name}", lambda x, name=name: PlantParams(**{name: x}), name, f"PlantParams.{name}")
+        for name in ("tau_neck", "tau_eye")
+    ),
+    ("PlantState.t", lambda x: PlantState(t=x, q=Q, qdot=np.zeros(9)), "t", "PlantState.t"),
+    ("CloudSpec.r_min", lambda x: CloudSpec(r_min=x, r_max=6.3), "r_min", "cloud r_min"),
+    ("CloudSpec.r_max", lambda x: CloudSpec(r_min=0.001, r_max=x), "r_max", "cloud r_max"),
+    ("CloudSpec.azimuth", lambda x: CloudSpec(azimuth=x), "azimuth", "cloud azimuth"),
+    ("CloudSpec.elevation", lambda x: CloudSpec(elevation=x), "elevation", "cloud elevation"),
+    ("ScriptSegment.t_start", lambda x: ScriptSegment(x, 10.0, "torso-yaw", 0.1), "t_start", "segment t_start"),
+    ("ScriptSegment.t_end", lambda x: ScriptSegment(0.0, x, "torso-yaw", 0.1), "t_end", "segment t_end"),
+    ("ScriptSegment.rate", lambda x: ScriptSegment(0.0, 1.0, "torso-yaw", x), "rate", "segment rate"),
+    ("NoiseSegment.t_start", lambda x: NoiseSegment(x, 10.0, ("torso-yaw",), 0.1, 1.0, 1), "t_start", "noise t_start"),
+    ("NoiseSegment.t_end", lambda x: NoiseSegment(0.0, x, ("torso-yaw",), 0.1, 1.0, 1), "t_end", "noise t_end"),
+    (
+        "NoiseSegment.amplitude",
+        lambda x: NoiseSegment(0.0, 1.0, ("torso-yaw",), x, 1.0, 1),
+        "amplitude",
+        "noise amplitude",
+    ),
+    (
+        "NoiseSegment.bandwidth",
+        lambda x: NoiseSegment(0.0, 1.0, ("torso-yaw",), 0.1, x, 1),
+        "bandwidth",
+        "noise bandwidth",
+    ),
+    *(
+        (f"DHLink.{name}", lambda x, name=name: DHLink(**{name: x}), name, f"DHLink.{name}")
+        for name in ("a", "d", "alpha", "theta_offset", "q_min", "q_max", "v_max")
+    ),
 ]
 
 
@@ -174,9 +207,16 @@ def test_real_settings_reject_other_types(name, build, field, what, value):
 @pytest.mark.parametrize(("name", "build", "field", "what"), REAL_SETTINGS, ids=[r[0] for r in REAL_SETTINGS])
 def test_real_settings_store_python_floats(name, build, field, what):
     # a numpy float32 dt would otherwise run the clock in float32
-    for value in (1, np.int64(2), np.float32(0.01), np.float64(0.02), 0.25):
+    for value in (1, np.int64(1), np.float32(0.01), np.float64(0.02), 0.25):
         got = getattr(build(value), field)
         assert type(got) is float and got == float(value)
+
+
+def test_an_int_past_the_float_range_is_an_infinity():
+    # float() of such an int raises OverflowError; the int rounds to +-inf, as IEEE rounding does
+    assert DHLink(q_min=-(10**400), q_max=10**400) == DHLink()
+    with pytest.raises(InvalidInput, match=r"^focal length must be positive and at most 1e\+100, got 1000"):
+        CameraModel(f=10**400)
 
 
 def test_numpy_real_settings_log_as_python_floats(tmp_path):
@@ -214,6 +254,74 @@ def test_seed_must_be_a_non_negative_integer(name, build, seed):
 def test_seed_accepts_zero_and_numpy_integers(name, build):
     for seed in (0, np.int64(2**40)):
         assert build(seed).seed == seed
+
+
+# Every integer field stored through chain._int: (row, build, field, name in
+# the message, a value the build accepts).
+INT_SETTINGS = [
+    ("SimSettings.seed", lambda x: SimSettings(seed=x), "seed", "seed", 7),
+    ("SimSettings.gyro_delay_ticks", lambda x: SimSettings(gyro_delay_ticks=x), "gyro_delay_ticks", "gyro delay", 3),
+    ("CloudSpec.n", lambda x: CloudSpec(n=x), "n", "cloud", 600),
+    ("CloudSpec.seed", lambda x: CloudSpec(seed=x), "seed", "cloud seed", 7),
+    ("NoiseSegment.seed", lambda x: NoiseSegment(0.0, 1.0, ("torso-yaw",), 0.1, 1.0, x), "seed", "noise seed", 7),
+    *(
+        (f"CameraModel.{name}", lambda x, name=name: CameraModel(**{name: x}), name, "image width, height and border", v)
+        for name, v in (("width", 320), ("height", 240), ("border", 20))
+    ),
+    ("HeadModel.imu_link", lambda x: replace(MODEL, imu_link=x), "imu_link", "imu_link", MODEL.imu_link),
+]
+
+
+@pytest.mark.parametrize(("name", "build", "field", "what", "valid"), INT_SETTINGS, ids=[r[0] for r in INT_SETTINGS])
+def test_int_settings_store_python_ints(name, build, field, what, valid):
+    for value in (valid, np.int64(valid), np.int32(valid)):
+        got = getattr(build(value), field)
+        assert type(got) is int and got == valid
+
+
+@pytest.mark.parametrize("kind", [bool, float, str])
+@pytest.mark.parametrize(("name", "build", "field", "what", "valid"), INT_SETTINGS, ids=[r[0] for r in INT_SETTINGS])
+def test_int_settings_reject_other_types(name, build, field, what, valid, kind):
+    # a bool would run as 0 or 1, and numpy takes no float or str count or seed
+    with pytest.raises(InvalidInput, match=f"^{what} must"):
+        build(kind(valid))
+
+
+# Python and numpy scalars of every kind a caller might pass.
+SCALARS = st.one_of(
+    st.booleans(),
+    st.integers(),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.floats(),
+    st.floats(width=32).map(np.float32),
+    st.floats().map(np.float64),
+    st.decimals(allow_nan=False),
+    st.fractions(),
+    st.text(max_size=4),
+    st.complex_numbers(max_magnitude=1e6),
+)
+
+
+# Each row with the type it stores.  HeadModel.imu_link is left out: its
+# neck-link rule names the IMU, not the field.
+SCALAR_ROWS = [(*row, float) for row in REAL_SETTINGS] + [
+    (*row[:4], int) for row in INT_SETTINGS if row[0] != "HeadModel.imu_link"
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(row=st.sampled_from(SCALAR_ROWS), value=SCALARS)
+def test_scalar_fields_are_rejected_by_name_or_stored_as_python_numbers(row, value):
+    # whatever a caller passes is either an InvalidInput naming the field (by
+    # its own rule or one it shares with another field) or a Python float or
+    # int: never a bare TypeError, and never a bool, Decimal or numpy scalar
+    name, build, field, what, stored = row
+    try:
+        got = getattr(build(value), field)
+    except InvalidInput as err:
+        assert what in str(err) or field in str(err), (name, str(err))
+    else:
+        assert type(got) is stored, (name, value, got)
 
 
 @pytest.mark.parametrize(

@@ -172,6 +172,16 @@ def test_step_rejects_bad_dt():
         PlantParams(tau_neck=-0.1)
 
 
+def test_float32_tau_steps_as_its_float64_value():
+    # PlantParams stores float(tau): kept as a numpy float32, tau would run
+    # the lag gain in float32 (dt / tau = 0.125, not 0.12500000279396778)
+    tau = np.float32(0.08)
+    assert type(PlantParams(tau, tau).tau_neck) is float
+    cmd = make_cmd(neck=(1.0, -0.5, 0.25), eye=(0.5, 1.0, -0.2))
+    a, b = (step(MODEL, rest_state(), np.zeros(9), cmd, DT, PlantParams(t, t)) for t in (tau, float(tau)))
+    assert a.qdot.tobytes() == b.qdot.tobytes() and a.q.tobytes() == b.q.tobytes()
+
+
 @pytest.mark.parametrize("base_vel", [[1.0, 2.0], [math.nan, 0.0, 0.0], [0.0, math.inf, 0.0], np.zeros((1, 3))])
 def test_step_rejects_bad_base_vel(base_vel):
     with pytest.raises(InvalidInput, match="base_vel must be a finite 3-vector"):
