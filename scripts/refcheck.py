@@ -35,8 +35,9 @@ configs are used.  The check
   with its dtype, or the exception, and each warning's text) over 2,000
   seeded cases -- signed zeros, values tied with a joint limit, clamped and
   unlimited joints, overflow, `None` as command, `active` and `base_vel`,
-  and numpy float32 `dt` and `tau` (`PlantParams` stores a float32 `tau` as
-  its float64 value, so those cases run a float64 lag gain) -- and of
+  and numpy float32 `dt` and `tau` (`step` takes a float32 `dt`, and
+  `PlantParams` stores a float32 `tau`, as its float64 value, so those cases
+  run a float64 `dt` and lag gain) -- and of
   `expand_head_q` and `collapse_head_q` on seeded vectors, tilts equal,
   apart by a signed zero or an ulp, or apart (the error text); no shipped
   log clamps a joint or diverges;
@@ -65,7 +66,10 @@ configs are used.  The check
   optical axes and leave that singular band, so the `singular` column and
   the held command change part-way (no shipped config logs a singular row);
 * prints both trees' `src/gazestab/*.py` line totals, the design aim's size
-  metric, for information only: no total is a breach.
+  metric, and their work ledgers: the Python calls into gazestab per tick,
+  counted with `sys.setprofile` as `test_work_ledger_calls_per_tick` counts
+  them, on the four configs that test runs.  Both are for information only:
+  no total or count is a breach.
 
 It prints one line per check and exits 1 on any breach (a byte-identical
 result or a numeric difference within the budget is no breach).
@@ -132,6 +136,46 @@ EDGE_RUNS = (
     ]
     + [(f"leave_{mode}", "leave.script", f"mode {mode}\nduration 0.4\nfixation-distance 1e4\n") for mode in MODES]
 )
+
+# (shipped config, run length in s) of each work-ledger run: the configs and
+# lengths test_work_ledger_calls_per_tick measures.
+LEDGER = (("exp_a_kff", 2.0), ("exp_b_ifb", 1.0), ("translate_ifb", 1.0), ("translate_off", 1.0))
+
+# Runs inside a tree: prints each LEDGER config's name and its Python calls
+# into gazestab per tick, over a run of the given length minus a run of half
+# that length, each on freshly parsed inputs, so set-up cancels.
+LEDGER_CODE = f"""
+import os, sys
+from dataclasses import replace
+import gazestab.simulator as simulator
+from gazestab.fileio import default_data_dir, parse_model_file, parse_run_config, parse_script_file
+
+package = os.path.dirname(simulator.__file__) + os.sep
+data = default_data_dir()
+calls = 0
+
+
+def profile(frame, event, arg):
+    global calls
+    calls += event == "call" and frame.f_code.co_filename.startswith(package)
+
+
+for name, duration in {LEDGER!r}:
+    counts = []
+    for length in (duration, duration / 2):
+        cfg = parse_run_config(os.path.join(data, name + ".config"))
+        model = parse_model_file(os.path.join(data, cfg.model_path))
+        script = parse_script_file(os.path.join(data, cfg.script_path))
+        calls = 0
+        sys.setprofile(profile)
+        try:
+            log = simulator.run_experiment(model, script, replace(cfg.settings, duration=length))
+        finally:
+            sys.setprofile(None)
+        counts.append((calls, log.n_rows()))
+    (full, rows_full), (half, rows_half) = counts
+    print(name, f"{{(full - half) / (rows_full - rows_half):.2f}}")
+"""
 
 # Runs inside a tree on log paths: prints a digest of each log as read_log_csv
 # returns it (every array's dtype, shape and bytes, the metadata, the segments).
@@ -450,6 +494,9 @@ def main(argv):
         outdirs = [os.path.join(work, side) for side in ("old", "new")]
         for d in outdirs:
             os.mkdir(d)
+        old, new = both(trees, outdirs, lambda tree: ["-c", LEDGER_CODE], "work ledger")
+        ledger = ", ".join(f"{a.split()[0]} {a.split()[1]} -> {b.split()[1]}" for a, b in zip(old.splitlines(), new.splitlines()))
+        print(f"work ledger, calls per tick: {ledger} (information, not a check)")
         print("logs and sidecars:")
         variants = [name for name, _, _ in VARIANTS]
         for tree, d in zip(trees, outdirs):

@@ -15,14 +15,16 @@ Conventions
 
 All functions here are pure; identical inputs give bit-identical outputs.
 
-Checks sit at the public edge: each scalar field of a value type is stored
-through _real (a real scalar as a float within a range rule) or _int (an
-integer in a range as an int), which raise an InvalidInput naming the field.
+Checks sit at the public edge: each scalar field of a value type, and each
+scalar argument of a public function, goes through _real (a real scalar as
+a float in a rule's closed interval) or _int (an integer in a range as an
+int), which raise an InvalidInput naming the field or argument.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -58,24 +60,26 @@ def _unchecked(cls, **values):
     return obj
 
 
-# _real's range rules: the words after "must" and a test of the float, which NaN fails.
-FINITE = ("be finite", math.isfinite)
-POSITIVE = ("be positive and finite", lambda v: 0.0 < v < math.inf)
-NON_NEGATIVE = ("be finite and >= 0", lambda v: 0.0 <= v < math.inf)
-POSITIVE_OR_INF = ("be positive", lambda v: v > 0.0)
+# _real's range rules: the words after "must" and the closed interval [lo, hi]
+# the float must lie in, which NaN never does.  A strict bound at 0 is the
+# least positive float, and finite is within +-the largest float.
+FINITE = ("be finite", -sys.float_info.max, sys.float_info.max)
+POSITIVE = ("be positive and finite", math.ulp(0.0), sys.float_info.max)
+NON_NEGATIVE = ("be finite and >= 0", 0.0, sys.float_info.max)
+POSITIVE_OR_INF = ("be positive", math.ulp(0.0), math.inf)
 
 
 def _real(x, what: str, rule) -> float:
     """x, a Python or numpy real scalar (not a bool, Decimal, Fraction, str
-    or complex), as a float that passes rule, a (words, test) pair."""
+    or complex), as a float in rule's interval (rule: words, lo, hi)."""
     if isinstance(x, bool) or not isinstance(x, (int, float, np.integer, np.floating)):
         raise InvalidInput(f"{what} must be a real number, got {x!r}")
     try:
         v = float(x)
     except OverflowError:  # a Python int past the float range rounds to +-inf
         v = math.inf if x > 0 else -math.inf
-    words, test = rule
-    if not test(v):
+    words, lo, hi = rule
+    if not lo <= v <= hi:
         raise InvalidInput(f"{what} must {words}, got {x!r}")
     return v
 
@@ -168,8 +172,8 @@ class DHLink:
     v_max: float = math.inf
 
     def __post_init__(self):
-        length = (f"lie within +-{MAX_SCALE:g} m", lambda v: abs(v) <= MAX_SCALE)
-        limit = ("not be NaN", lambda v: not math.isnan(v))  # +-inf means unlimited
+        length = (f"lie within +-{MAX_SCALE:g} m", -MAX_SCALE, MAX_SCALE)
+        limit = ("not be NaN", -math.inf, math.inf)  # +-inf means unlimited
         _reals(self, "DHLink.", a=length, d=length, alpha=FINITE, theta_offset=FINITE, q_min=limit, q_max=limit,
                v_max=POSITIVE_OR_INF)
         if not self.q_min <= self.q_max:
@@ -292,8 +296,8 @@ class KinematicChain:
 
 
 def dh_matrix(link: DHLink, q: float) -> np.ndarray:
-    """Homogeneous transform of one link at joint value q (radians)."""
-    th = q + link.theta_offset
+    """Homogeneous transform of one link at a finite joint value q (radians)."""
+    th = _real(q, "q", FINITE) + link.theta_offset
     return _dh_closed_form(math.cos(th), math.sin(th), math.cos(link.alpha), math.sin(link.alpha), link.a, link.d)
 
 

@@ -48,15 +48,17 @@ for bit.  Else the cone re-centres on the new pose with a margin of
 max(0.05 rad, 8 times the certificate's growth over the last tick).
 flow_metric projects the whole cloud.
 
-Checks sit at the public edge: step and synth_gyro check their arguments,
-value types store each scalar field through chain._real or chain._int, and
-run_experiment's inputs are checked when built.  Values built from checked
-ones are not checked again: step builds its new PlantState unchecked after
-one finiteness check of the new q, qdot and base offset (SimulationDiverged);
-the loop writes each estimate into its est_twist log row (kFF as J @ rates,
-iFB through the estimator's private lever-arm kernel) and hands compensate an
-unchecked Twist of views into that row (its gyro samples, (omega, position)
-pairs, rest on the head model's imu_offset, a rigid transform).
+Checks sit at the public edge: value types store each scalar field, and
+step, synth_gyro, realize and initial_state take each scalar argument,
+through chain._real or chain._int; step and synth_gyro check their array
+arguments too, and run_experiment's inputs are checked when built.  Values
+built from checked ones are not checked again: step builds its new
+PlantState unchecked after one finiteness check of the new q, qdot and base
+offset (SimulationDiverged); the loop writes each estimate into its
+est_twist log row (kFF as J @ rates, iFB through the estimator's private
+lever-arm kernel) and hands compensate an unchecked Twist of views into
+that row (its gyro samples, (omega, position) pairs, rest on the head
+model's imu_offset, a rigid transform).
 """
 
 from __future__ import annotations
@@ -125,13 +127,6 @@ class PlantState:
         object.__setattr__(self, "base_offset", _finite3(self.base_offset, "base_offset"))
 
 
-def _tracking_gain(dt: float, tau: float) -> float:
-    # Explicit-Euler lag gain, clamped so tau <= dt degenerates to snapping.
-    if tau <= 0.0:
-        return 1.0
-    return min(dt / tau, 1.0)
-
-
 def step(
     model: HeadModel,
     state: PlantState,
@@ -151,8 +146,7 @@ def step(
     and command were checked when built, so only the other arguments and
     the new state's finiteness are checked here.
     """
-    if not (dt > 0.0 and math.isfinite(dt)):
-        raise InvalidInput("dt must be positive and finite")
+    dt = _real(dt, "dt", POSITIVE)
     dist = as_joint_array(disturbance_qdot, 9, name="disturbance_qdot").tolist()
     act = np.zeros(9, dtype=bool) if active is None else np.asarray(active, dtype=bool)
     if act.shape != (9,):
@@ -160,10 +154,10 @@ def step(
     vel = [0.0] * 3 if base_vel is None else _finite3(base_vel, "base_vel").tolist()
     setpoint = [0.0] * 9 if command is None else [0.0] * 3 + command.qdot_neck.tolist() + command.qdot_eye.tolist()
 
-    # float() gives a numpy scalar dt or gain the float64 that arrays made of it
     t = state.t + dt
-    g_neck, g_eye = float(_tracking_gain(dt, params.tau_neck)), float(_tracking_gain(dt, params.tau_eye))
-    dt = float(dt)
+    # explicit-Euler lag gains, clamped so tau <= dt degenerates to snapping
+    g_neck = min(dt / params.tau_neck, 1.0) if params.tau_neck > 0.0 else 1.0
+    g_eye = min(dt / params.tau_eye, 1.0) if params.tau_eye > 0.0 else 1.0
     qdot = state.qdot.tolist()
     for i, scripted in enumerate(act.tolist()):  # scripted DoF follow the script; other torso DoF rest
         if scripted:
@@ -255,10 +249,7 @@ def synth_gyro(
     Optional zero-mean Gaussian noise with std sigma per axis.  Both IMU
     poses are read from the states' head passes.
     """
-    if not (dt > 0.0 and math.isfinite(dt)):
-        raise InvalidInput("dt must be positive and finite")
-    if not (sigma >= 0.0 and math.isfinite(sigma)):
-        raise InvalidInput("gyro noise sigma must be finite and >= 0")
+    dt, sigma = _real(dt, "dt", POSITIVE), _real(sigma, "gyro noise sigma", NON_NEGATIVE)
     if sigma > 0.0 and rng is None:
         raise InvalidInput("gyro noise requires an rng")
     rot_prev, _ = _imu_world(model, _head_pass(model.chain, state_prev.q).link_frames)
@@ -289,7 +280,7 @@ class CameraModel:
     border: int = 20
 
     def __post_init__(self):
-        focal = (f"be positive and at most {MAX_SCALE:g}", lambda v: 0.0 < v <= MAX_SCALE)
+        focal = (f"be positive and at most {MAX_SCALE:g}", math.ulp(0.0), MAX_SCALE)
         object.__setattr__(self, "f", _real(self.f, "focal length", focal))
         for name in ("width", "height", "border"):
             size = _int(getattr(self, name), "image width, height and border", rule="be integers >= 0")
@@ -395,8 +386,8 @@ class CloudSpec:
         object.__setattr__(self, "n", _int(self.n, "cloud", 500, MAX_CLOUD_POINTS, points))
         # the angles are half-widths of make_cloud's ranges, all the way round
         # and up; -0 is stored as 0, as make_cloud samples [-angle, angle]
-        azimuth = ("lie in [0, pi] rad (0 to 180 degrees)", lambda v: 0.0 <= v <= math.pi)
-        elevation = ("lie in [0, pi/2] rad (0 to 90 degrees)", lambda v: 0.0 <= v <= math.pi / 2)
+        azimuth = ("lie in [0, pi] rad (0 to 180 degrees)", 0.0, math.pi)
+        elevation = ("lie in [0, pi/2] rad (0 to 90 degrees)", 0.0, math.pi / 2)
         _reals(self, "cloud ", r_min=POSITIVE, r_max=POSITIVE, azimuth=azimuth, elevation=elevation)
         object.__setattr__(self, "azimuth", self.azimuth + 0.0)
         object.__setattr__(self, "elevation", self.elevation + 0.0)
@@ -460,7 +451,7 @@ class NoiseSegment:
     def __post_init__(self):
         object.__setattr__(self, "channels", tuple(self.channels))
         # the series reaches several times its std (the amplitude): a larger one could overflow
-        amplitude = ("lie in [0, 1e300]", lambda v: 0.0 <= v <= 1e300)
+        amplitude = ("lie in [0, 1e300]", 0.0, 1e300)
         _reals(self, "noise ", t_start=NON_NEGATIVE, t_end=FINITE, amplitude=amplitude, bandwidth=POSITIVE)
         if not self.t_start < self.t_end:
             raise InvalidInput(f"noise times must satisfy t_start < t_end, got [{self.t_start}, {self.t_end})")
@@ -526,6 +517,8 @@ class DisturbanceScript:
     def realize(self, model: HeadModel, dt: float, n_ticks: int) -> DisturbanceTrack:
         """Evaluate every channel on the tick grid.  Deterministic.  The track's
         arrays are column views of a rate and a commanded table (_column)."""
+        dt = _real(dt, "dt", POSITIVE)
+        n_ticks = _int(n_ticks, "n_ticks", 1, MAX_TICKS, f"be an integer from 1 to {MAX_TICKS}")
         self.validate(model)
         rates = np.zeros((n_ticks, 12))
         commanded = np.zeros((n_ticks, 12))
@@ -592,7 +585,7 @@ class SimSettings:
     gyro_delay_ticks: int = 0
 
     def __post_init__(self):
-        sigma = (f"lie in [0, {MAX_SCALE:g}]", lambda v: 0.0 <= v <= MAX_SCALE)
+        sigma = (f"lie in [0, {MAX_SCALE:g}]", 0.0, MAX_SCALE)
         _reals(self, "", dt=POSITIVE, fixation_distance=POSITIVE, gyro_sigma=sigma)
         if self.duration is not None:
             _reals(self, "", duration=POSITIVE)
@@ -653,6 +646,7 @@ class TrajectoryLog:
 
 def initial_state(model: HeadModel, fixation_distance: float) -> PlantState:
     """Neutral posture verged onto a target at the given forward distance."""
+    fixation_distance = _real(fixation_distance, "fixation_distance", POSITIVE)
     fr = camera_frames(model.chain, np.zeros(9))
     baseline = float(np.linalg.norm(fr.o_left - fr.o_right))
     q0 = np.zeros(9)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import NON_NEGATIVE, POSITIVE_OR_INF, _finite3, _reals, as_joint_array
+from .chain import NON_NEGATIVE, POSITIVE_OR_INF, _finite3, _real, _reals, as_joint_array
 from .errors import InvalidInput, SingularMatrix
 
 DEFAULT_DAMPING = 1e-3
@@ -128,8 +128,7 @@ def pinv_damped(J, damping: float) -> np.ndarray:
     J = np.asarray(J, dtype=float)
     if J.ndim < 2 or not np.isfinite(J).all():
         raise InvalidInput("pinv_damped wants a finite 2-D matrix or a stack of them")
-    if not (damping >= 0.0 and math.isfinite(damping)):
-        raise InvalidInput("damping must be finite and >= 0")
+    damping = _real(damping, "damping", NON_NEGATIVE)
     u, s, vt = np.linalg.svd(J, full_matrices=False)
     if damping == 0.0:
         if s.shape[-1] == 0 or not (s[..., 0] > 0.0).all() or (s[..., -1] / s[..., 0] < 1e-12).any():

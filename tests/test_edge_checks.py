@@ -6,8 +6,9 @@ caller passes; the values the code builds for itself without those checks
 """
 
 import math
+import re
 import warnings
-from dataclasses import fields, replace
+from dataclasses import fields, is_dataclass, replace
 from decimal import Decimal
 from fractions import Fraction
 
@@ -21,14 +22,16 @@ from gazestab.chain import (
     KinematicChain,
     Pose,
     analytic_axis_jacobian,
+    dh_matrix,
     forward_kinematics,
     geometric_jacobian,
 )
-from gazestab.errors import InvalidInput
+from gazestab.errors import InvalidInput, SimulationDiverged
 from gazestab.fileio import write_log_csv
 from gazestab.models import default_head_model
 from gazestab.simulator import (
     MAX_SCALE,
+    MAX_TICKS,
     CameraModel,
     CloudSpec,
     DisturbanceScript,
@@ -38,6 +41,7 @@ from gazestab.simulator import (
     ScriptSegment,
     SimSettings,
     flow_metric,
+    initial_state,
     make_cloud,
     run_experiment,
     step,
@@ -63,6 +67,13 @@ QM = expand_head_q(Q)
 J = fixation_full_jacobian(CHAIN, Q)
 FRAMES = camera_frames(CHAIN, Q)
 STATE = PlantState(t=0.0, q=Q, qdot=np.zeros(9))
+MOVED = PlantState(t=DT, q=Q + 0.01, qdot=np.zeros(9))
+CMD = StabilizerCommand(np.full(3, 0.1), np.full(3, 0.2))
+SCRIPT = DisturbanceScript(
+    "mixed",
+    segments=(ScriptSegment(0.0, 0.05, "torso-yaw", 0.4),),
+    noise=(NoiseSegment(0.0, 0.1, ("neck-yaw",), 0.1, 2.0, 5),),
+)
 CLOUD = make_cloud(CloudSpec(), np.zeros(3))
 
 
@@ -105,6 +116,9 @@ ENTRY_POINTS = [
     ("compensate.J_neck", lambda b: compensate(Twist.zero(), with_bad(J, b, index=22), StabilizerConfig())),
     ("pinv_damped.J", lambda b: pinv_damped(with_bad(J[:3, 6:], b), 1e-3)),
     ("pinv_damped.damping", lambda b: pinv_damped(J[:3, 6:], b)),
+    ("realize.dt", lambda b: SCRIPT.realize(MODEL, b, 12)),
+    ("initial_state.fixation_distance", lambda b: initial_state(MODEL, b)),
+    ("dh_matrix.q", lambda b: dh_matrix(CHAIN.links[0], b)),
     ("camera_frames", lambda b: camera_frames(CHAIN, with_bad(Q, b))),
     ("fixation_full_jacobian", lambda b: fixation_full_jacobian(CHAIN, with_bad(Q, b))),
     ("geometric_jacobian.q", lambda b: geometric_jacobian(CHAIN, with_bad(QM, b), np.zeros(3), 7)),
@@ -118,7 +132,19 @@ ENTRY_POINTS = [
 MESSAGES = {name: "J must be finite" for name in ("estimate_kff.J", "compensate.J_eye", "compensate.J_neck")}
 MESSAGES["flow_metric"] = "^cloud must be finite$"
 MESSAGES["CameraModel.f"] = r"^focal length must be positive and at most 1e\+100, got -?(nan|inf)$"
-MESSAGES["SimSettings.dt"] = "^dt must be positive and finite, got -?(nan|inf)$"
+MESSAGES.update(
+    (row, f"^{rule}, got -?(nan|inf)$")
+    for row, rule in (
+        ("SimSettings.dt", "dt must be positive and finite"),
+        ("step.dt", "dt must be positive and finite"),
+        ("synth_gyro.dt", "dt must be positive and finite"),
+        ("synth_gyro.sigma", "gyro noise sigma must be finite and >= 0"),
+        ("pinv_damped.damping", "damping must be finite and >= 0"),
+        ("realize.dt", "dt must be positive and finite"),
+        ("initial_state.fixation_distance", "fixation_distance must be positive and finite"),
+        ("dh_matrix.q", "q must be finite"),
+    )
+)
 MESSAGES.update(
     (row, f"^{vector} must be a finite 3-vector$")
     for row, vector in (
@@ -210,6 +236,72 @@ def test_real_settings_store_python_floats(name, build, field, what):
     for value in (1, np.int64(1), np.float32(0.01), np.float64(0.02), 0.25):
         got = getattr(build(value), field)
         assert type(got) is float and got == float(value)
+
+
+def outcome(call, x):
+    """call(x)'s result as bytes (each field or array with its type and
+    dtype), or the type and text of the InvalidInput or SimulationDiverged
+    it raised."""
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
+        warnings.simplefilter("ignore")
+        try:
+            result = call(x)
+        except (InvalidInput, SimulationDiverged) as err:
+            return type(err).__name__, str(err)
+    parts = [getattr(result, f.name) for f in fields(result)] if is_dataclass(result) else [result]
+    return [(type(p).__name__, np.asarray(p).dtype.str, np.asarray(p).tobytes()) for p in parts]
+
+
+# Every scalar argument of a public function, taken through chain._real or
+# chain._int: (row, call, name in the message, the Python type it runs as).
+# Each call accepts the values 0.01 to 2 (n_ticks: integers from 1).
+SCALAR_ARGUMENTS = [
+    ("step.dt", lambda x: step(MODEL, STATE, np.zeros(9), CMD, x), "dt", float),
+    ("synth_gyro.dt", lambda x: synth_gyro(MODEL, STATE, MOVED, x), "dt", float),
+    (
+        "synth_gyro.sigma",
+        lambda x: synth_gyro(MODEL, STATE, MOVED, DT, sigma=x, rng=np.random.default_rng(0)),
+        "gyro noise sigma",
+        float,
+    ),
+    ("pinv_damped.damping", lambda x: pinv_damped(J[:3, 6:], x), "damping", float),
+    ("realize.dt", lambda x: SCRIPT.realize(MODEL, x, 12), "dt", float),
+    ("realize.n_ticks", lambda x: SCRIPT.realize(MODEL, DT, x), "n_ticks", int),
+    ("initial_state.fixation_distance", lambda x: initial_state(MODEL, x), "fixation_distance", float),
+    ("dh_matrix.q", lambda x: dh_matrix(CHAIN.links[0], x), "q", float),
+]
+
+
+@pytest.mark.parametrize("value", [True, np.True_, Decimal("0.5"), Fraction(1, 2), "0.5", 0.5 + 0j], ids=repr)
+@pytest.mark.parametrize(("name", "call", "what", "kind"), SCALAR_ARGUMENTS, ids=[r[0] for r in SCALAR_ARGUMENTS])
+def test_scalar_arguments_reject_other_types(name, call, what, kind, value):
+    # a bool would run as 1 (a 1 s tick, a 1 rad joint) and a Decimal would
+    # reach numpy or float math as a bare TypeError
+    with pytest.raises(InvalidInput, match=f"^{what} must"):
+        call(value)
+
+
+@pytest.mark.parametrize(("name", "call", "what", "kind"), SCALAR_ARGUMENTS, ids=[r[0] for r in SCALAR_ARGUMENTS])
+def test_scalar_arguments_run_numpy_scalars_as_python_numbers(name, call, what, kind):
+    # a numpy float32 dt would otherwise make step's t a float32
+    values = (1, np.int64(1), np.float32(0.01), np.float64(0.02), 0.25) if kind is float else (3, np.int64(3), np.int32(3))
+    for value in values:
+        got = outcome(call, value)
+        assert isinstance(got, list) and got == outcome(call, kind(value)), (name, value)
+
+
+@pytest.mark.parametrize(
+    ("name", "value"),
+    [("realize.n_ticks", 0), ("realize.n_ticks", -1), ("realize.n_ticks", MAX_TICKS + 1), ("realize.dt", 0.0),
+     ("initial_state.fixation_distance", -6.0), ("initial_state.fixation_distance", 0.0), ("step.dt", -0.01),
+     ("synth_gyro.sigma", -1.0), ("pinv_damped.damping", -1e-3)],
+)
+def test_scalar_arguments_out_of_range_rejected_by_name(name, value):
+    # n_ticks sizes two (n_ticks, 12) tables and an (n_ticks, 9) mask; a
+    # fixation distance of 0 verges to pi, and a negative one past it
+    _, call, what, _ = next(row for row in SCALAR_ARGUMENTS if row[0] == name)
+    with pytest.raises(InvalidInput, match=f"^{what} must .*, got {re.escape(repr(value))}$"):
+        call(value)
 
 
 def test_an_int_past_the_float_range_is_an_infinity():
@@ -322,6 +414,20 @@ def test_scalar_fields_are_rejected_by_name_or_stored_as_python_numbers(row, val
         assert what in str(err) or field in str(err), (name, str(err))
     else:
         assert type(got) is stored, (name, value, got)
+
+
+@settings(max_examples=300, deadline=None)
+@given(row=st.sampled_from(SCALAR_ARGUMENTS), value=SCALARS)
+def test_scalar_arguments_are_rejected_by_name_or_run_as_python_numbers(row, value):
+    # whatever a caller passes is either an InvalidInput naming the argument
+    # or runs as its Python float or int would: never a bare TypeError, and
+    # never a bool, Decimal or numpy scalar reaching the arithmetic
+    name, call, what, kind = row
+    got = outcome(call, value)
+    if got[0] == "InvalidInput" and got[1].startswith(f"{what} must"):
+        return
+    assert not isinstance(value, bool) and isinstance(value, (int, float, np.integer, np.floating)), (name, value)
+    assert got == outcome(call, kind(value)), (name, value, got)
 
 
 @pytest.mark.parametrize(
