@@ -42,9 +42,13 @@ configs are used.  The check
   apart by a signed zero or an ulp, or apart (the error text); no shipped
   log clamps a joint or diverges;
 * compares a SHA-256 digest of `DisturbanceScript.realize` (the dtype, shape
-  and bytes of each of the track's five arrays) on the three shipped scripts
-  and on a synthetic script of commanded and external moves and noise on
-  joint and base channels, which the shipped scripts never combine;
+  and bytes of each of the track's five arrays) on the three shipped scripts;
+  on a synthetic script of commanded and external moves and noise on joint
+  and base channels, which the shipped scripts never combine; on 2,000
+  back-to-back moves; and, at dt 0.01 and 0.003, on back-to-back moves and
+  noise lines whose edges fall on a tick, 1e-12 to either side of one or
+  between ticks (a segment owns the ticks t with t_start - 1e-12 <= t <
+  t_end - 1e-12, so these are the edges where rounding decides);
 * compares a SHA-256 digest of the `serialize_model` text of the shipped
   model and of a variant with a base pose and unlimited joints, and the
   `serialize_script` text of the same four scripts, in `degrees` and in
@@ -275,9 +279,34 @@ synthetic = DisturbanceScript(
     ),
 )
 scripts = [parse_script_file(f"{{default_data_dir()}}/{{n}}.script") for n in ("exp_a", "exp_b", "translate")]
+
+
+def edge_script(dt):
+    # back-to-back moves and noise lines whose edges fall on a tick of the dt
+    # grid, 1e-12 after one, 1e-12 before one and between two, in turn
+    ticks = np.arange(400) * dt
+    offsets = (0.0, 1e-12, -1e-12, dt / 2)
+    moves, noise = [], []
+    for c, channel in enumerate(("torso-yaw", "neck-pitch", "eye-version", "base-x", "torso-roll", "base-z")):
+        edges = [float(ticks[k]) + offsets[(k // 7 + c) % 4] for k in range(1, 400, 7)]
+        for j, (t0, t1) in enumerate(zip(edges, edges[1:])):
+            if c < 4:
+                moves.append(ScriptSegment(t0, t1, channel, 0.1 * (j % 5 - 2), external=j % 3 == 0))
+            else:
+                noise.append(NoiseSegment(t0, t1, (channel,), 0.05, 2.0, seed=j, external=j % 2 == 0))
+    return DisturbanceScript("edges", tuple(moves), tuple(noise))
+
+
+# 2,000 back-to-back moves, each 0.0037 s long: most start and end between ticks
+chained = DisturbanceScript(
+    "chained",
+    tuple(ScriptSegment(0.0037 * i, 0.0037 * (i + 1), "torso-pitch", 0.01 * (i % 11 - 5), external=i % 4 == 0)
+          for i in range(2000)),
+)
+cases = [(script, 0.01) for script in scripts + [synthetic, chained]] + [(edge_script(dt), dt) for dt in (0.01, 0.003)]
 h_track = hashlib.sha256()
-for script in scripts + [synthetic]:
-    track = script.realize(model, 0.01, int(round((script.duration() + 0.5) / 0.01)))
+for script, dt in cases:
+    track = script.realize(model, dt, int(round((script.duration() + 0.5) / dt)))
     for f in fields(track):
         a = getattr(track, f.name)
         h_track.update(f"{{f.name}} {{a.dtype.str}} {{a.shape}}".encode() + np.ascontiguousarray(a).tobytes())

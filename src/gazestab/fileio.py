@@ -17,7 +17,9 @@ line number.
 Trajectory logs are CSV with a frozen column set (see the README; the layout
 is declared beside TrajectoryLog in gazestab.simulator), every cell written
 as repr-faithful %.17g, and run metadata in `# key: value` comment lines
-before the header -- byte identical across reruns of the same config.
+before the header -- byte identical across reruns of the same config.  The
+reader splits each row on commas: the writer never quotes a cell, and a
+quoted one is rejected as a bad number in its column.
 
 Files are read a line at a time and logs written a block of rows at a time,
 so log I/O streams in bounded memory per row (about the log's own arrays).
@@ -25,7 +27,6 @@ so log I/O streams in bounded memory per row (about the log's own arrays).
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 import math
@@ -297,7 +298,9 @@ def parse_model_file(path: str) -> HeadModel:
 
 
 def serialize_model(model: HeadModel, units: str = "degrees") -> str:
-    """Inverse of parse_model_file (field-for-field round trip)."""
+    """Text that parse_model_file reads back: in radians every link field
+    exactly, in degrees each angle to within 1 ulp.  The base rotation goes as
+    ZYX angles: it comes back to 1e-15 per entry unless its pitch nears +-90 deg."""
     u = _Units("<serialize>", 0, units)
     buf = io.StringIO()
     buf.write(f"model {model.name}\nunits {units}\n\n")
@@ -583,22 +586,18 @@ def write_log_csv(log: TrajectoryLog, path: str) -> None:
 
 
 def read_log_csv(path: str) -> TrajectoryLog:
-    """Inverse of write_log_csv."""
+    """Inverse of write_log_csv, in one pass: a `#` line is metadata, the
+    first other line the header and each later line a row of comma-split
+    cells, each error at its own line."""
     meta: dict = {}
     segments = []
-    data_no = 0  # the file line number of the last data line handed to csv
-
-    def data_lines():
-        nonlocal data_no
-        for no, line in _numbered_lines(path):
-            if not line.startswith("#"):
-                data_no = no
-                yield line
-                continue
-            body = line[1:].strip()
-            if ":" not in body:
+    header = False
+    values, row_lines = array("d"), array("q")  # the cells, and each row's line number
+    for no, line in _numbered_lines(path):
+        if line.startswith("#"):
+            key, colon, val = line[1:].partition(":")
+            if not colon:
                 raise FileFormatError(path, no, "malformed metadata comment")
-            key, _, val = body.partition(":")
             key, val = key.strip(), val.strip()
             if key == "segment":
                 parts = val.split()
@@ -608,34 +607,30 @@ def read_log_csv(path: str) -> TrajectoryLog:
                 segments.append((parts[0], t0, t1))
             elif key in meta:
                 raise FileFormatError(path, no, f"second {key!r} metadata line")
-            elif key == "gazestab-log":
-                if val != "1":
-                    raise FileFormatError(path, no, f"unsupported log version {val!r}")
-                meta[key] = 1
+            elif key == "gazestab-log" and val != "1":
+                raise FileFormatError(path, no, f"unsupported log version {val!r}")
             else:
                 try:
                     meta[key] = LOG_META.get(key, str)(val)
                 except ValueError:
                     raise FileFormatError(path, no, f"bad metadata value for {key!r}") from None
-
-    values, row_lines = array("d"), array("q")  # the cells, and each row's line number
-    reader = csv.reader(data_lines())
-    try:
-        header = next(reader, None)  # the metadata before it is read by now
-        if "gazestab-log" not in meta:
-            raise FileFormatError(path, 1, "not a gazestab log (missing '# gazestab-log: 1')")
-        if header is not None and tuple(header) != LOG_HEADER:
-            raise FileFormatError(path, data_no, "unexpected CSV columns")
-        for rec in reader:
-            if len(rec) != len(LOG_HEADER):
-                raise FileFormatError(path, data_no, f"row with {len(rec)} fields, expected {len(LOG_HEADER)}")
+        elif header:
+            cells = line.split(",")
+            if len(cells) != len(LOG_HEADER):
+                raise FileFormatError(path, no, f"row with {len(cells)} fields, expected {len(LOG_HEADER)}")
             try:
-                values.extend([float(x) for x in rec])
+                values.extend([float(x) for x in cells])
             except ValueError:  # name the offending column
-                values.extend([_parse_float(path, data_no, x, col) for col, x in zip(LOG_HEADER, rec)])
-            row_lines.append(data_no)
-    except csv.Error as err:
-        raise FileFormatError(path, data_no, f"bad CSV row: {err}") from None
+                values.extend([_parse_float(path, no, x, col) for col, x in zip(LOG_HEADER, cells)])
+            row_lines.append(no)
+        elif "gazestab-log" not in meta:  # the metadata before the header says what the file is
+            break
+        elif tuple(line.split(",")) != LOG_HEADER:
+            raise FileFormatError(path, no, "unexpected CSV columns")
+        else:
+            header = True
+    if "gazestab-log" not in meta:
+        raise FileFormatError(path, 1, "not a gazestab log (missing '# gazestab-log: 1')")
     if not values:
         raise FileFormatError(path, 0, "log contains no data rows")
     table = np.frombuffer(values).reshape(-1, len(LOG_HEADER))

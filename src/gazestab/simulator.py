@@ -250,6 +250,8 @@ def synth_gyro(
     poses are read from the states' head passes.
     """
     dt, sigma = _real(dt, "dt", POSITIVE), _real(sigma, "gyro noise sigma", NON_NEGATIVE)
+    if sigma > MAX_SCALE:  # SimSettings.gyro_sigma's cap: past it the noise could overflow
+        raise InvalidInput(f"gyro noise sigma must lie in [0, {MAX_SCALE:g}], got {sigma!r}")
     if sigma > 0.0 and rng is None:
         raise InvalidInput("gyro noise requires an rng")
     rot_prev, _ = _imu_world(model, _head_pass(model.chain, state_prev.q).link_frames)
@@ -515,8 +517,9 @@ class DisturbanceScript:
                     )
 
     def realize(self, model: HeadModel, dt: float, n_ticks: int) -> DisturbanceTrack:
-        """Evaluate every channel on the tick grid.  Deterministic.  The track's
-        arrays are column views of a rate and a commanded table (_column)."""
+        """Evaluate every channel on the tick grid.  Deterministic.  A segment
+        owns one row range of the sorted grid, the ticks t with t_start - 1e-12
+        <= t < t_end - 1e-12.  The arrays are columns of a rate and a commanded table."""
         dt = _real(dt, "dt", POSITIVE)
         n_ticks = _int(n_ticks, "n_ticks", 1, MAX_TICKS, f"be an integer from 1 to {MAX_TICKS}")
         self.validate(model)
@@ -524,6 +527,9 @@ class DisturbanceScript:
         commanded = np.zeros((n_ticks, 12))
         active = np.zeros((n_ticks, 9), dtype=bool)
         t = np.arange(n_ticks) * dt
+
+        def owned(seg) -> slice:
+            return slice(*np.searchsorted(t, (seg.t_start - 1e-12, seg.t_end - 1e-12)).tolist())
 
         def add(rows, channel, series, external):
             col = self._column(model, channel)
@@ -534,20 +540,18 @@ class DisturbanceScript:
                 commanded[rows, col] += series
 
         for seg in self.segments:
-            rows = (t >= seg.t_start - 1e-12) & (t < seg.t_end - 1e-12)
-            add(rows, seg.channel, seg.rate, seg.external)
+            add(owned(seg), seg.channel, seg.rate, seg.external)
 
         for seg in self.noise:
-            rows = np.nonzero((t >= seg.t_start - 1e-12) & (t < seg.t_end - 1e-12))[0]
-            if rows.size == 0:
-                continue
+            rows = owned(seg)
+            n = rows.stop - rows.start
             rng = np.random.default_rng(seg.seed)  # one stream across the line's channels, in order
             a = math.exp(-2.0 * math.pi * seg.bandwidth * dt)
             drive = seg.amplitude * math.sqrt(max(1.0 - a * a, 0.0))
             for ch in seg.channels:
                 x = 0.0
-                series = np.empty(rows.size)
-                for k, eta in enumerate(rng.normal(size=rows.size)):
+                series = np.empty(n)
+                for k, eta in enumerate(rng.normal(size=n)):
                     x = a * x + drive * eta
                     series[k] = x
                 add(rows, ch, series, seg.external)

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import gazestab.cli as cli
 import gazestab.fileio as fileio
 from gazestab.cli import main
-from gazestab.chain import finite_difference_jacobian
+from gazestab.chain import KinematicChain, Pose, finite_difference_jacobian
 from gazestab.errors import FileFormatError, InvalidInput, JointLimitWarning
 from gazestab.fileio import (
     _CONFIG_KEYS,
@@ -40,6 +40,7 @@ from gazestab.models import TRUNK_NAMES, default_head_model
 from gazestab.simulator import (
     MAX_CLOUD_POINTS,
     DisturbanceScript,
+    NoiseSegment,
     ScriptSegment,
     SimSettings,
     TrajectoryLog,
@@ -92,6 +93,28 @@ def test_model_units_equivalence(tmp_path):
         again = parse_model_file(str(p))
         assert chains_equal(model.chain, again.chain), units
         assert np.array_equal(again.imu_offset.pos, model.imu_offset.pos)
+
+
+@pytest.mark.parametrize(("units", "bound"), [("radians", 4.4e-16), ("degrees", 8.9e-16)])
+def test_model_base_rotation_round_trips_within_a_few_ulps(tmp_path, units, bound):
+    # The base rotation is written as ZYX angles, and even a radians file
+    # gives it back only to within rounding: the angles come from atan2 and
+    # asin of its entries.  Pitch stays within 1.4 rad of zero: nearer +-pi/2,
+    # asin loses precision.  The position comes back exactly.
+    packaged = parse_model_file(MODEL_FILE)
+    rng = np.random.default_rng(11)
+    p = tmp_path / "m.model"
+    worst = 0.0
+    for _ in range(300):
+        yaw, roll = rng.uniform(-math.pi, math.pi, 2)
+        base = Pose(fileio._rot_zyx(yaw, rng.uniform(-1.4, 1.4), roll), rng.normal(size=3))
+        chain = KinematicChain(packaged.chain.links, base_pose=base, segments=packaged.chain.segments)
+        p.write_text(serialize_model(replace(packaged, chain=chain), units))
+        again = parse_model_file(str(p)).chain
+        assert np.array_equal(again.base_pose.pos, base.pos)
+        assert chains_equal(replace(again, base_pose=base), chain)  # the links as they were
+        worst = max(worst, np.abs(again.base_pose.rot - base.rot).max())
+    assert 0.0 < worst <= bound
 
 
 def test_model_parse_errors_carry_path_and_line(tmp_path):
@@ -295,6 +318,63 @@ def test_script_round_trip_both_units(tmp_path):
         p.write_text(serialize_script(src, units))
         again = parse_script_file(str(p))
         assert again == src, units
+
+
+def random_script(rng, names):
+    """A seeded script of moves and noise lines on joint and base channels,
+    its numbers spread over twelve decades."""
+
+    def num():
+        return float(rng.normal() * 10 ** rng.uniform(-6, 6))
+
+    base = ("base-x", "base-y", "base-z")
+    moves = []
+    for _ in range(rng.integers(0, 4)):
+        t0 = abs(num())
+        channel = str(rng.choice(names + base))
+        moves.append(ScriptSegment(t0, t0 + abs(num()) + 1e-3, channel, num(), external=bool(rng.random() < 0.5)))
+    noise = []
+    for _ in range(rng.integers(0, 3)):
+        t0 = abs(num())
+        pool = base if rng.random() < 0.3 else names
+        chans = tuple(str(c) for c in rng.choice(pool, rng.integers(1, 3), replace=False))
+        noise.append(NoiseSegment(t0, t0 + 1.0, chans, abs(num()), abs(num()) + 1e-3, int(rng.integers(0, 2**40)),
+                                  external=bool(rng.random() < 0.5)))
+    return DisturbanceScript("random", tuple(moves), tuple(noise))
+
+
+def script_fields(script):
+    """(segment index, field name, whether the units convert it, value) for
+    every field of every segment, a float as its hex (its bits, a zero's sign
+    included).  The units convert a rate or an amplitude on joint channels;
+    base channels move in meters."""
+    rows = []
+    for i, seg in enumerate(script.segments + script.noise):
+        channel = seg.channel if isinstance(seg, ScriptSegment) else seg.channels[0]
+        for name, v in vars(seg).items():
+            angle = name in ("rate", "amplitude") and not channel.startswith("base-")
+            rows.append((i, name, angle, v.hex() if isinstance(v, float) else v))
+    return rows
+
+
+def test_script_serializer_round_trip_by_units(tmp_path):
+    # A radians file gives back every field bit for bit.  In degrees an angle
+    # goes through degrees() and radians() and can come back one ulp off
+    # (about one angle in seven here); every other field is exact.
+    rng, names = np.random.default_rng(3), default_head_model().dof_names
+    p = tmp_path / "s.script"
+    angles = off = 0
+    for _ in range(300):
+        src = random_script(rng, names)
+        p.write_text(serialize_script(src, "radians"))
+        assert script_fields(parse_script_file(str(p))) == script_fields(src)
+        p.write_text(serialize_script(src, "degrees"))
+        before, after = script_fields(src), script_fields(parse_script_file(str(p)))
+        assert [f for f in before if not f[2]] == [f for f in after if not f[2]]
+        for a, b in ((float.fromhex(a[3]), float.fromhex(b[3])) for a, b in zip(before, after) if a[2]):
+            assert abs(a - b) <= math.ulp(a)
+            angles, off = angles + 1, off + (a != b)
+    assert 0.05 < off / angles < 0.25, (off, angles)
 
 
 def test_base_channel_rates_ignore_angle_units(tmp_path):
@@ -912,7 +992,13 @@ def with_cell(column, value):
         (lambda line: line.startswith("# segment:"), lambda line: "# segment: base-y zero 2\n", "bad number 'zero'"),
         (first_data_row, lambda line: "zebra" + line[line.index(","):], "bad number 'zebra' for t"),
         (first_data_row, lambda line: line.rstrip("\n") + ",0\n", "row with 48 fields"),
-        (first_data_row, lambda line: "1" * 200_000 + line[line.index(","):], "field larger than field limit"),
+        # a 200,000-digit number reads as inf, which no tick time is
+        (first_data_row, lambda line: "1" * 200_000 + line[line.index(","):], "bad t value inf: must be finite"),
+        # rows are split on commas: the writer never quotes, so a quoted cell is no number
+        (first_data_row, with_cell("q_neck-yaw", '"0.5"'), "bad number '\"0.5\"' for q_neck-yaw"),
+        (lambda line: line.startswith("t,"), lambda line: '"t"' + line[1:], "unexpected CSV columns"),
+        (lambda line: line.startswith("# segment:"), lambda line: "# segment: base-y 2\n", "segment metadata needs"),
+        (lambda line: line.startswith("# gazestab-log:"), lambda line: "# gazestab-log: 2\n", "unsupported log version"),
         # typed cells hold only what the writer writes: a count int64 holds, a 0/1 flag
         (first_data_row, with_cell("n_valid", "nan"), "bad n_valid value nan: must be a whole number >= 0"),
         (first_data_row, with_cell("n_valid", "1e300"), "bad n_valid value 1e[+]300: must be a whole number"),
@@ -926,7 +1012,8 @@ def with_cell(column, value):
         (lambda line: line.startswith("# duration:"), lambda line: "# dt: 0.5\n" + line, "second 'dt' metadata line"),
     ],
     ids=[
-        "segment-time", "non-numeric-field", "extra-field", "huge-field", "n_valid-nan", "n_valid-huge",
+        "segment-time", "non-numeric-field", "extra-field", "huge-field", "quoted-cell", "quoted-header",
+        "segment-two-fields", "log-version-2", "n_valid-nan", "n_valid-huge",
         "n_valid-fraction", "n_valid-negative", "saturated-2", "saturated-half", "singular-nan", "t-nan",
         "repeated-metadata",
     ],
@@ -948,6 +1035,18 @@ def test_csv_reader_cites_bad_metadata_line(tmp_path, capsys):
     assert f"{path}:6: " in str(exc.value)
     assert main(["compare", "--baseline", path, path]) == 2
     assert f"{path}:6: " in capsys.readouterr().err
+
+
+def test_csv_reader_rejects_a_log_without_rows(tmp_path, capsys):
+    # metadata and header but no row: the fault is the whole file's, cited by path alone
+    p = tmp_path / "log.csv"
+    write_log_csv(tiny_log(), str(p))
+    p.write_text("".join(line for line in p.read_text().splitlines(keepends=True) if not first_data_row(line)))
+    with pytest.raises(FileFormatError, match="log contains no data rows") as exc:
+        read_log_csv(str(p))
+    assert exc.value.line == 0
+    assert main(["compare", "--baseline", str(p), str(p)]) == 2
+    assert f"{p}: log contains no data rows" in capsys.readouterr().err
 
 
 # Hostile replacements for one cell of a written log.
@@ -1000,7 +1099,7 @@ def test_log_reader_fuzz_accepts_only_writable_logs(short_log, data):
         return
     assert log.n_valid.dtype == np.int64 and log.saturated.dtype == log.singular.dtype == np.bool_
     assert np.all(log.n_valid >= 0)
-    if blob == "none":  # no quote in the file: one CSV row per data line
+    if blob == "none":  # no bytes spliced in: each data line is a row of ASCII cells
         table = [line.split(b",") for line in text.splitlines() if not line.startswith(b"#")][1:]
         typed = np.array([[float(cell) for cell in row[-3:]] for row in table])
         assert np.array_equal(typed, np.column_stack([log.n_valid, log.saturated, log.singular]))

@@ -23,11 +23,12 @@ from gazestab.chain import (
     Pose,
     analytic_axis_jacobian,
     dh_matrix,
+    finite_difference_jacobian,
     forward_kinematics,
     geometric_jacobian,
 )
-from gazestab.errors import InvalidInput, SimulationDiverged
-from gazestab.fileio import write_log_csv
+from gazestab.errors import FileFormatError, InvalidInput, SimulationDiverged
+from gazestab.fileio import parse_model_file, parse_run_config, write_log_csv
 from gazestab.models import default_head_model
 from gazestab.simulator import (
     MAX_SCALE,
@@ -294,11 +295,12 @@ def test_scalar_arguments_run_numpy_scalars_as_python_numbers(name, call, what, 
     ("name", "value"),
     [("realize.n_ticks", 0), ("realize.n_ticks", -1), ("realize.n_ticks", MAX_TICKS + 1), ("realize.dt", 0.0),
      ("initial_state.fixation_distance", -6.0), ("initial_state.fixation_distance", 0.0), ("step.dt", -0.01),
-     ("synth_gyro.sigma", -1.0), ("pinv_damped.damping", -1e-3)],
+     ("synth_gyro.sigma", -1.0), ("synth_gyro.sigma", 1e308), ("pinv_damped.damping", -1e-3)],
 )
 def test_scalar_arguments_out_of_range_rejected_by_name(name, value):
     # n_ticks sizes two (n_ticks, 12) tables and an (n_ticks, 9) mask; a
-    # fixation distance of 0 verges to pi, and a negative one past it
+    # fixation distance of 0 verges to pi, and a negative one past it; a
+    # sigma past MAX_SCALE draws noise that can overflow the sample
     _, call, what, _ = next(row for row in SCALAR_ARGUMENTS if row[0] == name)
     with pytest.raises(InvalidInput, match=f"^{what} must .*, got {re.escape(repr(value))}$"):
         call(value)
@@ -459,18 +461,110 @@ def test_cloud_negative_zero_angle_samples_as_zero(field):
         lambda x: CameraModel(f=x),
         lambda x: CloudSpec(r_max=x),
         lambda x: SimSettings(gyro_sigma=x),
+        lambda x: synth_gyro(MODEL, STATE, MOVED, DT, sigma=x, rng=np.random.default_rng(0)),
         lambda x: DHLink(a=-x),
         lambda x: DHLink(d=x),
         lambda x: KinematicChain(CHAIN.links, base_pose=Pose(np.eye(3), [0.0, -x, 0.0]), segments=CHAIN.segments),
         lambda x: replace(MODEL, imu_offset=Pose(np.eye(3), [0.0, 0.0, x])),
     ],
-    ids=["focal-length", "cloud-radius", "gyro-noise", "link-a", "link-d", "base-position", "imu-offset"],
+    ids=[
+        "focal-length", "cloud-radius", "gyro-noise", "gyro-noise-argument", "link-a", "link-d", "base-position",
+        "imu-offset",
+    ],
 )
 def test_scale_settings_capped(build):
     # the loop multiplies these into its floats: past the cap a product could overflow
     build(MAX_SCALE)
     with pytest.raises(InvalidInput, match="1e[+]100"):
         build(np.nextafter(MAX_SCALE, math.inf))
+
+
+def parsed(parse, text):
+    """parse's result for a file holding text, beside the other test files."""
+
+    def call(tmp):
+        path = tmp / "input.txt"
+        path.write_text(text)
+        return parse(str(path))
+
+    return call
+
+
+HEAD = "model x\nunits degrees\nsegment torso\n"
+# Each structural rejection: (row, call in a scratch directory, error type, message fragment).
+REJECTIONS = [
+    ("Pose.shape", lambda tmp: Pose(np.eye(2), np.zeros(3)), InvalidInput, "Pose wants a (3,3) rotation"),
+    ("Pose.from_matrix", lambda tmp: Pose.from_matrix(np.eye(3)), InvalidInput, "must be 4x4, got (3, 3)"),
+    ("KinematicChain.no-links", lambda tmp: KinematicChain(()), InvalidInput, "needs at least one link"),
+    (
+        "KinematicChain.segments",
+        lambda tmp: KinematicChain((DHLink(),), segments=("torso", "neck")),
+        InvalidInput,
+        "segments must match links one-to-one",
+    ),
+    ("KinematicChain.tag", lambda tmp: KinematicChain((DHLink(),), segments=("arm",)), InvalidInput, "tag 'arm'"),
+    (
+        "KinematicChain.eye-contiguous",
+        lambda tmp: KinematicChain((DHLink(),) * 3, segments=("left-eye", "right-eye", "left-eye")),
+        InvalidInput,
+        "left-eye links must be contiguous",
+    ),
+    (
+        "finite_difference_jacobian.f",
+        lambda tmp: finite_difference_jacobian(lambda q: np.zeros((2, 2)), np.zeros(3)),
+        InvalidInput,
+        "f must return a 1-D vector",
+    ),
+    ("CameraFrames.rot-shape", lambda tmp: replace(FRAMES, rot_left=np.eye(2)), InvalidInput, "rot_left must be 3x3"),
+    (
+        "CameraFrames.rot-z",
+        lambda tmp: replace(FRAMES, rot_left=FRAMES.rot_left[:, [1, 2, 0]]),
+        InvalidInput,
+        "rot_left third column must equal z_left",
+    ),
+    (
+        "step.active",
+        lambda tmp: step(MODEL, STATE, np.zeros(9), None, DT, active=np.ones(8, dtype=bool)),
+        InvalidInput,
+        "active mask must have 9 entries",
+    ),
+    (
+        "flow_metric.cloud",
+        lambda tmp: flow_metric(CameraModel(), FRAMES, FRAMES, np.zeros((20, 2))),
+        InvalidInput,
+        "cloud must be an (n, 3) array",
+    ),
+    ("HeadModel.trunk_names", lambda tmp: replace(MODEL, trunk_names=("j",) * 6), InvalidInput, "six distinct"),
+    ("imu_pose.q", lambda tmp: MODEL.imu_pose(np.zeros(2)), InvalidInput, "q must cover links 0.."),
+    ("Twist.from_array", lambda tmp: Twist.from_array(np.zeros(5)), InvalidInput, "must have 6 entries"),
+    ("model.link-name", parsed(parse_model_file, HEAD + "link\n"), FileFormatError, ":4: link line needs a name"),
+    (
+        "model.imu-link",
+        parsed(parse_model_file, HEAD + "link j a=0\nimu offset=0,0,0\n"),
+        FileFormatError,
+        ":5: imu line needs link=<name>",
+    ),
+    ("model.no-imu", parsed(parse_model_file, HEAD + "link j a=0\n"), FileFormatError, ":4: missing imu line"),
+    (
+        "config.cloud-radius",
+        parsed(parse_run_config, "config c\nmodel m\nscript s\ncloud-radius 3\n"),
+        FileFormatError,
+        ":4: cloud-radius takes two values: min max",
+    ),
+]
+
+
+@pytest.mark.parametrize(("name", "call", "error", "fragment"), REJECTIONS, ids=[r[0] for r in REJECTIONS])
+def test_structural_rejections(tmp_path, name, call, error, fragment):
+    with pytest.raises(error, match=re.escape(fragment)) as exc:
+        call(tmp_path)
+    assert exc.type is error
+
+
+@pytest.mark.parametrize("value", [False, True])
+def test_config_sequential_takes_true_or_false(tmp_path, value):
+    cfg = parsed(parse_run_config, f"config c\nmodel m\nscript s\nsequential {str(value).lower()}\n")(tmp_path)
+    assert cfg.settings.control.sequential is value
 
 
 def with_link(index, **limits):

@@ -664,6 +664,75 @@ def test_script_realize_grid_and_external_flag():
     assert np.all(track.commanded_base == 0.0)  # external base motion
 
 
+def masked_track(script, dt, n_ticks):
+    """realize's five arrays built as its rule reads, one boolean mask over
+    the whole grid per segment: the ticks t with t_start - 1e-12 <= t < t_end - 1e-12."""
+    names = MODEL.dof_names + ("base-x", "base-y", "base-z")
+    rates, commanded = np.zeros((n_ticks, 12)), np.zeros((n_ticks, 12))
+    active = np.zeros((n_ticks, 9), dtype=bool)
+    t = np.arange(n_ticks) * dt
+
+    def add(mask, channel, series, external):
+        col = names.index(channel)
+        rates[mask, col] += series
+        if col < 9:
+            active[mask, col] = True
+        if not external:
+            commanded[mask, col] += series
+
+    for seg in script.segments:
+        add((t >= seg.t_start - 1e-12) & (t < seg.t_end - 1e-12), seg.channel, seg.rate, seg.external)
+    for seg in script.noise:
+        mask = (t >= seg.t_start - 1e-12) & (t < seg.t_end - 1e-12)
+        rng = np.random.default_rng(seg.seed)
+        a = math.exp(-2.0 * math.pi * seg.bandwidth * dt)
+        drive = seg.amplitude * math.sqrt(max(1.0 - a * a, 0.0))
+        for ch in seg.channels:
+            x, series = 0.0, []
+            for eta in rng.normal(size=int(mask.sum())):
+                x = a * x + drive * eta
+                series.append(x)
+            add(mask, ch, np.array(series), seg.external)
+    return rates[:, :9], rates[:, 9:], active, commanded[:, :9], commanded[:, 9:]
+
+
+# Edge offsets from a tick: on it, 1e-12 or half that to either side.
+TICK_OFFSETS = (0.0, 1e-12, -1e-12, 5e-13, -5e-13)
+
+
+@st.composite
+def tick_edge_scripts(draw):
+    """(script, dt, n_ticks): back-to-back moves and noise lines on a few
+    channels, each edge on a tick of the dt grid or within 1e-12 of one."""
+    dt = draw(st.sampled_from([0.01, 0.003, 0.1, 1 / 3]))
+    n_ticks = draw(st.integers(1, 40))
+    names = MODEL.dof_names + ("base-x", "base-y", "base-z")
+    channels = draw(st.lists(st.sampled_from(names), min_size=1, max_size=4, unique=True))
+    moves, noise = [], []
+    for ch in channels:
+        ticks = st.tuples(st.integers(0, n_ticks + 2), st.sampled_from(TICK_OFFSETS))
+        times = sorted({k * dt + off for k, off in draw(st.lists(ticks, min_size=2, max_size=6))} - {-1e-12, -5e-13})
+        for t0, t1 in zip(times, times[1:]):
+            if draw(st.booleans()):
+                moves.append(ScriptSegment(t0, t1, ch, draw(st.floats(-2.0, 2.0)), external=draw(st.booleans())))
+            else:
+                seed, external = draw(st.integers(0, 9)), draw(st.booleans())
+                noise.append(NoiseSegment(t0, t1, (ch,), 0.1, 2.0, seed, external=external))
+    return DisturbanceScript("edges", tuple(moves), tuple(noise)), dt, n_ticks
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=tick_edge_scripts())
+def test_realize_rows_match_a_mask_per_segment(case):
+    # realize finds each segment's rows on the sorted grid; a full-grid mask
+    # per segment picks the same rows, so every array matches bit for bit
+    script, dt, n_ticks = case
+    track = script.realize(MODEL, dt, n_ticks)
+    got = (track.qdot, track.base_vel, track.active, track.commanded_qdot, track.commanded_base)
+    for a, b in zip(got, masked_track(script, dt, n_ticks)):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def lowpass(eta, amplitude, bandwidth):
     """The first-order low-pass recursion a noise line drives with eta."""
     a = math.exp(-2.0 * math.pi * bandwidth * DT)
