@@ -122,7 +122,7 @@ class Pose:
         T = np.asarray(T, dtype=float)
         if T.shape != (4, 4):
             raise InvalidInput(f"homogeneous matrix must be 4x4, got {T.shape}")
-        return cls(T[:3, :3], T[:3, 3])
+        return _unchecked(cls, rot=_readonly(T[:3, :3]), pos=_readonly(T[:3, 3]))
 
     def matrix(self) -> np.ndarray:
         T = np.eye(4)
@@ -181,11 +181,13 @@ class DHLink:
 
 
 def as_joint_array(q, n: int | None = None, *, name: str = "q") -> np.ndarray:
-    """Coerce an array-like to a finite 1-D float array."""
+    """Coerce an array-like to a finite 1-D float array (of length n if given).
+    At length n, finiteness is tested on Python floats, cheaper on a few
+    joints; other lengths in numpy, so a long q makes no float per entry."""
     arr = np.asarray(q, dtype=float)
     if arr.ndim != 1:
         raise InvalidInput(f"{name} must be one-dimensional, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
+    if not (all(map(math.isfinite, arr.tolist())) if arr.size == n else np.isfinite(arr).all()):
         raise InvalidInput(f"{name} contains non-finite entries")
     if n is not None and arr.size != n:
         raise InvalidInput(f"{name} must have length {n}, got {arr.size}")
@@ -195,7 +197,7 @@ def as_joint_array(q, n: int | None = None, *, name: str = "q") -> np.ndarray:
 def _finite3(value, name: str) -> np.ndarray:
     """value as a float array of shape (3,); InvalidInput unless finite."""
     arr = np.asarray(value, dtype=float)
-    if arr.shape != (3,) or not np.isfinite(arr).all():
+    if arr.shape != (3,) or not all(map(math.isfinite, arr.tolist())):
         raise InvalidInput(f"{name} must be a finite 3-vector")
     return arr
 
@@ -241,7 +243,9 @@ class KinematicChain:
         return self._path(link_index)[0].tolist()
 
     def _path(self, link_index: int) -> tuple[np.ndarray, np.ndarray]:
-        """link_index's row of the path table, range-checked."""
+        """link_index's row of the path table, type- and range-checked."""
+        if isinstance(link_index, bool) or not isinstance(link_index, (int, np.integer)):
+            raise InvalidInput(f"link_index must be an integer, got {link_index!r}")
         if not 0 <= link_index < self.n_joints:
             raise IndexError(f"link_index {link_index} out of range [0, {self.n_joints})")
         return self._paths[link_index]
@@ -313,17 +317,18 @@ def _dh_closed_form(ct, st, ca, sa, a, d) -> np.ndarray:
 # ------------------------------------------------------------------ kinematics
 
 
+_NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])  # (a x b)[i] = a[NEXT[i]] b[PREV[i]] - a[PREV[i]] b[NEXT[i]]
+
+
 def _cross_rows(a, b) -> np.ndarray:
     """np.cross(a, b).T for a (k, 3) stack a and a (k, 3) stack or 3-vector
     b, or np.cross(a, b) for two 3-vectors.
 
     The products and differences are np.cross's own, in its operand order, so
-    the bits match; it skips np.cross's axis moves, which cost more than the
-    arithmetic on a few rows.
+    the bits match, as two products of rolled copies of the last axis: 7
+    numpy calls, fewer than np.cross's axis moves or a product per row.
     """
-    a0, a1, a2 = a.T
-    b0, b1, b2 = b.T
-    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+    return (a.take(_NEXT, -1) * b.take(_PREV, -1) - a.take(_PREV, -1) * b.take(_NEXT, -1)).T
 
 
 def link_frames(chain: KinematicChain, q) -> np.ndarray:
@@ -342,8 +347,8 @@ def link_frames(chain: KinematicChain, q) -> np.ndarray:
     dh = _dh_closed_form(np.cos(th), np.sin(th), ca, sa, a, d)
     frames = np.empty((arr.size + 1, 4, 4))
     frames[-1] = chain._base_matrix
-    for i in range(arr.size):
-        frames[i] = frames[chain.parents[i]] @ dh[i]
+    for i, parent in enumerate(chain.parents[: arr.size]):
+        np.matmul(frames[parent], dh[i], out=frames[i])
     return frames
 
 

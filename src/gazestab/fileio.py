@@ -300,14 +300,14 @@ def parse_model_file(path: str) -> HeadModel:
 def serialize_model(model: HeadModel, units: str = "degrees") -> str:
     """Text that parse_model_file reads back: in radians every link field
     exactly, in degrees each angle to within 1 ulp.  The base rotation goes as
-    ZYX angles: it comes back to 1e-15 per entry unless its pitch nears +-90 deg."""
+    ZYX angles: it comes back to 1e-15 per entry."""
     u = _Units("<serialize>", 0, units)
     buf = io.StringIO()
     buf.write(f"model {model.name}\nunits {units}\n\n")
     bp = model.chain.base_pose
     if not (np.array_equal(bp.rot, np.eye(3)) and np.array_equal(bp.pos, np.zeros(3))):
         yaw = math.atan2(bp.rot[1, 0], bp.rot[0, 0])
-        pitch = math.asin(max(-1.0, min(1.0, -bp.rot[2, 0])))
+        pitch = math.atan2(-bp.rot[2, 0], math.hypot(bp.rot[0, 0], bp.rot[1, 0]))
         roll = math.atan2(bp.rot[2, 1], bp.rot[2, 2])
         ang = ",".join(_fmt(u.from_rad(a)) for a in (yaw, pitch, roll))
         pos = ",".join(_fmt(x) for x in bp.pos)
@@ -556,11 +556,11 @@ LOG_HEADER = tuple(c for _, cols, _ in LOG_COLUMNS for c in cols)
 # as the integer does (1.0 -> "1"), and read back as LOG_COLUMNS types them.
 _LOG_ROW = ",".join([FLOAT_FMT] * len(LOG_HEADER)) + "\n"
 _LOG_BLOCK = 64  # rows per write: the writer holds one block, not the log
-# The cells the writer writes in the checked columns: a finite tick time, a
-# count as a whole number int64 holds, a flag as 0 or 1.
+# The cells the writer writes in the checked columns: a finite tick time above
+# the row before, a count as a whole number int64 holds, a flag as 0 or 1.
 _FLAG = ("0 or 1", lambda c: (c == 0) | (c == 1))
 _CELL_RULES = {
-    "t": ("finite", np.isfinite),
+    "t": ("finite and increasing", lambda c: np.isfinite(c) & np.concatenate(([True], c[1:] > c[:-1]))),
     "n_valid": ("a whole number >= 0", lambda c: (c >= 0) & (c < 2.0**63) & (np.floor(c) == c)),
     "saturated": _FLAG,
     "singular": _FLAG,

@@ -756,7 +756,7 @@ def run_experiment(model: HeadModel, script: DisturbanceScript, settings: SimSet
                     tw = J @ state.qdot
                     tw[:3] += track.base_vel[row - 1]
                     log.true_twist[row] = tw
-                log.cmd[row] = np.concatenate([cmd.qdot_neck, cmd.qdot_eye])
+                log.cmd[row, :3], log.cmd[row, 3:] = cmd.qdot_neck, cmd.qdot_eye
                 log.optfl[row], log.n_valid[row], log.saturated[row] = optfl, n_valid, cmd.saturated
                 logged = row + 1
                 if not math.isfinite(optfl):
@@ -835,10 +835,10 @@ class RunSummary:
 
 
 def _window_mean(log: TrajectoryLog, t0: float, t1: float) -> float:
-    rows = (log.t > t0 + 1e-12) & (log.t <= t1 + 1e-12)
-    if not rows.any():
-        return math.nan
-    return float(np.mean(log.optfl[rows]))
+    """Mean flow over the rows with t0 + 1e-12 < t <= t1 + 1e-12, one row
+    range of the increasing t."""
+    lo, hi = np.searchsorted(log.t, (t0 + 1e-12, t1 + 1e-12), side="right").tolist()
+    return float(np.mean(log.optfl[lo:hi])) if hi > lo else math.nan
 
 
 def summarize(log: TrajectoryLog, baseline: TrajectoryLog | None = None) -> RunSummary:
@@ -846,9 +846,10 @@ def summarize(log: TrajectoryLog, baseline: TrajectoryLog | None = None) -> RunS
 
     The baseline must be the same script on the same tick grid, otherwise
     the comparison is meaningless and InvalidComparison is raised; so is a
-    log with no completed tick (fewer than 2 rows), which has no flow.  The
-    residual speed and omega average the true twist over rows 1.. that are
-    not singular, NaN when every such row is.
+    log with no completed tick (fewer than 2 rows), which has no flow, and
+    a log whose t does not strictly increase.  The residual speed and omega
+    average the true twist over rows 1.. that are not singular, NaN when
+    every such row is.
     """
     if baseline is not None:
         same = (
@@ -864,6 +865,9 @@ def summarize(log: TrajectoryLog, baseline: TrajectoryLog | None = None) -> RunS
             )
     if log.n_rows() < 2:
         raise InvalidComparison(f"no completed tick to summarize: the log has {log.n_rows()} row(s)")
+    for role, run in (("run", log), ("baseline", baseline)):
+        if run is not None and not (np.diff(run.t) > 0.0).all():
+            raise InvalidComparison(f"the {role}'s t must be strictly increasing")
 
     mean_optfl = float(np.mean(log.optfl[1:]))
     reduction = None

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import NON_NEGATIVE, POSITIVE_OR_INF, _finite3, _real, _reals, as_joint_array
+from .chain import NON_NEGATIVE, POSITIVE_OR_INF, _finite3, _real, _reals, _unchecked, as_joint_array
 from .errors import InvalidInput, SingularMatrix
 
 DEFAULT_DAMPING = 1e-3
@@ -191,8 +191,9 @@ def compensate(twist: Twist, J, config: StabilizerConfig) -> StabilizerCommand:
     joints null the rotational component, eyes null the translational one;
     with config.sequential the eye target also includes the translation the
     new neck command itself induces at the fixation point.  Outputs are
-    saturated componentwise.  A parallel-gaze posture has no Jacobian, so the
-    caller holds its previous command instead.
+    saturated componentwise on Python floats, with np.clip's result, and
+    checked finite there (the products stay in numpy).  A parallel-gaze
+    posture has no Jacobian, so the caller holds its previous command instead.
     """
     _require_fixation_jacobian(J)
     neck_trans = J[0:3, 3:6]
@@ -212,8 +213,13 @@ def compensate(twist: Twist, J, config: StabilizerConfig) -> StabilizerCommand:
         v_target += neck_trans @ qdot_neck
     qdot_eye = -eye_pinv @ v_target
 
-    # np.clip's result, without the cost of its Python wrapper
-    neck_clip = np.minimum(np.maximum(qdot_neck, -config.neck_rate_limit), config.neck_rate_limit)
-    eye_clip = np.minimum(np.maximum(qdot_eye, -config.eye_rate_limit), config.eye_rate_limit)
-    saturated = bool((neck_clip != qdot_neck).any() or (eye_clip != qdot_eye).any())
-    return StabilizerCommand(neck_clip, eye_clip, saturated=saturated)
+    # np.minimum(np.maximum(x, -lim), lim) on the six floats: NaN passes, to fail the finiteness test
+    raw, clip = qdot_neck.tolist() + qdot_eye.tolist(), []
+    for i, x in enumerate(raw):  # a loop: before Python 3.12 a comprehension is one more call
+        lim = config.neck_rate_limit if i < 3 else config.eye_rate_limit
+        clip.append(lim if x >= lim else -lim if x <= -lim else x)
+    if not all(map(math.isfinite, clip)):
+        name = "qdot_neck" if not all(map(math.isfinite, clip[:3])) else "qdot_eye"
+        raise InvalidInput(f"StabilizerCommand.{name} must be a finite 3-vector")
+    return _unchecked(StabilizerCommand, qdot_neck=np.array(clip[:3]), qdot_eye=np.array(clip[3:]),
+                      saturated=clip != raw)

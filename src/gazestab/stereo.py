@@ -95,6 +95,13 @@ class HeadLayout:
 
 
 _LAYOUT = HeadLayout(trunk=tuple(range(6)), tilt_left=6, pan_left=7, tilt_right=8, pan_right=9, cam_left=7, cam_right=9)
+# fixation_full_jacobian's index tables: the frames the eye joints (left tilt
+# and pan, right tilt and pan) turn about, their cameras, and each camera
+# axis's (tilt, left pan, right pan) columns.
+_EYE_AXIS_ROWS = np.array([_LAYOUT.trunk[-1], _LAYOUT.tilt_left, _LAYOUT.trunk[-1], _LAYOUT.tilt_right])
+_EYE_CAM_ROWS = np.array([_LAYOUT.cam_left] * 2 + [_LAYOUT.cam_right] * 2)
+_LEFT_VARS = np.array([_LAYOUT.tilt_left, _LAYOUT.pan_left, _LAYOUT.pan_right])
+_RIGHT_VARS = np.array([_LAYOUT.tilt_right, _LAYOUT.pan_left, _LAYOUT.pan_right])
 
 
 def head_layout(chain: KinematicChain) -> HeadLayout:
@@ -340,17 +347,13 @@ def fixation_full_jacobian(chain: KinematicChain, q) -> np.ndarray:
     # an origin by z_m x (o_cam - p_m) about frame chain.parents[m], formed as
     # geometric_jacobian forms it, all four in one cross.  The blocks are
     # C-ordered: the products below round differently on F order.
-    lay = _LAYOUT
-    left_vars = [lay.tilt_left, lay.pan_left, lay.pan_right]
-    right_vars = [lay.tilt_right, lay.pan_left, lay.pan_right]
-    axes = frames[np.take(chain.parents, (lay.tilt_left, lay.pan_left, lay.tilt_right, lay.pan_right)), :3]
-    origins = frames[[lay.cam_left, lay.cam_left, lay.cam_right, lay.cam_right], :3, 3]
-    d_eye = _cross_rows(axes[:, :, 2], origins - axes[:, :, 3])  # (3, 4)
+    axes = frames[_EYE_AXIS_ROWS, :3]
+    d_eye = _cross_rows(axes[:, :, 2], frames[_EYE_CAM_ROWS, :3, 3] - axes[:, :, 3])  # (3, 4)
     d_ol, d_or = d_o = np.zeros((2, 3, 3))
     d_o[0, :, :2] = d_eye[:, :2]
     d_o[1, :, ::2] = d_eye[:, 2:]
-    d_zl = np.take(analytic_axis_jacobian(chain, qm, lay.cam_left, frames=frames), left_vars, axis=1)
-    d_zr = np.take(analytic_axis_jacobian(chain, qm, lay.cam_right, frames=frames), right_vars, axis=1)
+    d_zl = np.take(analytic_axis_jacobian(chain, qm, _LAYOUT.cam_left, frames=frames), _LEFT_VARS, axis=1)
+    d_zr = np.take(analytic_axis_jacobian(chain, qm, _LAYOUT.cam_right, frames=frames), _RIGHT_VARS, axis=1)
 
     cos_axes = float(zl @ zr)
     denom = cos_axes * cos_axes - 1.0  # nonzero: fixation_point checked it
@@ -373,7 +376,7 @@ def fixation_full_jacobian(chain: KinematicChain, q) -> np.ndarray:
     dPr = d_or + zr[:, None] * quotient(num_right, d_num_right) + fx.s_right * d_zr
 
     J = np.zeros((6, HEAD_DOF))
-    J[:, :6] = geometric_jacobian(chain, qm, fx.point, lay.cam_left, frames=frames)[:, :6]
+    J[:, :6] = geometric_jacobian(chain, qm, fx.point, _LAYOUT.cam_left, frames=frames)[:, :6]
     J[:3, 6] = 0.5 * (dPl[:, 0] + dPr[:, 0])
     J[:3, 7] = 0.5 * (dPl[:, 1] + dPl[:, 2] + dPr[:, 1] + dPr[:, 2])
     J[:3, 8] = 0.25 * (dPl[:, 1] - dPl[:, 2] + dPr[:, 1] - dPr[:, 2])

@@ -6,6 +6,7 @@ analytic Jacobian is checked against central finite differences.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -262,6 +263,37 @@ def test_cross_rows_matches_np_cross_bytes(data, k, broadcast):
     expected = np.cross(a, b).T
     assert _cross_rows(a, b).shape == expected.shape
     assert _cross_rows(a, b).tobytes() == expected.tobytes()
+
+
+def test_cross_rows_matches_np_cross_bytes_on_signed_zeros():
+    # Entries drawn from +-0.0, +-1 and a few magnitudes: a product or
+    # difference taken in another operand order flips the sign of a zero.
+    rng = np.random.default_rng(32)
+    values = np.array([0.0, -0.0, 1.0, -1.0, 0.5, -3.25, 1e-300, -7e150])
+    for k in (1, 2, 4, 7):
+        for _ in range(200):
+            a = rng.choice(values, (k, 3))
+            for b in (rng.choice(values, (k, 3)), rng.choice(values, 3)):
+                assert _cross_rows(a, b).tobytes() == np.cross(a, b).T.tobytes()
+
+
+def test_link_index_must_be_an_integer():
+    chain = default_head_model().chain
+    q = np.zeros(chain.n_joints)
+    calls = {
+        "forward_kinematics": lambda i: forward_kinematics(chain, q, i),
+        "geometric_jacobian": lambda i: geometric_jacobian(chain, q, np.zeros(3), i),
+        "analytic_axis_jacobian": lambda i: analytic_axis_jacobian(chain, q, i),
+        "path_indices": chain.path_indices,
+    }
+    for name, call in calls.items():
+        for bad in (7.0, np.float64(7.0), True, False, "7", []):
+            with pytest.raises(InvalidInput, match=f"^link_index must be an integer, got {re.escape(repr(bad))}$"):
+                call(bad)
+        for out in (chain.n_joints, -1):
+            with pytest.raises(IndexError, match=f"^link_index {out} out of range"):
+                call(out)
+        call(np.int64(7))  # a numpy integer is an integer
 
 
 def test_limit_arrays_are_cached_and_read_only():

@@ -98,9 +98,9 @@ def test_model_units_equivalence(tmp_path):
 @pytest.mark.parametrize(("units", "bound"), [("radians", 4.4e-16), ("degrees", 8.9e-16)])
 def test_model_base_rotation_round_trips_within_a_few_ulps(tmp_path, units, bound):
     # The base rotation is written as ZYX angles, and even a radians file
-    # gives it back only to within rounding: the angles come from atan2 and
-    # asin of its entries.  Pitch stays within 1.4 rad of zero: nearer +-pi/2,
-    # asin loses precision.  The position comes back exactly.
+    # gives it back only to within rounding: the angles come from atan2 of
+    # its entries.  Pitch stays within 1.4 rad of zero (the next test goes
+    # nearer +-pi/2).  The position comes back exactly.
     packaged = parse_model_file(MODEL_FILE)
     rng = np.random.default_rng(11)
     p = tmp_path / "m.model"
@@ -115,6 +115,23 @@ def test_model_base_rotation_round_trips_within_a_few_ulps(tmp_path, units, boun
         assert chains_equal(replace(again, base_pose=base), chain)  # the links as they were
         worst = max(worst, np.abs(again.base_pose.rot - base.rot).max())
     assert 0.0 < worst <= bound
+
+
+def test_model_base_rotation_round_trips_near_a_vertical_pitch(tmp_path):
+    # Pitch anywhere in (-pi/2, pi/2): atan2 of -R[2,0] against the hypot of
+    # the first column's other entries keeps its precision where asin(-R[2,0])
+    # lost it: over these rotations the worst entry was 2.5e-14 off, now 2.1e-16.
+    packaged = parse_model_file(MODEL_FILE)
+    rng = np.random.default_rng(32)
+    p = tmp_path / "m.model"
+    worst = 0.0
+    for _ in range(1000):
+        yaw, pitch, roll = rng.uniform(-math.pi, math.pi), rng.uniform(-math.pi / 2, math.pi / 2), rng.uniform(-3, 3)
+        base = Pose(fileio._rot_zyx(yaw, pitch, roll), np.zeros(3))
+        chain = KinematicChain(packaged.chain.links, base_pose=base, segments=packaged.chain.segments)
+        p.write_text(serialize_model(replace(packaged, chain=chain), "radians"))
+        worst = max(worst, np.abs(parse_model_file(str(p)).chain.base_pose.rot - base.rot).max())
+    assert worst <= 1e-15
 
 
 def test_model_parse_errors_carry_path_and_line(tmp_path):
@@ -974,6 +991,10 @@ def first_data_row(line):
     return line[:1].isdigit()
 
 
+def second_data_row(line):
+    return line.startswith("0.01,")
+
+
 def with_cell(column, value):
     """new_text for rewrite_log_line: the data row with column's cell replaced by value."""
     i = LOG_HEADER.index(column)
@@ -1008,6 +1029,8 @@ def with_cell(column, value):
         (first_data_row, with_cell("saturated", "0.5"), "bad saturated value 0.5: must be 0 or 1"),
         (first_data_row, with_cell("singular", "nan"), "bad singular value nan: must be 0 or 1"),
         (first_data_row, with_cell("t", "nan"), "bad t value nan: must be finite"),
+        # the second row's tick back at the first's: t must increase, as summarize's row ranges need
+        (second_data_row, with_cell("t", "0"), "bad t value 0.0: must be finite and increasing"),
         # each metadata key comes once: a second dt, inserted before the duration line
         (lambda line: line.startswith("# duration:"), lambda line: "# dt: 0.5\n" + line, "second 'dt' metadata line"),
     ],
@@ -1015,7 +1038,7 @@ def with_cell(column, value):
         "segment-time", "non-numeric-field", "extra-field", "huge-field", "quoted-cell", "quoted-header",
         "segment-two-fields", "log-version-2", "n_valid-nan", "n_valid-huge",
         "n_valid-fraction", "n_valid-negative", "saturated-2", "saturated-half", "singular-nan", "t-nan",
-        "repeated-metadata",
+        "t-repeated", "repeated-metadata",
     ],
 )
 def test_csv_reader_reports_bad_line(tmp_path, capsys, find, new_text, fragment):

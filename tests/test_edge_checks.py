@@ -161,12 +161,53 @@ MESSAGES.update(
     )
 )
 
+MESSAGES.update(
+    (row, f"^{re.escape(vector)} contains non-finite entries$")
+    for row, vector in (
+        ("PlantState.q", "q"),
+        ("step.disturbance_qdot", "disturbance_qdot"),
+        ("estimate_kff", "qdot"),
+        ("camera_frames", "q (head-dof)"),
+        ("fixation_full_jacobian", "q (head-dof)"),
+        ("geometric_jacobian.q", "q"),
+        ("analytic_axis_jacobian", "q"),
+        ("forward_kinematics", "q"),
+    )
+)
+
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
 @pytest.mark.parametrize(("name", "call"), ENTRY_POINTS, ids=[n for n, _ in ENTRY_POINTS])
 def test_public_entry_point_rejects_non_finite(name, call, bad):
     with pytest.raises(InvalidInput, match=MESSAGES.get(name)), np.errstate(all="ignore"):
         call(bad)
+
+
+# A wrong-length vector: its message, or the non-finite one where it also
+# holds a NaN (finiteness is tested first, at any length).
+@pytest.mark.parametrize(
+    ("call", "size", "message"),
+    [
+        (lambda v: estimate_kff(J, v), 9, "qdot must have length 9, got {n}"),
+        (lambda v: PlantState(0.0, v, np.zeros(9)), 9, "q must have length 9, got {n}"),
+        (lambda v: fixation_full_jacobian(CHAIN, v), 9, r"q \(head-dof\) must have length 9, got {n}"),
+        (lambda v: expand_head_q(v), 9, r"q \(head-dof\) must have length 9, got {n}"),
+        (lambda v: geometric_jacobian(CHAIN, v, np.zeros(3), 7), 10, "q must have length 10, got {n}"),
+        (lambda v: estimate_ifb(ImuSample(np.zeros(3), np.zeros(3)), v), 3, "x_fp must be a finite 3-vector"),
+        (lambda v: Twist(np.zeros(3), v), 3, "Twist.omega must be a finite 3-vector"),
+    ],
+    ids=["estimate_kff", "PlantState.q", "fixation_full_jacobian", "expand_head_q", "geometric_jacobian",
+         "estimate_ifb", "Twist"],
+)
+def test_vector_length_messages(call, size, message):
+    finite_message = re.sub(r" must have length .*", " contains non-finite entries", message)
+    for n in (size - 1, size + 1, 0):
+        with pytest.raises(InvalidInput, match=f"^{message.format(n=n)}$"):
+            call(np.ones(n))
+        if n:
+            for bad in (math.nan, math.inf):
+                with pytest.raises(InvalidInput, match=f"^{finite_message}$"):
+                    call(with_bad(np.ones(n), bad, index=n - 1))
 
 
 # Every scalar field stored through chain._real: (row, build, field, name in

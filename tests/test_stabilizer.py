@@ -311,6 +311,55 @@ def test_compensate_saturation_clips_and_flags():
     assert not small.saturated
 
 
+def numpy_clip(raw: StabilizerCommand, cfg: StabilizerConfig) -> StabilizerCommand:
+    """The clip compensate applied in numpy before it ran on floats: the
+    reference its command and saturated flag must equal bit for bit."""
+    neck = np.minimum(np.maximum(raw.qdot_neck, -cfg.neck_rate_limit), cfg.neck_rate_limit)
+    eye = np.minimum(np.maximum(raw.qdot_eye, -cfg.eye_rate_limit), cfg.eye_rate_limit)
+    return StabilizerCommand(neck, eye, bool((neck != raw.qdot_neck).any() or (eye != raw.qdot_eye).any()))
+
+
+J_CLIP = fixation_full_jacobian(CHAIN, head_q(np.random.default_rng(32)))
+TWIST_PART = st.sampled_from([0.0, -0.0, 1e-3, -0.2, 0.7, 4.0, -30.0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    v=st.tuples(TWIST_PART, TWIST_PART, TWIST_PART),
+    omega=st.tuples(TWIST_PART, TWIST_PART, TWIST_PART),
+    dof_set=st.sampled_from(["neck-eyes", "eyes"]),
+    limits=st.tuples(*[st.one_of(st.sampled_from([math.inf, 0.05, 1.0]), st.integers(0, 2)) for _ in range(2)]),
+)
+def test_compensate_clip_matches_numpy_minimum_maximum(v, omega, dof_set, limits):
+    # An integer limit k ties the limit with |rate k| of its block (1.0 where
+    # that rate is a zero, which then passes through with its sign).
+    tw = Twist(np.array(v), np.array(omega))
+    raw = compensate(tw, J_CLIP, StabilizerConfig(dof_set=dof_set, neck_rate_limit=math.inf, eye_rate_limit=math.inf))
+    neck_lim, eye_lim = (
+        lim if isinstance(lim, float) else abs(block[lim]) or 1.0
+        for lim, block in zip(limits, (raw.qdot_neck, raw.qdot_eye))
+    )
+    cfg = StabilizerConfig(dof_set=dof_set, neck_rate_limit=neck_lim, eye_rate_limit=eye_lim)
+    got, expected = compensate(tw, J_CLIP, cfg), numpy_clip(raw, cfg)
+    assert got.qdot_neck.tobytes() == expected.qdot_neck.tobytes()
+    assert got.qdot_eye.tobytes() == expected.qdot_eye.tobytes()
+    assert got.saturated is expected.saturated
+
+
+def test_compensate_non_finite_rate_raises_the_command_message():
+    # Rates that overflow: inf passes an unlimited rate, and NaN (inf - inf in
+    # the eye target) any limit.  StabilizerCommand's message names the first
+    # block holding one.
+    tw = Twist(np.full(3, 1e300), np.full(3, 1e300))
+    for dof_set, limit, name in (
+        ("neck-eyes", math.inf, "qdot_neck"), ("eyes", math.inf, "qdot_eye"), ("neck-eyes", 1.0, "qdot_eye")
+    ):
+        cfg = StabilizerConfig(dof_set=dof_set, damping=0.0, neck_rate_limit=limit, eye_rate_limit=limit)
+        with pytest.raises(InvalidInput, match=f"^StabilizerCommand.{name} must be a finite 3-vector$"), \
+                np.errstate(over="ignore", invalid="ignore"):
+            compensate(tw, J_CLIP * 1e-20, cfg)
+
+
 def test_config_validation():
     with pytest.raises(InvalidInput):
         StabilizerConfig(mode="nope")
