@@ -50,7 +50,9 @@ configs are used.  The check
   between ticks (a segment owns the ticks t with t_start - 1e-12 <= t <
   t_end - 1e-12, so these are the edges where rounding decides);
 * compares a SHA-256 digest of the `serialize_model` text of the shipped
-  model and of a variant with a base pose and unlimited joints, and the
+  model, of a variant with a yawed base pose and unlimited joints, and of
+  that variant with its base pitched 4e-4 rad short of vertical and rolled
+  (where the written pitch depends on its formula), and the
   `serialize_script` text of the same four scripts, in `degrees` and in
   `radians` (no shipped log exercises the serializers);
 * runs a lift script (`move channel=base-z t=0.2,3 rate=10` for 3 s, which
@@ -69,6 +71,12 @@ configs are used.  The check
   `ifb` mode, and compares the same: these runs start with near-parallel
   optical axes and leave that singular band, so the `singular` column and
   the held command change part-way (no shipped config logs a singular row);
+* runs a 30 s torso yaw whose segments meet at 25 s in `off` mode (the
+  plant's running-sum `t` reads 25.00000000000111 at tick 2500) and moves
+  with edges between ticks (t=0.005,0.995 and t=0.333,0.777) in `kff` mode,
+  and compares the same: these edges decide which rows a segment's mean in
+  the sidecar covers (no shipped script runs past 13 s or puts an edge off
+  the 0.01 s grid);
 * prints both trees' `src/gazestab/*.py` line totals, the design aim's size
   metric, and their work ledgers: the Python calls into gazestab per tick,
   counted with `sys.setprofile` as `test_work_ledger_calls_per_tick` counts
@@ -129,6 +137,19 @@ units radians
 move channel=torso-yaw    t=0,0.4    rate=0.35
 move channel=eye-vergence t=0.05,0.3 rate=0.02
 """
+# Back-to-back moves with an edge at 25 s, which the plant's running-sum t
+# passes 1.1e-12 late, and moves with edges between ticks: the rows a
+# segment's mean covers are decided at these edges.
+DRIFT_SCRIPT = """script drift
+units radians
+move channel=torso-yaw t=0,25  rate=0.01
+move channel=torso-yaw t=25,30 rate=-0.02
+"""
+OFF_GRID_SCRIPT = """script off-grid
+units radians
+move channel=torso-yaw   t=0.005,0.995 rate=0.3
+move channel=torso-pitch t=0.333,0.777 rate=-0.2
+"""
 MODES = ("off", "kff", "ifb")
 # (name, script file, config lines) of each run compared by exit code, stderr, log and sidecar
 EDGE_RUNS = (
@@ -139,6 +160,7 @@ EDGE_RUNS = (
         for f in (240, 40, 3)
     ]
     + [(f"leave_{mode}", "leave.script", f"mode {mode}\nduration 0.4\nfixation-distance 1e4\n") for mode in MODES]
+    + [("drift_off", "drift.script", "mode off\n"), ("off_grid_kff", "off-grid.script", "mode kff\n")]
 )
 
 # (shipped config, run length in s) of each work-ledger run: the configs and
@@ -325,9 +347,22 @@ links[7] = replace(links[7], q_max=np.inf)
 c, s = np.cos(0.3), np.sin(0.3)
 base = Pose(np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]), np.array([0.1, -0.2, 0.3]))
 chain = KinematicChain(tuple(links), base_pose=base, segments=shipped_model.chain.segments)
+
+
+def rot_zyx(yaw, pitch, roll):
+    (cy, sy), (cp, sp), (cr, sr) = ((np.cos(a), np.sin(a)) for a in (yaw, pitch, roll))
+    rz = np.array([[cy, -sy, 0.0], [sy, cy, 0.0], [0.0, 0.0, 1.0]])
+    ry = np.array([[cp, 0.0, sp], [0.0, 1.0, 0.0], [-sp, 0.0, cp]])
+    return rz @ ry @ np.array([[1.0, 0.0, 0.0], [0.0, cr, -sr], [0.0, sr, cr]])
+
+
+# a base pitched 4e-4 rad short of vertical, rolled and yawed: the pitch
+# formula decides the written angles here, where asin and atan2 round apart
+vertical = Pose(rot_zyx(0.3, np.pi / 2 - 4e-4, 0.7), np.array([0.1, -0.2, 0.3]))
+chain_vertical = replace(chain, base_pose=vertical)
 h_text = hashlib.sha256()
 for units in ("degrees", "radians"):
-    for head in (shipped_model, replace(shipped_model, chain=chain)):
+    for head in (shipped_model, replace(shipped_model, chain=chain), replace(shipped_model, chain=chain_vertical)):
         h_text.update(serialize_model(head, units).encode())
     for script in scripts + [synthetic]:
         h_text.update(serialize_script(script, units).encode())
@@ -559,9 +594,12 @@ def main(argv):
             label = f"{side} tree's {len(logs) // 2} logs"
             print(f"  {label:<38} {'identical' if not differ else 'BREACH: read differently: ' + ', '.join(differ)}")
             breaches += bool(differ)
-        print("lift runs (they fail part-way), spin runs and singular-band runs:")
+        print("lift runs (they fail part-way), spin runs, singular-band runs and segment-edge runs:")
         for d in outdirs:
-            scripts = (("lift.script", LIFT_SCRIPT), ("spin.script", SPIN_SCRIPT), ("leave.script", LEAVE_SCRIPT))
+            scripts = (
+                ("lift.script", LIFT_SCRIPT), ("spin.script", SPIN_SCRIPT), ("leave.script", LEAVE_SCRIPT),
+                ("drift.script", DRIFT_SCRIPT), ("off-grid.script", OFF_GRID_SCRIPT),
+            )
             for script_name, text in scripts:
                 with open(os.path.join(d, script_name), "w", encoding="utf-8") as fh:
                     fh.write(text)

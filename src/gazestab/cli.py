@@ -164,6 +164,11 @@ def _condition_label(path: str, log) -> str:
     return f"{os.path.basename(path)} [{log.meta.get('mode')}/{log.meta.get('dof_set')}]"
 
 
+def _percent(reduction: float | None, width: int) -> str:
+    """A reduction as width.1f and %, or n/a (None: no positive finite baseline flow) in as many columns."""
+    return f"{'n/a':>{width + 1}}" if reduction is None else f"{reduction:{width}.1f}%"
+
+
 def cmd_compare(args) -> int:
     try:
         baseline = read_log_csv(args.baseline)
@@ -187,7 +192,7 @@ def cmd_compare(args) -> int:
     print()
     print(f"{'condition'.ljust(label_w)}  {'mean-optfl':>12}  {'reduction':>10}")
     for path, log, s in rows:
-        print(f"{_condition_label(path, log).ljust(label_w)}  {s.mean_optfl:12.6f}  {s.reduction_pct:9.1f}%")
+        print(f"{_condition_label(path, log).ljust(label_w)}  {s.mean_optfl:12.6f}  {_percent(s.reduction_pct, 9)}")
     print()
 
     if rows and rows[0][2].segments:
@@ -200,9 +205,7 @@ def cmd_compare(args) -> int:
         for i, seg in enumerate(rows[0][2].segments):
             line = f"{seg.label} {seg.t_start:g}-{seg.t_end:g}".ljust(seg_w)
             for _, _, s in rows:
-                cell = f"{s.segments[i].mean_optfl:.4f}"
-                if s.segments[i].reduction_pct is not None:
-                    cell += f" ({s.segments[i].reduction_pct:5.1f}%)"
+                cell = f"{s.segments[i].mean_optfl:.4f} ({_percent(s.segments[i].reduction_pct, 5)})"
                 line += f"  {cell:>24}"
             print(line)
     return 0

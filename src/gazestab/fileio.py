@@ -88,14 +88,6 @@ def _numbered_lines(path: str):
         raise FileFormatError(path, 0, err.strerror or str(err)) from None
 
 
-def _content_lines(path: str):
-    """(line_number, text) for every non-blank, non-comment line."""
-    for no, line in _numbered_lines(path):
-        text = line.split("#", 1)[0].strip()
-        if text:
-            yield no, text
-
-
 def _parse_float(path: str, no: int, token: str, what: str) -> float:
     try:
         return float(token)
@@ -163,12 +155,12 @@ class _Units:
 
 
 class _EntityFile:
-    """The one reader of model, script and config files.  It takes the name
-    line (kind) and the units line, and yields (line number, directive, args,
-    units in force or None) for every other line; a needs_units directive
-    before the units line, or a second kind, units or once line, is
-    rejected at its line.  After the last line it holds name, units (None
-    if the file has no units line) and last_no."""
+    """The one reader of model, script and config files.  Blank lines and
+    `#` comments aside, it takes the name line (kind) and the units line, and
+    yields (line number, directive, args, units in force or None) for every
+    other line; a needs_units directive before the units line, or a second
+    kind, units or once line, is rejected at its line.  After the last line
+    it holds name, units (None if the file has no units line) and last_no."""
 
     def __init__(self, path: str, kind: str, needs_units, once=()):
         self.path, self.kind, self.needs_units = path, kind, needs_units
@@ -178,9 +170,12 @@ class _EntityFile:
 
     def __iter__(self):
         path, first = self.path, {}
-        for no, text in _content_lines(path):
+        for no, line in _numbered_lines(path):
+            words = line.split("#", 1)[0].split()  # a blank or comment line has none
+            if not words:
+                continue
             self.last_no = no
-            head, *rest = text.split()
+            head, *rest = words
             if head in self.once:
                 if head in first:
                     raise FileFormatError(path, no, f"second {head} line (the first is line {first[head]})")

@@ -460,6 +460,12 @@ class NoiseSegment:
         object.__setattr__(self, "seed", _int(self.seed, "noise seed"))
 
 
+def _owned(grid, t_start: float, t_end: float) -> slice:
+    """The ticks t of a sorted tick grid that a segment over [t_start, t_end) owns, t_start - 1e-12
+    <= t < t_end - 1e-12, as one row range: realize drives them, summarize averages their rows."""
+    return slice(*np.searchsorted(grid, (t_start - 1e-12, t_end - 1e-12)).tolist())
+
+
 @dataclass(frozen=True)
 class DisturbanceTrack:
     """Script realized on a tick grid (one row per tick)."""
@@ -518,18 +524,15 @@ class DisturbanceScript:
 
     def realize(self, model: HeadModel, dt: float, n_ticks: int) -> DisturbanceTrack:
         """Evaluate every channel on the tick grid.  Deterministic.  A segment
-        owns one row range of the sorted grid, the ticks t with t_start - 1e-12
-        <= t < t_end - 1e-12.  The arrays are columns of a rate and a commanded table."""
+        drives the ticks _owned gives it.  The arrays are columns of a rate
+        and a commanded table."""
         dt = _real(dt, "dt", POSITIVE)
         n_ticks = _int(n_ticks, "n_ticks", 1, MAX_TICKS, f"be an integer from 1 to {MAX_TICKS}")
         self.validate(model)
         rates = np.zeros((n_ticks, 12))
         commanded = np.zeros((n_ticks, 12))
         active = np.zeros((n_ticks, 9), dtype=bool)
-        t = np.arange(n_ticks) * dt
-
-        def owned(seg) -> slice:
-            return slice(*np.searchsorted(t, (seg.t_start - 1e-12, seg.t_end - 1e-12)).tolist())
+        grid = np.arange(n_ticks) * dt
 
         def add(rows, channel, series, external):
             col = self._column(model, channel)
@@ -540,10 +543,10 @@ class DisturbanceScript:
                 commanded[rows, col] += series
 
         for seg in self.segments:
-            add(owned(seg), seg.channel, seg.rate, seg.external)
+            add(_owned(grid, seg.t_start, seg.t_end), seg.channel, seg.rate, seg.external)
 
         for seg in self.noise:
-            rows = owned(seg)
+            rows = _owned(grid, seg.t_start, seg.t_end)
             n = rows.stop - rows.start
             rng = np.random.default_rng(seg.seed)  # one stream across the line's channels, in order
             a = math.exp(-2.0 * math.pi * seg.bandwidth * dt)
@@ -834,11 +837,15 @@ class RunSummary:
     segments: tuple[SegmentSummary, ...]
 
 
-def _window_mean(log: TrajectoryLog, t0: float, t1: float) -> float:
-    """Mean flow over the rows with t0 + 1e-12 < t <= t1 + 1e-12, one row
-    range of the increasing t."""
-    lo, hi = np.searchsorted(log.t, (t0 + 1e-12, t1 + 1e-12), side="right").tolist()
-    return float(np.mean(log.optfl[lo:hi])) if hi > lo else math.nan
+def _mean(flows) -> float:
+    """Mean of a flow slice; NaN for a slice of no rows."""
+    return float(np.mean(flows)) if flows.size else math.nan
+
+
+def _reduction(mean: float, base: float) -> float | None:
+    """Percent reduction of a mean flow against the baseline's, None unless
+    the baseline's is positive and finite."""
+    return 100.0 * (1.0 - mean / base) if 0.0 < base < math.inf else None
 
 
 def summarize(log: TrajectoryLog, baseline: TrajectoryLog | None = None) -> RunSummary:
@@ -847,41 +854,34 @@ def summarize(log: TrajectoryLog, baseline: TrajectoryLog | None = None) -> RunS
     The baseline must be the same script on the same tick grid, otherwise
     the comparison is meaningless and InvalidComparison is raised; so is a
     log with no completed tick (fewer than 2 rows), which has no flow, and
-    a log whose t does not strictly increase.  The residual speed and omega
-    average the true twist over rows 1.. that are not singular, NaN when
-    every such row is.
+    a log without a positive finite dt.  A segment's mean flow covers the
+    rows logging the ticks _owned gives it (row k + 1 logs tick k).  The
+    residual speed and omega average the true twist over rows 1.. that are
+    not singular, NaN when every such row is.
     """
     if baseline is not None:
-        same = (
-            baseline.meta.get("script") == log.meta.get("script")
-            and baseline.meta.get("dt") == log.meta.get("dt")
-            and baseline.n_rows() == log.n_rows()
-        )
-        if not same:
-            raise InvalidComparison(
-                "baseline and run differ in script/dt/length: "
-                f"{baseline.meta.get('script')}@{baseline.meta.get('dt')}x{baseline.n_rows()} vs "
-                f"{log.meta.get('script')}@{log.meta.get('dt')}x{log.n_rows()}"
-            )
+        grids = [(run.meta.get("script"), run.meta.get("dt"), run.n_rows()) for run in (baseline, log)]
+        if grids[0] != grids[1]:
+            base, run = ("{}@{}x{}".format(*grid) for grid in grids)
+            raise InvalidComparison(f"baseline and run differ in script/dt/length: {base} vs {run}")
     if log.n_rows() < 2:
         raise InvalidComparison(f"no completed tick to summarize: the log has {log.n_rows()} row(s)")
-    for role, run in (("run", log), ("baseline", baseline)):
-        if run is not None and not (np.diff(run.t) > 0.0).all():
-            raise InvalidComparison(f"the {role}'s t must be strictly increasing")
+    try:
+        dt = _real(log.meta.get("dt"), "the log's dt", POSITIVE)
+    except InvalidInput as err:
+        raise InvalidComparison(str(err)) from None
 
-    mean_optfl = float(np.mean(log.optfl[1:]))
-    reduction = None
-    if baseline is not None:
-        base_mean = float(np.mean(baseline.optfl[1:]))
-        reduction = 100.0 * (1.0 - mean_optfl / base_mean) if base_mean > 0 else 0.0
+    flows = log.optfl[1:]  # row k + 1 logs tick k
+    base_flows = None if baseline is None else baseline.optfl[1:]
+    mean_optfl = _mean(flows)
+    reduction = None if baseline is None else _reduction(mean_optfl, _mean(base_flows))
 
     seg_rows = []
+    grid = np.arange(flows.size) * dt
     for label, t0, t1 in log.segments:
-        m = _window_mean(log, t0, t1)
-        r = None
-        if baseline is not None:
-            bm = _window_mean(baseline, t0, t1)
-            r = 100.0 * (1.0 - m / bm) if bm and bm > 0 and math.isfinite(bm) else None
+        rows = _owned(grid, t0, t1)
+        m = _mean(flows[rows])
+        r = None if baseline is None else _reduction(m, _mean(base_flows[rows]))
         seg_rows.append(SegmentSummary(label, t0, t1, m, r))
 
     # a singular row has no true twist (its cells hold zeros), so the means skip it

@@ -771,6 +771,37 @@ def test_cli_compare_mismatch_exits_1(tmp_path, monkeypatch, capsys):
     assert "differ" in capsys.readouterr().err
 
 
+def test_cli_compare_prints_n_a_against_a_zero_flow_baseline(tmp_path, monkeypatch, capsys):
+    # No reduction against a baseline without positive finite flow, whole
+    # run or segment: n/a in the reduction's columns, and exit 0.
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "--config", write_quick_config(tmp_path, "off", duration=0.3)]) == 0
+    run = str(tmp_path / "quick_off.csv")
+    log = read_log_csv(run)
+    still = str(tmp_path / "still.csv")
+    write_log_csv(replace(log, optfl=np.zeros_like(log.optfl)), still)
+    capsys.readouterr()
+    assert main(["compare", "--baseline", still, run]) == 0
+    out = capsys.readouterr().out
+    assert re.search(r"quick_off\.csv \[off/neck-eyes\] +\d+\.\d{6} +n/a$", out, re.M), out
+    segment_rows = out.split("per-segment mean optfl (reduction vs baseline):\n")[1].splitlines()[1:]
+    assert len(segment_rows) == len(log.segments)
+    assert all(row.endswith(" (   n/a)") for row in segment_rows), out
+
+
+def test_cli_compare_of_a_log_without_dt_exits_1(tmp_path, monkeypatch, capsys):
+    # A segment's rows are ticks of the log's dt grid: without its `# dt:`
+    # line a log has none.
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "--config", write_quick_config(tmp_path, "off", duration=0.3)]) == 0
+    text = (tmp_path / "quick_off.csv").read_text()
+    no_dt = tmp_path / "no_dt.csv"
+    no_dt.write_text("".join(line for line in text.splitlines(keepends=True) if not line.startswith("# dt:")))
+    capsys.readouterr()
+    assert main(["compare", "--baseline", str(no_dt), str(tmp_path / "quick_off.csv")]) == 1
+    assert_clean_error(capsys, f"gazestab: error: {no_dt}: the log's dt must be a real number, got None")
+
+
 def test_cli_compare_empty_logs_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["compare", "--baseline", "x.csv"])

@@ -53,7 +53,15 @@ from gazestab.simulator import (
     summarize,
     synth_gyro,
 )
-from gazestab.stabilizer import ImuSample, StabilizerCommand, StabilizerConfig, Twist, compensate, estimate_ifb
+from gazestab.stabilizer import (
+    ImuSample,
+    StabilizerCommand,
+    StabilizerConfig,
+    Twist,
+    compensate,
+    estimate_ifb,
+    estimate_kff,
+)
 from gazestab.stereo import (
     TILT_TOL,
     CameraFrames,
@@ -1453,22 +1461,22 @@ def synthetic_log(n_rows, segments, seed=0):
     return log
 
 
-def mask_window_mean(log, t0, t1):
-    """The mask form summarize's segment means replaced: the reference."""
-    rows = (log.t > t0 + 1e-12) & (log.t <= t1 + 1e-12)
-    return float(np.mean(log.optfl[rows])) if rows.any() else math.nan
+def mask_owned(grid, t_start, t_end):
+    """realize's rule as a mask over the whole grid, in place of
+    simulator._owned's row range: the reference."""
+    return (grid >= t_start - 1e-12) & (grid < t_end - 1e-12)
 
 
 def test_summarize_segment_means_match_the_mask_form_in_less_time(monkeypatch):
     # 2,000 segments over 20,001 rows: 1,000 back-to-back of 0.1 s, edges on
-    # ticks, and 1,000 of 0.07 s with edges 1e-12 below a tick (where t0 +
+    # ticks, and 1,000 of 0.07 s with edges 1e-12 above a tick (where t0 -
     # 1e-12 may round onto the tick itself); plus empty ones: an instant, one
     # past the end and one before t = 0.
-    t = np.arange(20_001) * 0.01
+    grid = np.arange(20_000) * 0.01
     segments = [("s", k * 0.1, (k + 1) * 0.1) for k in range(1000)]
-    segments += [("below", t[k] - 1e-12, t[k + 7] - 1e-12) for k in range(10_000, 20_000, 10)]
+    segments += [("above", grid[k] + 1e-12, grid[k + 7] + 1e-12) for k in range(10_000, 20_000, 10)]
     segments += [("empty", 5.0, 5.0), ("after", 300.0, 310.0), ("before", -2.0, -1.0)]
-    assert sum(t0 + 1e-12 in t for _, t0, _ in segments) > 100
+    assert sum(t0 - 1e-12 in grid for _, t0, _ in segments) > 100
     log, baseline = synthetic_log(20_001, segments), synthetic_log(20_001, segments, seed=1)
 
     def timed():
@@ -1480,7 +1488,7 @@ def test_summarize_segment_means_match_the_mask_form_in_less_time(monkeypatch):
         return summary, best
 
     ranged, ranged_s = timed()
-    monkeypatch.setattr(simulator, "_window_mean", mask_window_mean)
+    monkeypatch.setattr(simulator, "_owned", mask_owned)
     masked, masked_s = timed()
 
     def rows(summary):
@@ -1492,15 +1500,60 @@ def test_summarize_segment_means_match_the_mask_form_in_less_time(monkeypatch):
     assert ranged_s < masked_s, (ranged_s, masked_s)
 
 
-def test_summarize_rejects_a_t_that_does_not_increase():
-    good = synthetic_log(50, [("s", 0.0, 0.2)])
-    for index, value in ((7, 0.06), (7, 0.06 - 1e-3), (0, math.nan), (49, 0.0)):
-        bad = synthetic_log(50, [("s", 0.0, 0.2)])
-        bad.t[index] = value
-        with pytest.raises(InvalidComparison, match="^the run's t must be strictly increasing$"):
-            summarize(bad)
-        with pytest.raises(InvalidComparison, match="^the baseline's t must be strictly increasing$"):
-            summarize(good, baseline=bad)
+def test_summarize_segments_cover_the_ticks_realize_drives_whatever_t_reads():
+    # The plant's t is a running sum of dt: at dt 0.01 it strays past 1e-12
+    # from k * dt at tick 2432 and reads 25.00000000000111 at tick 2500.
+    # Each segment's mean covers the rows logging the ticks realize drives
+    # (row k + 1 logs tick k), bit for bit.
+    script = DisturbanceScript(
+        "drift", segments=(ScriptSegment(0.0, 25.0, "torso-yaw", 0.1), ScriptSegment(25.0, 30.0, "torso-pitch", 0.1))
+    )
+    log = synthetic_log(3001, script.span_list())
+    for row in range(1, 3001):
+        log.t[row] = log.t[row - 1] + 0.01  # as step advances a state's t
+    log.optfl[:] = np.arange(3001.0)
+    assert log.t[2500] == 25.00000000000111
+    track = script.realize(MODEL, 0.01, 3000)
+    means = [s.mean_optfl for s in summarize(log).segments]
+    driven = [np.mean(log.optfl[1:][track.active[:, col]]) for col in (0, 1)]
+    assert np.array(means).tobytes() == np.array(driven).tobytes()
+    assert means == [1250.5, 2750.5]
+
+
+def test_summarize_segment_off_the_grid_covers_the_ticks_realize_drives():
+    # A move over t=0.005,0.995 at dt 0.01 drives ticks 1..99, which rows
+    # 2..100 log.
+    script = DisturbanceScript("off-grid", segments=(ScriptSegment(0.005, 0.995, "torso-yaw", 0.3),))
+    log = run_experiment(MODEL, script, SimSettings(control=StabilizerConfig(mode="off"), duration=1.1))
+    track = script.realize(MODEL, DT, log.n_rows() - 1)
+    assert np.flatnonzero(track.active[:, 0]).tolist() == list(range(1, 100))
+    (segment,) = summarize(log).segments
+    assert np.float64(segment.mean_optfl).tobytes() == np.mean(log.optfl[2:101]).tobytes()
+
+
+def test_reductions_against_a_zero_flow_baseline_are_none():
+    # One formula: no reduction, whole run or segment, without a positive
+    # finite baseline flow (the whole run's used to read 0.0).
+    segments = [("a", 0.0, 0.2), ("b", 0.2, 0.49)]
+    run, baseline = synthetic_log(50, segments), synthetic_log(50, segments)
+    run.optfl[1:], baseline.optfl[:] = 0.5, 0.0
+    summary = summarize(run, baseline)
+    assert summary.reduction_pct is None
+    assert [s.reduction_pct for s in summary.segments] == [None, None]
+    assert [s.reduction_pct for s in summarize(baseline, run).segments] == [100.0, 100.0]
+
+
+@pytest.mark.parametrize("dt", [None, math.nan, 0.0, -0.01, math.inf, "0.01"])
+def test_summarize_needs_the_log_dt(dt):
+    # A segment's rows are ticks of the log's dt grid: a log without a
+    # positive finite dt has none.
+    log = synthetic_log(50, [("s", 0.0, 0.2)])
+    if dt is None:
+        del log.meta["dt"]
+    else:
+        log.meta["dt"] = dt
+    with pytest.raises(InvalidComparison, match="^the log's dt must "):
+        summarize(log)
 
 
 # ------------------------------------------------------- the paper's claims
@@ -1815,3 +1868,163 @@ def test_translate_flow_reads_a_small_cone(monkeypatch):
     log = run_experiment(model, script, settings)
     assert len(widths) >= log.n_rows()
     assert np.mean(np.array(widths) <= 200) >= 0.99, np.unique(widths, return_counts=True)
+
+
+# ------------------------------------------------- the reference loop
+
+
+def reference_run(model, script, settings):
+    """(arrays, error): run_experiment's log columns from the paper's loop
+    built from public parts, or a failed run's fully logged rows and its
+    error.  Per tick: camera_frames, fixation_point and
+    fixation_full_jacobian at the state, then estimate_kff plus the
+    commanded base velocity, or synth_gyro less the neck's own rotation
+    through the gyro delay line and estimate_ifb; compensate and step; and
+    the flow of the whole cloud (_project, _flow) between the two states.
+    It keeps nothing across ticks but the command, the gyro delay line and
+    the previous state, and raises where the loop raises."""
+    dt, cfg, cam = settings.dt, settings.control, settings.cam
+    duration = settings.duration if settings.duration is not None else script.duration() + 0.5
+    n_ticks = simulator._tick_count(duration, dt)
+    track = script.realize(model, dt, n_ticks)
+    rng = np.random.default_rng(np.random.SeedSequence((settings.seed, 71)))
+    state = initial_state(model, settings.fixation_distance)
+    fr = camera_frames(model.chain, state.q)
+    cloud_t = np.ascontiguousarray(make_cloud(settings.cloud, 0.5 * (fr.o_left + fr.o_right)).T)
+    log = {name: np.zeros((n_ticks + 1, len(cols)) if len(cols) > 1 else n_ticks + 1, dtype)
+           for name, cols, dtype in simulator.LOG_COLUMNS}
+
+    def look(state):
+        """A state's fixation point in the world (None: parallel axes) and
+        the whole cloud's projection in its left camera."""
+        fr, b = camera_frames(model.chain, state.q), state.base_offset
+        try:
+            fp = fixation_point(fr).point + b
+        except SingularConfiguration:
+            fp = None
+        return fp, simulator._project(cam, fr.rot_left, fr.o_left + b, cloud_t)
+
+    def write(row, state, fp, singular):
+        log["t"][row], log["q"][row], log["qdot"][row] = state.t, state.q, state.qdot
+        log["base_offset"][row], log["singular"][row] = state.base_offset, singular
+        if fp is not None:
+            log["fp"][row] = fp
+
+    cmd, prev, logged = StabilizerCommand.hold(), None, 1
+    delay = min(settings.gyro_delay_ticks, n_ticks)
+    gyro = deque(maxlen=delay + 1)
+    fp, _ = look(state)
+    write(0, state, fp, fp is None)
+    try:
+        for k in range(n_ticks):
+            fp, proj = look(state)
+            J = None if fp is None else fixation_full_jacobian(model.chain, state.q)
+            if J is not None and cfg.mode == "kff":
+                xi = estimate_kff(J, track.commanded_qdot[k])
+                est = Twist(xi.v + track.commanded_base[k], xi.omega)
+            elif J is not None and cfg.mode == "ifb":
+                if prev is None:
+                    sample = ImuSample(np.zeros(3), model.imu_pose(expand_head_q(state.q)).pos + state.base_offset)
+                else:
+                    sample = synth_gyro(model, prev, state, dt, sigma=settings.gyro_sigma, rng=rng)
+                    self_qdot = np.where(track.active[k - 1][3:6], 0.0, state.qdot[3:6])
+                    sample = ImuSample(sample.omega - J[3:6, 3:6] @ self_qdot, sample.position)
+                if not gyro:  # until the first sample comes out: no rotation, at its position
+                    gyro.extend([ImuSample(np.zeros(3), sample.position)] * delay)
+                gyro.append(sample)
+                est = estimate_ifb(gyro[0], fp)
+            if J is not None and cfg.mode != "off":
+                log["est_twist"][k + 1] = est.as_array()
+                cmd = compensate(est, J, cfg)
+            prev, state = state, step(
+                model, state, track.qdot[k], cmd, dt, settings.plant, active=track.active[k], base_vel=track.base_vel[k]
+            )
+            fp_next, proj_next = look(state)
+            write(k + 1, state, fp_next, fp_next is None or J is None)
+            optfl, n_valid = simulator._flow(proj, proj_next)
+            if n_valid < simulator.MIN_FLOW_POINTS:
+                raise InsufficientCoverage(
+                    f"only {n_valid} cloud points remained valid at t={state.t:.3f}s "
+                    f"(need >= {simulator.MIN_FLOW_POINTS})"
+                )
+            if J is not None:
+                log["true_twist"][k + 1] = J @ state.qdot
+                log["true_twist"][k + 1, :3] += track.base_vel[k]
+            log["cmd"][k + 1] = np.r_[cmd.qdot_neck, cmd.qdot_eye]
+            log["optfl"][k + 1], log["n_valid"][k + 1], log["saturated"][k + 1] = optfl, n_valid, cmd.saturated
+            logged = k + 2
+            if not math.isfinite(optfl):
+                raise SimulationDiverged("flow metric became non-finite", t=state.t)
+    except (SimulationDiverged, InsufficientCoverage) as err:
+        return {name: a[:logged] for name, a in log.items()}, err
+    return log, None
+
+
+CHANNELS = MODEL.dof_names + ("base-x", "base-y", "base-z")
+
+
+@st.composite
+def reference_cases(draw):
+    """(script, settings) of a 0.05-0.3 s run: constant-rate moves, commanded
+    or external, on up to four torso, neck, eye or base channels and a noise
+    band on up to two others; any mode, DoF set and sequential flag, the
+    lagged or ideal plant, gyro noise 0 or 0.005 and delay 0-5; and, half
+    the time, a 10 km fixation whose eyes verge out of the singular band."""
+    duration = draw(st.floats(0.05, 0.3))
+    far = draw(st.booleans())
+    segments = [ScriptSegment(0.0, duration, "eye-vergence", 0.02)] if far else []
+    pool = [ch for ch in CHANNELS if not (far and ch == "eye-vergence")]
+    channels = draw(st.lists(st.sampled_from(pool), max_size=6, unique=True))
+    for ch in channels[:4]:
+        t0 = draw(st.floats(0.0, duration))
+        t1 = draw(st.floats(t0 + 0.01, duration + 0.05))
+        limit = 2.0 if ch.startswith("base") else 1.0  # m/s or rad/s
+        segments.append(ScriptSegment(t0, t1, ch, draw(st.floats(-limit, limit)), external=draw(st.booleans())))
+    noise = ()
+    if channels[4:]:
+        t0 = draw(st.floats(0.0, duration))
+        band = NoiseSegment(t0, t0 + draw(st.floats(0.01, 0.3)), tuple(channels[4:]), draw(st.floats(0.0, 0.5)),
+                            draw(st.floats(0.5, 20.0)), seed=draw(st.integers(0, 9)), external=draw(st.booleans()))
+        noise = (band,)
+    control = StabilizerConfig(
+        mode=draw(st.sampled_from(["off", "kff", "ifb"])), dof_set=draw(st.sampled_from(["eyes", "neck-eyes"])),
+        sequential=draw(st.booleans()),
+    )
+    sim = SimSettings(
+        control=control, plant=draw(st.sampled_from([PlantParams(), PlantParams(0.0, 0.0)])), duration=duration,
+        fixation_distance=1e4 if far else 6.0, gyro_sigma=draw(st.sampled_from([0.0, 0.005])),
+        gyro_delay_ticks=draw(st.integers(0, 5)), seed=draw(st.integers(0, 3)),
+    )
+    return DisturbanceScript("random", tuple(segments), noise), sim
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=reference_cases())
+@example(case=neck_flick()[1:])
+@example(case=(
+    DisturbanceScript("leave", segments=(ScriptSegment(0.0, 0.2, "torso-yaw", 0.35),
+                                         ScriptSegment(0.05, 0.2, "eye-vergence", 0.02))),
+    SimSettings(control=StabilizerConfig(mode="ifb"), fixation_distance=1e4, duration=0.2),
+))
+@example(case=(
+    DisturbanceScript("slide", segments=(ScriptSegment(0.0, 0.2, "base-y", 0.1),)),
+    SimSettings(control=StabilizerConfig(mode="ifb"), gyro_sigma=0.005, gyro_delay_ticks=2, duration=0.2),
+))
+@example(case=(
+    DisturbanceScript("lift", segments=(ScriptSegment(0.0, 1.0, "base-z", 10.0),)),
+    SimSettings(control=StabilizerConfig(mode="kff"), duration=1.0),
+))
+def test_loop_matches_the_reference_loop_byte_for_byte(case):
+    # Every log column of run_experiment, or of a failed run's partial log
+    # with its error, equals the reference loop's bit for bit: the loop's
+    # reuse (still-head record, IMU pose, gyro rate and J, the kept
+    # command, the view cone, the delay line) changes no bit.
+    script, sim = case
+    log, err = run_or_partial(script, sim)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", JointLimitWarning)
+        ref, ref_err = reference_run(MODEL, script, sim)
+    assert (type(err), str(err)) == (type(ref_err), str(ref_err))
+    for name, _, _ in simulator.LOG_COLUMNS:
+        got, want = getattr(log, name), ref[name]
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes()), name
