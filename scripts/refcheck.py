@@ -41,6 +41,14 @@ configs are used.  The check
   `expand_head_q` and `collapse_head_q` on seeded vectors, tilts equal,
   apart by a signed zero or an ulp, or apart (the error text); no shipped
   log clamps a joint or diverges;
+* compares a SHA-256 digest of `flow_metric` (the mean's bytes, or the
+  `InsufficientCoverage` text) over 1,000 seeded whole-cloud frame pairs at
+  focal lengths 240 and 3 px: still, exactly shifted and slightly moved
+  cameras, clouds with points behind the camera, at and past its 1e-9 m
+  depth test, far off the image, and exactly on each border (u or v equal
+  to `border` or to `width - border`), and a tenth of them cut to 14
+  points so that fewer than 10 may count (no shipped log puts a point on a
+  border, and the loop projects only a view cone's columns);
 * compares a SHA-256 digest of `DisturbanceScript.realize` (the dtype, shape
   and bytes of each of the track's five arrays) on the three shipped scripts;
   on a synthetic script of commanded and external moves and noise on joint
@@ -112,7 +120,7 @@ VARIANTS = (
 DIGESTS = (
     "fixation_full_jacobian", "fixation_full_jacobian (repeat)", "camera_frames", "imu_pose", "synth_gyro",
     "synth_gyro (noise)", "compensate", "estimate_kff", "estimate_ifb", "realize", "serialize", "step",
-    "expand_head_q", "collapse_head_q",
+    "expand_head_q", "collapse_head_q", "flow_metric",
 )
 # A script that fails every mode part-way, and the modes it runs in.
 LIFT_SCRIPT = "script lift\nunits degrees\nmove channel=base-z t=0.2,3 rate=10\n"
@@ -436,6 +444,59 @@ with np.errstate(all="ignore"):
             h_collapse.update(str(err).encode())
 print(h_expand.hexdigest())
 print(h_collapse.hexdigest())
+
+from gazestab.errors import InsufficientCoverage
+from gazestab.simulator import CameraModel, flow_metric
+from gazestab.stereo import CameraFrames
+
+
+def frames_at(rot, o):
+    # flow_metric reads the left camera alone
+    return CameraFrames(o_left=o, o_right=o + rot[:, 0], z_left=rot[:, 2], z_right=rot[:, 2],
+                        rot_left=rot, rot_right=rot)
+
+
+def turn(rot, angle):
+    # rot turned by angle about a seeded axis (Rodrigues)
+    k = rng.normal(size=3)
+    k /= np.linalg.norm(k)
+    K = np.array([[0.0, -k[2], k[1]], [k[2], 0.0, -k[0]], [-k[1], k[0], 0.0]])
+    return (np.eye(3) + np.sin(angle) * K + (1.0 - np.cos(angle)) * (K @ K)) @ rot
+
+
+rng = np.random.default_rng(20261)
+h_flow = hashlib.sha256()
+for cam in (CameraModel(), CameraModel(f=3.0)):
+    w2, h2, b = cam.width / 2, cam.height / 2, cam.border
+    for k in range({CONFIGURATIONS} // 4):
+        # the cloud in frame a's coordinates: a shell in front, some of it behind
+        n = int(rng.integers(20, 1600))
+        local = rng.normal([0.0, 0.0, 4.0], [3.0, 3.0, 4.0], (n, 3))
+        # points whose u or v lands exactly on a border in frame a (exact while
+        # frame a is the identity: f * x / (f * s) = x / s for a power of two s)
+        s = 2.0 ** rng.integers(-3, 4, 24)
+        u = np.where(rng.random(24) < 0.5, rng.choice([b, cam.width - b], 24), rng.uniform(b, cam.width - b, 24))
+        v = np.where(rng.random(24) < 0.5, rng.choice([b, cam.height - b], 24), rng.uniform(b, cam.height - b, 24))
+        edge = np.column_stack([(u - w2) * s, (v - h2) * s, cam.f * s])
+        # far off the image, just past the depth test, on it and behind
+        z = np.array([2e-9, 1e-9, np.nextafter(1e-9, 1.0), 0.0, -1.0, 1e-3, 10.0, 1e80])
+        far = np.column_stack([1e6 * z * rng.choice([-1.0, 1.0], z.size), 1e5 * z, z])
+        local = np.concatenate([local, edge, far])
+        if k % 10 == 9:  # a few points: fewer than 10 may count
+            local = local[rng.choice(len(local), 14, replace=False)]
+        rot_a, o_a = np.eye(3), np.zeros(3)
+        if k % 2:
+            rot_a, o_a = turn(rot_a, rng.uniform(0.0, 3.0)), rng.normal(0.0, 1.0, 3)
+        cloud = local @ rot_a.T + o_a
+        if k % 3 == 0:  # still, or an exact shift
+            rot_b, o_b = rot_a, o_a + np.round(rng.normal(0.0, 2.0, 3)) * (k % 6 == 3)
+        else:
+            rot_b, o_b = turn(rot_a, rng.uniform(0.0, 0.05)), o_a + rng.normal(0.0, 0.05, 3)
+        try:
+            h_flow.update(np.float64(flow_metric(cam, frames_at(rot_a, o_a), frames_at(rot_b, o_b), cloud)).tobytes())
+        except InsufficientCoverage as err:
+            h_flow.update(str(err).encode())
+print(h_flow.hexdigest())
 """
 
 

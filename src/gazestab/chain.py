@@ -295,6 +295,11 @@ class KinematicChain:
         """Read-only per-link velocity magnitude limits, link order."""
         return _readonly([link.v_max for link in self.links])
 
+    @cached_property
+    def _limit_floats(self) -> tuple[tuple[float, ...], ...]:
+        """(v_max, q_min, q_max) as tuples of floats, for the plant step."""
+        return tuple(self.v_max.tolist()), tuple(self.q_min.tolist()), tuple(self.q_max.tolist())
+
 
 # ------------------------------------------------------------ DH elementary
 
@@ -309,9 +314,11 @@ def _dh_closed_form(ct, st, ca, sa, a, d) -> np.ndarray:
     """Rot_z(th) @ Trans_z(d) @ Trans_x(a) @ Rot_x(alpha) from the cos and sin
     of th and alpha: one (4, 4) transform, or a C-contiguous (k, 4, 4) stack
     from (k,) arrays."""
-    z = np.zeros_like(ct)
-    rows = np.array([ct, -st * ca, st * sa, a * ct, st, ct * ca, -ct * sa, a * st, z, sa, ca, d, z, z, z, z + 1.0])
-    return rows.T.reshape(*z.shape, 4, 4)
+    rows = np.zeros((16, *np.shape(ct)))  # the transform's entries, row-major; rows 8 and 12-14 stay 0
+    rows[0], rows[1], rows[2], rows[3] = ct, -st * ca, st * sa, a * ct
+    rows[4], rows[5], rows[6], rows[7] = st, ct * ca, -ct * sa, a * st
+    rows[9], rows[10], rows[11], rows[15] = sa, ca, d, 1.0
+    return rows.T.reshape(*rows.shape[1:], 4, 4)
 
 
 # ------------------------------------------------------------------ kinematics
@@ -347,8 +354,8 @@ def link_frames(chain: KinematicChain, q) -> np.ndarray:
     dh = _dh_closed_form(np.cos(th), np.sin(th), ca, sa, a, d)
     frames = np.empty((arr.size + 1, 4, 4))
     frames[-1] = chain._base_matrix
-    for i, parent in enumerate(chain.parents[: arr.size]):
-        np.matmul(frames[parent], dh[i], out=frames[i])
+    for frame, parent, A in zip(frames, chain.parents, dh):  # dh is the shortest: one frame per link of q
+        np.matmul(frames[parent], A, out=frame)
     return frames
 
 

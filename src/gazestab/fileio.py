@@ -609,6 +609,8 @@ def read_log_csv(path: str) -> TrajectoryLog:
                     meta[key] = LOG_META.get(key, str)(val)
                 except ValueError:
                     raise FileFormatError(path, no, f"bad metadata value for {key!r}") from None
+                if key == "dt" and not 0.0 < meta[key] < math.inf:  # a segment's rows are ticks of the dt grid
+                    raise FileFormatError(path, no, f"bad dt value {val!r}: must be positive and finite")
         elif header:
             cells = line.split(",")
             if len(cells) != len(LOG_HEADER):
@@ -622,6 +624,8 @@ def read_log_csv(path: str) -> TrajectoryLog:
             break
         elif tuple(line.split(",")) != LOG_HEADER:
             raise FileFormatError(path, no, "unexpected CSV columns")
+        elif "dt" not in meta:
+            raise FileFormatError(path, no, "no '# dt:' metadata line before the header")
         else:
             header = True
     if "gazestab-log" not in meta:

@@ -53,12 +53,12 @@ step, synth_gyro, realize and initial_state take each scalar argument,
 through chain._real or chain._int; step and synth_gyro check their array
 arguments too, and run_experiment's inputs are checked when built.  Values
 built from checked ones are not checked again: step builds its new
-PlantState unchecked after one finiteness check of the new q, qdot and base
-offset (SimulationDiverged); the loop writes each estimate into its
-est_twist log row (kFF as J @ rates, iFB through the estimator's private
-lever-arm kernel) and hands compensate an unchecked Twist of views into
-that row (its gyro samples, (omega, position) pairs, rest on the head
-model's imu_offset, a rigid transform).
+PlantState unchecked from one array of the new q, qdot and base offset after
+one finiteness check of their floats (SimulationDiverged); the loop writes
+each estimate into its est_twist log row (kFF as J @ rates, iFB through
+the estimator's private lever-arm kernel) and hands compensate an
+unchecked Twist of views into that row (its gyro samples, (omega,
+position) pairs, rest on the head model's imu_offset, a rigid transform).
 """
 
 from __future__ import annotations
@@ -67,10 +67,13 @@ import math
 import warnings
 from collections import deque
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
-from .chain import FINITE, MAX_SCALE, NON_NEGATIVE, POSITIVE, _finite3, _int, _real, _reals, _unchecked, as_joint_array
+from .chain import (
+    FINITE, MAX_SCALE, NON_NEGATIVE, POSITIVE, _finite3, _int, _readonly, _real, _reals, _unchecked, as_joint_array,
+)
 from .errors import (
     InsufficientCoverage,
     InvalidComparison,
@@ -113,7 +116,8 @@ class PlantParams:
 @dataclass(frozen=True)
 class PlantState:
     """Snapshot at time t: DoF positions, velocities executed over the last
-    tick, and the accumulated base-stage translation."""
+    tick, and the accumulated base-stage translation.  A state step builds
+    holds q, qdot and base_offset as disjoint views of one (21,) array."""
 
     t: float
     q: np.ndarray  # (9,)
@@ -144,7 +148,8 @@ def step(
     script owns this tick (those follow it exactly).  All other torso DoF
     rest; neck/eye DoF track the command setpoints through the lag.  state
     and command were checked when built, so only the other arguments and
-    the new state's finiteness are checked here.
+    the new state's finiteness are checked here, on one list of its 21
+    floats; its q, qdot and base_offset are views of one array of them.
     """
     dt = _real(dt, "dt", POSITIVE)
     dist = as_joint_array(disturbance_qdot, 9, name="disturbance_qdot").tolist()
@@ -171,7 +176,7 @@ def step(
     # coupling is linear, so velocities expand the same way positions do).  A
     # clip is np.minimum(np.maximum(x, lo), hi): a tie gives the limit, NaN passes.
     chain = model.chain
-    v_max, lo, hi = chain.v_max.tolist(), chain.q_min.tolist(), chain.q_max.tolist()
+    v_max, lo, hi = chain._limit_floats
     qdot_mech, q_mech, clamped = _expand(qdot), _expand(state.q.tolist()), []
     for i in range(10):
         v = qdot_mech[i]
@@ -188,12 +193,12 @@ def step(
         for i in clamped:
             qdot_mech[i] = 0.0
 
-    q_new, qdot_new = _collapse(q_mech), _collapse(qdot_mech)
     b = state.base_offset.tolist()
-    base_offset = [b[0] + dt * vel[0], b[1] + dt * vel[1], b[2] + dt * vel[2]]
-    if not all(map(math.isfinite, [t] + q_new + qdot_new + base_offset)):
+    new = _collapse(q_mech) + _collapse(qdot_mech) + [b[0] + dt * vel[0], b[1] + dt * vel[1], b[2] + dt * vel[2]]
+    if not (math.isfinite(t) and all(map(math.isfinite, new))):
         raise SimulationDiverged("plant state became non-finite", t=t)
-    return _unchecked(PlantState, t=t, q=np.array(q_new), qdot=np.array(qdot_new), base_offset=np.array(base_offset))
+    new = np.array(new)
+    return _unchecked(PlantState, t=t, q=new[:9], qdot=new[9:18], base_offset=new[18:])
 
 
 # ------------------------------------------------------------ synthetic gyro
@@ -290,25 +295,28 @@ class CameraModel:
         if self.width <= 2 * self.border or self.height <= 2 * self.border:
             raise InvalidInput("image width and height must exceed twice the border")
 
+    @cached_property
+    def _box(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(centre, lo, hi): read-only (2, 1) columns of the pixel centre
+        (w/2, h/2) and of the image interior's bounds in u and v, for _project."""
+        w, h, b = self.width, self.height, self.border
+        return _readonly([[w / 2.0], [h / 2.0]]), _readonly([[b], [b]]), _readonly([[w - b], [h - b]])
+
 
 def _project(cam: CameraModel, rot, origin, cloud_t):
-    """Pixel coordinates u and v and the interior-validity mask of a point
-    cloud given as a C-contiguous (3, n) array, as three (n,) arrays.  u and
-    v round as w/2 + f*x/z does."""
-    x, y, z = rot.T @ (cloud_t - origin[:, None])
-    ok = z > 1e-9
-    zs = np.where(ok, z, 1.0)
-    u = cam.f * x
-    u /= zs
-    u += cam.width / 2.0
-    v = cam.f * y
-    v /= zs
-    v += cam.height / 2.0
-    ok &= u >= cam.border
-    ok &= u <= cam.width - cam.border
-    ok &= v >= cam.border
-    ok &= v <= cam.height - cam.border
-    return u, v, ok
+    """(uv, ok): the pixel coordinates of a point cloud given as a
+    C-contiguous (3, n) array, as a (2, n) block of u and v rows, and its
+    (n,) interior-validity mask.  u and v round as w/2 + f*x/z does."""
+    xyz = rot.T @ (cloud_t - origin[:, None])
+    ok = xyz[2] > 1e-9
+    centre, lo, hi = cam._box
+    uv = cam.f * xyz[:2]
+    uv /= np.where(ok, xyz[2], 1.0)
+    uv += centre
+    inside = (uv >= lo) & (uv <= hi)
+    ok &= inside[0]
+    ok &= inside[1]
+    return uv, ok
 
 
 def _cone(cam: CameraModel, cloud_t, rot, origin, margin: float):
@@ -336,18 +344,19 @@ def _cone(cam: CameraModel, cloud_t, rot, origin, margin: float):
 
 def _flow(proj_prev, proj_next) -> tuple[float, int]:
     """(mean pixel displacement, number of points counted) between two
-    _project results of one cloud, squaring only counted points (an off-image
-    u may overflow); the mean is NaN when fewer than MIN_FLOW_POINTS count."""
-    (u_a, v_a, ok_a), (u_b, v_b, ok_b) = proj_prev, proj_next
+    _project results of one cloud, squaring only the counted columns of the
+    two (2, n) pixel blocks (an off-image u may overflow); the mean is NaN
+    when fewer than MIN_FLOW_POINTS count."""
+    (uv_a, ok_a), (uv_b, ok_b) = proj_prev, proj_next
     ok = ok_a & ok_b
     n = int(np.count_nonzero(ok))
     if n < MIN_FLOW_POINTS:
         return math.nan, n
-    du = (u_b - u_a)[ok]
-    dv = (v_b - v_a)[ok]
-    # the sum np.linalg.norm(axis=1) forms over (du, dv) rows, so the bits
-    # match; then the sum and divide np.mean does
-    return float(np.add.reduce(np.sqrt(du * du + dv * dv))) / n, n
+    d = (uv_b - uv_a)[:, ok]
+    d *= d
+    # du*du + dv*dv, the sum np.linalg.norm(axis=1) forms over (du, dv) rows,
+    # so the bits match; then the sum and divide np.mean does
+    return float(np.add.reduce(np.sqrt(d[0] + d[1]))) / n, n
 
 
 def flow_metric(cam: CameraModel, frames_prev, frames_next, cloud) -> float:
@@ -695,6 +704,7 @@ def run_experiment(model: HeadModel, script: DisturbanceScript, settings: SimSet
     cfg = settings.control
     ifb = cfg.mode == "ifb"
     rng_gyro = np.random.default_rng(np.random.SeedSequence((settings.seed, 71)))
+    neck_owned = track.active[:, 3:6]  # the neck DoF the script owns, per tick
 
     state = initial_state(model, settings.fixation_distance)
     frames = camera_frames(model.chain, state.q)
@@ -756,9 +766,8 @@ def run_experiment(model: HeadModel, script: DisturbanceScript, settings: SimSet
                         f"(need >= {MIN_FLOW_POINTS})"
                     )
                 if J is not None:
-                    tw = J @ state.qdot
+                    tw = np.matmul(J, state.qdot, out=log.true_twist[row])
                     tw[:3] += track.base_vel[row - 1]
-                    log.true_twist[row] = tw
                 log.cmd[row, :3], log.cmd[row, 3:] = cmd.qdot_neck, cmd.qdot_eye
                 log.optfl[row], log.n_valid[row], log.saturated[row] = optfl, n_valid, cmd.saturated
                 logged = row + 1
@@ -792,7 +801,7 @@ def run_experiment(model: HeadModel, script: DisturbanceScript, settings: SimSet
                             rate = _gyro_rate(imu_prev[0], imu[0], settings.dt)
                         sigma = settings.gyro_sigma
                         omega = rate + rng_gyro.normal(0.0, sigma, 3) if sigma > 0.0 else rate
-                        self_qdot = np.where(track.active[row - 1][3:6], 0.0, state.qdot[3:6])
+                        self_qdot = np.where(neck_owned[row - 1], 0.0, state.qdot[3:6])
                         omega = omega - J[3:6, 3:6] @ self_qdot
                     if not gyro_buffer:  # until the first sample comes out: no rotation, at its position
                         gyro_buffer.extend([(np.zeros(3), imu[1])] * delay)

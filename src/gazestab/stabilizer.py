@@ -208,9 +208,9 @@ def compensate(twist: Twist, J, config: StabilizerConfig) -> StabilizerCommand:
         eye_pinv = pinv_damped(eye_trans, config.damping)
         qdot_neck = np.zeros(3)
 
-    v_target = twist.v.copy()
+    v_target = twist.v
     if config.sequential:
-        v_target += neck_trans @ qdot_neck
+        v_target = v_target + neck_trans @ qdot_neck
     qdot_eye = -eye_pinv @ v_target
 
     # np.minimum(np.maximum(x, -lim), lim) on the six floats: NaN passes, to fail the finiteness test

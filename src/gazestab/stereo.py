@@ -376,7 +376,7 @@ def fixation_full_jacobian(chain: KinematicChain, q) -> np.ndarray:
     dPr = d_or + zr[:, None] * quotient(num_right, d_num_right) + fx.s_right * d_zr
 
     J = np.zeros((6, HEAD_DOF))
-    J[:, :6] = geometric_jacobian(chain, qm, fx.point, _LAYOUT.cam_left, frames=frames)[:, :6]
+    J[:, :6] = geometric_jacobian(chain, qm, fx.point, _LAYOUT.trunk[-1], frames=frames)[:, :6]
     J[:3, 6] = 0.5 * (dPl[:, 0] + dPr[:, 0])
     J[:3, 7] = 0.5 * (dPl[:, 1] + dPl[:, 2] + dPr[:, 1] + dPr[:, 2])
     J[:3, 8] = 0.25 * (dPl[:, 1] - dPl[:, 2] + dPr[:, 1] - dPr[:, 2])

@@ -789,17 +789,19 @@ def test_cli_compare_prints_n_a_against_a_zero_flow_baseline(tmp_path, monkeypat
     assert all(row.endswith(" (   n/a)") for row in segment_rows), out
 
 
-def test_cli_compare_of_a_log_without_dt_exits_1(tmp_path, monkeypatch, capsys):
+def test_cli_compare_of_a_log_without_dt_exits_2(tmp_path, monkeypatch, capsys):
     # A segment's rows are ticks of the log's dt grid: without its `# dt:`
-    # line a log has none.
+    # line a log has none, and the reader cites the header it reached first.
     monkeypatch.chdir(tmp_path)
     assert main(["run", "--config", write_quick_config(tmp_path, "off", duration=0.3)]) == 0
     text = (tmp_path / "quick_off.csv").read_text()
     no_dt = tmp_path / "no_dt.csv"
-    no_dt.write_text("".join(line for line in text.splitlines(keepends=True) if not line.startswith("# dt:")))
+    lines = [line for line in text.splitlines(keepends=True) if not line.startswith("# dt:")]
+    no_dt.write_text("".join(lines))
+    header = 1 + next(i for i, line in enumerate(lines) if line.startswith("t,"))
     capsys.readouterr()
-    assert main(["compare", "--baseline", str(no_dt), str(tmp_path / "quick_off.csv")]) == 1
-    assert_clean_error(capsys, f"gazestab: error: {no_dt}: the log's dt must be a real number, got None")
+    assert main(["compare", "--baseline", str(no_dt), str(tmp_path / "quick_off.csv")]) == 2
+    assert_clean_error(capsys, f"gazestab: error: {no_dt}:{header}: no '# dt:' metadata line before the header")
 
 
 def test_cli_compare_empty_logs_usage_error():
@@ -1064,12 +1066,17 @@ def with_cell(column, value):
         (second_data_row, with_cell("t", "0"), "bad t value 0.0: must be finite and increasing"),
         # each metadata key comes once: a second dt, inserted before the duration line
         (lambda line: line.startswith("# duration:"), lambda line: "# dt: 0.5\n" + line, "second 'dt' metadata line"),
+        # a dt that parses but gives no tick grid
+        *(
+            (lambda line: line.startswith("# dt:"), lambda line, v=v: f"# dt: {v}\n", f"bad dt value '{v}': must be")
+            for v in ("nan", "inf", "0", "-0.01")
+        ),
     ],
     ids=[
         "segment-time", "non-numeric-field", "extra-field", "huge-field", "quoted-cell", "quoted-header",
         "segment-two-fields", "log-version-2", "n_valid-nan", "n_valid-huge",
         "n_valid-fraction", "n_valid-negative", "saturated-2", "saturated-half", "singular-nan", "t-nan",
-        "t-repeated", "repeated-metadata",
+        "t-repeated", "repeated-metadata", "dt-nan", "dt-inf", "dt-zero", "dt-negative",
     ],
 )
 def test_csv_reader_reports_bad_line(tmp_path, capsys, find, new_text, fragment):

@@ -207,6 +207,20 @@ def test_step_rejects_bad_base_vel(base_vel):
         step(MODEL, rest_state(), np.zeros(9), None, DT, base_vel=base_vel)
 
 
+def test_step_state_arrays_are_disjoint_and_new():
+    # the new q, qdot and base_offset are views of one array: writing into
+    # one changes neither the others nor the state it was stepped from
+    cmd = make_cmd(neck=(0.1, -0.2, 0.3), eye=(0.05, 0.1, -0.1))
+    old = PlantState(t=0.0, q=np.full(9, 0.1), qdot=np.full(9, -0.2), base_offset=[0.5, 0.6, 0.7])
+    new = step(MODEL, old, np.ones(9), cmd, DT, active=np.arange(9) < 2, base_vel=[0.1, 0.2, 0.3])
+    arrays = [new.q, new.qdot, new.base_offset, old.q, old.qdot, old.base_offset]
+    for i, a in enumerate(arrays[:3]):
+        assert not any(np.shares_memory(a, b) for b in arrays if b is not a)
+        before = [b.tobytes() for b in arrays]
+        a[:] = 7.0
+        assert [b.tobytes() for j, b in enumerate(arrays) if j != i] == before[:i] + before[i + 1:]
+
+
 def array_expand(arr):
     tilt, version, vergence = arr[6], arr[7], arr[8]
     return np.concatenate([arr[:6], [tilt, version + 0.5 * vergence, tilt, version - 0.5 * vergence]])
@@ -578,11 +592,28 @@ def test_project_of_the_transposed_cloud_matches_the_row_formula(n):
     behind = 0
     for _ in range(100):
         fr = camera_frames(MODEL.chain, rng.uniform(-1.0, 1.0, 9))
-        got = simulator._project(cam, fr.rot_left, fr.o_left, cloud_t)
+        uv, ok = simulator._project(cam, fr.rot_left, fr.o_left, cloud_t)
         want = row_project(cam, fr.rot_left, fr.o_left, cloud)
-        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+        assert [a.tobytes() for a in (uv[0], uv[1], ok)] == [a.tobytes() for a in want]
         behind += np.count_nonzero((cloud - fr.o_left) @ fr.rot_left[:, 2] <= 1e-9)
     assert behind > 0
+
+
+def test_each_camera_projects_with_its_own_pixel_box():
+    # _project reads a pixel centre and interior bounds cached on the camera:
+    # a camera made from another by replace has its own, and the first keeps its
+    rng = np.random.default_rng(5)
+    cloud = rng.normal([6.0, 0.0, 0.0], 2.0, (900, 3))
+    cloud_t = np.ascontiguousarray(cloud.T)
+    fr = camera_frames(MODEL.chain, rng.uniform(-0.3, 0.3, 9))
+    cam = CameraModel()
+    cams = [cam, replace(cam, border=60), replace(cam, f=120.0), replace(cam, width=400, height=200, border=5), cam]
+    for c in cams:
+        uv, ok = simulator._project(c, fr.rot_left, fr.o_left, cloud_t)
+        want = row_project(c, fr.rot_left, fr.o_left, cloud)
+        assert [a.tobytes() for a in (uv[0], uv[1], ok)] == [a.tobytes() for a in want]
+    counts = [np.count_nonzero(simulator._project(c, fr.rot_left, fr.o_left, cloud_t)[1]) for c in cams]
+    assert len(set(counts[:4])) == 4, counts
 
 
 def test_flow_squares_only_the_counted_points():
@@ -1766,7 +1797,7 @@ def test_view_cone_certificate_is_sound(seed, f, margin, share):
         u = (p - o0) / np.linalg.norm(p - o0)
         w = z0 - (z0 @ u) * u
         o = o0 + d_min * math.sin(budget - a) * w / np.linalg.norm(w)
-        assert not simulator._project(cam, rot, o, cloud_t[:, left_out])[2].any()
+        assert not simulator._project(cam, rot, o, cloud_t[:, left_out])[1].any()
 
 
 def test_view_cone_keeps_a_cloud_too_far_to_measure():
