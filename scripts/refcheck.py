@@ -23,7 +23,8 @@ configs are used.  The check
 * compares SHA-256 digests of `fixation_full_jacobian`, of a repeat call of
   it at the same q after the first result was overwritten with zeros (so a
   repeat call is pinned to give the same bits, untouched by a caller's
-  writes into an earlier result), `camera_frames`,
+  writes into an earlier result), `camera_frames`, `link_frames` and
+  `dh_matrix` (each link at the configuration's mechanical joint values),
   `HeadModel.imu_pose`, `synth_gyro` (without and with noise),
   `compensate`, `estimate_kff` and `estimate_ifb` over 2,000 seeded head
   configurations; the gyro moves from each configuration to the next,
@@ -49,6 +50,11 @@ configs are used.  The check
   to `border` or to `width - border`), and a tenth of them cut to 14
   points so that fewer than 10 may count (no shipped log puts a point on a
   border, and the loop projects only a view cone's columns);
+* adds to the `link_frames` and `dh_matrix` digests the head's links and
+  three more (a signed-zero, a pi and a large twist) at signed zeros, +-pi,
+  +-pi/2 and large angles up to 1e300, and compares a digest of
+  `initial_state`'s q0 bytes at fixation distances from 5e-324 to 1e300 m,
+  on the shipped head and on one with a turned and shifted base;
 * compares a SHA-256 digest of `DisturbanceScript.realize` (the dtype, shape
   and bytes of each of the track's five arrays) on the three shipped scripts;
   on a synthetic script of commanded and external moves and noise on joint
@@ -120,7 +126,7 @@ VARIANTS = (
 DIGESTS = (
     "fixation_full_jacobian", "fixation_full_jacobian (repeat)", "camera_frames", "imu_pose", "synth_gyro",
     "synth_gyro (noise)", "compensate", "estimate_kff", "estimate_ifb", "realize", "serialize", "step",
-    "expand_head_q", "collapse_head_q", "flow_metric",
+    "expand_head_q", "collapse_head_q", "flow_metric", "link_frames", "dh_matrix", "initial_state",
 )
 # A script that fails every mode part-way, and the modes it runs in.
 LIFT_SCRIPT = "script lift\nunits degrees\nmove channel=base-z t=0.2,3 rate=10\n"
@@ -239,6 +245,7 @@ from gazestab.errors import SingularConfiguration
 from gazestab.models import default_head_model
 from gazestab.simulator import PlantState, synth_gyro
 from gazestab.stabilizer import StabilizerConfig, compensate, estimate_ifb, estimate_kff
+from gazestab.chain import dh_matrix, link_frames
 from gazestab.stereo import camera_frames, expand_head_q, fixation_full_jacobian
 
 model = default_head_model()
@@ -249,6 +256,7 @@ rng_rates = np.random.default_rng(72)  # its own stream: the configurations stay
 rng_fp = np.random.default_rng(73)  # estimate_ifb's fixation points, likewise
 controls = (StabilizerConfig(), StabilizerConfig(dof_set="eyes"))
 h_jac, h_rep, h_cam, h_imu, h_gyro, h_noisy, h_comp, h_kff, h_ifb = (hashlib.sha256() for _ in range(9))
+h_frames, h_dh, h_init = (hashlib.sha256() for _ in range(3))  # printed last
 prev = PlantState(t=0.0, q=np.zeros(9), qdot=np.zeros(9))
 for k in range({CONFIGURATIONS}):
     q = rng.uniform(-0.9, 0.9, 9)
@@ -258,6 +266,10 @@ for k in range({CONFIGURATIONS}):
     fr = camera_frames(chain, q)
     for a in (fr.o_left, fr.o_right, fr.z_left, fr.z_right, fr.rot_left, fr.rot_right):
         h_cam.update(np.ascontiguousarray(a).tobytes())
+    q_mech = expand_head_q(q)
+    h_frames.update(link_frames(chain, q_mech).tobytes())
+    for link, angle in zip(chain.links, q_mech.tolist()):
+        h_dh.update(dh_matrix(link, angle).tobytes())
     rates = rng_rates.uniform(-2.0, 2.0, 9)
     try:
         J = fixation_full_jacobian(chain, q)
@@ -497,6 +509,33 @@ for cam in (CameraModel(), CameraModel(f=3.0)):
         except InsufficientCoverage as err:
             h_flow.update(str(err).encode())
 print(h_flow.hexdigest())
+
+import math
+from gazestab.chain import DHLink, KinematicChain, Pose
+from gazestab.models import HeadModel
+from gazestab.simulator import initial_state
+
+# link_frames and dh_matrix at signed zeros, +-pi, +-pi/2 and large angles, on
+# the head's links and on links with a signed-zero, pi or large twist (a -0.0
+# joint angle reaches cos and sin as -0.0 only past a -0.0 theta_offset)
+angles = [0.0, -0.0, math.pi, -math.pi, 0.5 * math.pi, -0.5 * math.pi, 2 * math.pi, 1e3, -1e3, 1e6, 1e15, -1e300,
+          5e-324]
+odd = KinematicChain((DHLink(a=-0.0, d=-0.0, alpha=-0.0, theta_offset=-0.0), DHLink(a=0.1, d=-0.2, alpha=math.pi, theta_offset=-math.pi),
+                      DHLink(a=3e99, d=1.0, alpha=1e6, theta_offset=1e15)))
+for ch in (chain, odd):
+    for angle in angles:
+        h_frames.update(link_frames(ch, np.full(ch.n_joints, angle)).tobytes())
+        for link in ch.links:
+            h_dh.update(dh_matrix(link, angle).tobytes())
+# initial_state's q0 at fixation distances from the least positive float up,
+# on the shipped head and on one with a turned and shifted base
+yawed = Pose(np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]), np.array([0.3, -2.0, 1.1]))
+moved = HeadModel(KinematicChain(chain.links, yawed, chain.segments), model.imu_link, model.imu_offset)
+for head in (model, moved):
+    for distance in (5e-324, 1e-3, 0.5, 6.0, 1e3, 1e300):
+        h_init.update(initial_state(head, distance).q.tobytes())
+for h in (h_frames, h_dh, h_init):
+    print(h.hexdigest())
 """
 
 

@@ -277,8 +277,8 @@ class KinematicChain:
 
     @cached_property
     def _dh(self) -> np.ndarray:
-        """Read-only (5, n) rows of each link's theta_offset, cos alpha, sin alpha, a and d."""
-        return _readonly([[k.theta_offset, math.cos(k.alpha), math.sin(k.alpha), k.a, k.d] for k in self.links]).T
+        """Read-only (17, n) table, a column per link: its theta_offset, then its 16 _dh_coefficients."""
+        return _readonly([[k.theta_offset, *_dh_coefficients(k)] for k in self.links]).T
 
     @cached_property
     def q_min(self) -> np.ndarray:
@@ -304,21 +304,21 @@ class KinematicChain:
 # ------------------------------------------------------------ DH elementary
 
 
+# Rot_z(th) @ Trans_z(d) @ Trans_x(a) @ Rot_x(alpha), row-major, is
+# trig[_DH_PICK] * _dh_coefficients(link) with trig = (cos th, sin th, 1):
+# each entry one IEEE product, so st * -ca rounds as -st * ca does.
+_DH_PICK = np.array([0, 1, 1, 0, 1, 0, 0, 1] + [2] * 8)
+
+
+def _dh_coefficients(link: DHLink) -> list[float]:
+    ca, sa, a = math.cos(link.alpha), math.sin(link.alpha), link.a
+    return [1.0, -ca, sa, a, 1.0, ca, -sa, a, 0.0, sa, ca, link.d, 0.0, 0.0, 0.0, 1.0]
+
+
 def dh_matrix(link: DHLink, q: float) -> np.ndarray:
     """Homogeneous transform of one link at a finite joint value q (radians)."""
     th = _real(q, "q", FINITE) + link.theta_offset
-    return _dh_closed_form(math.cos(th), math.sin(th), math.cos(link.alpha), math.sin(link.alpha), link.a, link.d)
-
-
-def _dh_closed_form(ct, st, ca, sa, a, d) -> np.ndarray:
-    """Rot_z(th) @ Trans_z(d) @ Trans_x(a) @ Rot_x(alpha) from the cos and sin
-    of th and alpha: one (4, 4) transform, or a C-contiguous (k, 4, 4) stack
-    from (k,) arrays."""
-    rows = np.zeros((16, *np.shape(ct)))  # the transform's entries, row-major; rows 8 and 12-14 stay 0
-    rows[0], rows[1], rows[2], rows[3] = ct, -st * ca, st * sa, a * ct
-    rows[4], rows[5], rows[6], rows[7] = st, ct * ca, -ct * sa, a * st
-    rows[9], rows[10], rows[11], rows[15] = sa, ca, d, 1.0
-    return rows.T.reshape(*rows.shape[1:], 4, 4)
+    return (np.array([math.cos(th), math.sin(th), 1.0])[_DH_PICK] * _dh_coefficients(link)).reshape(4, 4)
 
 
 # ------------------------------------------------------------------ kinematics
@@ -343,15 +343,19 @@ def link_frames(chain: KinematicChain, q) -> np.ndarray:
 
     Each link composes onto its path predecessor (chain.parents), so the
     trunk is walked once for both eye branches.  This is the only place DH
-    transforms are composed, each formed as dh_matrix forms it: np.cos and
-    np.sin must round as math.cos and math.sin do.
+    transforms are composed, each formed as dh_matrix forms it, all in one
+    product of (cos, sin, 1) rows with the chain's coefficient table: np.cos
+    and np.sin must round as math.cos and math.sin do.
     """
     arr = as_joint_array(q)
     if arr.size > chain.n_joints:
         raise InvalidInput(f"q has {arr.size} values for a {chain.n_joints}-link chain")
-    th0, ca, sa, a, d = chain._dh[:, : arr.size]
-    th = arr + th0
-    dh = _dh_closed_form(np.cos(th), np.sin(th), ca, sa, a, d)
+    table = chain._dh[:, : arr.size]
+    trig = np.ones((3, arr.size))
+    th = arr + table[0]
+    np.cos(th, out=trig[0])
+    np.sin(th, out=trig[1])
+    dh = (trig[_DH_PICK] * table[1:]).T.reshape(arr.size, 4, 4)
     frames = np.empty((arr.size + 1, 4, 4))
     frames[-1] = chain._base_matrix
     for frame, parent, A in zip(frames, chain.parents, dh):  # dh is the shortest: one frame per link of q
@@ -359,13 +363,13 @@ def link_frames(chain: KinematicChain, q) -> np.ndarray:
     return frames
 
 
-def forward_kinematics(chain: KinematicChain, q, link_index: int | None = None, *, frames=None) -> Pose:
+def forward_kinematics(chain: KinematicChain, q, link_index: int | None = None) -> Pose:
     """World pose of a link frame (default: the last link).
 
     q must supply one value per link index up to and including link_index;
     a full-length vector is always fine.  Entries for links off the path
     (the other eye branch) are ignored.  A caller that already holds
-    frames = link_frames(chain, q) passes it, and the pose is read from it.
+    link_frames(chain, q) reads the pose's rows off it.
     """
     if link_index is None:
         link_index = chain.n_joints - 1
@@ -375,8 +379,7 @@ def forward_kinematics(chain: KinematicChain, q, link_index: int | None = None, 
         raise InvalidInput(
             f"q must cover links 0..{link_index} ({link_index + 1} values), got {arr.size}"
         )
-    frames = link_frames(chain, arr[: link_index + 1]) if frames is None else frames
-    return Pose.from_matrix(frames[link_index])
+    return Pose.from_matrix(link_frames(chain, arr[: link_index + 1])[link_index])
 
 
 def geometric_jacobian(chain: KinematicChain, q, point, link_index: int | None = None, *, frames=None) -> np.ndarray:

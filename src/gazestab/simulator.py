@@ -73,6 +73,7 @@ import numpy as np
 
 from .chain import (
     FINITE, MAX_SCALE, NON_NEGATIVE, POSITIVE, _finite3, _int, _readonly, _real, _reals, _unchecked, as_joint_array,
+    forward_kinematics,
 )
 from .errors import (
     InsufficientCoverage,
@@ -90,7 +91,7 @@ from .stabilizer import (
     _estimate_ifb,
     compensate,
 )
-from .stereo import _collapse, _expand, _head_pass, camera_frames, fixation_full_jacobian
+from .stereo import HEAD_MECH, _LAYOUT, _collapse, _expand, _head_pass, camera_frames, fixation_full_jacobian
 
 DEFAULT_DT = 0.01
 DEFAULT_GYRO_SIGMA = 0.005  # rad/s, per axis
@@ -663,8 +664,9 @@ class TrajectoryLog:
 def initial_state(model: HeadModel, fixation_distance: float) -> PlantState:
     """Neutral posture verged onto a target at the given forward distance."""
     fixation_distance = _real(fixation_distance, "fixation_distance", POSITIVE)
-    fr = camera_frames(model.chain, np.zeros(9))
-    baseline = float(np.linalg.norm(fr.o_left - fr.o_right))
+    rest = np.zeros(HEAD_MECH)  # q = 0, where the optical axes are parallel: read the camera origins by prefix walks
+    o_left, o_right = (forward_kinematics(model.chain, rest, i).pos for i in (_LAYOUT.cam_left, _LAYOUT.cam_right))
+    baseline = float(np.linalg.norm(o_left - o_right))
     q0 = np.zeros(9)
     q0[8] = 2.0 * math.atan2(baseline / 2.0, fixation_distance)
     return PlantState(t=0.0, q=q0, qdot=np.zeros(9))

@@ -29,15 +29,17 @@ tilt and pan per eye, left first.  Its joints sit at fixed indices (one
 HeadLayout), and a head pass rejects a chain of any other shape.
 
 camera_frames and fixation_full_jacobian read one record per head state, a
-_HeadPass: the mechanical q, the link-frame stack, the camera frames and the
-fixation point (None when the optical axes are parallel), complete and
+_HeadPass: the mechanical q, the link-frame stack, the camera frames (taken
+straight off that stack, in the layouts forward_kinematics gives a pose) and
+the fixation point (None when the optical axes are parallel), complete and
 read-only once built.  The last record is kept: a repeat call on the same
 chain object and checked 9-DoF q reuses it (q is still validated), so a
 state costs one walk.  The simulation loop and synth_gyro read records
 directly.  Each fixation_full_jacobian call computes its J afresh from the
 record's link-frame stack: one cross for the camera origins' eye partials,
 one geometric_jacobian for the trunk columns and two analytic_axis_jacobian
-calls for the optical-axis partials.  Whether a J can be reused is the
+calls for the optical-axis partials; its BLAS products stay in numpy and
+its elementwise tail runs on Python floats.  Whether a J can be reused is the
 caller's knowledge: the simulation loop keeps its J while the head holds
 still.
 
@@ -61,7 +63,6 @@ from .chain import (
     _unchecked,
     analytic_axis_jacobian,
     as_joint_array,
-    forward_kinematics,
     geometric_jacobian,
     link_frames,
 )
@@ -95,11 +96,12 @@ class HeadLayout:
 
 
 _LAYOUT = HeadLayout(trunk=tuple(range(6)), tilt_left=6, pan_left=7, tilt_right=8, pan_right=9, cam_left=7, cam_right=9)
-# fixation_full_jacobian's index tables: the frames the eye joints (left tilt
-# and pan, right tilt and pan) turn about, their cameras, and each camera
+# Index tables: the frames the eye joints (left tilt and pan, right tilt and
+# pan) turn about, their cameras, both cameras (left first), and each camera
 # axis's (tilt, left pan, right pan) columns.
 _EYE_AXIS_ROWS = np.array([_LAYOUT.trunk[-1], _LAYOUT.tilt_left, _LAYOUT.trunk[-1], _LAYOUT.tilt_right])
 _EYE_CAM_ROWS = np.array([_LAYOUT.cam_left] * 2 + [_LAYOUT.cam_right] * 2)
+_CAM_ROWS = np.array([_LAYOUT.cam_left, _LAYOUT.cam_right])
 _LEFT_VARS = np.array([_LAYOUT.tilt_left, _LAYOUT.pan_left, _LAYOUT.pan_right])
 _RIGHT_VARS = np.array([_LAYOUT.tilt_right, _LAYOUT.pan_left, _LAYOUT.pan_right])
 
@@ -216,8 +218,9 @@ _last_head_pass = (None, b"", None)
 
 
 def _head_pass(chain: KinematicChain, q) -> _HeadPass:
-    """The _HeadPass of a 9-DoF head state: one DH walk.  A repeat call on
-    the same chain object and q returns the last record."""
+    """The _HeadPass of a 9-DoF head state: one DH walk, whose camera rows
+    are the camera frames.  A repeat call on the same chain object and q
+    returns the last record."""
     global _last_head_pass
     arr = as_joint_array(q, HEAD_DOF, name="q (head-dof)")
     key = arr.tobytes()
@@ -228,24 +231,20 @@ def _head_pass(chain: KinematicChain, q) -> _HeadPass:
         head_layout(chain)  # raises the shape's InvalidInput
     qm = np.array(_expand(arr.tolist()))
     frames = link_frames(chain, qm)
-    pose_l = forward_kinematics(chain, qm, _LAYOUT.cam_left, frames=frames)
-    pose_r = forward_kinematics(chain, qm, _LAYOUT.cam_right, frames=frames)
+    rots, origins = frames[_CAM_ROWS, :3, :3], frames[_CAM_ROWS, :3, 3]  # C-contiguous copies, left first
+    for a in (qm, frames, rots, origins):
+        a.setflags(write=False)
+    (rot_l, rot_r), (o_l, o_r) = rots, origins
     cams = _unchecked(
-        CameraFrames,
-        o_left=pose_l.pos,
-        o_right=pose_r.pos,
-        z_left=pose_l.rot[:, 2],
-        z_right=pose_r.rot[:, 2],
-        rot_left=pose_l.rot,
-        rot_right=pose_r.rot,
+        CameraFrames, o_left=o_l, o_right=o_r, z_left=rot_l[:, 2], z_right=rot_r[:, 2], rot_left=rot_l, rot_right=rot_r
     )
     try:
         fx = fixation_point(cams)
     except SingularConfiguration:
         fx = None
-    kept = (qm, frames) if fx is None else (qm, frames, fx.point, fx.p_left, fx.p_right)
-    for a in kept:
-        a.setflags(write=False)
+    else:
+        for a in (fx.point, fx.p_left, fx.p_right):
+            a.setflags(write=False)
     head = _HeadPass()
     head.q_mech, head.link_frames, head.cams, head.fx = qm, frames, cams, fx
     _last_head_pass = (chain, key, head)
@@ -345,39 +344,54 @@ def fixation_full_jacobian(chain: KinematicChain, q) -> np.ndarray:
     # pan), read from the one pass: tilt is the camera's own tilt joint, and
     # the other eye's pan is off its path (a zero column).  Eye joint m moves
     # an origin by z_m x (o_cam - p_m) about frame chain.parents[m], formed as
-    # geometric_jacobian forms it, all four in one cross.  The blocks are
-    # C-ordered: the products below round differently on F order.
+    # geometric_jacobian forms it, all four in one cross.  The products
+    # below stay in numpy on C-ordered blocks (OpenBLAS fuses multiply-adds,
+    # and F order rounds differently); the elementwise rest runs on floats,
+    # each +, - and * as numpy's would round it, in plain loops.
     axes = frames[_EYE_AXIS_ROWS, :3]
-    d_eye = _cross_rows(axes[:, :, 2], frames[_EYE_CAM_ROWS, :3, 3] - axes[:, :, 3])  # (3, 4)
-    d_ol, d_or = d_o = np.zeros((2, 3, 3))
-    d_o[0, :, :2] = d_eye[:, :2]
-    d_o[1, :, ::2] = d_eye[:, 2:]
+    d_eye = _cross_rows(axes[:, :, 2], frames[_EYE_CAM_ROWS, :3, 3] - axes[:, :, 3]).tolist()  # 3 rows of 4
     d_zl = np.take(analytic_axis_jacobian(chain, qm, _LAYOUT.cam_left, frames=frames), _LEFT_VARS, axis=1)
     d_zr = np.take(analytic_axis_jacobian(chain, qm, _LAYOUT.cam_right, frames=frames), _RIGHT_VARS, axis=1)
 
     cos_axes = float(zl @ zr)
     denom = cos_axes * cos_axes - 1.0  # nonzero: fixation_point checked it
-    num_left = zl - cos_axes * zr
-    num_right = cos_axes * zl - zr
     offset = ol - orr
+    d_cos = (d_zl.T @ zr + d_zr.T @ zl).tolist()
+    zl_f, zr_f, d_zl_f, d_zr_f = zl.tolist(), zr.tolist(), d_zl.tolist(), d_zr.tolist()
+    d_ol, d_or, d_offset, d_num_left, d_num_right = [], [], [], [], []
+    for (e0, e1, e2, e3), z_l, z_r, a_l, a_r in zip(d_eye, zl_f, zr_f, d_zl_f, d_zr_f):
+        d_ol.append([e0, e1, 0.0])
+        d_or.append([e2, 0.0, e3])
+        d_offset.append([e0 - e2, e1, 0.0 - e3])  # d_ol - d_or: e1 - 0.0 is e1, 0.0 - e3 is not -e3 at e3 = 0.0
+        row_left, row_right = [], []
+        for al, ar, dc in zip(a_l, a_r, d_cos):
+            row_left.append(al - z_r * dc - cos_axes * ar)
+            row_right.append(z_l * dc + cos_axes * al - ar)
+        d_num_left.append(row_left)
+        d_num_right.append(row_right)
+    d_offset = np.array(d_offset)
 
-    d_cos = d_zl.T @ zr + d_zr.T @ zl  # (3,)
-    d_num_left = d_zl - zr[:, None] * d_cos - cos_axes * d_zr
-    d_num_right = zl[:, None] * d_cos + cos_axes * d_zl - d_zr
-    d_offset = d_ol - d_or
-    d_denom = 2.0 * cos_axes * d_cos
-
-    def quotient(num, d_num):
-        # d[(num.offset)/denom] by the quotient rule
-        d_dot = d_num.T @ offset + d_offset.T @ num
-        return (d_dot * denom - float(num @ offset) * d_denom) / (denom * denom)
-
-    dPl = d_ol + zl[:, None] * quotient(num_left, d_num_left) + fx.s_left * d_zl
-    dPr = d_or + zr[:, None] * quotient(num_right, d_num_right) + fx.s_right * d_zr
+    # Each ray parameter's partials d[(num.offset)/denom] by the quotient
+    # rule (d denom = 2 cos_axes d_cos), then its closest point's partials.
+    c2, denom2, dP = 2.0 * cos_axes, denom * denom, []
+    sides = ((zl - cos_axes * zr, d_num_left, d_ol, zl_f, d_zl_f, fx.s_left),
+             (cos_axes * zl - zr, d_num_right, d_or, zr_f, d_zr_f, fx.s_right))
+    for num, d_num, d_o, z, d_z, s in sides:
+        d_dot = (np.array(d_num).T @ offset + d_offset.T @ num).tolist()
+        num_offset, quot, d_p = float(num @ offset), [], []
+        for dd, dc in zip(d_dot, d_cos):
+            quot.append((dd * denom - num_offset * (c2 * dc)) / denom2)
+        for o_row, zi, dz_row in zip(d_o, z, d_z):
+            row = []
+            for o, qt, dz in zip(o_row, quot, dz_row):
+                row.append(o + zi * qt + s * dz)
+            d_p.append(row)
+        dP.append(d_p)
 
     J = np.zeros((6, HEAD_DOF))
     J[:, :6] = geometric_jacobian(chain, qm, fx.point, _LAYOUT.trunk[-1], frames=frames)[:, :6]
-    J[:3, 6] = 0.5 * (dPl[:, 0] + dPr[:, 0])
-    J[:3, 7] = 0.5 * (dPl[:, 1] + dPl[:, 2] + dPr[:, 1] + dPr[:, 2])
-    J[:3, 8] = 0.25 * (dPl[:, 1] - dPl[:, 2] + dPr[:, 1] - dPr[:, 2])
+    eye = []
+    for (l0, l1, l2), (r0, r1, r2) in zip(*dP):
+        eye.append([0.5 * (l0 + r0), 0.5 * (l1 + l2 + r1 + r2), 0.25 * (l1 - l2 + r1 - r2)])
+    J[:3, 6:9] = eye
     return J

@@ -11,7 +11,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gazestab.chain import KinematicChain, Pose
@@ -31,7 +31,7 @@ from gazestab.fileio import (
     read_log_csv,
     write_log_csv,
 )
-from gazestab.models import HeadModel, default_head_model
+from gazestab.models import BASE_CHANNELS, HeadModel, default_head_model
 import gazestab.simulator as simulator
 from gazestab.simulator import (
     MAX_SCALE,
@@ -1323,16 +1323,23 @@ def test_work_ledger_calls_per_tick():
     forms its lag gains inline (one call where _tracking_gain made two; a
     computed command's pinv_damped makes one more), then by a compensate
     that clips and checks its command on floats and builds it unchecked
-    (no StabilizerCommand check and its two _finite3 calls):
+    (no StabilizerCommand check and its two _finite3 calls), then by a head
+    pass that takes its camera frames off its own link-frame stack (no
+    forward_kinematics, Pose.from_matrix, _unchecked, _readonly, _path or
+    as_joint_array call: 14 per moving state), a link_frames that forms its
+    DH stack inline (no _dh_closed_form call) and a fixation Jacobian whose
+    elementwise tail runs in plain loops (no nested quotient function, two
+    calls):
 
-    - exp_a_kff, 2 s (the first torso-yaw sweep, 1-2 s): 57.81
-    - exp_b_ifb, 1 s (torso noise from 0.5 s): 62.0
+    - exp_a_kff, 2 s (the first torso-yaw sweep, 1-2 s): 40.83
+    - exp_b_ifb, 1 s (torso noise from 0.5 s): 45.0
     - translate_ifb, 1 s (base-y motion from 0.5 s): 12.0
     - translate_off, 1 s: 11.0
 
-    A change that lowers a count lowers its ceiling here.
+    The translate configs compute no head pass after row 0, so their counts
+    stay.  A change that lowers a count lowers its ceiling here.
     """
-    ceilings = {"exp_a_kff": (2.0, 57.81), "exp_b_ifb": (1.0, 62.0), "translate_ifb": (1.0, 12.0),
+    ceilings = {"exp_a_kff": (2.0, 40.83), "exp_b_ifb": (1.0, 45.0), "translate_ifb": (1.0, 12.0),
                 "translate_off": (1.0, 11.0)}
     package = os.path.dirname(simulator.__file__) + os.sep
 
@@ -1717,12 +1724,12 @@ def test_runs_repeat_their_bytes_and_round_trip_through_the_log(tmp_path_factory
     assert back.meta == log.meta and tuple(back.segments) == log.segments
 
 
-def run_or_partial(script, sim):
+def run_or_partial(script, sim, model=MODEL):
     """(log, error): the run's log, or a failed run's partial log and its error."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", JointLimitWarning)
         try:
-            return run_experiment(MODEL, script, sim), None
+            return run_experiment(model, script, sim), None
         except (InsufficientCoverage, SimulationDiverged) as err:
             return err.partial_log, err
 
@@ -2059,3 +2066,63 @@ def test_loop_matches_the_reference_loop_byte_for_byte(case):
     for name, _, _ in simulator.LOG_COLUMNS:
         got, want = getattr(log, name), ref[name]
         assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes()), name
+
+
+def scaled_lengths(script, sim, k):
+    """(model, script, settings) of a run on MODEL with every length times
+    2**k: the DH a and d, the base and IMU-offset translations, the cloud
+    radii, the fixation distance, and the base channels' rates and noise
+    amplitudes.  Angles, times, rates in rad/s, the camera and the seeds
+    stay."""
+    f, chain = math.ldexp(1.0, k), MODEL.chain
+    links = tuple(replace(link, a=link.a * f, d=link.d * f) for link in chain.links)
+    base = Pose(chain.base_pose.rot, chain.base_pose.pos * f)
+    imu = Pose(MODEL.imu_offset.rot, MODEL.imu_offset.pos * f)
+    model = HeadModel(KinematicChain(links, base, chain.segments), MODEL.imu_link, imu, MODEL.trunk_names, MODEL.name)
+    segments = tuple(replace(seg, rate=seg.rate * f) if seg.channel in BASE_CHANNELS else seg
+                     for seg in script.segments)
+    noise = tuple(replace(band, amplitude=band.amplitude * f) if band.channels[0] in BASE_CHANNELS else band
+                  for band in script.noise)
+    cloud = replace(sim.cloud, r_min=sim.cloud.r_min * f, r_max=sim.cloud.r_max * f)
+    return model, replace(script, segments=segments, noise=noise), replace(
+        sim, cloud=cloud, fixation_distance=sim.fixation_distance * f)
+
+
+@settings(max_examples=20, deadline=None)
+@given(case=reference_cases(), k=st.integers(-20, 20))
+@example(case=(DisturbanceScript("yaw", (ScriptSegment(0.0, 0.1, "torso-yaw", 0.6),)), SimSettings(duration=0.1)),
+         k=-20)
+@example(case=(
+    DisturbanceScript("slide", (ScriptSegment(0.0, 0.1, "base-y", 0.4),)),
+    SimSettings(control=StabilizerConfig(mode="ifb"), duration=0.1),
+), k=20)
+def test_scaling_every_length_by_a_power_of_two_scales_only_the_length_columns(case, k):
+    """The fixation geometry is built from lengths and angles alone and a
+    pinhole camera is scale-free, so with every length times 2**k (and
+    damping 0: one damping serves the neck block, in angles, and the eye
+    block, in lengths) every angle column stays bit for bit and every length
+    column is exactly 2**k times the unscaled run's; a run that fails fails
+    alike.  A power of two scales each rounding exactly.
+
+    k stops at -20 because _project tests depth against an absolute 1e-9 m:
+    at 2**-40 the whole cloud, about 5e-12 m away, falls under it and every
+    run fails at its first tick (InsufficientCoverage).  From 2**-20 up a
+    point the test judges differently lies within about 1 mm of the camera
+    plane, far off the image, so neither run counts it."""
+    script, sim = case
+    # a noise band drives its channels alike: one over joint and base channels has no one scale
+    assume(all({ch in BASE_CHANNELS for ch in band.channels} != {True, False} for band in script.noise))
+    sim = replace(sim, control=replace(sim.control, damping=0.0))
+    log, err = run_or_partial(script, sim)
+    model, scaled_script, scaled_sim = scaled_lengths(script, sim, k)
+    scaled_log, scaled_err = run_or_partial(scaled_script, scaled_sim, model)
+    assert type(scaled_err) is type(err)
+    f = math.ldexp(1.0, k)
+    for name in ("t", "q", "qdot", "cmd", "optfl", "n_valid", "saturated", "singular"):
+        assert getattr(scaled_log, name).tobytes() == getattr(log, name).tobytes(), name
+    for name in ("est_twist", "true_twist"):
+        got, want = getattr(scaled_log, name), getattr(log, name)
+        assert got[:, 3:].tobytes() == want[:, 3:].tobytes(), name
+        assert got[:, :3].tobytes() == (want[:, :3] * f).tobytes(), name
+    for name in ("base_offset", "fp"):
+        assert getattr(scaled_log, name).tobytes() == (getattr(log, name) * f).tobytes(), name

@@ -15,8 +15,9 @@ from hypothesis import strategies as st
 
 from gazestab import InvalidInput, SingularConfiguration, finite_difference_jacobian, geometric_jacobian
 from gazestab import stereo
-from gazestab.chain import KinematicChain
+from gazestab.chain import KinematicChain, Pose, forward_kinematics
 from gazestab.models import HeadModel, default_head_model
+from gazestab.simulator import initial_state
 from gazestab.stereo import (
     CameraFrames,
     camera_frames,
@@ -459,6 +460,43 @@ def test_head_pass_arrays_are_read_only():
     for arr in arrays:
         with pytest.raises(ValueError):
             arr[0] = 0.0
+
+
+def test_camera_frames_are_the_forward_kinematics_poses_byte_for_byte():
+    # The head pass takes both camera frames off its link-frame stack in the
+    # layouts forward_kinematics gives a pose (read-only C-contiguous copies
+    # of the rotation and origin rows, z the rotation's third-column view),
+    # so every product that reads them rounds alike.  Seeded states on the
+    # shipped head and on one with a turned and shifted base, the first with
+    # parallel optical axes.
+    lay = head_layout(CHAIN)
+    base = Pose(np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]), np.array([0.3, -2.0, 1.1]))
+    rng = np.random.default_rng(318)
+    states = [np.zeros(9)] + [head_q(rng) for _ in range(12)] + [rng.uniform(-3.0, 3.0, 9) for _ in range(4)]
+    assert stereo._head_pass(CHAIN, states[0]).fx is None
+    for chain in (CHAIN, KinematicChain(CHAIN.links, base, CHAIN.segments)):
+        for q in states:
+            fr = camera_frames(chain, q)
+            left, right = (fr.o_left, fr.z_left, fr.rot_left), (fr.o_right, fr.z_right, fr.rot_right)
+            for cam, (o, z, rot) in ((lay.cam_left, left), (lay.cam_right, right)):
+                pose = forward_kinematics(chain, expand_head_q(q), cam)
+                for got, want in ((rot, pose.rot), (o, pose.pos), (z, pose.rot[:, 2])):
+                    assert got.tobytes() == want.tobytes(), (q, cam)
+                    assert got.strides == want.strides and got.flags.c_contiguous == want.flags.c_contiguous
+                    assert not got.flags.writeable
+
+
+def test_initial_state_verges_on_the_rest_camera_baseline():
+    # initial_state reads its rest-posture camera origins by prefix walks;
+    # its q0 is the formula on the camera frames at q = 0, byte for byte.
+    base = Pose(np.eye(3), np.array([0.25, 0.0, -0.5]))
+    shifted = HeadModel(KinematicChain(CHAIN.links, base, CHAIN.segments), MODEL.imu_link, MODEL.imu_offset)
+    for model in (MODEL, shifted):
+        for distance in (0.5, 6.0, 1e3):
+            fr = camera_frames(model.chain, np.zeros(9))
+            q0 = np.zeros(9)
+            q0[8] = 2.0 * math.atan2(float(np.linalg.norm(fr.o_left - fr.o_right)) / 2.0, distance)
+            assert initial_state(model, distance).q.tobytes() == q0.tobytes()
 
 
 def count_jacobian_work(monkeypatch):
